@@ -13,9 +13,9 @@ from .chain import (ChainSpec, InhomogeneousChainError, RegularityReport,
                     RegularityViolation, batch_birth_chain, batch_both_chain,
                     batch_death_chain, birth_death_chain, check_regularity,
                     eval_generator, eval_transposed, general_chain)
-from .transform import (NonnegReport, analytic_bstar, apply_weights,
-                        build_reduced, check_essential_nonnegativity,
-                        to_bstar, triangular_pair)
+from .transform import (NonnegativityError, NonnegReport, analytic_bstar,
+                        apply_weights, build_reduced, check_essential_nonnegativity,
+                        require_essential_nonnegativity, to_bstar, triangular_pair)
 from .spectral import (ColumnSumBounds, ConditionReport, PowerIterationError,
                        ReducibleMatrixError, SharpRate, SharpnessConditionError,
                        check_irreducible, check_sharpness_conditions,
@@ -34,9 +34,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisSettings", "BoundReport", "ChainSpec", "ColumnSumBounds",
     "ConditionReport", "InhomogeneousChainError", "ModelFile",
-    "ModelFileError", "NonnegReport", "OdeBlowUpError", "PowerIterationError",
-    "RateEvaluationError", "RateFunction", "ReducibleMatrixError",
-    "RegularityReport", "RegularityViolation", "SharpRate",
+    "ModelFileError", "NonnegReport", "NonnegativityError", "OdeBlowUpError",
+    "PowerIterationError", "RateEvaluationError", "RateFunction",
+    "ReducibleMatrixError", "RegularityReport", "RegularityViolation", "SharpRate",
     "SharpnessConditionError", "Trajectory", "VerificationReport",
     "analytic_bstar", "apply_weights", "as_rate", "batch_birth_chain",
     "batch_both_chain", "batch_death_chain", "birth_death_chain",
@@ -45,8 +45,8 @@ __all__ = [
     "closed_form_bd", "column_sum_bounds", "compute_bounds",
     "cumulative_simpson", "dominant_eigenvalue", "eval_generator",
     "eval_transposed", "extreme_real_eigenvalues", "general_chain",
-    "load_model", "parse_model", "perron_weights", "serialize_model",
-    "sharp_report", "solve", "to_bstar", "trajectory_to_csv",
-    "triangular_pair", "verification_to_csv", "verify_bounds",
-    "verify_convergence_coupling",
+    "load_model", "parse_model", "perron_weights",
+    "require_essential_nonnegativity", "serialize_model", "sharp_report",
+    "solve", "to_bstar", "trajectory_to_csv", "triangular_pair",
+    "verification_to_csv", "verify_bounds", "verify_convergence_coupling",
 ]

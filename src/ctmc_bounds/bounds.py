@@ -21,7 +21,8 @@ import numpy as np
 
 from .chain import ChainSpec, check_regularity, require_homogeneous
 from .spectral import SharpnessConditionError, check_sharpness_conditions, perron_weights
-from .transform import apply_weights, build_reduced, min_offdiagonal, to_bstar
+from .transform import (apply_weights, build_reduced, require_essential_nonnegativity,
+                        to_bstar)
 
 CSV_COLUMNS = ("t", "h_upper", "h_lower", "I_upper", "I_lower", "env_upper", "env_lower")
 
@@ -50,6 +51,17 @@ class BoundReport:
     sharp: bool = False
     lambda0: float | None = None
     warnings: tuple = ()
+
+
+def check_horizon(tmax, n_intervals):
+    """(tmax, n_intervals) as (float, int); ValueError unless tmax > 0 and n_intervals >= 1."""
+    tmax = float(tmax)
+    if not tmax > 0.0:
+        raise ValueError(f"horizon must be positive, got {tmax}")
+    n = int(n_intervals)
+    if n < 1:
+        raise ValueError(f"need at least one step or grid interval, got {n}")
+    return tmax, n
 
 
 def cumulative_simpson(values_half, step: float):
@@ -89,28 +101,18 @@ def compute_bounds(spec: ChainSpec, weights, tmax: float, n_grid: int,
     checks : bool
         When True (default), verify regularity (a failure only adds a
         warning) and essential non-negativity of the transformed matrix
-        (a failure raises, since the envelope argument needs it).
+        (a failure raises NonnegativityError, since the envelope argument
+        needs it).
     """
-    tmax = float(tmax)
-    if not tmax > 0.0:
-        raise ValueError(f"horizon must be positive, got {tmax}")
-    n_grid = int(n_grid)
-    if n_grid < 2:
-        raise ValueError(f"need at least 2 grid points, got {n_grid}")
+    tmax, n = check_horizon(tmax, int(n_grid) - 1)
     d = np.asarray(weights, dtype=float)
 
-    half = np.linspace(0.0, tmax, 2 * n_grid - 1)
+    half = np.linspace(0.0, tmax, 2 * n + 1)
     Bstar = to_bstar(build_reduced(spec, half))
 
     warnings = []
     if checks:
-        scale = float(np.max(np.abs(Bstar)))
-        worst, idx = min_offdiagonal(Bstar)
-        if worst < -1e-12 * scale:
-            ti, i, j = idx
-            raise ValueError(
-                f"transformed matrix is not essentially non-negative: entry "
-                f"({i + 1},{j + 1}) = {worst} at t={half[ti]}; envelope bounds do not apply")
+        require_essential_nonnegativity(Bstar, half)
         reg = check_regularity(spec, half[::2])
         if not reg.regular:
             v = reg.violations[0]
@@ -122,9 +124,8 @@ def compute_bounds(spec: ChainSpec, weights, tmax: float, n_grid: int,
     sums = apply_weights(Bstar, d).sum(axis=-2)
     h_up = sums.max(axis=-1)
     h_lo = sums.min(axis=-1)
-    step = tmax / (n_grid - 1)
-    I_up = cumulative_simpson(h_up, step)
-    I_lo = cumulative_simpson(h_lo, step)
+    I_up = cumulative_simpson(h_up, tmax / n)
+    I_lo = cumulative_simpson(h_lo, tmax / n)
 
     return BoundReport(grid=half[::2], h_upper=h_up[::2], h_lower=h_lo[::2],
                        I_upper=I_up, I_lower=I_lo,
@@ -155,21 +156,21 @@ def sharp_report(spec: ChainSpec, tmax: float = 1.0, n_grid: int = 201) -> Bound
     return dataclasses.replace(report, sharp=True, lambda0=lam0)
 
 
-def _format(x: float) -> str:
-    return format(float(x), ".17g")
+def write_csv(path, header, columns) -> None:
+    """Write equal-length columns of numbers as CSV under a header row.
+
+    Comma separator, '.' decimal point, LF line endings, a trailing newline
+    and 17 significant digits (round-trip exact for doubles).
+    """
+    rows = zip(*(np.asarray(col, dtype=float).tolist() for col in columns), strict=True)
+    lines = [",".join(header)]
+    lines.extend(",".join(format(v, ".17g") for v in row) for row in rows)
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def bound_report_to_csv(report: BoundReport, path) -> None:
-    """Write a report as CSV: t, h_upper, h_lower, I_upper, I_lower, env_upper, env_lower.
-
-    Comma separator, '.' decimal point, header row, LF line endings, 17
-    significant digits (round-trip exact for doubles).
-    """
-    lines = [",".join(CSV_COLUMNS)]
-    for k in range(report.grid.shape[0]):
-        lines.append(",".join(_format(v) for v in (
-            report.grid[k], report.h_upper[k], report.h_lower[k],
-            report.I_upper[k], report.I_lower[k],
-            report.env_upper[k], report.env_lower[k])))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write a report as CSV: t, h_upper, h_lower, I_upper, I_lower, env_upper, env_lower."""
+    write_csv(path, CSV_COLUMNS, (report.grid, report.h_upper, report.h_lower,
+                                  report.I_upper, report.I_lower,
+                                  report.env_upper, report.env_lower))

@@ -14,8 +14,11 @@ Exit codes (a total function of the outcome):
 0     success; for ``check`` the transform is essentially
       non-negative everywhere (a regularity failure alone only
       warns), for ``verify`` no envelope violations
-1     property violation (non-negativity break, envelope break)
-2     model file cannot be parsed
+1     property violation: an envelope break, or a non-negativity
+      break (``check``; ``bounds``, ``verify`` and the perron
+      weight modes refuse such a chain)
+2     model file cannot be parsed, or an analysis value is out
+      of range
 3     rate evaluation failed or a trajectory blew up
 4     homogeneous-only command applied to a time-varying chain
 5     transformed matrix is reducible
@@ -32,14 +35,15 @@ import sys
 
 import numpy as np
 
-from .bounds import bound_report_to_csv, compute_bounds, sharp_report
+from .bounds import bound_report_to_csv, compute_bounds, sharp_report, write_csv
 from .chain import InhomogeneousChainError, check_regularity
 from .modelfile import AnalysisSettings, ModelFileError, load_model
 from .odesolve import (OdeBlowUpError, verify_bounds, verify_convergence_coupling)
 from .rates import RateEvaluationError
 from .spectral import (ReducibleMatrixError, SharpnessConditionError,
                        check_sharpness_conditions, closed_form_bd, perron_weights)
-from .transform import build_reduced, min_offdiagonal, to_bstar
+from .transform import (NonnegativityError, build_reduced, check_essential_nonnegativity,
+                        to_bstar, validate_weights)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -48,6 +52,13 @@ EXIT_EVAL = 3
 EXIT_INHOMOGENEOUS = 4
 EXIT_REDUCIBLE = 5
 EXIT_CONDITIONS = 6
+
+# typed errors and the exit codes main() maps them to
+_ERROR_EXITS = ((NonnegativityError, EXIT_VIOLATION), (ModelFileError, EXIT_PARSE),
+                (RateEvaluationError, EXIT_EVAL), (OdeBlowUpError, EXIT_EVAL),
+                (InhomogeneousChainError, EXIT_INHOMOGENEOUS),
+                (ReducibleMatrixError, EXIT_REDUCIBLE),
+                (SharpnessConditionError, EXIT_CONDITIONS))
 
 
 def _fmt(x) -> str:
@@ -105,25 +116,19 @@ def resolve_weights(spec, settings: AnalysisSettings):
     if mode == "ones":
         return np.ones(spec.S), warnings
     if mode == "list":
-        d = np.asarray(settings.weights, dtype=float)
-        if d.shape != (spec.S,):
-            raise ModelFileError(f"weights list must have length {spec.S}, "
-                                 f"got {d.shape[0] if d.ndim else 0}")
-        if not np.all(np.isfinite(d)) or np.any(d <= 0.0):
-            raise ModelFileError("weights must be positive and finite")
-        return d, warnings
-    if mode == "perron":
-        if not spec.is_homogeneous:
+        try:
+            return validate_weights(settings.weights, spec.S), warnings
+        except ValueError as exc:
+            raise ModelFileError(str(exc)) from None
+    if mode in ("perron", "frozen-perron"):
+        if mode == "perron" and not spec.is_homogeneous:
             raise InhomogeneousChainError(
                 "weights mode 'perron' requires constant rates; "
                 "use 'frozen-perron' for time-varying chains")
-        return perron_weights(to_bstar(build_reduced(spec, 0.0))).weights, warnings
-    if mode == "frozen-perron":
-        rate = perron_weights(to_bstar(build_reduced(spec, 0.0)))
         if not spec.is_homogeneous:
             warnings.append("frozen-perron weights computed at t=0 of a "
                             "time-varying chain: a heuristic, not sharp")
-        return rate.weights, warnings
+        return perron_weights(to_bstar(build_reduced(spec, 0.0))).weights, warnings
     raise ModelFileError(f"unknown weights mode {mode!r}")
 
 
@@ -142,20 +147,18 @@ def cmd_check(args) -> int:
               f"state {v.state}, {v.direction} jump {v.k}->{v.k + 1}: "
               f"{_fmt(v.value)} -> {_fmt(v.next_value)})")
 
-    Bstar = to_bstar(build_reduced(spec, grid))
-    scale = float(np.max(np.abs(Bstar)))
-    worst, idx = min_offdiagonal(Bstar)
-    ok = worst >= -1e-12 * scale
-    if ok:
-        print(f"B* essentially non-negative: yes (off-diagonal minimum {_fmt(worst)})")
+    nonneg = check_essential_nonnegativity(to_bstar(build_reduced(spec, grid)))
+    worst = _fmt(nonneg.min_offdiagonal)
+    if nonneg.passed:
+        print(f"B* essentially non-negative: yes (off-diagonal minimum {worst})")
     else:
-        ti, i, j = idx
+        ti, i, j = nonneg.worst_index
         print(f"B* essentially non-negative: no (entry ({i + 1},{j + 1}) = "
-              f"{_fmt(worst)} at t={_fmt(grid[ti])})")
-    if not reg.regular and ok:
+              f"{worst} at t={_fmt(grid[ti])})")
+    if not reg.regular and nonneg.passed:
         print("warning: generator is not regular, but the transform is "
               "essentially non-negative; downstream bounds remain valid")
-    return EXIT_OK if ok else EXIT_VIOLATION
+    return EXIT_OK if nonneg.passed else EXIT_VIOLATION
 
 
 def cmd_rate(args) -> int:
@@ -216,8 +219,7 @@ def cmd_verify(args) -> int:
     for note in warnings:
         print(f"warning: {note}")
     common = dict(tmax=settings.horizon, n_steps=settings.steps,
-                  seed=settings.seed, slack=settings.tolerance,
-                  n_jobs=args.jobs)
+                  seed=settings.seed, slack=settings.tolerance)
     rep_b = verify_bounds(spec, weights, n_trials=settings.trials, **common)
     rep_c = verify_convergence_coupling(spec, weights, n_pairs=settings.pairs,
                                         **common)
@@ -233,22 +235,12 @@ def cmd_verify(args) -> int:
             print(f"  first violation: {phase}, trial {trial}, t={_fmt(t)}, "
                   f"ratio {format(ratio, '.17g')} ({rep.n_violations} total)")
     if args.csv:
-        _verify_csv(rep_b, rep_c, args.csv)
+        write_csv(args.csv, ("t", "bounds_ratio_upper_max", "bounds_ratio_lower_min",
+                             "coupling_ratio_max"),
+                  (rep_b.grid, rep_b.ratio_upper_max, rep_b.ratio_lower_min,
+                   rep_c.ratio_upper_max))
         print(f"csv written: {args.csv}")
     return EXIT_OK if rep_b.passed and rep_c.passed else EXIT_VIOLATION
-
-
-def _verify_csv(rep_b, rep_c, path) -> None:
-    def _f(x):
-        return format(float(x), ".17g")
-
-    lines = ["t,bounds_ratio_upper_max,bounds_ratio_lower_min,coupling_ratio_max"]
-    for k in range(rep_b.grid.shape[0]):
-        lines.append(",".join((_f(rep_b.grid[k]), _f(rep_b.ratio_upper_max[k]),
-                               _f(rep_b.ratio_lower_min[k]),
-                               _f(rep_c.ratio_upper_max[k]))))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--trials", type=int, help="random trials for the envelopes")
             p.add_argument("--pairs", type=int, help="random probability pairs")
             p.add_argument("--jobs", type=int, default=1,
-                           help="thread chunks for trial batches")
+                           help="accepted for compatibility; has no effect")
 
     p = sub.add_parser("check", help="regularity and essential non-negativity")
     _common(p, csv=False)
@@ -299,21 +291,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ModelFileError as exc:
+    except tuple(kind for kind, _ in _ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (RateEvaluationError, OdeBlowUpError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EVAL
-    except InhomogeneousChainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INHOMOGENEOUS
-    except ReducibleMatrixError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_REDUCIBLE
-    except SharpnessConditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONDITIONS
+        return next(code for kind, code in _ERROR_EXITS if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -33,6 +33,7 @@ default to the values shown above (horizon 1.0 if absent).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .chain import (KINDS, ChainSpec, batch_birth_chain, batch_both_chain,
@@ -74,6 +75,21 @@ class AnalysisSettings:
     pairs: int = 50
     seed: int = 0
     tolerance: float = 1e-8
+
+    def __post_init__(self):
+        # dataclasses.replace re-runs this, so CLI overrides are checked too
+        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
+            raise ModelFileError(f"analysis horizon must be positive and finite, "
+                                 f"got {self.horizon}")
+        if self.grid < 2:
+            raise ModelFileError(f"analysis grid needs at least 2 points, got {self.grid}")
+        for name in ("steps", "trials", "pairs"):
+            if getattr(self, name) < 1:
+                raise ModelFileError(f"analysis {name} must be at least 1, "
+                                     f"got {getattr(self, name)}")
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0.0):
+            raise ModelFileError(f"analysis tolerance must be finite and >= 0, "
+                                 f"got {self.tolerance}")
 
 
 @dataclass(frozen=True)
@@ -160,14 +176,17 @@ def _parse_chain(node) -> ChainSpec:
         raise ModelFileError(str(exc)) from None
 
 
+# numeric analysis fields and their types; absent ones take the AnalysisSettings defaults
+_ANALYSIS_NUMBERS = {"horizon": float, "grid": int, "steps": int, "trials": int,
+                     "pairs": int, "seed": int, "tolerance": float}
+
+
 def _parse_analysis(node) -> AnalysisSettings:
     if node is None:
         return AnalysisSettings()
     if not isinstance(node, dict):
         raise ModelFileError("'analysis' must be an object")
-    known = {"horizon", "grid", "steps", "weights", "trials", "pairs", "seed",
-             "tolerance"}
-    extra = set(node) - known
+    extra = set(node) - set(_ANALYSIS_NUMBERS) - {"weights"}
     if extra:
         raise ModelFileError(f"unknown analysis fields {sorted(extra)}")
     weights_mode, weights = "ones", None
@@ -186,17 +205,11 @@ def _parse_analysis(node) -> AnalysisSettings:
         else:
             raise ModelFileError("'analysis.weights' must be a mode name or a list")
     try:
-        return AnalysisSettings(
-            horizon=float(node.get("horizon", 1.0)),
-            grid=int(node.get("grid", 1001)),
-            steps=int(node.get("steps", 10_000)),
-            weights_mode=weights_mode, weights=weights,
-            trials=int(node.get("trials", 100)),
-            pairs=int(node.get("pairs", 50)),
-            seed=int(node.get("seed", 0)),
-            tolerance=float(node.get("tolerance", 1e-8)))
-    except (TypeError, ValueError) as exc:
+        numbers = {key: kind(node[key]) for key, kind in _ANALYSIS_NUMBERS.items()
+                   if key in node}
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFileError(f"invalid analysis value: {exc}") from None
+    return AnalysisSettings(weights_mode=weights_mode, weights=weights, **numbers)
 
 
 def parse_model(text: str) -> ModelFile:

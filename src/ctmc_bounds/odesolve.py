@@ -14,14 +14,14 @@ run certifying that integrator error stays below the allowed slack.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import cumulative_simpson
+from .bounds import check_horizon, cumulative_simpson, write_csv
 from .chain import ChainSpec, eval_transposed
-from .transform import apply_weights, build_reduced, to_bstar
+from .transform import (apply_weights, build_reduced, require_essential_nonnegativity,
+                        to_bstar, validate_weights)
 
 SYSTEMS = ("forward", "reduced_hom", "transformed")
 
@@ -51,14 +51,7 @@ _COORDS = {"forward": "p", "reduced_hom": "y", "transformed": "w"}
 
 
 def _weight_vector(weights, S):
-    if weights is None:
-        return np.ones(S)
-    d = np.asarray(weights, dtype=float)
-    if d.shape != (S,):
-        raise ValueError(f"weights must have length {S}, got shape {d.shape}")
-    if not np.all(np.isfinite(d)) or np.any(d <= 0.0):
-        raise ValueError("weights must be positive and finite")
-    return d
+    return np.ones(S) if weights is None else validate_weights(weights, S)
 
 
 def _system_matrices(system, spec, weights, ts):
@@ -152,12 +145,7 @@ def solve(system: str, spec: ChainSpec, x0, tmax: float, n_steps: int,
     OdeBlowUpError
         If a state exceeds 1e12 in magnitude or becomes non-finite.
     """
-    tmax = float(tmax)
-    if not tmax > 0.0:
-        raise ValueError(f"horizon must be positive, got {tmax}")
-    n = int(n_steps)
-    if n < 1:
-        raise ValueError(f"need at least one step, got {n}")
+    tmax, n = check_horizon(tmax, n_steps)
     dim = spec.S + 1 if system == "forward" else spec.S
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim not in (1, 2) or x0.shape[0] != dim:
@@ -215,32 +203,20 @@ def _draw_columns(rng, dim, count, signed):
     return X
 
 
-def _chunks(total, n_jobs):
-    n_jobs = max(1, min(int(n_jobs), total))
-    edges = np.linspace(0, total, n_jobs + 1).astype(int)
-    return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
-
-
-def _run_chunks(worker, spans, n_jobs):
-    if len(spans) <= 1 or n_jobs <= 1:
-        return [worker(span) for span in spans]
-    with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-        return list(pool.map(worker, spans))
-
-
-def _propagator_divergence(mats, mats_fine, h, constant, envelope):
+def _propagator_divergence(mats_fine, h, constant, envelope):
     """Richardson-style integrator margin from step-h and step-h/2 propagators.
 
-    Returns 2 * max_k ||Phi_h(t_k) - Phi_{h/2}(t_k)||_1->1 / envelope[k]:
+    mats_fine is sampled at spacing h/4; the step-h run uses every second
+    matrix. Returns 2 * max_k ||Phi_h(t_k) - Phi_{h/2}(t_k)||_1->1 / envelope[k]:
     a conservative relative bound on trajectory-norm error, normalized by
     the envelope appearing in the checked ratios.
     """
-    dim = mats.shape[-1]
+    dim = mats_fine.shape[-1]
     eye = np.eye(dim)
     fine = _rk4_stream(mats_fine, 0.5 * h, eye, constant)
     kf, Xf = next(fine)
     worst = 0.0
-    for kc, Xc in _rk4_stream(mats, h, eye, constant):
+    for kc, Xc in _rk4_stream(mats_fine[::2], h, eye, constant):
         while kf < 2 * kc:
             kf, Xf = next(fine)
         diff = float(np.abs(Xc - Xf).sum(axis=0).max())
@@ -248,26 +224,61 @@ def _propagator_divergence(mats, mats_fine, h, constant, envelope):
     return 2.0 * worst
 
 
-def _envelopes(mats, mats_fine, h):
-    """Column-sum integrals on the step grid plus the quadrature refinement margin."""
-    def _extremes(stack):
-        sums = stack.sum(axis=-2)
-        return sums.max(axis=-1), sums.min(axis=-1)
+@dataclass(frozen=True)
+class _Setup:
+    """What both verifiers share: the step grid, the weighted stack and the envelopes."""
 
-    h_up, h_lo = _extremes(mats)
-    I_up = cumulative_simpson(h_up, h)
-    I_lo = cumulative_simpson(h_lo, h)
-    h_up_f, h_lo_f = _extremes(mats_fine)
-    I_up_f = cumulative_simpson(h_up_f, 0.5 * h)
-    I_lo_f = cumulative_simpson(h_lo_f, 0.5 * h)
+    d: np.ndarray
+    tmax: float
+    n: int
+    h: float
+    ts_fine: np.ndarray     # halved grid, 4n+1 points; the step grid is ts_fine[::4]
+    mats_fine: np.ndarray   # B**(t) on the halved grid
+    constant: bool
+    env_up: np.ndarray
+    env_lo: np.ndarray
+    quad_margin: float
+
+
+def _verification_setup(spec, weights, tmax, n_steps) -> _Setup:
+    """Checks, grids, transformed stack, precondition, envelopes and quadrature margin.
+
+    Each system is evaluated once, on the halved grid of 4n+1 points; the
+    RK4 grid of step h with its midpoints is the [::2] slice, which equals
+    linspace(0, tmax, 2n+1) bit for bit. B*(t) must be essentially
+    non-negative at every point of the halved grid, else NonnegativityError
+    is raised before any trial runs. The envelopes integrate the column-sum
+    extremes by Simpson's rule on the step grid; the quadrature margin is
+    their largest difference from the integrals on the halved grid.
+    """
+    d = _weight_vector(weights, spec.S)
+    tmax, n = check_horizon(tmax, n_steps)
+    h = tmax / n
+    ts_fine = np.linspace(0.0, tmax, 4 * n + 1)
+    constant = spec.is_homogeneous
+    eval_times = ts_fine[:1] if constant else ts_fine
+    bstar = to_bstar(build_reduced(spec, eval_times))
+    require_essential_nonnegativity(bstar, eval_times)
+    mats_fine = apply_weights(bstar, d)
+    if constant:
+        mats_fine = np.broadcast_to(mats_fine[0], ts_fine.shape + mats_fine.shape[1:])
+
+    sums = mats_fine.sum(axis=-2)
+    h_up, h_lo = sums.max(axis=-1), sums.min(axis=-1)
+    I_up = cumulative_simpson(h_up[::2], h)
+    I_lo = cumulative_simpson(h_lo[::2], h)
+    I_up_f = cumulative_simpson(h_up, 0.5 * h)
+    I_lo_f = cumulative_simpson(h_lo, 0.5 * h)
     quad_margin = max(float(np.max(np.abs(I_up_f[::2] - I_up))),
                       float(np.max(np.abs(I_lo_f[::2] - I_lo))))
-    return np.exp(I_up), np.exp(I_lo), quad_margin
+    return _Setup(d=d, tmax=tmax, n=n, h=h, ts_fine=ts_fine, mats_fine=mats_fine,
+                  constant=constant, env_up=np.exp(I_up), env_lo=np.exp(I_lo),
+                  quad_margin=quad_margin)
 
 
 def verify_bounds(spec: ChainSpec, weights, tmax: float, n_steps: int = 10_000,
-                  n_trials: int = 100, seed: int = 0, slack: float = 1e-8,
-                  n_jobs: int = 1) -> VerificationReport:
+                  n_trials: int = 100, seed: int = 0,
+                  slack: float = 1e-8) -> VerificationReport:
     """Check the exponential envelopes on random trajectories of the transformed system.
 
     Each trial draws one signed initial vector (entries uniform in [-1, 1]),
@@ -279,76 +290,52 @@ def verify_bounds(spec: ChainSpec, weights, tmax: float, n_steps: int = 10_000,
     A ratio beyond 1 +/- slack_total at any grid time is recorded as a
     violation and fails the report; slack_total = slack + the measured
     step-halving integrator margin + the quadrature refinement margin.
-    n_jobs > 1 splits the trial batch into column chunks processed by a
-    thread pool; the aggregated extremes do not depend on the chunking.
+    Raises NonnegativityError, before any trial runs, if B*(t) is not
+    essentially non-negative on the halved grid.
     """
-    d = _weight_vector(weights, spec.S)
-    tmax = float(tmax)
-    n = int(n_steps)
     n_trials = int(n_trials)
     if n_trials < 1:
         raise ValueError(f"need at least one trial, got {n_trials}")
-    h = tmax / n
-    ts = np.linspace(0.0, tmax, 2 * n + 1)
-    ts_fine = np.linspace(0.0, tmax, 4 * n + 1)
-    mats, constant = _system_matrices("transformed", spec, d, ts)
-    mats_fine, _ = _system_matrices("transformed", spec, d, ts_fine)
-
-    env_up, env_lo, quad_margin = _envelopes(mats, mats_fine, h)
-    integ_margin = _propagator_divergence(mats, mats_fine, h, constant, env_lo)
-    slack_total = slack + integ_margin + quad_margin
+    st = _verification_setup(spec, weights, tmax, n_steps)
+    n, h, ts = st.n, st.h, st.ts_fine
+    integ_margin = _propagator_divergence(st.mats_fine, h, st.constant, st.env_lo)
+    slack_total = slack + integ_margin + st.quad_margin
 
     rng = np.random.default_rng(seed)
     X_signed = _draw_columns(rng, spec.S, n_trials, signed=True)
     X_nonneg = _draw_columns(rng, spec.S, n_trials, signed=False)
 
-    def _scan(X0, check_lower, trial_offset):
-        norms0 = np.abs(X0).sum(axis=0)
-        up_max = np.zeros(n + 1)
-        lo_min = np.full(n + 1, np.inf)
-        found = []
-        for k, X in _rk4_stream(mats, h, X0, constant):
-            norms = np.abs(X).sum(axis=0)
-            up = norms / (env_up[k] * norms0)
-            up_max[k] = up.max()
-            for j in np.nonzero(up > 1.0 + slack_total)[0]:
-                found.append(("upper", trial_offset + int(j),
-                              float(ts[2 * k]), float(up[j])))
-            if check_lower:
-                lo = norms / (env_lo[k] * norms0)
-                lo_min[k] = lo.min()
-                for j in np.nonzero(lo < 1.0 - slack_total)[0]:
-                    found.append(("lower", trial_offset + int(j),
-                                  float(ts[2 * k]), float(lo[j])))
-        return up_max, lo_min, found
-
     ratio_up_max = np.zeros(n + 1)
     ratio_lo_min = np.full(n + 1, np.inf)
     violations = []
-    for X_all, check_lower, base in ((X_signed, False, 0), (X_nonneg, True, n_trials)):
-        results = _run_chunks(
-            lambda span, X=X_all, cl=check_lower, b=base:
-                _scan(X[:, span[0]:span[1]], cl, b + span[0]),
-            _chunks(n_trials, n_jobs), n_jobs)
-        for up_max, lo_min, found in results:
-            np.maximum(ratio_up_max, up_max, out=ratio_up_max)
-            np.minimum(ratio_lo_min, lo_min, out=ratio_lo_min)
-            violations.extend(found)
+    for X0, check_lower, offset in ((X_signed, False, 0), (X_nonneg, True, n_trials)):
+        norms0 = np.abs(X0).sum(axis=0)
+        for k, X in _rk4_stream(st.mats_fine[::2], h, X0, st.constant):
+            norms = np.abs(X).sum(axis=0)
+            up = norms / (st.env_up[k] * norms0)
+            ratio_up_max[k] = max(ratio_up_max[k], up.max())
+            for j in np.nonzero(up > 1.0 + slack_total)[0]:
+                violations.append(("upper", offset + int(j), float(ts[4 * k]), float(up[j])))
+            if check_lower:
+                lo = norms / (st.env_lo[k] * norms0)
+                ratio_lo_min[k] = min(ratio_lo_min[k], lo.min())
+                for j in np.nonzero(lo < 1.0 - slack_total)[0]:
+                    violations.append(("lower", offset + int(j), float(ts[4 * k]),
+                                       float(lo[j])))
 
     violations.sort(key=lambda v: (v[2], v[1]))
     return VerificationReport(
         kind="bounds", passed=not violations, n_trials=n_trials, seed=seed,
-        tmax=tmax, n_steps=n, slack=slack, integrator_margin=integ_margin,
-        quadrature_margin=quad_margin, slack_total=slack_total,
+        tmax=st.tmax, n_steps=n, slack=slack, integrator_margin=integ_margin,
+        quadrature_margin=st.quad_margin, slack_total=slack_total,
         worst_upper=float(ratio_up_max.max()), worst_lower=float(ratio_lo_min.min()),
         n_violations=len(violations), violations=tuple(violations[:VIOLATION_CAP]),
-        grid=ts[::2], ratio_upper_max=ratio_up_max, ratio_lower_min=ratio_lo_min)
+        grid=ts[::4], ratio_upper_max=ratio_up_max, ratio_lower_min=ratio_lo_min)
 
 
 def verify_convergence_coupling(spec: ChainSpec, weights, tmax: float,
                                 n_steps: int = 10_000, n_pairs: int = 50,
-                                seed: int = 0, slack: float = 1e-8,
-                                n_jobs: int = 1) -> VerificationReport:
+                                seed: int = 0, slack: float = 1e-8) -> VerificationReport:
     """Tie the envelope back to the chain: differences of probability trajectories.
 
     Draws pairs of random probability vectors, integrates the forward
@@ -356,26 +343,19 @@ def verify_convergence_coupling(spec: ChainSpec, weights, tmax: float,
     through the tail-sum transform and the weights, and checks the upper
     envelope on the resulting norm. Probability conservation (column sums
     within 1e-10 of one) and nonnegativity (entries >= -1e-12) are checked
-    on every forward trajectory as well.
+    on every forward trajectory as well. Raises NonnegativityError, before
+    any pair runs, if B*(t) is not essentially non-negative on the halved
+    grid.
     """
-    d = _weight_vector(weights, spec.S)
-    tmax = float(tmax)
-    n = int(n_steps)
     n_pairs = int(n_pairs)
     if n_pairs < 1:
         raise ValueError(f"need at least one pair, got {n_pairs}")
-    h = tmax / n
-    ts = np.linspace(0.0, tmax, 2 * n + 1)
-    ts_fine = np.linspace(0.0, tmax, 4 * n + 1)
-
     # envelopes and quadrature margin belong to the transformed system
-    w_mats, _ = _system_matrices("transformed", spec, d, ts)
-    w_mats_fine, _ = _system_matrices("transformed", spec, d, ts_fine)
-    env_up, env_lo, quad_margin = _envelopes(w_mats, w_mats_fine, h)
+    st = _verification_setup(spec, weights, tmax, n_steps)
+    d, n, h, ts = st.d, st.n, st.h, st.ts_fine
 
     # trajectories come from the forward system
-    mats, constant = _system_matrices("forward", spec, None, ts)
-    mats_fine, _ = _system_matrices("forward", spec, None, ts_fine)
+    mats_fine, constant = _system_matrices("forward", spec, None, ts)
 
     rng = np.random.default_rng(seed)
     P = rng.uniform(0.0, 1.0, size=(spec.S + 1, 2 * n_pairs))
@@ -386,39 +366,22 @@ def verify_convergence_coupling(spec: ChainSpec, weights, tmax: float,
 
     # forward-propagator error maps through the tail-sum transform with a
     # factor sum(d), and a pair of probability vectors has l1 norm <= 2
-    fwd_div = _propagator_divergence(mats, mats_fine, h, constant, env_up)
+    fwd_div = _propagator_divergence(mats_fine, h, constant, st.env_up)
     integ_margin = float(fwd_div * d.sum() * 2.0 / float(np.min(safe_norms0)))
-    slack_total = slack + integ_margin + quad_margin
-
-    def _scan(span):
-        a, b = span
-        X0 = np.concatenate([P[:, a:b], P[:, n_pairs + a:n_pairs + b]], axis=1)
-        m = b - a
-        nrm0 = safe_norms0[a:b]
-        up_max = np.zeros(n + 1)
-        worst_sum = 0.0
-        worst_min = math.inf
-        found = []
-        for k, X in _rk4_stream(mats, h, X0, constant):
-            worst_sum = max(worst_sum, float(np.abs(X.sum(axis=0) - 1.0).max()))
-            worst_min = min(worst_min, float(X.min()))
-            norms = _coupling_norms(X[1:, :m] - X[1:, m:], d)
-            up = norms / (env_up[k] * nrm0)
-            up_max[k] = up.max()
-            for j in np.nonzero(up > 1.0 + slack_total)[0]:
-                found.append(("coupling", a + int(j), float(ts[2 * k]), float(up[j])))
-        return up_max, worst_sum, worst_min, found
+    slack_total = slack + integ_margin + st.quad_margin
 
     ratio_max = np.zeros(n + 1)
     prob_sum_err = 0.0
     prob_min = math.inf
     violations = []
-    for up_max, worst_sum, worst_min, found in _run_chunks(
-            _scan, _chunks(n_pairs, n_jobs), n_jobs):
-        np.maximum(ratio_max, up_max, out=ratio_max)
-        prob_sum_err = max(prob_sum_err, worst_sum)
-        prob_min = min(prob_min, worst_min)
-        violations.extend(found)
+    for k, X in _rk4_stream(mats_fine[::2], h, P, constant):
+        prob_sum_err = max(prob_sum_err, float(np.abs(X.sum(axis=0) - 1.0).max()))
+        prob_min = min(prob_min, float(X.min()))
+        norms = _coupling_norms(X[1:, :n_pairs] - X[1:, n_pairs:], d)
+        up = norms / (st.env_up[k] * safe_norms0)
+        ratio_max[k] = up.max()
+        for j in np.nonzero(up > 1.0 + slack_total)[0]:
+            violations.append(("coupling", int(j), float(ts[4 * k]), float(up[j])))
 
     if prob_sum_err > 1e-10:
         violations.append(("probability-sum", -1, 0.0, prob_sum_err))
@@ -428,11 +391,11 @@ def verify_convergence_coupling(spec: ChainSpec, weights, tmax: float,
     violations.sort(key=lambda v: (v[2], v[1]))
     return VerificationReport(
         kind="coupling", passed=not violations, n_trials=n_pairs, seed=seed,
-        tmax=tmax, n_steps=n, slack=slack, integrator_margin=integ_margin,
-        quadrature_margin=quad_margin, slack_total=slack_total,
+        tmax=st.tmax, n_steps=n, slack=slack, integrator_margin=integ_margin,
+        quadrature_margin=st.quad_margin, slack_total=slack_total,
         worst_upper=float(ratio_max.max()), worst_lower=None,
         n_violations=len(violations), violations=tuple(violations[:VIOLATION_CAP]),
-        grid=ts[::2], ratio_upper_max=ratio_max,
+        grid=ts[::4], ratio_upper_max=ratio_max,
         prob_sum_error=prob_sum_err, prob_min=float(prob_min))
 
 
@@ -442,33 +405,20 @@ def _coupling_norms(y, d):
     return np.abs(d[:, None] * u).sum(axis=0)
 
 
-def _format(x) -> str:
-    return format(float(x), ".17g")
-
-
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Write a single-vector trajectory as CSV: t, then one column per component."""
     states = traj.states
     if states.ndim != 2:
         raise ValueError("CSV export expects a single-vector trajectory")
     header = ["t"] + [f"{traj.coords}{i}" for i in range(states.shape[1])]
-    lines = [",".join(header)]
-    for k in range(traj.grid.shape[0]):
-        lines.append(",".join([_format(traj.grid[k])] +
-                              [_format(v) for v in states[k]]))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, header, (traj.grid, *states.T))
 
 
 def verification_to_csv(report: VerificationReport, path) -> None:
     """Write per-grid worst ratios as CSV (t, ratio_upper_max[, ratio_lower_min])."""
-    with_lower = report.ratio_lower_min is not None
-    header = ["t", "ratio_upper_max"] + (["ratio_lower_min"] if with_lower else [])
-    lines = [",".join(header)]
-    for k in range(report.grid.shape[0]):
-        row = [_format(report.grid[k]), _format(report.ratio_upper_max[k])]
-        if with_lower:
-            row.append(_format(report.ratio_lower_min[k]))
-        lines.append(",".join(row))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = ["t", "ratio_upper_max"]
+    columns = [report.grid, report.ratio_upper_max]
+    if report.ratio_lower_min is not None:
+        header.append("ratio_lower_min")
+        columns.append(report.ratio_lower_min)
+    write_csv(path, header, columns)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec, require_homogeneous
-from .transform import apply_weights, check_essential_nonnegativity
+from .transform import apply_weights, require_essential_nonnegativity
 
 
 class ReducibleMatrixError(ValueError):
@@ -117,6 +117,8 @@ def perron_weights(Bstar, x0=None, tol: float = 1e-14, max_iter: int = 10**6) ->
 
     Raises
     ------
+    NonnegativityError
+        If the matrix is not essentially non-negative.
     ReducibleMatrixError
         If the matrix graph is not strongly connected (the positive
         eigenvector, and with it the weighting, would not be unique).
@@ -128,10 +130,7 @@ def perron_weights(Bstar, x0=None, tol: float = 1e-14, max_iter: int = 10**6) ->
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise ValueError(f"square matrix expected, got shape {B.shape}")
     S = B.shape[0]
-    nonneg = check_essential_nonnegativity(B)
-    if not nonneg.passed:
-        raise ValueError(f"matrix is not essentially non-negative: "
-                         f"off-diagonal minimum {nonneg.min_offdiagonal}")
+    require_essential_nonnegativity(B)
     if not check_irreducible(B):
         raise ReducibleMatrixError("matrix is reducible; the equalizing weights "
                                    "are not unique or not positive")

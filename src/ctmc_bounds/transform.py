@@ -12,9 +12,11 @@ is the knob the rate bounds are optimized over.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .chain import ChainSpec, eval_transposed
 
@@ -64,21 +66,24 @@ def to_bstar(B):
     return out
 
 
+def validate_weights(weights, S: int):
+    """The weights as a float vector of shape (S,); ValueError unless finite and positive."""
+    d = np.asarray(weights, dtype=float)
+    if d.shape != (S,):
+        raise ValueError(f"weights must have length {S}, got shape {d.shape}")
+    if not np.all(np.isfinite(d)) or np.any(d <= 0.0):
+        raise ValueError("weights must be positive and finite")
+    return d
+
+
 def apply_weights(Bstar, d):
     """Diagonal conjugation D M D^{-1}: entry (i, j) becomes d_i m_ij / d_j.
 
     Diagonal entries are unchanged; essential non-negativity is preserved
     for any positive weights. Works on a single matrix or a stack.
     """
-    d = np.asarray(d, dtype=float)
-    if d.ndim != 1:
-        raise ValueError("weights must be a 1d vector")
-    if not np.all(np.isfinite(d)) or np.any(d <= 0.0):
-        raise ValueError("weights must be positive and finite")
     M = np.asarray(Bstar, dtype=float)
-    if M.shape[-1] != d.size or M.shape[-2] != d.size:
-        raise ValueError(f"weight vector of length {d.size} does not match "
-                         f"matrix dimension {M.shape[-1]}")
+    d = validate_weights(d, M.shape[-1])
     return M * (d[:, None] / d[None, :])
 
 
@@ -133,47 +138,91 @@ def analytic_bstar(spec: ChainSpec, t: float):
     return M
 
 
+class NonnegativityError(ValueError):
+    """B*(t) has a negative off-diagonal entry, so the envelope bounds do not apply."""
+
+
 @dataclass(frozen=True)
 class NonnegReport:
-    """Result of the essential non-negativity check of a square matrix."""
+    """Result of the essential non-negativity check of a matrix or a stack.
+
+    worst_index locates the smallest off-diagonal entry as (..., i, j), the
+    stack indices first. Without off-diagonal entries (S = 1) it is None
+    and min_offdiagonal is +inf.
+    """
 
     passed: bool
     min_offdiagonal: float
     tolerance: float
-    violations: tuple  # ((i, j, value), ...) sorted by value, worst first
+    violations: tuple  # ((..., i, j, value), ...) sorted by value, worst first
+    worst_index: tuple | None = None
+
+
+def _offdiagonal_view(M):
+    """Read-only (..., S-1, S) view of the off-diagonal entries of a matrix stack.
+
+    In a row-major matrix the diagonal entries lie S+1 apart, so the entries
+    after (0, 0) form S-1 rows of S+1 that each end on the diagonal; leaving
+    that last entry out leaves exactly the off-diagonal ones. Entry (r, c)
+    of the view is the flat entry 1 + r*(S+1) + c of its matrix. The stack
+    axes may have any strides (a broadcast stack stays a view); matrices
+    whose rows are not contiguous are copied first.
+    """
+    S = M.shape[-1]
+    item = M.itemsize
+    if M.strides[-2:] != (S * item, item):
+        M = np.ascontiguousarray(M)
+    return as_strided(M[..., 0, 1:], shape=M.shape[:-2] + (S - 1, S),
+                      strides=M.strides[:-2] + ((S + 1) * item, item),
+                      writeable=False)
 
 
 def check_essential_nonnegativity(Bstar, tol=None) -> NonnegReport:
-    """Check that all off-diagonal entries are >= -tol.
+    """Check that all off-diagonal entries of a matrix or a stack are >= -tol.
 
-    The default tolerance is 1e-12 times the largest absolute entry, so
-    genuine structure failures are flagged while round-off from rate
-    arithmetic is not.
+    The default tolerance is 1e-12 times the largest absolute entry of the
+    whole input, so genuine structure failures are flagged while round-off
+    from rate arithmetic is not. The entries are read through a strided
+    view: checking a stack allocates one value per matrix, not a copy.
     """
     M = np.asarray(Bstar, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"square matrix expected, got shape {M.shape}")
-    S = M.shape[0]
-    if tol is None:
-        tol = 1e-12 * float(np.max(np.abs(M))) if S else 0.0
-    off = ~np.eye(S, dtype=bool)
-    off_values = M[off]
-    min_off = float(off_values.min()) if off_values.size else 0.0
-    bad = np.argwhere(off & (M < -tol))
-    violations = sorted(((int(i), int(j), float(M[i, j])) for i, j in bad),
-                        key=lambda v: v[2])
-    return NonnegReport(passed=not violations, min_offdiagonal=min_off,
-                        tolerance=float(tol), violations=tuple(violations))
-
-
-def min_offdiagonal(stack):
-    """Smallest off-diagonal entry over a matrix or stack of matrices.
-
-    Returns (value, index) where index locates the entry as (..., i, j).
-    """
-    M = np.asarray(stack, dtype=float)
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise ValueError(f"square matrix or stack expected, got shape {M.shape}")
     S = M.shape[-1]
-    masked = M + np.where(np.eye(S, dtype=bool), np.inf, 0.0)
-    flat = int(np.argmin(masked))
-    idx = np.unravel_index(flat, masked.shape)
-    return float(masked[idx]), idx
+    tol = 1e-12 * max(float(M.max()), -float(M.min())) if tol is None else float(tol)
+    if S < 2:
+        return NonnegReport(passed=True, min_offdiagonal=math.inf,
+                            tolerance=tol, violations=())
+    off = _offdiagonal_view(M)
+    mins = off.min(axis=(-2, -1))
+    k = tuple(int(x) for x in np.unravel_index(int(np.argmin(mins)), mins.shape))
+    r, c = divmod(int(np.argmin(off[k])), S)
+    worst_index = k + divmod(1 + r * (S + 1) + c, S)
+    violations = []
+    eye = np.eye(S, dtype=bool)
+    for bad in np.argwhere(mins < -tol):
+        k_bad = tuple(int(x) for x in bad)
+        sub = M[k_bad]
+        for i, j in np.argwhere((sub < -tol) & ~eye):
+            violations.append(k_bad + (int(i), int(j), float(sub[i, j])))
+    violations.sort(key=lambda v: v[-1])
+    return NonnegReport(passed=not violations, min_offdiagonal=float(mins[k]),
+                        tolerance=tol, violations=tuple(violations),
+                        worst_index=worst_index)
+
+
+def require_essential_nonnegativity(Bstar, times=None) -> NonnegReport:
+    """:func:`check_essential_nonnegativity` that raises :class:`NonnegativityError` on failure.
+
+    times, when given, holds the time of each matrix of the stack; the
+    error message then names the time of the worst entry.
+    """
+    report = check_essential_nonnegativity(Bstar)
+    if not report.passed:
+        *k, i, j = report.worst_index
+        at = f" at t={times[tuple(k)]}" if times is not None else ""
+        raise NonnegativityError(
+            f"transformed matrix is not essentially non-negative: entry "
+            f"({i + 1},{j + 1}) = {report.min_offdiagonal}{at}; "
+            f"envelope bounds do not apply")
+    return report

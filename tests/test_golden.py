@@ -1,0 +1,126 @@
+"""Golden bytes of every CSV writer and of the CLI report commands.
+
+Each digest is the sha256 of a CSV file, or of a command's standard output
+with the CSV path masked, produced from small fixed models: one homogeneous
+chain, one with sinusoidal rates, one with table rates and one with an
+explicit weight list. A change to the bound pipeline that alters a single
+value, digit or line ending changes a digest.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+import ctmc_bounds as cb
+from ctmc_bounds import cli
+
+ANALYSIS = {"horizon": 1.5, "grid": 41, "steps": 120, "trials": 6, "pairs": 4,
+            "seed": 11, "tolerance": 1e-8}
+TIMES = [0.0, 0.7, 1.5]
+
+MODELS = {
+    "homogeneous": ({"kind": "birth_death", "states": 3,
+                     "birth": [1.0, 2.0, 1.5], "death": [2.0, 1.0, 1.0]}, "perron"),
+    "sinusoid": ({"kind": "birth_death", "states": 3,
+                  "define": {"lam": {"sinusoid": {"offset": 1.0, "amplitude": 0.6,
+                                                  "frequency": 0.8, "phase": 0.3}}},
+                  "birth": ["lam", "lam", 0.5], "death": [1.0, 1.5, 2.0]}, "ones"),
+    "table": ({"kind": "batch_birth", "states": 3,
+               "batch_birth": [{"table": {"times": TIMES, "values": [3.0, 2.0, 3.0]}},
+                               {"table": {"times": TIMES, "values": [1.0, 1.5, 0.5]}},
+                               0.2],
+               "death": [1.0, 2.0, 1.5]}, "frozen-perron"),
+    "weights": ({"kind": "batch_both", "states": 3, "batch_birth": [2.0, 1.0, 0.5],
+                 "batch_death": [1.5, 1.0, 0.25]}, [1.0, 0.7, 1.3]),
+}
+
+# (model, command) -> (exit code, sha256 of the CSV, sha256 of stdout)
+CLI_GOLDEN = {
+    ("homogeneous", "rate"): (
+        0, "673f512f841e55116f18c3d8f752924bdb99e479f01dd23975b2663ba3bbd85f",
+        "2af6dd73fa04ece8fbe7c90fe6b4964d128411c96944bd5d885b169b63ff5c27"),
+    ("homogeneous", "bounds"): (
+        0, "673f512f841e55116f18c3d8f752924bdb99e479f01dd23975b2663ba3bbd85f",
+        "e93d15131a3edd1698c994e1de983bf9bc9abeedf8e010a10013dedefaaf734e"),
+    ("homogeneous", "verify"): (
+        0, "18a4ffec86987d6d60d0812a9391d2927d4fada87d21dd0fa5fc325f73373ea9",
+        "0cc0b3773ee33f7ef2f022dff79714407859820453df4b4a907ba7d6cac1eaac"),
+    ("sinusoid", "bounds"): (
+        0, "278f625373c1463a67dc82d5069b2f799366b4da29c0e9e6ca6ec6d462f1fd1a",
+        "a8a7ed04f082aa0e7d31a36dda841bf5797d281f424e1e270b50ee6ad958cb8b"),
+    ("sinusoid", "verify"): (
+        0, "cdd7275788b52d0b88bf959b0a146e9f20f233c13fbed8c7f55e6fec9b563c02",
+        "73f7e86cdebe7bc1e00672c038bba13de04d420ed9f9235494757177b6b5c66f"),
+    ("table", "bounds"): (
+        0, "acabc65372b69c5399db2286a411fd901153cbc5551f9b93e280a5276f78fe9e",
+        "cefc5e3b813254b0cbaa043e68d397543a826f18fb96407a8a62f83a8c218d4c"),
+    ("table", "verify"): (
+        0, "fdfaa4cf72f3303c16a726634764057cc7493e3d0b93287feb631df22ba1f341",
+        "c94dca0e9ee3fe387fd103c9c1b8a0423f297f5e5b9398e15612c8d9ec9310ae"),
+    ("weights", "bounds"): (
+        0, "6140a21f2f29e2d225f4874976c8f49d8efa58c3213f1f85216399ff855a3917",
+        "7d8d6240952b249e2ac7eae48aa3b4ce7f0c1977780e2e7a5f67e8d5c04e9736"),
+    ("weights", "verify"): (
+        0, "38f0005760d1e3c7ef7ad97b6e710ad40f66e9378fbe885ebc09709c40e92ff1",
+        "aa6a9afb5576588c7f8b71f0a7036687bb655a5ad058f5391e0a17860281ec84"),
+}
+
+# library writer case -> sha256 of the CSV
+LIBRARY_GOLDEN = {
+    "trajectory-forward": "3c28f86bf85a436ed5681fe8829ef82453e5df021abe7fc6d6c8d2c7c9f7870a",
+    "trajectory-transformed": "5ed5da4b0ad9087505bce0d11ad196fcf513022c2574b54e04780e90cce9518f",
+    "verification-bounds": "7128c6bd704153f6c6ab3bd979980e92da848026bbf2a11116442073a2fdf1b4",
+    "verification-coupling": "1957289c60106eeb6f0a1b17fe69b97d821ac57448d1000f0c8cff0402ab88ac",
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run_cli(tmp_path, capsys, model, command):
+    chain, weights = MODELS[model]
+    path = tmp_path / f"{model}.json"
+    path.write_text(json.dumps({"schema": 1, "chain": chain,
+                                "analysis": dict(ANALYSIS, weights=weights)}))
+    csv_path = tmp_path / f"{model}-{command}.csv"
+    capsys.readouterr()
+    code = cli.main([command, str(path), "--csv", str(csv_path)])
+    out = capsys.readouterr().out.replace(str(csv_path), "OUT")
+    return code, _sha(csv_path.read_bytes()), _sha(out.encode())
+
+
+def _library_csvs(tmp_path):
+    """Write each library CSV once and return {case: file bytes}."""
+    sin = cb.parse_model(json.dumps({"schema": 1, "chain": MODELS["sinusoid"][0]})).chain
+    table = cb.parse_model(json.dumps({"schema": 1, "chain": MODELS["table"][0]})).chain
+    writers = {
+        "trajectory-forward": lambda p: cb.trajectory_to_csv(
+            cb.solve("forward", sin, [0.2, 0.3, 0.1, 0.4], 1.0, 30), p),
+        "trajectory-transformed": lambda p: cb.trajectory_to_csv(
+            cb.solve("transformed", table, [0.5, -0.25, 1.0], 1.5, 25,
+                     weights=[1.0, 0.8, 1.2]), p),
+        "verification-bounds": lambda p: cb.verification_to_csv(
+            cb.verify_bounds(table, np.ones(3), 1.5, n_steps=60, n_trials=5, seed=4), p),
+        "verification-coupling": lambda p: cb.verification_to_csv(
+            cb.verify_convergence_coupling(sin, np.ones(3), 1.0, n_steps=50,
+                                           n_pairs=3, seed=9), p),
+    }
+    out = {}
+    for case, write in writers.items():
+        path = tmp_path / f"{case}.csv"
+        write(path)
+        out[case] = path.read_bytes()
+    return out
+
+
+@pytest.mark.parametrize("model, command", sorted(CLI_GOLDEN))
+def test_cli_outputs_match_golden_bytes(tmp_path, capsys, model, command):
+    assert _run_cli(tmp_path, capsys, model, command) == CLI_GOLDEN[model, command]
+
+
+def test_library_csv_writers_match_golden_bytes(tmp_path):
+    digests = {case: _sha(data) for case, data in _library_csvs(tmp_path).items()}
+    assert digests == LIBRARY_GOLDEN

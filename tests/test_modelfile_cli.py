@@ -184,6 +184,39 @@ def test_cmd_exit_codes_for_bad_inputs(tmp_path):
     assert cli.main(["check", _write(tmp_path, doc)]) == cli.EXIT_EVAL
 
 
+BROKEN_BATCH = {"schema": 1, "chain": {"kind": "batch_birth", "states": 3,
+                                       "batch_birth": [0.1, 2.0, 0.1],
+                                       "death": [1.0, 1.0, 1.0]},
+                "analysis": {"horizon": 1.0, "grid": 21, "steps": 40, "trials": 3,
+                             "pairs": 2}}
+
+
+@pytest.mark.parametrize("argv", [["bounds"], ["verify"],
+                                  ["bounds", "--weights", "frozen-perron"],
+                                  ["verify", "--weights", "perron"]])
+def test_commands_refuse_a_transform_that_is_not_essentially_nonnegative(
+        tmp_path, capsys, argv):
+    code = cli.main([argv[0], _write(tmp_path, BROKEN_BATCH)] + argv[1:])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_VIOLATION
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not essentially non-negative" in err
+    assert "pass" not in out
+
+
+@pytest.mark.parametrize("argv", [["verify", "--steps", "0"],
+                                  ["verify", "--horizon", "-1"],
+                                  ["verify", "--trials", "0"],
+                                  ["bounds", "--grid", "1"],
+                                  ["bounds", "--horizon", "0"],
+                                  ["verify", "--tol", "nan"]])
+def test_out_of_range_analysis_values_exit_with_parse_code(tmp_path, capsys, argv):
+    code = cli.main([argv[0], _write(tmp_path, BD3)] + argv[1:])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_PARSE
+    assert err.startswith("error: analysis ") and out == ""
+
+
 def test_weights_file_and_length_validation(tmp_path):
     wfile = tmp_path / "weights.txt"
     wfile.write_text("1.0, 2.0, 3.0\n")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -159,13 +160,32 @@ def test_verify_bounds_deterministic_given_seed():
     assert a.worst_upper == b.worst_upper and a.worst_lower == b.worst_lower
 
 
-def test_verify_bounds_jobs_split_agrees_with_single_job():
-    spec = cb.birth_death_chain(3, [1.0, 2.0, 1.0], [2.0, 1.0, 2.0])
-    a = cb.verify_bounds(spec, np.ones(3), 1.0, n_steps=400, n_trials=16, seed=5)
-    b = cb.verify_bounds(spec, np.ones(3), 1.0, n_steps=400, n_trials=16, seed=5,
-                         n_jobs=4)
-    assert a.passed == b.passed
-    assert np.allclose(a.ratio_upper_max, b.ratio_upper_max, atol=1e-14)
+# B*(3,2) = a_1 - a_2 = -1.9: the batch rates increase with the batch size
+BROKEN_BATCH = cb.batch_birth_chain(3, [0.1, 2.0, 0.1], [1.0, 1.0, 1.0])
+# a_1 dips below a_2 only around t = 1/16, a quarter step of a 4-step run on
+# [0, 1]: the break lies on the halved grid but on no RK4 stage time
+MIDPOINT_BREAK = cb.batch_birth_chain(
+    2, [cb.RateFunction.table([0.0, 0.05, 0.0625, 0.075, 1.0], [2.0, 2.0, 0.5, 2.0, 2.0]),
+        1.0], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("verify", [cb.verify_bounds, cb.verify_convergence_coupling])
+@pytest.mark.parametrize("spec, where", [(BROKEN_BATCH, "(3,2) = -1.9 at t=0.0;"),
+                                         (MIDPOINT_BREAK, "(2,1) = -0.5 at t=0.0625;")],
+                         ids=["broken-batch", "midpoint-break"])
+def test_verifiers_refuse_a_transform_that_is_not_essentially_nonnegative(
+        verify, spec, where):
+    with pytest.raises(cb.NonnegativityError, match=re.escape(where)):
+        verify(spec, None, 1.0, 4, 3)
+
+
+def test_verifiers_validate_horizon_and_steps():
+    spec = cb.birth_death_chain(2, [1.0, 1.0], [1.0, 1.0])
+    for verify in (cb.verify_bounds, cb.verify_convergence_coupling):
+        with pytest.raises(ValueError, match="horizon"):
+            verify(spec, None, -1.0, 10)
+        with pytest.raises(ValueError, match="step"):
+            verify(spec, None, 1.0, 0)
 
 
 def test_verify_coupling_passes_and_checks_probabilities():

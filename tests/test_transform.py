@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,37 @@ def test_essential_nonnegativity_relative_tolerance():
     M = np.array([[-1e6, -1e-8], [1.0, -2e6]])
     assert cb.check_essential_nonnegativity(M).passed
     assert not cb.check_essential_nonnegativity(M, tol=1e-12).passed
+
+
+def test_essential_nonnegativity_on_a_stack_locates_the_worst_entry():
+    stack = np.tile(np.array([[-2.0, 1.0, 0.0], [0.5, -1.0, 2.0], [0.0, 3.0, -4.0]]),
+                    (5, 1, 1))
+    stack[1, 2, 0] = -0.25
+    stack[3, 0, 2] = -0.75
+    stack[3, 1, 1] = -9.0  # diagonal entries never count
+    rep = cb.check_essential_nonnegativity(stack)
+    assert not rep.passed
+    assert rep.worst_index == (3, 0, 2) and rep.min_offdiagonal == -0.75
+    assert rep.violations == ((3, 0, 2, -0.75), (1, 2, 0, -0.25))
+    with pytest.raises(cb.NonnegativityError, match=r"entry \(1,3\) = -0.75 at t=0.3"):
+        cb.require_essential_nonnegativity(stack, np.linspace(0.0, 0.4, 5))
+
+    ok = cb.check_essential_nonnegativity(np.abs(stack))
+    assert ok.passed and ok.worst_index[0] in range(5) and ok.min_offdiagonal == 0.0
+    one = cb.check_essential_nonnegativity(np.full((4, 1, 1), -1.0))
+    assert one.passed and one.min_offdiagonal == np.inf and one.worst_index is None
+
+
+def test_essential_nonnegativity_reads_a_stack_without_copying():
+    stack = np.random.default_rng(3).uniform(0.0, 1.0, (4001, 30, 30))
+    tracemalloc.start()
+    try:
+        rep = cb.check_essential_nonnegativity(stack)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < stack.nbytes / 10
 
 
 def test_regular_chains_have_essentially_nonnegative_transform():
