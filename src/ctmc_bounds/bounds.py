@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, check_regularity, require_homogeneous
+from .chain import ChainSpec, check_regularity, evaluation_times, require_homogeneous
 from .spectral import SharpnessConditionError, check_sharpness_conditions, perron_weights
 from .transform import (apply_weights, build_reduced, require_essential_nonnegativity,
                         to_bstar)
@@ -103,17 +103,21 @@ def compute_bounds(spec: ChainSpec, weights, tmax: float, n_grid: int,
         warning) and essential non-negativity of the transformed matrix
         (a failure raises NonnegativityError, since the envelope argument
         needs it).
+
+    A homogeneous chain's transformed matrix is built and checked once;
+    its column-sum extremes are constant along the grid.
     """
     tmax, n = check_horizon(tmax, int(n_grid) - 1)
     d = np.asarray(weights, dtype=float)
 
     half = np.linspace(0.0, tmax, 2 * n + 1)
-    Bstar = to_bstar(build_reduced(spec, half))
+    times = evaluation_times(spec, half)
+    Bstar = to_bstar(build_reduced(spec, times))
 
     warnings = []
     if checks:
-        require_essential_nonnegativity(Bstar, half)
-        reg = check_regularity(spec, half[::2])
+        require_essential_nonnegativity(Bstar, times)
+        reg = check_regularity(spec, times[::2])
         if not reg.regular:
             v = reg.violations[0]
             warnings.append(
@@ -122,8 +126,8 @@ def compute_bounds(spec: ChainSpec, weights, tmax: float, n_grid: int,
                 f"because the transformed matrix is essentially non-negative")
 
     sums = apply_weights(Bstar, d).sum(axis=-2)
-    h_up = sums.max(axis=-1)
-    h_lo = sums.min(axis=-1)
+    h_up = np.broadcast_to(sums.max(axis=-1), half.shape)
+    h_lo = np.broadcast_to(sums.min(axis=-1), half.shape)
     I_up = cumulative_simpson(h_up, tmax / n)
     I_lo = cumulative_simpson(h_lo, tmax / n)
 

@@ -257,6 +257,19 @@ def check_regularity(spec: ChainSpec, grid) -> RegularityReport:
                             grid=tuple(float(t) for t in grid))
 
 
+def evaluation_times(spec: ChainSpec, ts):
+    """The times of the grid ts at which a chain's matrices must be evaluated.
+
+    A homogeneous chain's generator, and every matrix derived from it, is
+    the same at all times, so it is evaluated at ts[:1] only; anything
+    computed there extends to the grid as np.broadcast_to(x, ts.shape +
+    x.shape[1:]), a view without copies. A time-varying chain needs all of
+    ts.
+    """
+    ts = np.asarray(ts, dtype=float)
+    return ts[:1] if spec.is_homogeneous else ts
+
+
 def require_homogeneous(spec: ChainSpec, what: str) -> None:
     """Raise :class:`InhomogeneousChainError` unless all rates are constant."""
     if not spec.is_homogeneous:

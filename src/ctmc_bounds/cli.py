@@ -19,7 +19,7 @@ Exit codes (a total function of the outcome):
       weight modes refuse such a chain)
 2     model file cannot be parsed, or an analysis value is out
       of range
-3     rate evaluation failed or a trajectory blew up
+3     rate evaluation, a trajectory or the Perron solve failed
 4     homogeneous-only command applied to a time-varying chain
 5     transformed matrix is reducible
 6     sharpness conditions not satisfied
@@ -40,7 +40,7 @@ from .chain import InhomogeneousChainError, check_regularity
 from .modelfile import AnalysisSettings, ModelFileError, load_model
 from .odesolve import (OdeBlowUpError, verify_bounds, verify_convergence_coupling)
 from .rates import RateEvaluationError
-from .spectral import (ReducibleMatrixError, SharpnessConditionError,
+from .spectral import (PowerIterationError, ReducibleMatrixError, SharpnessConditionError,
                        check_sharpness_conditions, closed_form_bd, perron_weights)
 from .transform import (NonnegativityError, build_reduced, check_essential_nonnegativity,
                         to_bstar, validate_weights)
@@ -56,6 +56,7 @@ EXIT_CONDITIONS = 6
 # typed errors and the exit codes main() maps them to
 _ERROR_EXITS = ((NonnegativityError, EXIT_VIOLATION), (ModelFileError, EXIT_PARSE),
                 (RateEvaluationError, EXIT_EVAL), (OdeBlowUpError, EXIT_EVAL),
+                (PowerIterationError, EXIT_EVAL),
                 (InhomogeneousChainError, EXIT_INHOMOGENEOUS),
                 (ReducibleMatrixError, EXIT_REDUCIBLE),
                 (SharpnessConditionError, EXIT_CONDITIONS))

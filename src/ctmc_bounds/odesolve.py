@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import check_horizon, cumulative_simpson, write_csv
-from .chain import ChainSpec, eval_transposed
+from .chain import ChainSpec, eval_transposed, evaluation_times
 from .transform import (apply_weights, build_reduced, require_essential_nonnegativity,
                         to_bstar, validate_weights)
 
@@ -57,28 +57,25 @@ def _weight_vector(weights, S):
 def _system_matrices(system, spec, weights, ts):
     """Coefficient matrices of the chosen system at the times ts.
 
-    Returns (mats, constant): for a homogeneous chain a broadcast view of a
-    single matrix is returned and flagged, enabling the constant-step fast
-    path of the integrator.
+    Returns (mats, constant): mats is a read-only view over ts; for a
+    homogeneous chain it repeats a single matrix and is flagged, enabling
+    the constant-step fast path of the integrator.
     """
     if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}; choose from {SYSTEMS}")
     ts = np.asarray(ts, dtype=float)
-    constant = spec.is_homogeneous
-    eval_times = ts[:1] if constant else ts
+    times = evaluation_times(spec, ts)
 
     if system == "forward":
-        mats = eval_transposed(spec, eval_times)
+        mats = eval_transposed(spec, times)
     else:
-        B = build_reduced(spec, eval_times)
+        B = build_reduced(spec, times)
         if system == "reduced_hom":
             mats = B
         else:
             d = _weight_vector(weights, spec.S)
             mats = apply_weights(to_bstar(B), d)
-    if constant:
-        mats = np.broadcast_to(mats[0], ts.shape + mats.shape[1:])
-    return mats, constant
+    return np.broadcast_to(mats, ts.shape + mats.shape[1:]), spec.is_homogeneous
 
 
 def _rk4_stream(mats, h, x0, constant=False):
@@ -255,16 +252,15 @@ def _verification_setup(spec, weights, tmax, n_steps) -> _Setup:
     tmax, n = check_horizon(tmax, n_steps)
     h = tmax / n
     ts_fine = np.linspace(0.0, tmax, 4 * n + 1)
-    constant = spec.is_homogeneous
-    eval_times = ts_fine[:1] if constant else ts_fine
-    bstar = to_bstar(build_reduced(spec, eval_times))
-    require_essential_nonnegativity(bstar, eval_times)
-    mats_fine = apply_weights(bstar, d)
-    if constant:
-        mats_fine = np.broadcast_to(mats_fine[0], ts_fine.shape + mats_fine.shape[1:])
+    times = evaluation_times(spec, ts_fine)
+    bstar = to_bstar(build_reduced(spec, times))
+    require_essential_nonnegativity(bstar, times)
+    weighted = apply_weights(bstar, d)
+    mats_fine = np.broadcast_to(weighted, ts_fine.shape + weighted.shape[1:])
 
-    sums = mats_fine.sum(axis=-2)
-    h_up, h_lo = sums.max(axis=-1), sums.min(axis=-1)
+    sums = weighted.sum(axis=-2)
+    h_up = np.broadcast_to(sums.max(axis=-1), ts_fine.shape)
+    h_lo = np.broadcast_to(sums.min(axis=-1), ts_fine.shape)
     I_up = cumulative_simpson(h_up[::2], h)
     I_lo = cumulative_simpson(h_lo[::2], h)
     I_up_f = cumulative_simpson(h_up, 0.5 * h)
@@ -272,7 +268,7 @@ def _verification_setup(spec, weights, tmax, n_steps) -> _Setup:
     quad_margin = max(float(np.max(np.abs(I_up_f[::2] - I_up))),
                       float(np.max(np.abs(I_lo_f[::2] - I_lo))))
     return _Setup(d=d, tmax=tmax, n=n, h=h, ts_fine=ts_fine, mats_fine=mats_fine,
-                  constant=constant, env_up=np.exp(I_up), env_lo=np.exp(I_lo),
+                  constant=spec.is_homogeneous, env_up=np.exp(I_up), env_lo=np.exp(I_lo),
                   quad_margin=quad_margin)
 
 

@@ -5,7 +5,12 @@ x' = M x moves at a speed controlled by the extreme column sums of M.
 When the matrix is also irreducible there is a unique positive diagonal
 conjugation equalizing all column sums at the maximal eigenvalue, which
 turns the two-sided bounds into a single sharp decay rate. The weights are
-obtained constructively by power iteration on the shifted transpose.
+the positive eigenvector of the transpose, found by inverse iteration
+shifted to the Collatz-Wielandt upper bound (Noda's method). For any
+positive weights the smallest and largest column sum of the conjugated
+matrix enclose the maximal eigenvalue, so every iterate carries a
+certified bracket, and the iteration stops when the bracket reaches
+round-off.
 """
 
 from __future__ import annotations
@@ -18,13 +23,16 @@ import numpy as np
 from .chain import ChainSpec, require_homogeneous
 from .transform import apply_weights, require_essential_nonnegativity
 
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+
 
 class ReducibleMatrixError(ValueError):
     """Sharp weighting requested for a matrix whose directed graph is not strongly connected."""
 
 
 class PowerIterationError(RuntimeError):
-    """Power iteration failed to converge within its iteration cap."""
+    """An eigenvector iteration hit its cap, left the double range or failed its postcondition."""
 
 
 class SharpnessConditionError(ValueError):
@@ -79,41 +87,57 @@ class SharpRate:
 
     lambda0 is the maximal eigenvalue of the transformed matrix; with the
     returned weights every column sum of the reweighted matrix equals it,
-    up to the documented tolerance.
+    up to the documented tolerance. bracket is the final Collatz-Wielandt
+    enclosure (min_j r_j, max_j r_j) of lambda0, where r_j is column j's
+    sum; iterations counts the linear solves; residual is the l1 norm of
+    Bstar^T d - lambda0 d for the weights d, which sum to one.
     """
 
     lambda0: float
     weights: np.ndarray
     iterations: int
     residual: float
+    bracket: tuple
 
 
 def perron_weights(Bstar, x0=None, tol: float = 1e-14, max_iter: int = 10**6) -> SharpRate:
     """Positive weights equalizing the column sums of D Bstar D^{-1}.
 
-    Power-iterates the non-negative matrix C = Bstar^T + shift*I to its
-    positive eigenvector x, where shift = max |diagonal entry|, plus an
-    extra unit when that leaves the whole diagonal of C at zero (a uniform
-    diagonal makes C periodic and the iteration would oscillate). The
-    weights are the eigenvector entries themselves: column j of
-    diag(x) Bstar diag(x)^{-1} sums to (Bstar^T x)_j / x_j = lambda0.
+    Noda's inverse iteration with the Collatz-Wielandt bound as shift. For
+    positive weights x the ratios r_j = (Bstar^T x)_j / x_j are the column
+    sums of diag(x) Bstar diag(x)^{-1}, and lambda0 lies in [min r, max r].
+    Each step takes sigma = max r plus a few ulps of the matrix scale,
+    solves (sigma I - Bstar^T) y = x and normalizes x = y / sum(y). As
+    sigma > lambda0 the matrix is a nonsingular M-matrix with a positive
+    inverse, so x stays positive and the bracket shrinks, quadratically
+    once sigma is close to lambda0 (Noda, Numer. Math. 17, 1971). The solve
+    is carried out in the coordinates scaled by the current weights,
+    diag(x)^{-1} (sigma I - Bstar^T) diag(x) z = 1 with y = x z, which
+    is the same step in exact arithmetic and keeps every weight to full
+    relative precision when they span many orders of magnitude.
 
     Parameters
     ----------
     Bstar : (S, S) array_like
         Essentially non-negative and irreducible matrix.
     x0 : (S,) array_like, optional
-        Starting vector for the iteration (entries taken absolute); defaults
-        to the uniform vector. Different starts converge to the same
-        weights up to normalization.
+        Starting weights (entries taken absolute, none zero); defaults to
+        the uniform vector. Different starts converge to the same weights
+        up to normalization.
     tol : float
-        Stop when the l1 change of the normalized iterate drops below this.
+        Stop once the bracket is no wider than tol times its largest
+        absolute end. The iteration also stops at the round-off floor,
+        4 ulps of the largest absolute entry, and as soon as a step fails
+        to shrink the bracket; it then keeps the narrowest bracket.
     max_iter : int
-        Hard cap turning non-convergence into an error instead of a hang.
+        Hard cap on the number of solves, turning non-convergence into an
+        error instead of a hang.
 
     Returns
     -------
     SharpRate
+        The weights sum to one; lambda0 is their weighted mean of the r_j,
+        inside the returned bracket.
 
     Raises
     ------
@@ -123,7 +147,8 @@ def perron_weights(Bstar, x0=None, tol: float = 1e-14, max_iter: int = 10**6) ->
         If the matrix graph is not strongly connected (the positive
         eigenvector, and with it the weighting, would not be unique).
     PowerIterationError
-        On hitting the iteration cap, or if the converged weights fail the
+        On hitting the solve cap, if the weights span more than the
+        double-precision range, or if the converged weights fail the
         equal-column-sum postcondition.
     """
     B = np.asarray(Bstar, dtype=float)
@@ -135,42 +160,49 @@ def perron_weights(Bstar, x0=None, tol: float = 1e-14, max_iter: int = 10**6) ->
         raise ReducibleMatrixError("matrix is reducible; the equalizing weights "
                                    "are not unique or not positive")
 
-    m = float(np.max(np.abs(np.diag(B))))
-    shift = m
-    C = B.T + m * np.eye(S)
-    if float(np.min(np.diag(C))) <= 0.0:
-        # all-zero diagonal (uniform |b_jj|) would leave C periodic
-        shift = m + 1.0
-        C = C + np.eye(S)
-
     if x0 is None:
         x = np.full(S, 1.0 / S)
     else:
         x = np.abs(np.asarray(x0, dtype=float))
-        if x.shape != (S,) or not np.all(np.isfinite(x)) or x.sum() <= 0.0:
-            raise ValueError("x0 must be a finite nonzero vector of length S")
+        if x.shape != (S,) or not np.all(np.isfinite(x)) or not np.all(x > 0.0):
+            raise ValueError("x0 must be a finite vector of length S without zero entries")
         x = x / x.sum()
 
+    floor = 4.0 * _EPS * float(np.max(np.abs(B)))
+    W = apply_weights(B, x)
+    r = W.sum(axis=0)
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        y = C @ x
-        x_new = y / y.sum()
-        delta = float(np.abs(x_new - x).sum())
-        x = x_new
-        if delta <= tol:
+    while True:
+        lo, hi = float(r.min()), float(r.max())
+        if hi - lo <= max(tol * max(abs(lo), abs(hi)), floor):
             break
-    else:
-        raise PowerIterationError(f"no convergence within {max_iter} iterations "
-                                  f"(last l1 change {delta:.3e})")
+        if iterations == max_iter:
+            raise PowerIterationError(f"no convergence within {max_iter} solves "
+                                      f"(bracket width {hi - lo:.3e})")
+        iterations += 1
+        try:
+            z = np.linalg.solve((hi + floor) * np.eye(S) - W.T, np.ones(S))
+        except np.linalg.LinAlgError:
+            break  # sigma within round-off of lambda0
+        if not np.all(z > 0.0) or not np.all(np.isfinite(z)):
+            break  # likewise: the shift no longer exceeds lambda0 in floating point
+        x_new = x * z
+        x_new /= x_new.sum()
+        if float(x_new.min()) < _TINY:
+            raise PowerIterationError(
+                f"weights span more than the double-precision range (smallest "
+                f"weight {float(x_new.min()):.3e} after {iterations} solves)")
+        W_new = apply_weights(B, x_new)
+        r_new = W_new.sum(axis=0)
+        if not float(r_new.max() - r_new.min()) < hi - lo:
+            break  # the bracket stopped shrinking: round-off dominates
+        x, W, r = x_new, W_new, r_new
 
-    y = C @ x
-    lam_star = float(y.sum())  # Rayleigh-style: x is normalized to sum 1
-    residual = float(np.abs(y - lam_star * x).sum())
-    lambda0 = lam_star - shift
+    lambda0 = float(x @ r)
+    residual = float(np.abs(x * (r - lambda0)).sum())
 
-    weights = x.copy()
-    sums = apply_weights(B, weights).sum(axis=0)
-    spread = float(sums.max() - sums.min())
+    m = float(np.max(np.abs(np.diag(B))))
+    spread = hi - lo
     if abs(lambda0) > 1e-12 * m:
         spread_tol = 1e-9 * abs(lambda0)
     else:
@@ -178,8 +210,8 @@ def perron_weights(Bstar, x0=None, tol: float = 1e-14, max_iter: int = 10**6) ->
     if spread > spread_tol:
         raise PowerIterationError(f"column sums not equalized: spread {spread:.3e} "
                                   f"exceeds tolerance {spread_tol:.3e}")
-    return SharpRate(lambda0=lambda0, weights=weights,
-                     iterations=iterations, residual=residual)
+    return SharpRate(lambda0=lambda0, weights=x, iterations=iterations,
+                     residual=residual, bracket=(lo, hi))
 
 
 @dataclass(frozen=True)
@@ -248,15 +280,19 @@ def closed_form_bd(a: float, b: float, S: int):
 
     These are the extreme eigenvalues of the negated transformed matrix,
     whose spectrum is that of an S x S tridiagonal Toeplitz matrix. As S
-    grows beta_star tends to (sqrt(a) - sqrt(b))**2.
+    grows beta_star tends to (sqrt(a) - sqrt(b))**2. beta_star is evaluated
+    as (sqrt(a) - sqrt(b))**2 + 4*sqrt(a*b)*sin(pi/(2(S+1)))**2, which
+    avoids the cancellation of the first form when it is small.
     """
     a, b, S = float(a), float(b), int(S)
     if a <= 0.0 or b <= 0.0:
         raise ValueError(f"rates must be positive, got a={a}, b={b}")
     if S < 1:
         raise ValueError(f"state bound must be >= 1, got {S}")
-    gap = 2.0 * math.sqrt(a * b) * math.cos(math.pi / (S + 1))
-    return a + b - gap, a + b + gap
+    root = math.sqrt(a * b)
+    sin_half = math.sin(math.pi / (2 * (S + 1)))
+    beta = (math.sqrt(a) - math.sqrt(b)) ** 2 + 4.0 * root * sin_half ** 2
+    return beta, a + b + 2.0 * root * math.cos(math.pi / (S + 1))
 
 
 def dominant_eigenvalue(M, x0=None, tol: float = 1e-12, max_iter: int = 10**6):

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import ctmc_bounds as cb
+from ctmc_bounds import chain as chain_module
 from conftest import random_sharp_chain
 
 
@@ -152,6 +154,58 @@ def test_sharp_report_equals_compute_bounds_with_perron_weights():
     manual = cb.compute_bounds(spec, rep.weights, 1.0, 51)
     assert np.array_equal(rep.I_upper, manual.I_upper)
     assert np.array_equal(rep.h_lower, manual.h_lower)
+
+
+HOMOGENEOUS_RUNS = {
+    "compute_bounds": lambda spec: cb.compute_bounds(spec, np.ones(spec.S), 1.0, 201),
+    "sharp_report": lambda spec: cb.sharp_report(spec, 1.0, 201),
+}
+
+
+@pytest.mark.parametrize("run", sorted(HOMOGENEOUS_RUNS))
+def test_homogeneous_generator_is_evaluated_at_one_time(monkeypatch, run):
+    original = chain_module.eval_generator
+    points = []
+
+    def counting(spec, t):
+        points.append(np.size(t))
+        return original(spec, t)
+
+    monkeypatch.setattr(chain_module, "eval_generator", counting)
+    HOMOGENEOUS_RUNS[run](cb.birth_death_chain(200, [1.0] * 200, [2.0] * 200))
+    assert points and all(n == 1 for n in points)
+
+
+@pytest.mark.parametrize("run", sorted(HOMOGENEOUS_RUNS))
+def test_homogeneous_bounds_allocate_a_few_matrices(run):
+    spec = cb.birth_death_chain(200, [1.0] * 200, [2.0] * 200)
+    HOMOGENEOUS_RUNS[run](spec)  # first call fills the transition-table cache
+    tracemalloc.start()
+    try:
+        HOMOGENEOUS_RUNS[run](spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+
+
+def test_homogeneous_report_equals_time_varying_report_bit_for_bit():
+    # flat two-breakpoint tables take the time-varying path, and np.interp
+    # returns their value exactly
+    def flat(values):
+        return [cb.RateFunction.table([0.0, 1.0], [v, v]) for v in values]
+
+    batch, death = [2.0, 1.0, 0.5, 0.25], [1.0, 3.0, 0.5, 2.0]
+    constant = cb.batch_birth_chain(4, batch, death)
+    tables = cb.batch_birth_chain(4, flat(batch), flat(death))
+    assert constant.is_homogeneous and not tables.is_homogeneous
+    weights = [1.0, 0.8, 1.3, 0.6]
+    a = cb.compute_bounds(constant, weights, 1.5, 41)
+    b = cb.compute_bounds(tables, weights, 1.5, 41)
+    for field in ("grid", "h_upper", "h_lower", "I_upper", "I_lower",
+                  "env_upper", "env_lower", "weights"):
+        np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+    assert a.warnings == b.warnings
 
 
 def test_bound_report_csv_round_trip(tmp_path):

@@ -36,17 +36,20 @@ MODELS = {
                  "batch_death": [1.5, 1.0, 0.25]}, [1.0, 0.7, 1.3]),
 }
 
-# (model, command) -> (exit code, sha256 of the CSV, sha256 of stdout)
+# (model, command) -> (exit code, sha256 of the CSV, sha256 of stdout). The
+# homogeneous runs and the table runs (frozen-perron weights) depend on the
+# Perron weights; their digests were recorded with the Collatz-Wielandt
+# shifted inverse iteration, the others with the first version of the code.
 CLI_GOLDEN = {
     ("homogeneous", "rate"): (
-        0, "673f512f841e55116f18c3d8f752924bdb99e479f01dd23975b2663ba3bbd85f",
-        "2af6dd73fa04ece8fbe7c90fe6b4964d128411c96944bd5d885b169b63ff5c27"),
+        0, "33fe81e764bcb4e3ac2e96ff022f45535acf22475c929ba6aca44b200219ed22",
+        "17c9fde8969a618e990ba22d7dbb5ac8ab2202cc39d0af05762c30f26fba9c38"),
     ("homogeneous", "bounds"): (
-        0, "673f512f841e55116f18c3d8f752924bdb99e479f01dd23975b2663ba3bbd85f",
+        0, "33fe81e764bcb4e3ac2e96ff022f45535acf22475c929ba6aca44b200219ed22",
         "e93d15131a3edd1698c994e1de983bf9bc9abeedf8e010a10013dedefaaf734e"),
     ("homogeneous", "verify"): (
-        0, "18a4ffec86987d6d60d0812a9391d2927d4fada87d21dd0fa5fc325f73373ea9",
-        "0cc0b3773ee33f7ef2f022dff79714407859820453df4b4a907ba7d6cac1eaac"),
+        0, "2e1191601579ee66f722ad221751832d76b664479d3b8a324ff94747bdb50fd7",
+        "c41ec75f6180ffd2c1e54a08a69bae96e87ebb283e3686f5457bbfc0e73a73d0"),
     ("sinusoid", "bounds"): (
         0, "278f625373c1463a67dc82d5069b2f799366b4da29c0e9e6ca6ec6d462f1fd1a",
         "a8a7ed04f082aa0e7d31a36dda841bf5797d281f424e1e270b50ee6ad958cb8b"),
@@ -54,10 +57,10 @@ CLI_GOLDEN = {
         0, "cdd7275788b52d0b88bf959b0a146e9f20f233c13fbed8c7f55e6fec9b563c02",
         "73f7e86cdebe7bc1e00672c038bba13de04d420ed9f9235494757177b6b5c66f"),
     ("table", "bounds"): (
-        0, "acabc65372b69c5399db2286a411fd901153cbc5551f9b93e280a5276f78fe9e",
+        0, "a1038b9d4b230da771b3c469c27d55530028b7798bd22d018593dbcd4c41613e",
         "cefc5e3b813254b0cbaa043e68d397543a826f18fb96407a8a62f83a8c218d4c"),
     ("table", "verify"): (
-        0, "fdfaa4cf72f3303c16a726634764057cc7493e3d0b93287feb631df22ba1f341",
+        0, "afc163e9996ccaa9caff14af8749a51fb9e92c453e681f4b3e75e079b23242bd",
         "c94dca0e9ee3fe387fd103c9c1b8a0423f297f5e5b9398e15612c8d9ec9310ae"),
     ("weights", "bounds"): (
         0, "6140a21f2f29e2d225f4874976c8f49d8efa58c3213f1f85216399ff855a3917",
@@ -124,3 +127,23 @@ def test_cli_outputs_match_golden_bytes(tmp_path, capsys, model, command):
 def test_library_csv_writers_match_golden_bytes(tmp_path):
     digests = {case: _sha(data) for case, data in _library_csvs(tmp_path).items()}
     assert digests == LIBRARY_GOLDEN
+
+
+# lambda0 and weights of the homogeneous model as printed by `rate` with the
+# first (power iteration) version of perron_weights
+PRINTED_LAMBDA0 = -0.57322211827048175
+PRINTED_WEIGHTS = (0.35172389277370608, 0.4267778817295188, 0.22149822549677503)
+
+
+def test_homogeneous_rate_agrees_with_first_printed_values(tmp_path, capsys):
+    chain, weights = MODELS["homogeneous"]
+    path = tmp_path / "homogeneous.json"
+    path.write_text(json.dumps({"schema": 1, "chain": chain,
+                                "analysis": dict(ANALYSIS, weights=weights)}))
+    capsys.readouterr()
+    assert cli.main(["rate", str(path)]) == 0
+    lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    lambda0 = float(lines["lambda0"])
+    printed = np.array([float(w) for w in lines["weights"].split()])
+    assert abs(lambda0 - PRINTED_LAMBDA0) <= 1e-12 * abs(PRINTED_LAMBDA0)
+    assert np.all(np.abs(printed - PRINTED_WEIGHTS) <= 1e-12 * np.abs(PRINTED_WEIGHTS))

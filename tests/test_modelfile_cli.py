@@ -3,6 +3,7 @@ import json
 import pytest
 
 import ctmc_bounds as cb
+from ctmc_bounds import bounds as bounds_module
 from ctmc_bounds import cli
 from conftest import NONREGULAR_OVERRIDE_RATES
 
@@ -202,6 +203,22 @@ def test_commands_refuse_a_transform_that_is_not_essentially_nonnegative(
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "not essentially non-negative" in err
     assert "pass" not in out
+
+
+@pytest.mark.parametrize("argv", [["rate"], ["bounds", "--weights", "perron"],
+                                  ["verify", "--weights", "perron"]])
+def test_perron_solve_failure_exits_with_evaluation_code(tmp_path, capsys, monkeypatch,
+                                                          argv):
+    def failing(*args, **kwargs):
+        raise cb.PowerIterationError("no convergence within 3 solves")
+
+    monkeypatch.setattr(cli, "perron_weights", failing)
+    monkeypatch.setattr(bounds_module, "perron_weights", failing)
+    code = cli.main([argv[0], _write(tmp_path, BD3)] + argv[1:])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_EVAL
+    assert err == "error: no convergence within 3 solves\n"
+    assert "Traceback" not in out + err
 
 
 @pytest.mark.parametrize("argv", [["verify", "--steps", "0"],

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,9 +7,36 @@ import pytest
 import ctmc_bounds as cb
 from conftest import CLASS_KINDS, random_sharp_chain
 
+EPS = np.finfo(float).eps
+
 
 def _bstar(spec, t=0.0):
     return cb.to_bstar(cb.build_reduced(spec, t))
+
+
+def _uniform_bd(a, b, S):
+    return cb.birth_death_chain(S, [a] * S, [b] * S)
+
+
+def _tridiagonal_perron(B):
+    """Positive eigenvector of B^T for a tridiagonal B with positive off-diagonals.
+
+    A dense eigensolver applied to B^T itself is no oracle here: for a=1,
+    b=2, S=300 its eigenvector is off by 66 % in the max norm, because B^T
+    is far from normal. The diagonal similarity with ratios sqrt(u_k/l_k)
+    (u, l the super- and subdiagonal of B) makes it symmetric with
+    off-diagonals sqrt(u_k l_k); the symmetric problem's eigenvector is
+    accurate, and scaling it back in logarithms keeps every entry, however
+    small, to full relative precision.
+    """
+    lower, upper = np.diag(B, -1), np.diag(B, 1)
+    log_scale = np.concatenate(([0.0], np.cumsum(0.5 * np.log(upper / lower))))
+    off = np.sqrt(upper * lower)
+    J = np.diag(np.diag(B)) + np.diag(off, 1) + np.diag(off, -1)
+    _, vecs = np.linalg.eigh(J)
+    log_x = log_scale + np.log(np.abs(vecs[:, -1]))
+    x = np.exp(log_x - log_x.max())
+    return x / x.sum()
 
 
 def test_column_sum_bounds_arithmetic():
@@ -41,6 +69,75 @@ def test_perron_matches_closed_form_birth_death():
                 beta, _ = cb.closed_form_bd(a, b, S)
                 assert abs(rate.lambda0 + beta) <= 1e-9, (a, b, S)
                 assert rate.lambda0 < 0.0
+
+
+@pytest.mark.parametrize("a, b", [(1.0, 2.0), (1.0, 1.0), (2.0, 0.5)])
+@pytest.mark.parametrize("S", [5, 40, 200])
+def test_perron_bracket_encloses_closed_form(a, b, S):
+    rate = cb.perron_weights(_bstar(_uniform_bd(a, b, S)))
+    beta, _ = cb.closed_form_bd(a, b, S)
+    lo, hi = rate.bracket
+    slack = 4.0 * EPS * (a + b)  # a few ulps of the largest matrix entry
+    assert lo - slack <= -beta <= hi + slack
+    assert lo <= rate.lambda0 <= hi
+
+
+def test_perron_birth_death_200_needs_few_solves():
+    rate = cb.perron_weights(_bstar(_uniform_bd(1.0, 2.0, 200)))
+    assert rate.iterations <= 100
+
+
+def _relative_weight_error(rate, B):
+    exact = _tridiagonal_perron(B)
+    return float(np.max(np.abs(rate.weights - exact) / exact))
+
+
+# the chains below made the l1-change power iteration stop with unconverged
+# small weights and fail the equalisation postcondition
+@pytest.mark.parametrize("S", [300, 350, 500])
+def test_perron_uniform_birth_death_with_tiny_weights(S):
+    B = _bstar(_uniform_bd(1.0, 2.0, S))
+    rate = cb.perron_weights(B)
+    beta, _ = cb.closed_form_bd(1.0, 2.0, S)
+    assert abs(rate.lambda0 + beta) <= 1e-12 * abs(rate.lambda0)
+    assert _relative_weight_error(rate, B) <= 1e-9
+
+
+def test_perron_bottleneck_chain():
+    birth = [1.0] * 10
+    birth[5] = 1e-6
+    B = _bstar(cb.birth_death_chain(10, birth, [1.0] * 10))
+    assert _relative_weight_error(cb.perron_weights(B), B) <= 1e-9
+
+
+def test_perron_random_birth_death_60():
+    for seed in range(59):
+        rng = np.random.default_rng(seed)
+        spec = cb.birth_death_chain(60, rng.uniform(0.8, 1.2, 60), rng.uniform(1.6, 2.4, 60))
+        B = _bstar(spec)
+        assert _relative_weight_error(cb.perron_weights(B), B) <= 1e-9
+
+
+def test_perron_large_symmetric_birth_death():
+    # lambda0 ~ -9.9e-6 against entries of size 2: its computed value is
+    # certified to the bracket, whose round-off floor is 4 ulps of 2
+    B = _bstar(_uniform_bd(1.0, 1.0, 1000))
+    rate = cb.perron_weights(B)
+    beta, _ = cb.closed_form_bd(1.0, 1.0, 1000)
+    lo, hi = rate.bracket
+    assert hi - lo <= 8.0 * EPS * 2.0
+    assert lo - 8.0 * EPS <= -beta <= hi + 8.0 * EPS
+    assert lo <= rate.lambda0 <= hi
+    assert _relative_weight_error(rate, B) <= 1e-9
+
+
+def test_perron_weights_beyond_double_range_fail_fast():
+    # the weights of this chain would span about 1e400
+    B = _bstar(_uniform_bd(1.0, 1e4, 200))
+    start = time.perf_counter()
+    with pytest.raises(cb.PowerIterationError, match="double-precision range"):
+        cb.perron_weights(B)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_perron_single_state():
