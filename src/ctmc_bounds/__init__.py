@@ -15,12 +15,10 @@ from .chain import (ChainSpec, InhomogeneousChainError, RegularityReport,
                     eval_generator, eval_transposed, general_chain)
 from .transform import (NonnegativityError, NonnegReport, analytic_bstar,
                         apply_weights, build_reduced, check_essential_nonnegativity,
-                        require_essential_nonnegativity, to_bstar, triangular_pair)
-from .spectral import (ColumnSumBounds, ConditionReport, PowerIterationError,
-                       ReducibleMatrixError, SharpRate, SharpnessConditionError,
-                       check_irreducible, check_sharpness_conditions,
-                       closed_form_bd, column_sum_bounds, dominant_eigenvalue,
-                       extreme_real_eigenvalues, perron_weights)
+                        require_essential_nonnegativity, to_bstar)
+from .spectral import (ConditionReport, PowerIterationError, ReducibleMatrixError,
+                       SharpRate, SharpnessConditionError, check_irreducible,
+                       check_sharpness_conditions, closed_form_bd, perron_weights)
 from .bounds import (BoundReport, bound_report_to_csv, compute_bounds,
                      cumulative_simpson, sharp_report)
 from .odesolve import (OdeBlowUpError, Trajectory, VerificationReport, solve,
@@ -32,21 +30,19 @@ from .modelfile import (AnalysisSettings, ModelFile, ModelFileError,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisSettings", "BoundReport", "ChainSpec", "ColumnSumBounds",
-    "ConditionReport", "InhomogeneousChainError", "ModelFile",
-    "ModelFileError", "NonnegReport", "NonnegativityError", "OdeBlowUpError",
-    "PowerIterationError", "RateEvaluationError", "RateFunction",
-    "ReducibleMatrixError", "RegularityReport", "RegularityViolation", "SharpRate",
+    "AnalysisSettings", "BoundReport", "ChainSpec", "ConditionReport",
+    "InhomogeneousChainError", "ModelFile", "ModelFileError", "NonnegReport",
+    "NonnegativityError", "OdeBlowUpError", "PowerIterationError",
+    "RateEvaluationError", "RateFunction", "ReducibleMatrixError",
+    "RegularityReport", "RegularityViolation", "SharpRate",
     "SharpnessConditionError", "Trajectory", "VerificationReport",
     "analytic_bstar", "apply_weights", "as_rate", "batch_birth_chain",
     "batch_both_chain", "batch_death_chain", "birth_death_chain",
     "bound_report_to_csv", "build_reduced", "check_essential_nonnegativity",
     "check_irreducible", "check_regularity", "check_sharpness_conditions",
-    "closed_form_bd", "column_sum_bounds", "compute_bounds",
-    "cumulative_simpson", "dominant_eigenvalue", "eval_generator",
-    "eval_transposed", "extreme_real_eigenvalues", "general_chain",
-    "load_model", "parse_model", "perron_weights",
-    "require_essential_nonnegativity", "serialize_model", "sharp_report",
-    "solve", "to_bstar", "trajectory_to_csv", "triangular_pair",
+    "closed_form_bd", "compute_bounds", "cumulative_simpson", "eval_generator",
+    "eval_transposed", "general_chain", "load_model", "parse_model",
+    "perron_weights", "require_essential_nonnegativity", "serialize_model",
+    "sharp_report", "solve", "to_bstar", "trajectory_to_csv",
     "verification_to_csv", "verify_bounds", "verify_convergence_coupling",
 ]

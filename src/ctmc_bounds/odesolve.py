@@ -6,15 +6,17 @@ Three linear systems are integrated with classical fixed-step RK4:
 ``reduced_hom``  y' = B(t) y       the reduced homogeneous-in-y system
 ``transformed``  w' = B**(t) w     the weighted transformed system
 
-The verifiers integrate batches of random initial vectors and compare the
-trajectory norms against the exponential envelopes, with a step-halving
-run certifying that integrator error stays below the allowed slack.
+The verifiers scan the identity with steps h and h/2. Every trajectory of
+a random initial vector x0 is Phi_k x0 for the step-h propagators Phi_k,
+and its norm is compared with the exponential envelopes; the distance to
+the step-h/2 propagators certifies the integrator error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -55,60 +57,49 @@ def _weight_vector(weights, S):
 
 
 def _system_matrices(system, spec, weights, ts):
-    """Coefficient matrices of the chosen system at the times ts.
+    """Coefficient matrices of the chosen system at evaluation_times(spec, ts).
 
-    Returns (mats, constant): mats is a read-only view over ts; for a
-    homogeneous chain it repeats a single matrix and is flagged, enabling
-    the constant-step fast path of the integrator.
+    A homogeneous chain gives a stack of one matrix, the same at every time
+    of ts; :func:`_rk4_stream` then applies its exact one-step operator.
     """
     if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}; choose from {SYSTEMS}")
-    ts = np.asarray(ts, dtype=float)
     times = evaluation_times(spec, ts)
-
     if system == "forward":
-        mats = eval_transposed(spec, times)
-    else:
-        B = build_reduced(spec, times)
-        if system == "reduced_hom":
-            mats = B
-        else:
-            d = _weight_vector(weights, spec.S)
-            mats = apply_weights(to_bstar(B), d)
-    return np.broadcast_to(mats, ts.shape + mats.shape[1:]), spec.is_homogeneous
+        return eval_transposed(spec, times)
+    B = build_reduced(spec, times)
+    if system == "reduced_hom":
+        return B
+    return apply_weights(to_bstar(B), _weight_vector(weights, spec.S))
 
 
-def _rk4_stream(mats, h, x0, constant=False):
-    """Yield (k, state) at the n+1 full-step points of a 2n+1 half-step matrix grid.
+def _rk4_stream(mats, n, h, x0):
+    """Yield (k, state) after k = 0..n classical RK4 steps of size h from x0.
 
-    Classical RK4 with fixed step h; mats must be sampled at spacing h/2 so
-    every stage time is on the grid. For a constant coefficient matrix the
-    exact one-step RK4 operator I + hM + ... + (hM)^4/24 is precomputed and
-    applied once per step. States may be vectors or column batches.
+    mats holds the coefficient matrix at spacing h/2 (2n+1 matrices), so
+    every stage time is on the grid, or one matrix for a constant system,
+    whose exact one-step operator I + hM + ... + (hM)^4/24 is then applied
+    once per step. States may be vectors or column batches; started from
+    the identity, the stream yields the step-h propagators.
     """
-    n = (mats.shape[0] - 1) // 2
     x = np.array(x0, dtype=float)
     yield 0, x
-    if constant:
-        M = np.asarray(mats[0], dtype=float)
-        dim = M.shape[0]
-        P = np.eye(dim)
+    if len(mats) == 1:
+        P = np.eye(len(mats[0]))
         for denom in (4.0, 3.0, 2.0, 1.0):
-            P = np.eye(dim) + (h / denom) * (M @ P)
-        for k in range(n):
-            x = P @ x
-            _guard(x, (k + 1) * h)
-            yield k + 1, x
-        return
+            P = np.eye(len(P)) + (h / denom) * (mats[0] @ P)
     sixth = h / 6.0
     half = 0.5 * h
     for k in range(n):
-        M0, Mm, M1 = mats[2 * k], mats[2 * k + 1], mats[2 * k + 2]
-        k1 = M0 @ x
-        k2 = Mm @ (x + half * k1)
-        k3 = Mm @ (x + half * k2)
-        k4 = M1 @ (x + h * k3)
-        x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        if len(mats) == 1:
+            x = P @ x
+        else:
+            M0, Mm, M1 = mats[2 * k], mats[2 * k + 1], mats[2 * k + 2]
+            k1 = M0 @ x
+            k2 = Mm @ (x + half * k1)
+            k3 = Mm @ (x + half * k2)
+            k4 = M1 @ (x + h * k3)
+            x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
         _guard(x, (k + 1) * h)
         yield k + 1, x
 
@@ -149,9 +140,9 @@ def solve(system: str, spec: ChainSpec, x0, tmax: float, n_steps: int,
         raise ValueError(f"initial state for {system!r} must have leading "
                          f"dimension {dim}, got shape {x0.shape}")
     ts = np.linspace(0.0, tmax, 2 * n + 1)
-    mats, constant = _system_matrices(system, spec, weights, ts)
+    mats = _system_matrices(system, spec, weights, ts)
     states = np.empty((n + 1,) + x0.shape)
-    for k, x in _rk4_stream(mats, tmax / n, x0, constant):
+    for k, x in _rk4_stream(mats, n, tmax / n, x0):
         states[k] = x
     return Trajectory(grid=ts[::2], states=states, coords=_COORDS[system])
 
@@ -200,25 +191,35 @@ def _draw_columns(rng, dim, count, signed):
     return X
 
 
-def _propagator_divergence(mats_fine, h, constant, envelope):
-    """Richardson-style integrator margin from step-h and step-h/2 propagators.
+def _propagators(mats_fine, n, h):
+    """Yield (k, Phi_k, ||Phi_k - Psi_k||_1->1) for k = 0..n from two identity scans.
 
-    mats_fine is sampled at spacing h/4; the step-h run uses every second
-    matrix. Returns 2 * max_k ||Phi_h(t_k) - Phi_{h/2}(t_k)||_1->1 / envelope[k]:
-    a conservative relative bound on trajectory-norm error, normalized by
-    the envelope appearing in the checked ratios.
+    Phi_k and Psi_k are the RK4 propagators from 0 to t_k = k h with steps
+    h and h/2; mats_fine holds the matrices at spacing h/4 (or just one).
+    Twice the divergence estimates the integrator error of Phi_k x0 relative
+    to ||x0||_1, the conservative Richardson-style margin.
     """
-    dim = mats_fine.shape[-1]
-    eye = np.eye(dim)
-    fine = _rk4_stream(mats_fine, 0.5 * h, eye, constant)
-    kf, Xf = next(fine)
-    worst = 0.0
-    for kc, Xc in _rk4_stream(mats_fine[::2], h, eye, constant):
-        while kf < 2 * kc:
-            kf, Xf = next(fine)
-        diff = float(np.abs(Xc - Xf).sum(axis=0).max())
-        worst = max(worst, diff / float(envelope[kc]))
-    return 2.0 * worst
+    eye = np.eye(mats_fine.shape[-1])
+    halved = islice(_rk4_stream(mats_fine, 2 * n, 0.5 * h, eye), 0, None, 2)
+    for (k, phi), (_, psi) in zip(_rk4_stream(mats_fine[::2], n, h, eye), halved):
+        yield k, phi, float(np.abs(phi - psi).sum(axis=0).max())
+
+
+def _beyond(phase, ratios, broken, t, first_trial=0):
+    """Candidate violations (phase, trial, t, ratio) where broken holds."""
+    return [(phase, first_trial + int(j), float(t), float(ratios[j]))
+            for j in np.flatnonzero(broken)]
+
+
+def _confirm(candidates, slack_total):
+    """The candidates whose ratio lies beyond 1 +/- slack_total: below for lower ones.
+
+    The integrator margin is known only after the scan, which keeps every
+    ratio beyond 1 +/- (slack + quadrature margin); the margin can only
+    widen that band, so no violation is missed.
+    """
+    return [v for v in candidates
+            if (v[3] < 1.0 - slack_total if v[0] == "lower" else v[3] > 1.0 + slack_total)]
 
 
 @dataclass(frozen=True)
@@ -230,8 +231,7 @@ class _Setup:
     n: int
     h: float
     ts_fine: np.ndarray     # halved grid, 4n+1 points; the step grid is ts_fine[::4]
-    mats_fine: np.ndarray   # B**(t) on the halved grid
-    constant: bool
+    mats_fine: np.ndarray   # B**(t) at evaluation_times(spec, ts_fine)
     env_up: np.ndarray
     env_lo: np.ndarray
     quad_margin: float
@@ -240,13 +240,14 @@ class _Setup:
 def _verification_setup(spec, weights, tmax, n_steps) -> _Setup:
     """Checks, grids, transformed stack, precondition, envelopes and quadrature margin.
 
-    Each system is evaluated once, on the halved grid of 4n+1 points; the
-    RK4 grid of step h with its midpoints is the [::2] slice, which equals
-    linspace(0, tmax, 2n+1) bit for bit. B*(t) must be essentially
-    non-negative at every point of the halved grid, else NonnegativityError
-    is raised before any trial runs. The envelopes integrate the column-sum
-    extremes by Simpson's rule on the step grid; the quadrature margin is
-    their largest difference from the integrals on the halved grid.
+    Each system is evaluated once, on the halved grid of 4n+1 points (at
+    one time for a homogeneous chain); the RK4 grid of step h with its
+    midpoints is the [::2] slice, which equals linspace(0, tmax, 2n+1) bit
+    for bit. B*(t) must be essentially non-negative at every point of the
+    halved grid, else NonnegativityError is raised before any trial runs.
+    The envelopes integrate the column-sum extremes by Simpson's rule on
+    the step grid; the quadrature margin is their largest difference from
+    the integrals on the halved grid.
     """
     d = _weight_vector(weights, spec.S)
     tmax, n = check_horizon(tmax, n_steps)
@@ -256,7 +257,6 @@ def _verification_setup(spec, weights, tmax, n_steps) -> _Setup:
     bstar = to_bstar(build_reduced(spec, times))
     require_essential_nonnegativity(bstar, times)
     weighted = apply_weights(bstar, d)
-    mats_fine = np.broadcast_to(weighted, ts_fine.shape + weighted.shape[1:])
 
     sums = weighted.sum(axis=-2)
     h_up = np.broadcast_to(sums.max(axis=-1), ts_fine.shape)
@@ -267,9 +267,17 @@ def _verification_setup(spec, weights, tmax, n_steps) -> _Setup:
     I_lo_f = cumulative_simpson(h_lo, 0.5 * h)
     quad_margin = max(float(np.max(np.abs(I_up_f[::2] - I_up))),
                       float(np.max(np.abs(I_lo_f[::2] - I_lo))))
-    return _Setup(d=d, tmax=tmax, n=n, h=h, ts_fine=ts_fine, mats_fine=mats_fine,
-                  constant=spec.is_homogeneous, env_up=np.exp(I_up), env_lo=np.exp(I_lo),
-                  quad_margin=quad_margin)
+    return _Setup(d=d, tmax=tmax, n=n, h=h, ts_fine=ts_fine, mats_fine=weighted,
+                  env_up=np.exp(I_up), env_lo=np.exp(I_lo), quad_margin=quad_margin)
+
+
+def _report(kind, st, violations, **fields) -> VerificationReport:
+    """The report of a finished scan, its violations ordered by (t, trial)."""
+    violations.sort(key=lambda v: (v[2], v[1]))
+    return VerificationReport(
+        kind=kind, passed=not violations, tmax=st.tmax, n_steps=st.n,
+        quadrature_margin=st.quad_margin, n_violations=len(violations),
+        violations=tuple(violations[:VIOLATION_CAP]), grid=st.ts_fine[::4], **fields)
 
 
 def verify_bounds(spec: ChainSpec, weights, tmax: float, n_steps: int = 10_000,
@@ -279,54 +287,46 @@ def verify_bounds(spec: ChainSpec, weights, tmax: float, n_steps: int = 10_000,
 
     Each trial draws one signed initial vector (entries uniform in [-1, 1]),
     checked against the upper envelope only, and one nonnegative initial
-    vector (entries uniform in [0, 1]), checked against both envelopes.
-    Draws with l1 norm below 1e-6 are rejected and redrawn. The seed fixes
-    all draws, making runs bit-reproducible.
+    vector (entries uniform in [0, 1]), checked against both envelopes; the
+    nonnegative draw of trial j is reported as trial n_trials + j. Draws
+    with l1 norm below 1e-6 are rejected and redrawn. The seed fixes all
+    draws, making runs bit-reproducible.
 
-    A ratio beyond 1 +/- slack_total at any grid time is recorded as a
-    violation and fails the report; slack_total = slack + the measured
-    step-halving integrator margin + the quadrature refinement margin.
-    Raises NonnegativityError, before any trial runs, if B*(t) is not
-    essentially non-negative on the halved grid.
+    The trajectories are the step-h RK4 propagators of the transformed
+    system applied to the draws; the same scan compares each propagator
+    with the step-h/2 one. A ratio beyond 1 +/- slack_total at any grid
+    time is recorded as a violation and fails the report; slack_total =
+    slack + that step-halving integrator margin + the quadrature refinement
+    margin. Raises NonnegativityError, before any trial runs, if B*(t) is
+    not essentially non-negative on the halved grid.
     """
     n_trials = int(n_trials)
     if n_trials < 1:
         raise ValueError(f"need at least one trial, got {n_trials}")
     st = _verification_setup(spec, weights, tmax, n_steps)
-    n, h, ts = st.n, st.h, st.ts_fine
-    integ_margin = _propagator_divergence(st.mats_fine, h, st.constant, st.env_lo)
-    slack_total = slack + integ_margin + st.quad_margin
-
     rng = np.random.default_rng(seed)
-    X_signed = _draw_columns(rng, spec.S, n_trials, signed=True)
-    X_nonneg = _draw_columns(rng, spec.S, n_trials, signed=False)
+    X0 = np.hstack([_draw_columns(rng, spec.S, n_trials, signed=True),
+                    _draw_columns(rng, spec.S, n_trials, signed=False)])
+    norms0 = np.abs(X0).sum(axis=0)
 
-    ratio_up_max = np.zeros(n + 1)
-    ratio_lo_min = np.full(n + 1, np.inf)
-    violations = []
-    for X0, check_lower, offset in ((X_signed, False, 0), (X_nonneg, True, n_trials)):
-        norms0 = np.abs(X0).sum(axis=0)
-        for k, X in _rk4_stream(st.mats_fine[::2], h, X0, st.constant):
-            norms = np.abs(X).sum(axis=0)
-            up = norms / (st.env_up[k] * norms0)
-            ratio_up_max[k] = max(ratio_up_max[k], up.max())
-            for j in np.nonzero(up > 1.0 + slack_total)[0]:
-                violations.append(("upper", offset + int(j), float(ts[4 * k]), float(up[j])))
-            if check_lower:
-                lo = norms / (st.env_lo[k] * norms0)
-                ratio_lo_min[k] = min(ratio_lo_min[k], lo.min())
-                for j in np.nonzero(lo < 1.0 - slack_total)[0]:
-                    violations.append(("lower", offset + int(j), float(ts[4 * k]),
-                                       float(lo[j])))
+    band, worst, candidates = slack + st.quad_margin, 0.0, []
+    ratio_up_max, ratio_lo_min = np.empty(st.n + 1), np.empty(st.n + 1)
+    for k, phi, divergence in _propagators(st.mats_fine, st.n, st.h):
+        worst = max(worst, divergence / float(st.env_lo[k]))
+        norms = np.abs(phi @ X0).sum(axis=0)
+        up = norms / (st.env_up[k] * norms0)
+        lo = norms[n_trials:] / (st.env_lo[k] * norms0[n_trials:])
+        ratio_up_max[k], ratio_lo_min[k] = up.max(), lo.min()
+        candidates += _beyond("upper", up, up > 1.0 + band, st.ts_fine[4 * k])
+        candidates += _beyond("lower", lo, lo < 1.0 - band, st.ts_fine[4 * k], n_trials)
 
-    violations.sort(key=lambda v: (v[2], v[1]))
-    return VerificationReport(
-        kind="bounds", passed=not violations, n_trials=n_trials, seed=seed,
-        tmax=st.tmax, n_steps=n, slack=slack, integrator_margin=integ_margin,
-        quadrature_margin=st.quad_margin, slack_total=slack_total,
+    integ_margin = 2.0 * worst
+    slack_total = slack + integ_margin + st.quad_margin
+    return _report(
+        "bounds", st, _confirm(candidates, slack_total), n_trials=n_trials, seed=seed,
+        slack=slack, integrator_margin=integ_margin, slack_total=slack_total,
         worst_upper=float(ratio_up_max.max()), worst_lower=float(ratio_lo_min.min()),
-        n_violations=len(violations), violations=tuple(violations[:VIOLATION_CAP]),
-        grid=ts[::4], ratio_upper_max=ratio_up_max, ratio_lower_min=ratio_lo_min)
+        ratio_upper_max=ratio_up_max, ratio_lower_min=ratio_lo_min)
 
 
 def verify_convergence_coupling(spec: ChainSpec, weights, tmax: float,
@@ -334,64 +334,56 @@ def verify_convergence_coupling(spec: ChainSpec, weights, tmax: float,
                                 seed: int = 0, slack: float = 1e-8) -> VerificationReport:
     """Tie the envelope back to the chain: differences of probability trajectories.
 
-    Draws pairs of random probability vectors, integrates the forward
-    system for both, maps the difference of the non-zero-state coordinates
-    through the tail-sum transform and the weights, and checks the upper
-    envelope on the resulting norm. Probability conservation (column sums
-    within 1e-10 of one) and nonnegativity (entries >= -1e-12) are checked
-    on every forward trajectory as well. Raises NonnegativityError, before
-    any pair runs, if B*(t) is not essentially non-negative on the halved
-    grid.
+    Draws pairs of random probability vectors, propagates them with the
+    step-h RK4 propagators of the forward system, maps the difference of
+    the non-zero-state coordinates through the tail-sum transform and the
+    weights, and checks the upper envelope on the resulting norm; the
+    integrator margin compares the propagators with the step-h/2 ones.
+    Probability conservation (column sums within 1e-10 of one) and
+    nonnegativity (entries >= -1e-12) are checked on every forward
+    trajectory as well. Raises NonnegativityError, before any pair runs, if
+    B*(t) is not essentially non-negative on the halved grid.
     """
     n_pairs = int(n_pairs)
     if n_pairs < 1:
         raise ValueError(f"need at least one pair, got {n_pairs}")
     # envelopes and quadrature margin belong to the transformed system
     st = _verification_setup(spec, weights, tmax, n_steps)
-    d, n, h, ts = st.d, st.n, st.h, st.ts_fine
-
     # trajectories come from the forward system
-    mats_fine, constant = _system_matrices("forward", spec, None, ts)
+    mats_fine = _system_matrices("forward", spec, None, st.ts_fine)
 
     rng = np.random.default_rng(seed)
     P = rng.uniform(0.0, 1.0, size=(spec.S + 1, 2 * n_pairs))
     P /= P.sum(axis=0)
 
-    norms0 = _coupling_norms(P[1:, :n_pairs] - P[1:, n_pairs:], d)
+    norms0 = _coupling_norms(P[1:, :n_pairs] - P[1:, n_pairs:], st.d)
     safe_norms0 = np.where(norms0 < 1e-300, 1.0, norms0)
+
+    band, worst, candidates = slack + st.quad_margin, 0.0, []
+    ratio_max, prob_sum_err, prob_min = np.empty(st.n + 1), 0.0, math.inf
+    for k, phi, divergence in _propagators(mats_fine, st.n, st.h):
+        worst = max(worst, divergence / float(st.env_up[k]))
+        X = phi @ P
+        prob_sum_err = max(prob_sum_err, float(np.abs(X.sum(axis=0) - 1.0).max()))
+        prob_min = min(prob_min, float(X.min()))
+        norms = _coupling_norms(X[1:, :n_pairs] - X[1:, n_pairs:], st.d)
+        up = norms / (st.env_up[k] * safe_norms0)
+        ratio_max[k] = up.max()
+        candidates += _beyond("coupling", up, up > 1.0 + band, st.ts_fine[4 * k])
 
     # forward-propagator error maps through the tail-sum transform with a
     # factor sum(d), and a pair of probability vectors has l1 norm <= 2
-    fwd_div = _propagator_divergence(mats_fine, h, constant, st.env_up)
-    integ_margin = float(fwd_div * d.sum() * 2.0 / float(np.min(safe_norms0)))
+    integ_margin = float(2.0 * worst * st.d.sum() * 2.0 / float(np.min(safe_norms0)))
     slack_total = slack + integ_margin + st.quad_margin
-
-    ratio_max = np.zeros(n + 1)
-    prob_sum_err = 0.0
-    prob_min = math.inf
-    violations = []
-    for k, X in _rk4_stream(mats_fine[::2], h, P, constant):
-        prob_sum_err = max(prob_sum_err, float(np.abs(X.sum(axis=0) - 1.0).max()))
-        prob_min = min(prob_min, float(X.min()))
-        norms = _coupling_norms(X[1:, :n_pairs] - X[1:, n_pairs:], d)
-        up = norms / (st.env_up[k] * safe_norms0)
-        ratio_max[k] = up.max()
-        for j in np.nonzero(up > 1.0 + slack_total)[0]:
-            violations.append(("coupling", int(j), float(ts[4 * k]), float(up[j])))
-
+    violations = _confirm(candidates, slack_total)
     if prob_sum_err > 1e-10:
         violations.append(("probability-sum", -1, 0.0, prob_sum_err))
     if prob_min < -1e-12:
         violations.append(("probability-negative", -1, 0.0, prob_min))
-
-    violations.sort(key=lambda v: (v[2], v[1]))
-    return VerificationReport(
-        kind="coupling", passed=not violations, n_trials=n_pairs, seed=seed,
-        tmax=st.tmax, n_steps=n, slack=slack, integrator_margin=integ_margin,
-        quadrature_margin=st.quad_margin, slack_total=slack_total,
-        worst_upper=float(ratio_max.max()), worst_lower=None,
-        n_violations=len(violations), violations=tuple(violations[:VIOLATION_CAP]),
-        grid=ts[::4], ratio_upper_max=ratio_max,
+    return _report(
+        "coupling", st, violations, n_trials=n_pairs, seed=seed, slack=slack,
+        integrator_margin=integ_margin, slack_total=slack_total,
+        worst_upper=float(ratio_max.max()), worst_lower=None, ratio_upper_max=ratio_max,
         prob_sum_error=prob_sum_err, prob_min=float(prob_min))
 
 

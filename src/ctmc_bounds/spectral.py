@@ -39,23 +39,6 @@ class SharpnessConditionError(ValueError):
     """The structural conditions guaranteeing a sharp rate do not hold."""
 
 
-@dataclass(frozen=True)
-class ColumnSumBounds:
-    """Largest and smallest column sum of a square matrix."""
-
-    h_max: float
-    h_min: float
-    sums: tuple
-
-
-def column_sum_bounds(M) -> ColumnSumBounds:
-    """Per-column sums of a square matrix together with their max and min."""
-    M = np.asarray(M, dtype=float)
-    sums = M.sum(axis=0)
-    return ColumnSumBounds(h_max=float(sums.max()), h_min=float(sums.min()),
-                           sums=tuple(float(s) for s in sums))
-
-
 def check_irreducible(M, tol: float = 0.0) -> bool:
     """True iff the directed graph with edges i -> j for M_ij > tol (i != j) is strongly connected.
 
@@ -171,6 +154,9 @@ def perron_weights(Bstar, x0=None, tol: float = 1e-14, max_iter: int = 10**6) ->
     floor = 4.0 * _EPS * float(np.max(np.abs(B)))
     W = apply_weights(B, x)
     r = W.sum(axis=0)
+    # buffers reused by every solve: fresh S x S temporaries freed at the heap top
+    # are handed back to the system and their pages faulted in again each step
+    eye, shifted, spare = np.eye(S), np.empty_like(W), np.empty_like(W)
     iterations = 0
     while True:
         lo, hi = float(r.min()), float(r.max())
@@ -181,7 +167,9 @@ def perron_weights(Bstar, x0=None, tol: float = 1e-14, max_iter: int = 10**6) ->
                                       f"(bracket width {hi - lo:.3e})")
         iterations += 1
         try:
-            z = np.linalg.solve((hi + floor) * np.eye(S) - W.T, np.ones(S))
+            np.multiply(hi + floor, eye, out=shifted)
+            shifted -= W.T
+            z = np.linalg.solve(shifted, np.ones(S))
         except np.linalg.LinAlgError:
             break  # sigma within round-off of lambda0
         if not np.all(z > 0.0) or not np.all(np.isfinite(z)):
@@ -192,11 +180,12 @@ def perron_weights(Bstar, x0=None, tol: float = 1e-14, max_iter: int = 10**6) ->
             raise PowerIterationError(
                 f"weights span more than the double-precision range (smallest "
                 f"weight {float(x_new.min()):.3e} after {iterations} solves)")
-        W_new = apply_weights(B, x_new)
+        # apply_weights(B, x_new), written into the spare buffer
+        W_new = np.multiply(B, np.divide(x_new[:, None], x_new[None, :], out=spare), out=spare)
         r_new = W_new.sum(axis=0)
         if not float(r_new.max() - r_new.min()) < hi - lo:
             break  # the bracket stopped shrinking: round-off dominates
-        x, W, r = x_new, W_new, r_new
+        x, W, spare, r = x_new, W_new, W, r_new
 
     lambda0 = float(x @ r)
     residual = float(np.abs(x * (r - lambda0)).sum())
@@ -293,49 +282,3 @@ def closed_form_bd(a: float, b: float, S: int):
     sin_half = math.sin(math.pi / (2 * (S + 1)))
     beta = (math.sqrt(a) - math.sqrt(b)) ** 2 + 4.0 * root * sin_half ** 2
     return beta, a + b + 2.0 * root * math.cos(math.pi / (S + 1))
-
-
-def dominant_eigenvalue(M, x0=None, tol: float = 1e-12, max_iter: int = 10**6):
-    """Largest-magnitude eigenvalue of a matrix with a real dominant eigenpair.
-
-    Plain power iteration with l2 normalization and a Rayleigh-quotient
-    estimate; stops when the eigen-residual drops below tol relative to the
-    estimate. The default start is a fixed mildly asymmetric vector so runs
-    are deterministic.
-    """
-    M = np.asarray(M, dtype=float)
-    S = M.shape[0]
-    if x0 is None:
-        x = 1.0 + np.linspace(0.0, 0.5, S)
-    else:
-        x = np.asarray(x0, dtype=float)
-    norm = np.linalg.norm(x)
-    if norm == 0.0:
-        raise ValueError("start vector must be nonzero")
-    x = x / norm
-    lam = 0.0
-    for _ in range(max_iter):
-        y = M @ x
-        ny = float(np.linalg.norm(y))
-        if ny == 0.0:
-            return 0.0  # x lies in the null space and M has no larger action
-        lam = float(x @ y)
-        x = y / ny
-        res = float(np.linalg.norm(M @ x - lam * x))
-        if res <= tol * max(1.0, abs(lam)):
-            return lam
-    raise PowerIterationError(f"no convergence within {max_iter} iterations")
-
-
-def extreme_real_eigenvalues(M, tol: float = 1e-12, max_iter: int = 10**6):
-    """(smallest, largest) eigenvalue of a matrix with real spectrum.
-
-    Two power iterations: one on M for the dominant eigenvalue, one on the
-    shifted matrix dominant*I - M, whose dominant eigenvalue locates the
-    opposite end of the spectrum.
-    """
-    M = np.asarray(M, dtype=float)
-    lam_dom = dominant_eigenvalue(M, tol=tol, max_iter=max_iter)
-    shifted = lam_dom * np.eye(M.shape[0]) - M
-    lam_other = lam_dom - dominant_eigenvalue(shifted, tol=tol, max_iter=max_iter)
-    return min(lam_dom, lam_other), max(lam_dom, lam_other)

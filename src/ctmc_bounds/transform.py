@@ -21,20 +21,6 @@ from numpy.lib.stride_tricks import as_strided
 from .chain import ChainSpec, eval_transposed
 
 
-def triangular_pair(S: int):
-    """The all-ones upper-triangular matrix and its exact integer inverse.
-
-    Returns (T, Tinv) of dimension S with T @ Tinv == I exactly: Tinv has
-    ones on the diagonal and -1 on the first superdiagonal. (T x)_i is the
-    tail sum sum_{j>=i} x_j.
-    """
-    if S < 1:
-        raise ValueError(f"dimension must be >= 1, got {S}")
-    T = np.triu(np.ones((S, S), dtype=int))
-    Tinv = np.eye(S, dtype=int) - np.eye(S, k=1, dtype=int)
-    return T, Tinv
-
-
 def build_reduced(spec: ChainSpec, t):
     """Reduced S x S matrix B(t) with entries a_ij(t) - a_i0(t), i, j = 1..S.
 
@@ -57,12 +43,14 @@ def to_bstar(B):
 
     The composition order is pinned by the explicit entry formulas for the
     transformed matrix (see tests); the leading column keeps its plain tail
-    sums. Works on a single matrix or a stack of them.
+    sums. Works on a single matrix or a stack of them; the differences are
+    taken in place, right to left, so only the result is allocated.
     """
     B = np.asarray(B, dtype=float)
-    tail = np.cumsum(B[..., ::-1, :], axis=-2)[..., ::-1, :]
-    out = tail.copy()
-    out[..., :, 1:] -= tail[..., :, :-1]
+    out = np.empty_like(B, order="C")
+    np.cumsum(B[..., ::-1, :], axis=-2, out=out[..., ::-1, :])
+    for j in range(B.shape[-1] - 1, 0, -1):
+        out[..., j] -= out[..., j - 1]
     return out
 
 

@@ -1,0 +1,89 @@
+"""Reference computations that only the tests use.
+
+Each re-derives a quantity the library computes another way: the
+triangular similarity as explicit integer matrices, column sums of a single
+matrix, and eigenvalues by plain power iteration.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from ctmc_bounds import PowerIterationError
+
+
+def triangular_pair(S: int):
+    """The all-ones upper-triangular matrix and its exact integer inverse.
+
+    Returns (T, Tinv) of dimension S with T @ Tinv == I exactly: Tinv has
+    ones on the diagonal and -1 on the first superdiagonal. (T x)_i is the
+    tail sum sum_{j>=i} x_j.
+    """
+    if S < 1:
+        raise ValueError(f"dimension must be >= 1, got {S}")
+    T = np.triu(np.ones((S, S), dtype=int))
+    Tinv = np.eye(S, dtype=int) - np.eye(S, k=1, dtype=int)
+    return T, Tinv
+
+
+@dataclass(frozen=True)
+class ColumnSumBounds:
+    """Largest and smallest column sum of a square matrix."""
+
+    h_max: float
+    h_min: float
+    sums: tuple
+
+
+def column_sum_bounds(M) -> ColumnSumBounds:
+    """Per-column sums of a square matrix together with their max and min."""
+    M = np.asarray(M, dtype=float)
+    sums = M.sum(axis=0)
+    return ColumnSumBounds(h_max=float(sums.max()), h_min=float(sums.min()),
+                           sums=tuple(float(s) for s in sums))
+
+
+def dominant_eigenvalue(M, x0=None, tol: float = 1e-12, max_iter: int = 10**6):
+    """Largest-magnitude eigenvalue of a matrix with a real dominant eigenpair.
+
+    Plain power iteration with l2 normalization and a Rayleigh-quotient
+    estimate; stops when the eigen-residual drops below tol relative to the
+    estimate. The default start is a fixed mildly asymmetric vector so runs
+    are deterministic.
+    """
+    M = np.asarray(M, dtype=float)
+    S = M.shape[0]
+    if x0 is None:
+        x = 1.0 + np.linspace(0.0, 0.5, S)
+    else:
+        x = np.asarray(x0, dtype=float)
+    norm = np.linalg.norm(x)
+    if norm == 0.0:
+        raise ValueError("start vector must be nonzero")
+    x = x / norm
+    lam = 0.0
+    for _ in range(max_iter):
+        y = M @ x
+        ny = float(np.linalg.norm(y))
+        if ny == 0.0:
+            return 0.0  # x lies in the null space and M has no larger action
+        lam = float(x @ y)
+        x = y / ny
+        res = float(np.linalg.norm(M @ x - lam * x))
+        if res <= tol * max(1.0, abs(lam)):
+            return lam
+    raise PowerIterationError(f"no convergence within {max_iter} iterations")
+
+
+def extreme_real_eigenvalues(M, tol: float = 1e-12, max_iter: int = 10**6):
+    """(smallest, largest) eigenvalue of a matrix with real spectrum.
+
+    Two power iterations: one on M for the dominant eigenvalue, one on the
+    shifted matrix dominant*I - M, whose dominant eigenvalue locates the
+    opposite end of the spectrum.
+    """
+    M = np.asarray(M, dtype=float)
+    lam_dom = dominant_eigenvalue(M, tol=tol, max_iter=max_iter)
+    shifted = lam_dom * np.eye(M.shape[0]) - M
+    lam_other = lam_dom - dominant_eigenvalue(shifted, tol=tol, max_iter=max_iter)
+    return min(lam_dom, lam_other), max(lam_dom, lam_other)

@@ -14,6 +14,7 @@ import ctmc_bounds as cb
 from ctmc_bounds import cli
 from conftest import (CLASS_KINDS, random_class_chain, random_regular_general,
                       random_sharp_chain)
+from linalg_oracles import extreme_real_eigenvalues
 from test_transform import _bstar_from_entry_formulas
 
 
@@ -162,7 +163,7 @@ def test_criterion_07_coupling_of_extreme_initial_laws():
 
 def test_criterion_08_spectral_cross_check():
     spec = cb.birth_death_chain(3, [1.0] * 3, [1.0] * 3)
-    lo, hi = cb.extreme_real_eigenvalues(-_bstar(spec), tol=1e-13)
+    lo, hi = extreme_real_eigenvalues(-_bstar(spec), tol=1e-13)
     beta, g = cb.closed_form_bd(1.0, 1.0, 3)
     assert abs(lo - (2.0 - math.sqrt(2.0))) <= 1e-8
     assert abs(hi - (2.0 + math.sqrt(2.0))) <= 1e-8

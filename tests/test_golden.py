@@ -39,7 +39,9 @@ MODELS = {
 # (model, command) -> (exit code, sha256 of the CSV, sha256 of stdout). The
 # homogeneous runs and the table runs (frozen-perron weights) depend on the
 # Perron weights; their digests were recorded with the Collatz-Wielandt
-# shifted inverse iteration, the others with the first version of the code.
+# shifted inverse iteration. The verify runs were recorded with trials
+# propagated by the step-h propagators of the integrator margin, the other
+# runs with the first version of the code.
 CLI_GOLDEN = {
     ("homogeneous", "rate"): (
         0, "33fe81e764bcb4e3ac2e96ff022f45535acf22475c929ba6aca44b200219ed22",
@@ -48,34 +50,35 @@ CLI_GOLDEN = {
         0, "33fe81e764bcb4e3ac2e96ff022f45535acf22475c929ba6aca44b200219ed22",
         "e93d15131a3edd1698c994e1de983bf9bc9abeedf8e010a10013dedefaaf734e"),
     ("homogeneous", "verify"): (
-        0, "2e1191601579ee66f722ad221751832d76b664479d3b8a324ff94747bdb50fd7",
-        "c41ec75f6180ffd2c1e54a08a69bae96e87ebb283e3686f5457bbfc0e73a73d0"),
+        0, "5d874a28e4b9cb8bf25e8caadcd27f627109a87e5d873f39e58942495d66d5ac",
+        "b6fdd3b5ceb54a11626dfaaef1ce1ff6496e986faff4a50c85506616fd6bb7aa"),
     ("sinusoid", "bounds"): (
         0, "278f625373c1463a67dc82d5069b2f799366b4da29c0e9e6ca6ec6d462f1fd1a",
         "a8a7ed04f082aa0e7d31a36dda841bf5797d281f424e1e270b50ee6ad958cb8b"),
     ("sinusoid", "verify"): (
-        0, "cdd7275788b52d0b88bf959b0a146e9f20f233c13fbed8c7f55e6fec9b563c02",
+        0, "3b7153990a74785a5b8df769384498e718a80a162b917e1437f5b40e44d318dd",
         "73f7e86cdebe7bc1e00672c038bba13de04d420ed9f9235494757177b6b5c66f"),
     ("table", "bounds"): (
         0, "a1038b9d4b230da771b3c469c27d55530028b7798bd22d018593dbcd4c41613e",
         "cefc5e3b813254b0cbaa043e68d397543a826f18fb96407a8a62f83a8c218d4c"),
     ("table", "verify"): (
-        0, "afc163e9996ccaa9caff14af8749a51fb9e92c453e681f4b3e75e079b23242bd",
+        0, "aa5fffe40cca18ca4de7e65fbd6f2425e2704234e12722c8ead3abb635f47fae",
         "c94dca0e9ee3fe387fd103c9c1b8a0423f297f5e5b9398e15612c8d9ec9310ae"),
     ("weights", "bounds"): (
         0, "6140a21f2f29e2d225f4874976c8f49d8efa58c3213f1f85216399ff855a3917",
         "7d8d6240952b249e2ac7eae48aa3b4ce7f0c1977780e2e7a5f67e8d5c04e9736"),
     ("weights", "verify"): (
-        0, "38f0005760d1e3c7ef7ad97b6e710ad40f66e9378fbe885ebc09709c40e92ff1",
+        0, "db58d22230f868bfe9987a970af29e47268e3ff713a2fa9fa3e35080231693fd",
         "aa6a9afb5576588c7f8b71f0a7036687bb655a5ad058f5391e0a17860281ec84"),
 }
 
-# library writer case -> sha256 of the CSV
+# library writer case -> sha256 of the CSV; the verification cases were
+# recorded with trials propagated by the step-h propagators
 LIBRARY_GOLDEN = {
     "trajectory-forward": "3c28f86bf85a436ed5681fe8829ef82453e5df021abe7fc6d6c8d2c7c9f7870a",
     "trajectory-transformed": "5ed5da4b0ad9087505bce0d11ad196fcf513022c2574b54e04780e90cce9518f",
-    "verification-bounds": "7128c6bd704153f6c6ab3bd979980e92da848026bbf2a11116442073a2fdf1b4",
-    "verification-coupling": "1957289c60106eeb6f0a1b17fe69b97d821ac57448d1000f0c8cff0402ab88ac",
+    "verification-bounds": "ca708f290ef67716a541abb588058dfe0966d06bb70e2c0853bee9d5b2a49497",
+    "verification-coupling": "e5a3e69cd8ca40646c4d8e84a6cc06f20972303ac7c17786baba4cab438ded75",
 }
 
 
@@ -147,3 +150,25 @@ def test_homogeneous_rate_agrees_with_first_printed_values(tmp_path, capsys):
     printed = np.array([float(w) for w in lines["weights"].split()])
     assert abs(lambda0 - PRINTED_LAMBDA0) <= 1e-12 * abs(PRINTED_LAMBDA0)
     assert np.all(np.abs(printed - PRINTED_WEIGHTS) <= 1e-12 * np.abs(PRINTED_WEIGHTS))
+
+
+# worst ratios printed by `verify` when each trial was integrated on its own
+PRINTED_WORST = {
+    "sinusoid": ("1", "1", "1"),
+    "homogeneous": ("1.000000000019003", "1", "1.0000000000190032"),
+}
+
+
+@pytest.mark.parametrize("model", sorted(PRINTED_WORST))
+def test_verify_worst_ratios_agree_with_first_printed_values(tmp_path, capsys, model):
+    chain, weights = MODELS[model]
+    path = tmp_path / f"{model}.json"
+    path.write_text(json.dumps({"schema": 1, "chain": chain,
+                                "analysis": dict(ANALYSIS, weights=weights)}))
+    capsys.readouterr()
+    assert cli.main(["verify", str(path)]) == 0
+    printed = [float(line.split(": ")[1]) for line in capsys.readouterr().out.splitlines()
+               if line.strip().startswith("worst")]
+    expected = [float(v) for v in PRINTED_WORST[model]]
+    assert len(printed) == len(expected)
+    assert all(abs(p - e) <= 1e-12 * abs(e) for p, e in zip(printed, expected))

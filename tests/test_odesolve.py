@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ctmc_bounds as cb
+from ctmc_bounds import odesolve
 from conftest import random_class_chain, random_sharp_chain
 
 
@@ -158,6 +159,26 @@ def test_verify_bounds_deterministic_given_seed():
     assert np.array_equal(a.ratio_upper_max, b.ratio_upper_max)
     assert np.array_equal(a.ratio_lower_min, b.ratio_lower_min)
     assert a.worst_upper == b.worst_upper and a.worst_lower == b.worst_lower
+
+
+@pytest.mark.parametrize("spec", [cb.birth_death_chain(2, [1.0, 2.0], [2.0, 1.0]),
+                                  cb.birth_death_chain(2, [cb.RateFunction.sinusoid(
+                                      1.0, 0.5, 1.0), 2.0], [2.0, 1.0])],
+                         ids=["homogeneous", "time-varying"])
+@pytest.mark.parametrize("verify", [cb.verify_bounds, cb.verify_convergence_coupling])
+def test_each_verifier_scans_once_per_step_size(monkeypatch, verify, spec):
+    # the trials ride on the step-h identity scan of the integrator margin
+    steps = []
+    stream = odesolve._rk4_stream
+
+    def counted(mats, n, h, x0):
+        steps.append((n, h, len(mats)))
+        return stream(mats, n, h, x0)
+
+    monkeypatch.setattr(odesolve, "_rk4_stream", counted)
+    assert verify(spec, None, 1.0, 8, 3).passed
+    stack = 1 if spec.is_homogeneous else 33
+    assert sorted(steps) == [(8, 0.125, (stack + 1) // 2), (16, 0.0625, stack)]
 
 
 # B*(3,2) = a_1 - a_2 = -1.9: the batch rates increase with the batch size

@@ -5,11 +5,12 @@ import pytest
 
 import ctmc_bounds as cb
 from conftest import CLASS_KINDS, random_class_chain, random_regular_general
+from linalg_oracles import triangular_pair
 
 
 def test_triangular_pair_exact_inverse():
     for S in range(1, 13):
-        T, Tinv = cb.triangular_pair(S)
+        T, Tinv = triangular_pair(S)
         eye = np.eye(S, dtype=int)
         assert np.array_equal(T @ Tinv, eye)
         assert np.array_equal(Tinv @ T, eye)
@@ -17,7 +18,7 @@ def test_triangular_pair_exact_inverse():
 
 def test_triangular_action_is_tail_sums():
     rng = np.random.default_rng(0)
-    T, _ = cb.triangular_pair(6)
+    T, _ = triangular_pair(6)
     x = rng.normal(size=6)
     tails = np.array([x[i:].sum() for i in range(6)])
     assert np.allclose(T @ x, tails, atol=1e-15)
@@ -58,7 +59,7 @@ def test_to_bstar_matches_matrix_products():
     rng = np.random.default_rng(2)
     for S in (1, 2, 5, 9):
         B = rng.normal(size=(S, S))
-        T, Tinv = cb.triangular_pair(S)
+        T, Tinv = triangular_pair(S)
         direct = T @ B @ Tinv
         assert np.allclose(cb.to_bstar(B), direct, atol=1e-12 * max(1, np.abs(B).max()))
 
@@ -222,6 +223,19 @@ def test_essential_nonnegativity_reads_a_stack_without_copying():
         tracemalloc.stop()
     assert rep.passed
     assert peak < stack.nbytes / 10
+
+
+def test_to_bstar_allocates_only_its_result():
+    stack = np.random.default_rng(4).normal(size=(4001, 30, 30))
+    tracemalloc.start()
+    try:
+        out = cb.to_bstar(stack)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * out.nbytes
+    assert out.flags.c_contiguous
+    assert np.array_equal(out[17], cb.to_bstar(stack[17]))
 
 
 def test_regular_chains_have_essentially_nonnegative_transform():
