@@ -22,6 +22,8 @@ print("\nenvelope verification (500 signed + 500 nonnegative starts):")
 print(f"  passed            : {rep.passed}")
 print(f"  worst upper ratio : {rep.worst_upper:.12f}")
 print(f"  worst lower ratio : {rep.worst_lower:.12f}")
+print(f"  exact upper ratio : {rep.exact_upper:.12f} (every start, from the propagators)")
+print(f"  exact lower ratio : {rep.exact_lower:.12f} (every non-negative start)")
 print(f"  integrator margin : {rep.integrator_margin:.2e} (step halving)")
 print(f"  quadrature margin : {rep.quadrature_margin:.2e} (grid doubling)")
 

@@ -19,8 +19,8 @@ from .transform import (NonnegativityError, NonnegReport, analytic_bstar,
 from .spectral import (ConditionReport, PowerIterationError, ReducibleMatrixError,
                        SharpRate, SharpnessConditionError, check_irreducible,
                        check_sharpness_conditions, closed_form_bd, perron_weights)
-from .bounds import (BoundReport, bound_report_to_csv, compute_bounds,
-                     cumulative_simpson, sharp_report)
+from .bounds import (BoundReport, NonFiniteBoundError, bound_report_to_csv,
+                     compute_bounds, cumulative_simpson, sharp_report)
 from .odesolve import (OdeBlowUpError, Trajectory, VerificationReport, solve,
                        trajectory_to_csv, verification_to_csv, verify_bounds,
                        verify_convergence_coupling)
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisSettings", "BoundReport", "ChainSpec", "ConditionReport",
-    "InhomogeneousChainError", "ModelFile", "ModelFileError", "NonnegReport",
+    "InhomogeneousChainError", "ModelFile", "ModelFileError", "NonFiniteBoundError", "NonnegReport",
     "NonnegativityError", "OdeBlowUpError", "PowerIterationError",
     "RateEvaluationError", "RateFunction", "ReducibleMatrixError",
     "RegularityReport", "RegularityViolation", "SharpRate",

@@ -27,6 +27,10 @@ from .transform import (apply_weights, build_reduced, require_essential_nonnegat
 CSV_COLUMNS = ("t", "h_upper", "h_lower", "I_upper", "I_lower", "env_upper", "env_lower")
 
 
+class NonFiniteBoundError(ArithmeticError):
+    """An envelope integral or envelope left the double-precision range."""
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Envelope bounds on [0, Tmax] for one chain and one weight vector.
@@ -84,6 +88,26 @@ def cumulative_simpson(values_half, step: float):
     return out
 
 
+def envelope(values_half, step: float):
+    """(I, exp(I)): the running Simpson integral of the samples and its envelope.
+
+    The samples lie on a half-step grid as for :func:`cumulative_simpson`.
+    Raises NonFiniteBoundError, naming the first such time, if an integral
+    or an envelope is not finite, as with rates or horizons near the
+    double-precision range.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        I = cumulative_simpson(values_half, step)
+        env = np.exp(I)
+    bad = ~(np.isfinite(I) & np.isfinite(env))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NonFiniteBoundError(
+            f"envelope integral {float(I[i])} (envelope {float(env[i])}) at t={i * step} "
+            f"is not finite: the rates or the horizon exceed the double-precision range")
+    return I, env
+
+
 def compute_bounds(spec: ChainSpec, weights, tmax: float, n_grid: int,
                    checks: bool = True) -> BoundReport:
     """Evaluate the two-sided envelopes for a chain on [0, tmax].
@@ -103,6 +127,9 @@ def compute_bounds(spec: ChainSpec, weights, tmax: float, n_grid: int,
         warning) and essential non-negativity of the transformed matrix
         (a failure raises NonnegativityError, since the envelope argument
         needs it).
+
+    Raises NonFiniteBoundError if an envelope integral or envelope is not
+    finite.
 
     A homogeneous chain's transformed matrix is built and checked once;
     its column-sum extremes are constant along the grid.
@@ -128,12 +155,11 @@ def compute_bounds(spec: ChainSpec, weights, tmax: float, n_grid: int,
     sums = apply_weights(Bstar, d).sum(axis=-2)
     h_up = np.broadcast_to(sums.max(axis=-1), half.shape)
     h_lo = np.broadcast_to(sums.min(axis=-1), half.shape)
-    I_up = cumulative_simpson(h_up, tmax / n)
-    I_lo = cumulative_simpson(h_lo, tmax / n)
+    I_up, env_up = envelope(h_up, tmax / n)
+    I_lo, env_lo = envelope(h_lo, tmax / n)
 
     return BoundReport(grid=half[::2], h_upper=h_up[::2], h_lower=h_lo[::2],
-                       I_upper=I_up, I_lower=I_lo,
-                       env_upper=np.exp(I_up), env_lower=np.exp(I_lo),
+                       I_upper=I_up, I_lower=I_lo, env_upper=env_up, env_lower=env_lo,
                        weights=d, warnings=tuple(warnings))
 
 

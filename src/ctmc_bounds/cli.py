@@ -19,7 +19,8 @@ Exit codes (a total function of the outcome):
       weight modes refuse such a chain)
 2     model file cannot be parsed, or an analysis value is out
       of range
-3     rate evaluation, a trajectory or the Perron solve failed
+3     rate evaluation, a trajectory or the Perron solve failed,
+      or an envelope is not finite
 4     homogeneous-only command applied to a time-varying chain
 5     transformed matrix is reducible
 6     sharpness conditions not satisfied
@@ -35,7 +36,8 @@ import sys
 
 import numpy as np
 
-from .bounds import bound_report_to_csv, compute_bounds, sharp_report, write_csv
+from .bounds import (NonFiniteBoundError, bound_report_to_csv, compute_bounds,
+                     sharp_report, write_csv)
 from .chain import InhomogeneousChainError, check_regularity
 from .modelfile import AnalysisSettings, ModelFileError, load_model
 from .odesolve import (OdeBlowUpError, verify_bounds, verify_convergence_coupling)
@@ -56,7 +58,7 @@ EXIT_CONDITIONS = 6
 # typed errors and the exit codes main() maps them to
 _ERROR_EXITS = ((NonnegativityError, EXIT_VIOLATION), (ModelFileError, EXIT_PARSE),
                 (RateEvaluationError, EXIT_EVAL), (OdeBlowUpError, EXIT_EVAL),
-                (PowerIterationError, EXIT_EVAL),
+                (PowerIterationError, EXIT_EVAL), (NonFiniteBoundError, EXIT_EVAL),
                 (InhomogeneousChainError, EXIT_INHOMOGENEOUS),
                 (ReducibleMatrixError, EXIT_REDUCIBLE),
                 (SharpnessConditionError, EXIT_CONDITIONS))
@@ -231,6 +233,9 @@ def cmd_verify(args) -> int:
         print(f"  worst upper ratio: {format(rep.worst_upper, '.17g')}")
         if rep.worst_lower is not None:
             print(f"  worst lower ratio: {format(rep.worst_lower, '.17g')}")
+        if rep.exact_upper is not None:
+            print(f"  exact ratios over all starts: upper {format(rep.exact_upper, '.17g')}, "
+                  f"lower {format(rep.exact_lower, '.17g')}")
         if not rep.passed:
             phase, trial, t, ratio = rep.violations[0]
             print(f"  first violation: {phase}, trial {trial}, t={_fmt(t)}, "

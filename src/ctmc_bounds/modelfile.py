@@ -100,6 +100,25 @@ class ModelFile:
     analysis: AnalysisSettings = field(default_factory=AnalysisSettings)
 
 
+def _integer(value, name):
+    """A JSON integer, or a float with an integral value, as int; ModelFileError otherwise."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ModelFileError(f"'{name}' must be an integer, got {json.dumps(value)}")
+
+
+def _number(value, name):
+    """A JSON number as float; strings, booleans and out-of-range integers are refused."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ModelFileError(f"'{name}' must be a number, got {json.dumps(value)}")
+
+
 def _parse_rate(node, defs, where):
     if isinstance(node, str):
         if node not in defs:
@@ -140,10 +159,7 @@ def _parse_chain(node) -> ChainSpec:
     kind = node.get("kind")
     if kind not in KINDS:
         raise ModelFileError(f"chain kind must be one of {KINDS}, got {kind!r}")
-    try:
-        S = int(node["states"])
-    except (KeyError, TypeError, ValueError):
-        raise ModelFileError("'chain.states' must be a positive integer") from None
+    S = _integer(node.get("states"), "chain.states")
 
     defs = {}
     for name, sub in (node.get("define") or {}).items():
@@ -154,7 +170,8 @@ def _parse_chain(node) -> ChainSpec:
             transitions = {}
             for idx, entry in enumerate(node.get("transitions") or ()):
                 try:
-                    i, j = int(entry["from"]), int(entry["to"])
+                    i = _integer(entry["from"], f"transitions[{idx}].from")
+                    j = _integer(entry["to"], f"transitions[{idx}].to")
                     rate = _parse_rate(entry["rate"], defs, f"transitions[{idx}]")
                 except (KeyError, TypeError) as exc:
                     raise ModelFileError(f"transitions[{idx}]: missing field {exc}") from None
@@ -176,9 +193,10 @@ def _parse_chain(node) -> ChainSpec:
         raise ModelFileError(str(exc)) from None
 
 
-# numeric analysis fields and their types; absent ones take the AnalysisSettings defaults
-_ANALYSIS_NUMBERS = {"horizon": float, "grid": int, "steps": int, "trials": int,
-                     "pairs": int, "seed": int, "tolerance": float}
+# numeric analysis fields and their parsers; absent ones take the AnalysisSettings defaults
+_ANALYSIS_NUMBERS = {"horizon": _number, "grid": _integer, "steps": _integer,
+                     "trials": _integer, "pairs": _integer, "seed": _integer,
+                     "tolerance": _number}
 
 
 def _parse_analysis(node) -> AnalysisSettings:
@@ -198,17 +216,11 @@ def _parse_analysis(node) -> AnalysisSettings:
             weights_mode = w
         elif isinstance(w, list):
             weights_mode = "list"
-            try:
-                weights = tuple(float(v) for v in w)
-            except (TypeError, ValueError):
-                raise ModelFileError("weights list must contain numbers") from None
+            weights = tuple(_number(v, f"analysis.weights[{i}]") for i, v in enumerate(w))
         else:
             raise ModelFileError("'analysis.weights' must be a mode name or a list")
-    try:
-        numbers = {key: kind(node[key]) for key, kind in _ANALYSIS_NUMBERS.items()
-                   if key in node}
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ModelFileError(f"invalid analysis value: {exc}") from None
+    numbers = {key: kind(node[key], f"analysis.{key}")
+               for key, kind in _ANALYSIS_NUMBERS.items() if key in node}
     return AnalysisSettings(weights_mode=weights_mode, weights=weights, **numbers)
 
 

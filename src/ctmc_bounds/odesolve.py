@@ -6,21 +6,28 @@ Three linear systems are integrated with classical fixed-step RK4:
 ``reduced_hom``  y' = B(t) y       the reduced homogeneous-in-y system
 ``transformed``  w' = B**(t) w     the weighted transformed system
 
-The verifiers scan the identity with steps h and h/2. Every trajectory of
-a random initial vector x0 is Phi_k x0 for the step-h propagators Phi_k,
-and its norm is compared with the exponential envelopes; the distance to
-the step-h/2 propagators certifies the integrator error.
+One engine, :func:`_rk4_scan`, integrates all of them in chunks of c steps.
+The c one-step RK4 operators R_k of a chunk (x_{k+1} = R_k x_k) are formed
+at once by batched matrix products, and the state crosses the chunk with
+one product per step. A constant system has a single operator R; its
+powers R^1..R^c are formed once, and each chunk is one batched product.
+:func:`solve` runs the engine from the caller's initial vector. The
+verifiers run it from the identity with steps h and h/2 and receive the
+step-h propagators Phi_k a chunk at a time: every trajectory of a random
+initial vector x0 is Phi_k x0, its norm is compared with the exponential
+envelopes, and the distance to the step-h/2 propagators certifies the
+integrator error.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
-from .bounds import check_horizon, cumulative_simpson, write_csv
+from .bounds import check_horizon, envelope, write_csv
 from .chain import ChainSpec, eval_transposed, evaluation_times
 from .transform import (apply_weights, build_reduced, require_essential_nonnegativity,
                         to_bstar, validate_weights)
@@ -30,6 +37,8 @@ SYSTEMS = ("forward", "reduced_hom", "transformed")
 MAX_STATE = 1e12          # blow-up guard threshold
 MIN_DRAW_NORM = 1e-6      # random initial vectors below this l1 norm are redrawn
 VIOLATION_CAP = 100       # violations stored per report (the count is exact)
+CHUNK_STEPS = 32          # RK4 steps per chunk of the scan ...
+CHUNK_FLOATS = 1 << 16    # ... fewer when a chunk of S x S operators exceeds this
 
 
 class OdeBlowUpError(RuntimeError):
@@ -60,7 +69,7 @@ def _system_matrices(system, spec, weights, ts):
     """Coefficient matrices of the chosen system at evaluation_times(spec, ts).
 
     A homogeneous chain gives a stack of one matrix, the same at every time
-    of ts; :func:`_rk4_stream` then applies its exact one-step operator.
+    of ts; :func:`_rk4_scan` then powers its one-step operator.
     """
     if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}; choose from {SYSTEMS}")
@@ -73,41 +82,82 @@ def _system_matrices(system, spec, weights, ts):
     return apply_weights(to_bstar(B), _weight_vector(weights, spec.S))
 
 
-def _rk4_stream(mats, n, h, x0):
-    """Yield (k, state) after k = 0..n classical RK4 steps of size h from x0.
+def _chunk_length(dim):
+    """Steps per chunk of the scan: CHUNK_STEPS, fewer when dim x dim operators are large."""
+    return max(1, min(CHUNK_STEPS, CHUNK_FLOATS // (dim * dim)))
 
-    mats holds the coefficient matrix at spacing h/2 (2n+1 matrices), so
-    every stage time is on the grid, or one matrix for a constant system,
-    whose exact one-step operator I + hM + ... + (hM)^4/24 is then applied
-    once per step. States may be vectors or column batches; started from
-    the identity, the stream yields the step-h propagators.
+
+def _step_operators(M0, Mm, M1, h):
+    """One-step RK4 operators R = I + h/6 (M0 + 2 (K2 + K3) + K4) of stacks of matrices.
+
+    M0, Mm and M1 hold the coefficient matrix at the start, the midpoint and
+    the end of each step. K2 = Mm + h/2 Mm M0, K3 = Mm + h/2 Mm K2 and
+    K4 = M1 + h M1 K3 map x to the RK4 stages, so R x is one RK4 step of x.
+    """
+    K = Mm + (0.5 * h) * (Mm @ M0)
+    R = M0 + 2.0 * K
+    K = Mm + (0.5 * h) * (Mm @ K)
+    R += 2.0 * K
+    R += M1 + h * (M1 @ K)
+    R *= h / 6.0
+    R.reshape(len(R), -1)[:, ::R.shape[-1] + 1] += 1.0
+    return R
+
+
+def _rk4_scan(mats, n, h, x0, halved=False):
+    """Yield (k, states): the RK4 states x_k, x_{k+1}, ... of n steps of h from x0.
+
+    The first chunk is (0, x0[None]); the others hold up to
+    _chunk_length(dim) consecutive states each. mats holds the coefficient
+    matrix at spacing h/2 (2n+1 matrices), so every stage time is on the
+    grid, or one matrix for a constant system. With halved, each step is
+    two RK4 steps of h/2, applied as the product R_{2j+1} R_{2j}, and mats
+    holds 4n+1 matrices at spacing h/4. States may be vectors or column
+    batches; started from the identity, the scan yields the propagators.
+    Yielded arrays are fresh; callers may keep them.
+
+    Raises OdeBlowUpError at the first state beyond MAX_STATE in magnitude
+    or not finite; the check runs once per chunk.
     """
     x = np.array(x0, dtype=float)
-    yield 0, x
-    if len(mats) == 1:
-        P = np.eye(len(mats[0]))
-        for denom in (4.0, 3.0, 2.0, 1.0):
-            P = np.eye(len(P)) + (h / denom) * (mats[0] @ P)
-    sixth = h / 6.0
-    half = 0.5 * h
-    for k in range(n):
+    yield 0, x[None]
+    c = _chunk_length(mats.shape[-1])
+    hs = 0.5 * h if halved else h
+    # overflow is left to the guard, which names the first state it reaches
+    with np.errstate(over="ignore", invalid="ignore"):
         if len(mats) == 1:
-            x = P @ x
-        else:
-            M0, Mm, M1 = mats[2 * k], mats[2 * k + 1], mats[2 * k + 2]
-            k1 = M0 @ x
-            k2 = Mm @ (x + half * k1)
-            k3 = Mm @ (x + half * k2)
-            k4 = M1 @ (x + h * k3)
-            x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        _guard(x, (k + 1) * h)
-        yield k + 1, x
+            R = _step_operators(mats, mats, mats, hs)[0]
+            powers = np.empty((min(c, n),) + R.shape)
+            powers[0] = R @ R if halved else R
+            for i in range(1, len(powers)):
+                np.matmul(powers[0], powers[i - 1], out=powers[i])
+    per_step = 4 if halved else 2
+    for k in range(0, n, c):
+        m = min(c, n - k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if len(mats) == 1:
+                states = powers[:m] @ x
+            else:
+                sub = mats[per_step * k: per_step * (k + m) + 1]
+                R = _step_operators(sub[0:-1:2], sub[1::2], sub[2::2], hs)
+                if halved:
+                    R = R[1::2] @ R[0::2]
+                states = np.empty((m,) + x.shape)
+                for i in range(m):
+                    x = np.matmul(R[i], x, out=states[i])
+            _guard(states, k + 1, h)
+        x = states[-1]
+        yield k + 1, states
 
 
-def _guard(x, t):
-    peak = float(np.max(np.abs(x))) if x.size else 0.0
-    if not math.isfinite(peak) or peak > MAX_STATE:
-        raise OdeBlowUpError(f"state magnitude {peak} at t={t} exceeds {MAX_STATE}")
+def _guard(states, k, h):
+    """OdeBlowUpError at the first of the states x_k, x_{k+1}, ... beyond MAX_STATE."""
+    if not states.size or (states.max() <= MAX_STATE and states.min() >= -MAX_STATE):
+        return
+    peaks = np.abs(states.reshape(len(states), -1)).max(axis=1)
+    i = int(np.argmax(~(peaks <= MAX_STATE)))
+    raise OdeBlowUpError(f"state magnitude {float(peaks[i])} at t={(k + i) * h} "
+                         f"exceeds {MAX_STATE}")
 
 
 def solve(system: str, spec: ChainSpec, x0, tmax: float, n_steps: int,
@@ -142,8 +192,8 @@ def solve(system: str, spec: ChainSpec, x0, tmax: float, n_steps: int,
     ts = np.linspace(0.0, tmax, 2 * n + 1)
     mats = _system_matrices(system, spec, weights, ts)
     states = np.empty((n + 1,) + x0.shape)
-    for k, x in _rk4_stream(mats, n, tmax / n, x0):
-        states[k] = x
+    for k, chunk in _rk4_scan(mats, n, tmax / n, x0):
+        states[k:k + len(chunk)] = chunk
     return Trajectory(grid=ts[::2], states=states, coords=_COORDS[system])
 
 
@@ -156,7 +206,12 @@ class VerificationReport:
     the smallest lower-envelope ratio and must stay above 1 - slack_total.
     slack_total widens the requested slack by the measured integrator and
     quadrature margins. ratio_upper_max / ratio_lower_min hold the per-grid
-    extremes across trials for CSV export.
+    extremes across trials for CSV export. exact_upper / exact_lower
+    (bounds kind only) are the same extremes over every initial vector,
+    read from the propagators Phi_k: the induced l1 norm of Phi_k over
+    env_up(t_k), and its smallest column sum over env_lo(t_k), the worst
+    case for non-negative starts. They are reported; the verdict rests on
+    the random trials.
     """
 
     kind: str
@@ -178,6 +233,8 @@ class VerificationReport:
     ratio_lower_min: np.ndarray | None = None
     prob_sum_error: float | None = None
     prob_min: float | None = None
+    exact_upper: float | None = None
+    exact_lower: float | None = None
 
 
 def _draw_columns(rng, dim, count, signed):
@@ -191,24 +248,37 @@ def _draw_columns(rng, dim, count, signed):
     return X
 
 
-def _propagators(mats_fine, n, h):
-    """Yield (k, Phi_k, ||Phi_k - Psi_k||_1->1) for k = 0..n from two identity scans.
+def _draw_pairs(rng, dim, n_pairs):
+    """2 n_pairs random probability vectors as columns; pair j is columns j and n_pairs + j."""
+    P = rng.uniform(0.0, 1.0, size=(dim, 2 * n_pairs))
+    P /= P.sum(axis=0)
+    return P
 
-    Phi_k and Psi_k are the RK4 propagators from 0 to t_k = k h with steps
-    h and h/2; mats_fine holds the matrices at spacing h/4 (or just one).
-    Twice the divergence estimates the integrator error of Phi_k x0 relative
-    to ||x0||_1, the conservative Richardson-style margin.
+
+def _propagators(mats_fine, n, h):
+    """Yield (k, Phi, Psi): the RK4 propagators from 0 to t_k, t_{k+1}, ... in chunks.
+
+    Phi[i] and Psi[i] propagate from 0 to t_{k+i} = (k+i) h with steps h
+    and h/2; mats_fine holds the matrices at spacing h/4 (or just one).
+    Both identity scans take n sequential steps. Twice the divergence
+    ||Phi - Psi||_1->1 estimates the integrator error of Phi x0 relative to
+    ||x0||_1, the conservative Richardson-style margin.
     """
     eye = np.eye(mats_fine.shape[-1])
-    halved = islice(_rk4_stream(mats_fine, 2 * n, 0.5 * h, eye), 0, None, 2)
-    for (k, phi), (_, psi) in zip(_rk4_stream(mats_fine[::2], n, h, eye), halved):
-        yield k, phi, float(np.abs(phi - psi).sum(axis=0).max())
+    for (k, phi), (_, psi) in zip(_rk4_scan(mats_fine[::2], n, h, eye),
+                                  _rk4_scan(mats_fine, n, h, eye, halved=True)):
+        yield k, phi, psi
 
 
-def _beyond(phase, ratios, broken, t, first_trial=0):
-    """Candidate violations (phase, trial, t, ratio) where broken holds."""
-    return [(phase, first_trial + int(j), float(t), float(ratios[j]))
-            for j in np.flatnonzero(broken)]
+def _l1_norms(M):
+    """Induced l1 norm, the largest absolute column sum, of each matrix of a stack."""
+    return np.abs(M).sum(axis=-2).max(axis=-1)
+
+
+def _beyond(phase, ratios, broken, times, first_trial=0):
+    """Candidate violations (phase, trial, t, ratio) where broken holds; rows are times."""
+    return [(phase, first_trial + int(j), float(times[i]), float(ratios[i, j]))
+            for i, j in zip(*np.nonzero(broken))]
 
 
 def _confirm(candidates, slack_total):
@@ -247,7 +317,8 @@ def _verification_setup(spec, weights, tmax, n_steps) -> _Setup:
     halved grid, else NonnegativityError is raised before any trial runs.
     The envelopes integrate the column-sum extremes by Simpson's rule on
     the step grid; the quadrature margin is their largest difference from
-    the integrals on the halved grid.
+    the integrals on the halved grid. NonFiniteBoundError is raised if an
+    envelope overflows.
     """
     d = _weight_vector(weights, spec.S)
     tmax, n = check_horizon(tmax, n_steps)
@@ -261,14 +332,14 @@ def _verification_setup(spec, weights, tmax, n_steps) -> _Setup:
     sums = weighted.sum(axis=-2)
     h_up = np.broadcast_to(sums.max(axis=-1), ts_fine.shape)
     h_lo = np.broadcast_to(sums.min(axis=-1), ts_fine.shape)
-    I_up = cumulative_simpson(h_up[::2], h)
-    I_lo = cumulative_simpson(h_lo[::2], h)
-    I_up_f = cumulative_simpson(h_up, 0.5 * h)
-    I_lo_f = cumulative_simpson(h_lo, 0.5 * h)
+    I_up, env_up = envelope(h_up[::2], h)
+    I_lo, env_lo = envelope(h_lo[::2], h)
+    I_up_f, _ = envelope(h_up, 0.5 * h)
+    I_lo_f, _ = envelope(h_lo, 0.5 * h)
     quad_margin = max(float(np.max(np.abs(I_up_f[::2] - I_up))),
                       float(np.max(np.abs(I_lo_f[::2] - I_lo))))
     return _Setup(d=d, tmax=tmax, n=n, h=h, ts_fine=ts_fine, mats_fine=weighted,
-                  env_up=np.exp(I_up), env_lo=np.exp(I_lo), quad_margin=quad_margin)
+                  env_up=env_up, env_lo=env_lo, quad_margin=quad_margin)
 
 
 def _report(kind, st, violations, **fields) -> VerificationReport:
@@ -294,7 +365,8 @@ def verify_bounds(spec: ChainSpec, weights, tmax: float, n_steps: int = 10_000,
 
     The trajectories are the step-h RK4 propagators of the transformed
     system applied to the draws; the same scan compares each propagator
-    with the step-h/2 one. A ratio beyond 1 +/- slack_total at any grid
+    with the step-h/2 one and reads the exact worst ratios over every
+    initial vector off it. A ratio beyond 1 +/- slack_total at any grid
     time is recorded as a violation and fails the report; slack_total =
     slack + that step-halving integrator margin + the quadrature refinement
     margin. Raises NonnegativityError, before any trial runs, if B*(t) is
@@ -311,14 +383,20 @@ def verify_bounds(spec: ChainSpec, weights, tmax: float, n_steps: int = 10_000,
 
     band, worst, candidates = slack + st.quad_margin, 0.0, []
     ratio_up_max, ratio_lo_min = np.empty(st.n + 1), np.empty(st.n + 1)
-    for k, phi, divergence in _propagators(st.mats_fine, st.n, st.h):
-        worst = max(worst, divergence / float(st.env_lo[k]))
-        norms = np.abs(phi @ X0).sum(axis=0)
-        up = norms / (st.env_up[k] * norms0)
-        lo = norms[n_trials:] / (st.env_lo[k] * norms0[n_trials:])
-        ratio_up_max[k], ratio_lo_min[k] = up.max(), lo.min()
-        candidates += _beyond("upper", up, up > 1.0 + band, st.ts_fine[4 * k])
-        candidates += _beyond("lower", lo, lo < 1.0 - band, st.ts_fine[4 * k], n_trials)
+    exact_up, exact_lo, grid = 0.0, math.inf, st.ts_fine[::4]
+    for k, phi, psi in _propagators(st.mats_fine, st.n, st.h):
+        ks = slice(k, k + len(phi))
+        env_up, env_lo = st.env_up[ks], st.env_lo[ks]
+        worst = max(worst, float((_l1_norms(phi - psi) / env_lo).max()))
+        exact_up = max(exact_up, float((_l1_norms(phi) / env_up).max()))
+        exact_lo = min(exact_lo, float((phi.sum(axis=-2).min(axis=-1) / env_lo).min()))
+        Y = phi @ X0
+        norms = np.abs(Y, out=Y).sum(axis=-2)
+        up = norms / (env_up[:, None] * norms0)
+        lo = norms[:, n_trials:] / (env_lo[:, None] * norms0[n_trials:])
+        ratio_up_max[ks], ratio_lo_min[ks] = up.max(axis=1), lo.min(axis=1)
+        candidates += _beyond("upper", up, up > 1.0 + band, grid[ks])
+        candidates += _beyond("lower", lo, lo < 1.0 - band, grid[ks], n_trials)
 
     integ_margin = 2.0 * worst
     slack_total = slack + integ_margin + st.quad_margin
@@ -326,7 +404,8 @@ def verify_bounds(spec: ChainSpec, weights, tmax: float, n_steps: int = 10_000,
         "bounds", st, _confirm(candidates, slack_total), n_trials=n_trials, seed=seed,
         slack=slack, integrator_margin=integ_margin, slack_total=slack_total,
         worst_upper=float(ratio_up_max.max()), worst_lower=float(ratio_lo_min.min()),
-        ratio_upper_max=ratio_up_max, ratio_lower_min=ratio_lo_min)
+        ratio_upper_max=ratio_up_max, ratio_lower_min=ratio_lo_min,
+        exact_upper=exact_up, exact_lower=exact_lo)
 
 
 def verify_convergence_coupling(spec: ChainSpec, weights, tmax: float,
@@ -334,11 +413,13 @@ def verify_convergence_coupling(spec: ChainSpec, weights, tmax: float,
                                 seed: int = 0, slack: float = 1e-8) -> VerificationReport:
     """Tie the envelope back to the chain: differences of probability trajectories.
 
-    Draws pairs of random probability vectors, propagates them with the
-    step-h RK4 propagators of the forward system, maps the difference of
-    the non-zero-state coordinates through the tail-sum transform and the
-    weights, and checks the upper envelope on the resulting norm; the
-    integrator margin compares the propagators with the step-h/2 ones.
+    Draws pairs of random probability vectors, propagates them and their
+    differences with the step-h RK4 propagators of the forward system, maps
+    the propagated difference of the non-zero-state coordinates through the
+    tail-sum transform and the weights, and checks the upper envelope on
+    the resulting norm; the integrator margin compares the propagators with
+    the step-h/2 ones. Propagating the difference, not differencing the
+    propagated pair, keeps nearly equal pairs free of cancellation.
     Probability conservation (column sums within 1e-10 of one) and
     nonnegativity (entries >= -1e-12) are checked on every forward
     trajectory as well. Raises NonnegativityError, before any pair runs, if
@@ -347,29 +428,36 @@ def verify_convergence_coupling(spec: ChainSpec, weights, tmax: float,
     n_pairs = int(n_pairs)
     if n_pairs < 1:
         raise ValueError(f"need at least one pair, got {n_pairs}")
-    # envelopes and quadrature margin belong to the transformed system
-    st = _verification_setup(spec, weights, tmax, n_steps)
+    # envelopes and quadrature margin belong to the transformed system, whose
+    # stack is dropped before the forward one is built
+    st = dataclasses.replace(_verification_setup(spec, weights, tmax, n_steps),
+                             mats_fine=None)
     # trajectories come from the forward system
     mats_fine = _system_matrices("forward", spec, None, st.ts_fine)
 
     rng = np.random.default_rng(seed)
-    P = rng.uniform(0.0, 1.0, size=(spec.S + 1, 2 * n_pairs))
-    P /= P.sum(axis=0)
+    P = _draw_pairs(rng, spec.S + 1, n_pairs)
+    diff = P[:, :n_pairs] - P[:, n_pairs:]
+    columns = np.hstack([P, diff])
 
-    norms0 = _coupling_norms(P[1:, :n_pairs] - P[1:, n_pairs:], st.d)
+    norms0 = _coupling_norms(diff[1:], st.d)
     safe_norms0 = np.where(norms0 < 1e-300, 1.0, norms0)
 
     band, worst, candidates = slack + st.quad_margin, 0.0, []
     ratio_max, prob_sum_err, prob_min = np.empty(st.n + 1), 0.0, math.inf
-    for k, phi, divergence in _propagators(mats_fine, st.n, st.h):
-        worst = max(worst, divergence / float(st.env_up[k]))
-        X = phi @ P
-        prob_sum_err = max(prob_sum_err, float(np.abs(X.sum(axis=0) - 1.0).max()))
-        prob_min = min(prob_min, float(X.min()))
-        norms = _coupling_norms(X[1:, :n_pairs] - X[1:, n_pairs:], st.d)
-        up = norms / (st.env_up[k] * safe_norms0)
-        ratio_max[k] = up.max()
-        candidates += _beyond("coupling", up, up > 1.0 + band, st.ts_fine[4 * k])
+    grid = st.ts_fine[::4]
+    for k, phi, psi in _propagators(mats_fine, st.n, st.h):
+        ks = slice(k, k + len(phi))
+        env_up = st.env_up[ks]
+        worst = max(worst, float((_l1_norms(phi - psi) / env_up).max()))
+        X = phi @ columns
+        probs = X[..., :2 * n_pairs]
+        prob_sum_err = max(prob_sum_err, float(np.abs(probs.sum(axis=-2) - 1.0).max()))
+        prob_min = min(prob_min, float(probs.min()))
+        norms = _coupling_norms(X[:, 1:, 2 * n_pairs:], st.d)
+        up = norms / (env_up[:, None] * safe_norms0)
+        ratio_max[ks] = up.max(axis=1)
+        candidates += _beyond("coupling", up, up > 1.0 + band, grid[ks])
 
     # forward-propagator error maps through the tail-sum transform with a
     # factor sum(d), and a pair of probability vectors has l1 norm <= 2
@@ -388,9 +476,9 @@ def verify_convergence_coupling(spec: ChainSpec, weights, tmax: float,
 
 
 def _coupling_norms(y, d):
-    """l1 norms of D T y for a column batch y: weights times tail sums."""
-    u = np.cumsum(y[::-1], axis=0)[::-1]
-    return np.abs(d[:, None] * u).sum(axis=0)
+    """l1 norms of D T y for column batches y (..., S, m): weights times tail sums."""
+    u = np.cumsum(y[..., ::-1, :], axis=-2)[..., ::-1, :]
+    return np.abs(d[:, None] * u).sum(axis=-2)
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

@@ -2,7 +2,8 @@
 
 Each re-derives a quantity the library computes another way: the
 triangular similarity as explicit integer matrices, column sums of a single
-matrix, and eigenvalues by plain power iteration.
+matrix, eigenvalues by plain power iteration, and RK4 trajectories one
+stage at a time.
 """
 
 from dataclasses import dataclass
@@ -87,3 +88,27 @@ def extreme_real_eigenvalues(M, tol: float = 1e-12, max_iter: int = 10**6):
     shifted = lam_dom * np.eye(M.shape[0]) - M
     lam_other = lam_dom - dominant_eigenvalue(shifted, tol=tol, max_iter=max_iter)
     return min(lam_dom, lam_other), max(lam_dom, lam_other)
+
+
+def rk4_reference(mats, n, h, x0):
+    """States x_0..x_n of n classical RK4 steps of h, one stage at a time.
+
+    mats holds the coefficient matrix at spacing h/2 (2n+1 matrices), or
+    one matrix used at every stage time. x0 may be a vector or a column
+    batch; the result stacks the n+1 states along a new leading axis.
+    """
+    mats = np.asarray(mats, dtype=float)
+    x = np.array(x0, dtype=float)
+    states = [x]
+    for k in range(n):
+        if len(mats) == 1:
+            M0 = Mm = M1 = mats[0]
+        else:
+            M0, Mm, M1 = mats[2 * k], mats[2 * k + 1], mats[2 * k + 2]
+        k1 = M0 @ x
+        k2 = Mm @ (x + 0.5 * h * k1)
+        k3 = Mm @ (x + 0.5 * h * k2)
+        k4 = M1 @ (x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        states.append(x)
+    return np.stack(states)

@@ -39,9 +39,10 @@ MODELS = {
 # (model, command) -> (exit code, sha256 of the CSV, sha256 of stdout). The
 # homogeneous runs and the table runs (frozen-perron weights) depend on the
 # Perron weights; their digests were recorded with the Collatz-Wielandt
-# shifted inverse iteration. The verify runs were recorded with trials
-# propagated by the step-h propagators of the integrator margin, the other
-# runs with the first version of the code.
+# shifted inverse iteration. The verify runs were recorded with the chunked
+# RK4 engine (step operators formed in batches, pair differences propagated,
+# exact worst ratios printed), the other runs with the first version of the
+# code.
 CLI_GOLDEN = {
     ("homogeneous", "rate"): (
         0, "33fe81e764bcb4e3ac2e96ff022f45535acf22475c929ba6aca44b200219ed22",
@@ -50,35 +51,35 @@ CLI_GOLDEN = {
         0, "33fe81e764bcb4e3ac2e96ff022f45535acf22475c929ba6aca44b200219ed22",
         "e93d15131a3edd1698c994e1de983bf9bc9abeedf8e010a10013dedefaaf734e"),
     ("homogeneous", "verify"): (
-        0, "5d874a28e4b9cb8bf25e8caadcd27f627109a87e5d873f39e58942495d66d5ac",
-        "b6fdd3b5ceb54a11626dfaaef1ce1ff6496e986faff4a50c85506616fd6bb7aa"),
+        0, "6bbdb03b6bad39641e6a7ac3a8691a329a76fa2f08dd057a07b9dd9dfff4c541",
+        "f9765c9a27a89baa2ff7718f1543b62fde92b105e4e828d09d90125b758557d2"),
     ("sinusoid", "bounds"): (
         0, "278f625373c1463a67dc82d5069b2f799366b4da29c0e9e6ca6ec6d462f1fd1a",
         "a8a7ed04f082aa0e7d31a36dda841bf5797d281f424e1e270b50ee6ad958cb8b"),
     ("sinusoid", "verify"): (
-        0, "3b7153990a74785a5b8df769384498e718a80a162b917e1437f5b40e44d318dd",
-        "73f7e86cdebe7bc1e00672c038bba13de04d420ed9f9235494757177b6b5c66f"),
+        0, "0c34ddd3287e26764c5507e042ae9ca66bca233ec95926d03f23d9b564836458",
+        "e6dd556af4690262744cefb729a069b830a278f80bb430c8ba3d757552dbed1b"),
     ("table", "bounds"): (
         0, "a1038b9d4b230da771b3c469c27d55530028b7798bd22d018593dbcd4c41613e",
         "cefc5e3b813254b0cbaa043e68d397543a826f18fb96407a8a62f83a8c218d4c"),
     ("table", "verify"): (
-        0, "aa5fffe40cca18ca4de7e65fbd6f2425e2704234e12722c8ead3abb635f47fae",
-        "c94dca0e9ee3fe387fd103c9c1b8a0423f297f5e5b9398e15612c8d9ec9310ae"),
+        0, "5b1b1c5abceed3fc71662ebd26dac43dad1d3f3f9f80f3a7438af19dbd326ae6",
+        "27b96d78d774636710e7982deeb44b96b714e9aa83a5306e2b24f892fe0fa59f"),
     ("weights", "bounds"): (
         0, "6140a21f2f29e2d225f4874976c8f49d8efa58c3213f1f85216399ff855a3917",
         "7d8d6240952b249e2ac7eae48aa3b4ce7f0c1977780e2e7a5f67e8d5c04e9736"),
     ("weights", "verify"): (
-        0, "db58d22230f868bfe9987a970af29e47268e3ff713a2fa9fa3e35080231693fd",
-        "aa6a9afb5576588c7f8b71f0a7036687bb655a5ad058f5391e0a17860281ec84"),
+        0, "3f42e0d47a295300775cc2904651df47a682a96f0c704b5015e0f33e1c0bc2ce",
+        "5fbd2c08b1e1fc0d44bb567d3e718c3ec44b5a84c5d2266bd9b6c3200aa97848"),
 }
 
-# library writer case -> sha256 of the CSV; the verification cases were
-# recorded with trials propagated by the step-h propagators
+# library writer case -> sha256 of the CSV; the trajectory and verification
+# cases were recorded with the chunked RK4 engine
 LIBRARY_GOLDEN = {
-    "trajectory-forward": "3c28f86bf85a436ed5681fe8829ef82453e5df021abe7fc6d6c8d2c7c9f7870a",
-    "trajectory-transformed": "5ed5da4b0ad9087505bce0d11ad196fcf513022c2574b54e04780e90cce9518f",
-    "verification-bounds": "ca708f290ef67716a541abb588058dfe0966d06bb70e2c0853bee9d5b2a49497",
-    "verification-coupling": "e5a3e69cd8ca40646c4d8e84a6cc06f20972303ac7c17786baba4cab438ded75",
+    "trajectory-forward": "45f6d2f763c2de1b642e6dfa6e837ebea35197da069ee151c531f06df3ed8f65",
+    "trajectory-transformed": "22ffa1f2f2edf94b24a4723c842da3485f1df93096b466de0fb840b99e5bb650",
+    "verification-bounds": "45c455537d57aeece568620daa8a223b1742f24d272b82bbc251272b33300d75",
+    "verification-coupling": "857417b54718069ff9efa5ea9d504832d05d609c8226a482429b48d5f8882f4c",
 }
 
 

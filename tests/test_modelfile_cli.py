@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -275,3 +276,44 @@ def test_cli_overrides_model_settings(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "21 grid points" in out
+
+
+@pytest.mark.parametrize("block, key, value", [("chain", "states", "3"),
+                                               ("chain", "states", 2.5),
+                                               ("analysis", "grid", 10.5),
+                                               ("analysis", "horizon", "1"),
+                                               ("analysis", "seed", True)],
+                         ids=["states-string", "states-fraction", "grid-fraction",
+                              "horizon-string", "seed-boolean"])
+def test_model_numbers_of_the_wrong_type_exit_with_parse_code(tmp_path, capsys,
+                                                              block, key, value):
+    doc = json.loads(json.dumps(BD3))
+    doc[block][key] = value
+    code = cli.main(["bounds", _write(tmp_path, doc)])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_PARSE and out == ""
+    assert err.startswith(f"error: '{block}.{key}' must be ")
+
+
+def test_model_integer_fields_accept_integral_floats():
+    doc = json.loads(json.dumps(BD3))
+    doc["chain"]["states"], doc["analysis"]["grid"] = 3.0, 101.0
+    model = cb.parse_model(json.dumps(doc))
+    assert model.chain.S == 3 and model.analysis.grid == 101
+    assert type(model.chain.S) is int and type(model.analysis.grid) is int
+
+
+@pytest.mark.parametrize("command", ["bounds", "verify"])
+def test_non_finite_envelope_exits_with_eval_code(tmp_path, capsys, command):
+    # the envelope integral of a 1e300 birth rate over a 1e300 horizon
+    # overflows; it must stop the command, not print -inf beside exit 0
+    doc = {"schema": 1,
+           "chain": {"kind": "birth_death", "states": 2, "birth": [1e300, 1e300],
+                     "death": [1.0, 1.0]},
+           "analysis": {"horizon": 1e300, "grid": 11, "steps": 10}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([command, _write(tmp_path, doc)])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_EVAL and out == ""
+    assert err.startswith("error: envelope integral ") and "is not finite" in err

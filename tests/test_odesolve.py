@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import ctmc_bounds as cb
 from ctmc_bounds import odesolve
 from conftest import random_class_chain, random_sharp_chain
+from linalg_oracles import rk4_reference
 
 
 def _two_state_exact(t):
@@ -130,6 +132,65 @@ def test_blow_up_guard_reports_time():
         cb.solve("transformed", spec, [1.0, 1.0], tmax=2000.0, n_steps=4000)
 
 
+LAM = cb.RateFunction.sinusoid(1.5, 0.5, 0.8)
+ENGINE_CHAINS = {
+    "time-varying": cb.birth_death_chain(4, [LAM, 1.0, LAM, 2.0], [1.0, 2.0, 1.0, 1.0]),
+    "one-matrix": cb.birth_death_chain(4, [1.5, 1.0, 0.5, 2.0], [1.0, 2.0, 1.0, 1.0]),
+}
+
+
+def _scan_states(mats, n, h, x0, halved=False):
+    return np.concatenate([chunk for _, chunk in
+                           odesolve._rk4_scan(mats, n, h, x0, halved)])
+
+
+def _assert_close_per_step(got, ref):
+    scale = np.abs(ref).reshape(len(ref), -1).max(axis=1)
+    err = np.abs(got - ref).reshape(len(ref), -1).max(axis=1)
+    assert got.shape == ref.shape
+    assert np.all(err <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("chain", sorted(ENGINE_CHAINS))
+@pytest.mark.parametrize("steps", ["1", "c-1", "c", "2c", "2c+5"])
+def test_rk4_scan_matches_per_step_reference(chain, steps):
+    spec = ENGINE_CHAINS[chain]
+    c = odesolve._chunk_length(spec.S)
+    n = {"1": 1, "c-1": c - 1, "c": c, "2c": 2 * c, "2c+5": 2 * c + 5}[steps]
+    h = 2.0 / n
+    mats = odesolve._system_matrices("transformed", spec, None,
+                                     np.linspace(0.0, 2.0, 4 * n + 1))
+    assert len(mats) == (1 if chain == "one-matrix" else 4 * n + 1)
+    X0 = np.random.default_rng(3).uniform(-1.0, 1.0, (spec.S, 3))
+    _assert_close_per_step(_scan_states(mats[::2], n, h, X0),
+                           rk4_reference(mats[::2], n, h, X0))
+    # the halved scan: n steps, each two RK4 steps of h/2
+    _assert_close_per_step(_scan_states(mats, n, h, X0[:, 0], halved=True),
+                           rk4_reference(mats, 2 * n, 0.5 * h, X0[:, 0])[::2])
+
+
+@pytest.mark.parametrize("birth", [200.0, cb.RateFunction.sinusoid(200.0, 20.0, 0.1)],
+                         ids=["one-matrix", "time-varying"])
+def test_blow_up_inside_a_chunk_reports_the_first_offending_time(monkeypatch, birth):
+    # the state passes 1e12 at step 5 and overflows at step 49: with chunks
+    # of 64 steps both happen inside the first one, and the guard must name
+    # the first offending step without the overflow surfacing as a warning
+    monkeypatch.setattr(odesolve, "CHUNK_STEPS", 64)
+    spec = cb.birth_death_chain(2, [0.01, birth], [0.01, 0.01])
+    n, tmax = 4000, 2000.0
+    h = tmax / n
+    mats = odesolve._system_matrices("transformed", spec, None,
+                                     np.linspace(0.0, tmax, 2 * n + 1))
+    with np.errstate(all="ignore"):
+        ref = rk4_reference(mats, 64, h, [1.0, 1.0])
+    first = int(np.argmax(np.abs(ref).max(axis=1) > odesolve.MAX_STATE))
+    assert first == 5 and not np.isfinite(ref).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(cb.OdeBlowUpError, match=re.escape(f"t={first * h} ")):
+            cb.solve("transformed", spec, [1.0, 1.0], tmax=tmax, n_steps=n)
+
+
 def test_verify_bounds_sharp_chain_ratios_are_one():
     spec = cb.birth_death_chain(3, [1.0] * 3, [1.0] * 3)
     rate = cb.perron_weights(cb.to_bstar(cb.build_reduced(spec, 0.0)))
@@ -139,6 +200,27 @@ def test_verify_bounds_sharp_chain_ratios_are_one():
     assert abs(rep.worst_upper - 1.0) <= 1e-6
     assert abs(rep.worst_lower - 1.0) <= 1e-6
     assert rep.integrator_margin < 1e-8 and rep.quadrature_margin < 1e-8
+
+
+def test_exact_ratios_bound_the_random_ones_on_a_sharp_chain():
+    spec = cb.batch_birth_chain(6, [1.2, 1.0, 0.8, 0.5, 0.3, 0.1], [1.0] * 6)
+    rate = cb.perron_weights(cb.to_bstar(cb.build_reduced(spec, 0.0)))
+    tmax, n = 3.0, 2000
+    rep = cb.verify_bounds(spec, rate.weights, tmax, n_steps=n, n_trials=50, seed=5)
+    assert rep.passed and rep.worst_upper > 1.0
+    # round-off of two S-term sums may put a random ratio a little above the norm
+    tol = 2 * spec.S * np.finfo(float).eps
+    assert rep.exact_upper >= rep.worst_upper - tol
+    assert rep.exact_lower <= rep.worst_lower + tol
+    assert abs(rep.exact_upper - 1.0) <= rep.slack_total
+    assert abs(rep.exact_lower - 1.0) <= rep.slack_total
+    # the worst start of the induced l1 norm is a unit vector: integrate them all
+    st = odesolve._verification_setup(spec, rate.weights, tmax, n)
+    phi = cb.solve("transformed", spec, np.eye(spec.S), tmax, n, weights=rate.weights).states
+    assert abs(rep.exact_upper - float((np.abs(phi).sum(axis=1).max(axis=1)
+                                        / st.env_up).max())) <= 1e-13
+    assert abs(rep.exact_lower - float((phi.sum(axis=1).min(axis=1)
+                                        / st.env_lo).min())) <= 1e-13
 
 
 def test_verify_bounds_time_varying_chain():
@@ -169,13 +251,14 @@ def test_verify_bounds_deterministic_given_seed():
 def test_each_verifier_scans_once_per_step_size(monkeypatch, verify, spec):
     # the trials ride on the step-h identity scan of the integrator margin
     steps = []
-    stream = odesolve._rk4_stream
+    scan = odesolve._rk4_scan
 
-    def counted(mats, n, h, x0):
-        steps.append((n, h, len(mats)))
-        return stream(mats, n, h, x0)
+    def counted(mats, n, h, x0, halved=False):
+        # a halved scan takes n steps of h, each two RK4 steps of h/2
+        steps.append((2 * n, 0.5 * h, len(mats)) if halved else (n, h, len(mats)))
+        return scan(mats, n, h, x0, halved)
 
-    monkeypatch.setattr(odesolve, "_rk4_stream", counted)
+    monkeypatch.setattr(odesolve, "_rk4_scan", counted)
     assert verify(spec, None, 1.0, 8, 3).passed
     stack = 1 if spec.is_homogeneous else 33
     assert sorted(steps) == [(8, 0.125, (stack + 1) // 2), (16, 0.0625, stack)]
@@ -219,6 +302,30 @@ def test_verify_coupling_passes_and_checks_probabilities():
     assert rep.prob_sum_error <= 1e-10
     assert rep.prob_min >= -1e-12
     assert rep.worst_upper <= 1.0 + rep.slack_total
+
+
+def test_coupling_propagates_nearly_equal_pairs_without_cancellation(monkeypatch):
+    # each pair moves 2^-30 of mass from the top state to state 0 of a dyadic
+    # probability vector: the difference is exact, sums to zero and maps to
+    # w0 = 2^-30 d >= 0, whose ratio on a sharp chain is 1 up to RK4 and
+    # round-off of the propagators. Differencing the propagated pair instead
+    # loses about eps / 2^-30 relative, amplified by the decay (1e-4 here).
+    spec = cb.batch_both_chain(4, [1.2, 0.6, 0.3, 0.15], [1.0, 0.5, 0.25, 0.1])
+    rate = cb.perron_weights(cb.to_bstar(cb.build_reduced(spec, 0.0)))
+
+    def nearly_equal_pairs(rng, dim, n_pairs):
+        P1 = (rng.multinomial(2**20 - dim, np.full(dim, 1.0 / dim), size=n_pairs).T
+              + 1) / 2.0**20
+        P2 = P1.copy()
+        P2[0] += 2.0**-30
+        P2[-1] -= 2.0**-30
+        assert np.all(P1.sum(axis=0) == 1.0) and np.all(P2.sum(axis=0) == 1.0)
+        return np.hstack([P1, P2])
+
+    monkeypatch.setattr(odesolve, "_draw_pairs", nearly_equal_pairs)
+    rep = cb.verify_convergence_coupling(spec, rate.weights, tmax=4.0, n_steps=2000,
+                                         n_pairs=10, seed=3)
+    assert np.abs(rep.ratio_upper_max - 1.0).max() <= 1e-9
 
 
 def test_verification_csv_export(tmp_path):
