@@ -28,7 +28,7 @@ CSV_COLUMNS = ("t", "h_upper", "h_lower", "I_upper", "I_lower", "env_upper", "en
 
 
 class NonFiniteBoundError(ArithmeticError):
-    """An envelope integral or envelope left the double-precision range."""
+    """An envelope integral, or an envelope to verify, left the double-precision range."""
 
 
 @dataclass(frozen=True)
@@ -93,18 +93,19 @@ def envelope(values_half, step: float):
 
     The samples lie on a half-step grid as for :func:`cumulative_simpson`.
     Raises NonFiniteBoundError, naming the first such time, if an integral
-    or an envelope is not finite, as with rates or horizons near the
-    double-precision range.
+    is not finite, as with rates or horizons near the double-precision
+    range. A finite integral beyond about 709 gives an infinite envelope,
+    returned without a warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         I = cumulative_simpson(values_half, step)
         env = np.exp(I)
-    bad = ~(np.isfinite(I) & np.isfinite(env))
+    bad = ~np.isfinite(I)
     if bad.any():
         i = int(np.argmax(bad))
         raise NonFiniteBoundError(
-            f"envelope integral {float(I[i])} (envelope {float(env[i])}) at t={i * step} "
-            f"is not finite: the rates or the horizon exceed the double-precision range")
+            f"envelope integral {float(I[i])} at t={i * step} is not finite: "
+            f"the rates or the horizon exceed the double-precision range")
     return I, env
 
 
@@ -128,8 +129,8 @@ def compute_bounds(spec: ChainSpec, weights, tmax: float, n_grid: int,
         (a failure raises NonnegativityError, since the envelope argument
         needs it).
 
-    Raises NonFiniteBoundError if an envelope integral or envelope is not
-    finite.
+    Raises NonFiniteBoundError if an envelope integral is not finite; an
+    envelope beyond the double-precision range is reported as inf.
 
     A homogeneous chain's transformed matrix is built and checked once;
     its column-sum extremes are constant along the grid.

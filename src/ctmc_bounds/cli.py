@@ -20,7 +20,8 @@ Exit codes (a total function of the outcome):
 2     model file cannot be parsed, or an analysis value is out
       of range
 3     rate evaluation, a trajectory or the Perron solve failed,
-      or an envelope is not finite
+      or an envelope integral is not finite (for ``verify`` also
+      an envelope that overflows or underflows to zero)
 4     homogeneous-only command applied to a time-varying chain
 5     transformed matrix is reducible
 6     sharpness conditions not satisfied

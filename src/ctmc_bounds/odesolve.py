@@ -6,11 +6,14 @@ Three linear systems are integrated with classical fixed-step RK4:
 ``reduced_hom``  y' = B(t) y       the reduced homogeneous-in-y system
 ``transformed``  w' = B**(t) w     the weighted transformed system
 
-One engine, :func:`_rk4_scan`, integrates all of them in chunks of c steps.
-The c one-step RK4 operators R_k of a chunk (x_{k+1} = R_k x_k) are formed
-at once by batched matrix products, and the state crosses the chunk with
-one product per step. A constant system has a single operator R; its
-powers R^1..R^c are formed once, and each chunk is one batched product.
+One engine, :func:`_rk4_scan`, integrates all of them in chunks of c steps
+and checks each chunk for blow-up at once. A constant system has a single
+one-step RK4 operator R (x_{k+1} = R x_k), whose powers R^1..R^c are
+formed once, so each chunk is one batched product. On a time-varying
+system, a square state such as the identity crosses a chunk on its c
+one-step operators R_k, formed at once by batched matrix products, with
+one product per step; narrower states, vectors or a few columns, take the
+RK4 stages directly.
 :func:`solve` runs the engine from the caller's initial vector. The
 verifiers run it from the identity with steps h and h/2 and receive the
 step-h propagators Phi_k a chunk at a time: every trajectory of a random
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import check_horizon, envelope, write_csv
+from .bounds import NonFiniteBoundError, check_horizon, envelope, write_csv
 from .chain import ChainSpec, eval_transposed, evaluation_times
 from .transform import (apply_weights, build_reduced, require_essential_nonnegativity,
                         to_bstar, validate_weights)
@@ -37,8 +40,7 @@ SYSTEMS = ("forward", "reduced_hom", "transformed")
 MAX_STATE = 1e12          # blow-up guard threshold
 MIN_DRAW_NORM = 1e-6      # random initial vectors below this l1 norm are redrawn
 VIOLATION_CAP = 100       # violations stored per report (the count is exact)
-CHUNK_STEPS = 32          # RK4 steps per chunk of the scan ...
-CHUNK_FLOATS = 1 << 16    # ... fewer when a chunk of S x S operators exceeds this
+CHUNK_STEPS = 32          # RK4 steps per chunk of the scan
 
 
 class OdeBlowUpError(RuntimeError):
@@ -82,11 +84,6 @@ def _system_matrices(system, spec, weights, ts):
     return apply_weights(to_bstar(B), _weight_vector(weights, spec.S))
 
 
-def _chunk_length(dim):
-    """Steps per chunk of the scan: CHUNK_STEPS, fewer when dim x dim operators are large."""
-    return max(1, min(CHUNK_STEPS, CHUNK_FLOATS // (dim * dim)))
-
-
 def _step_operators(M0, Mm, M1, h):
     """One-step RK4 operators R = I + h/6 (M0 + 2 (K2 + K3) + K4) of stacks of matrices.
 
@@ -104,47 +101,80 @@ def _step_operators(M0, Mm, M1, h):
     return R
 
 
+def _rk4_step(M0, Mm, M1, h, x):
+    """One classical RK4 step of h from x, one stage at a time."""
+    k1 = M0 @ x
+    k2 = Mm @ (x + (0.5 * h) * k1)
+    k3 = Mm @ (x + (0.5 * h) * k2)
+    k4 = M1 @ (x + h * k3)
+    return x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
 def _rk4_scan(mats, n, h, x0, halved=False):
     """Yield (k, states): the RK4 states x_k, x_{k+1}, ... of n steps of h from x0.
 
-    The first chunk is (0, x0[None]); the others hold up to
-    _chunk_length(dim) consecutive states each. mats holds the coefficient
-    matrix at spacing h/2 (2n+1 matrices), so every stage time is on the
-    grid, or one matrix for a constant system. With halved, each step is
-    two RK4 steps of h/2, applied as the product R_{2j+1} R_{2j}, and mats
-    holds 4n+1 matrices at spacing h/4. States may be vectors or column
-    batches; started from the identity, the scan yields the propagators.
-    Yielded arrays are fresh; callers may keep them.
+    The first chunk is (0, x0[None]); the others hold up to CHUNK_STEPS
+    consecutive states each. mats holds the coefficient matrix at spacing
+    h/2 (2n+1 matrices), so every stage time is on the grid, or one matrix
+    for a constant system. With halved, each step is two RK4 steps of h/2
+    and mats holds 4n+1 matrices at spacing h/4. States may be vectors or
+    column batches; started from the identity, the scan yields the
+    propagators. Yielded arrays are fresh; callers may keep them.
+
+    A constant system has one operator R, with a halved step applied as
+    R R; each chunk is one product with its powers R^1..R^c, or one product
+    with R a step if a power overflows. On a time-varying system, a state
+    with at least as many columns as rows (the identity) crosses a chunk on
+    its one-step operators R_k, formed at once, a halved step applied as
+    R_{2j+1} R_{2j}. A narrower state takes the RK4 stages directly, O(S^2)
+    a step instead of the O(S^3) of forming R_k.
 
     Raises OdeBlowUpError at the first state beyond MAX_STATE in magnitude
     or not finite; the check runs once per chunk.
     """
     x = np.array(x0, dtype=float)
     yield 0, x[None]
-    c = _chunk_length(mats.shape[-1])
+    c = CHUNK_STEPS
     hs = 0.5 * h if halved else h
+    wide = x.ndim == 2 and x.shape[1] >= x.shape[0]
+    powers = None
     # overflow is left to the guard, which names the first state it reaches
     with np.errstate(over="ignore", invalid="ignore"):
         if len(mats) == 1:
             R = _step_operators(mats, mats, mats, hs)[0]
+            if halved:
+                R = R @ R
             powers = np.empty((min(c, n),) + R.shape)
-            powers[0] = R @ R if halved else R
+            powers[0] = R
             for i in range(1, len(powers)):
-                np.matmul(powers[0], powers[i - 1], out=powers[i])
+                np.matmul(R, powers[i - 1], out=powers[i])
+            if not np.isfinite(powers).all():
+                # an overflowing power times a zero entry of the state would
+                # be NaN; stepping meets only the states themselves
+                powers = None
     per_step = 4 if halved else 2
     for k in range(0, n, c):
         m = min(c, n - k)
         with np.errstate(over="ignore", invalid="ignore"):
-            if len(mats) == 1:
+            if powers is not None:
                 states = powers[:m] @ x
             else:
-                sub = mats[per_step * k: per_step * (k + m) + 1]
-                R = _step_operators(sub[0:-1:2], sub[1::2], sub[2::2], hs)
-                if halved:
-                    R = R[1::2] @ R[0::2]
                 states = np.empty((m,) + x.shape)
-                for i in range(m):
-                    x = np.matmul(R[i], x, out=states[i])
+                if len(mats) == 1:
+                    for i in range(m):
+                        x = np.matmul(R, x, out=states[i])
+                elif wide:
+                    sub = mats[per_step * k: per_step * (k + m) + 1]
+                    R = _step_operators(sub[0:-1:2], sub[1::2], sub[2::2], hs)
+                    if halved:
+                        R = R[1::2] @ R[0::2]
+                    for i in range(m):
+                        x = np.matmul(R[i], x, out=states[i])
+                else:
+                    for i in range(m):
+                        for j in range(per_step * (k + i), per_step * (k + i + 1), 2):
+                            x = _rk4_step(mats[j], mats[j + 1], mats[j + 2], hs, x)
+                        states[i] = x
             _guard(states, k + 1, h)
         x = states[-1]
         yield k + 1, states
@@ -318,7 +348,9 @@ def _verification_setup(spec, weights, tmax, n_steps) -> _Setup:
     The envelopes integrate the column-sum extremes by Simpson's rule on
     the step grid; the quadrature margin is their largest difference from
     the integrals on the halved grid. NonFiniteBoundError is raised if an
-    envelope overflows.
+    envelope integral is not finite, the upper envelope overflows or the
+    lower one underflows to zero, since a ratio to such an envelope checks
+    nothing.
     """
     d = _weight_vector(weights, spec.S)
     tmax, n = check_horizon(tmax, n_steps)
@@ -334,6 +366,12 @@ def _verification_setup(spec, weights, tmax, n_steps) -> _Setup:
     h_lo = np.broadcast_to(sums.min(axis=-1), ts_fine.shape)
     I_up, env_up = envelope(h_up[::2], h)
     I_lo, env_lo = envelope(h_lo[::2], h)
+    bad = ~(np.isfinite(env_up) & (env_lo > 0.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NonFiniteBoundError(
+            f"envelopes exp({float(I_up[i])}) and exp({float(I_lo[i])}) at t={i * h} "
+            f"leave the double-precision range: the horizon is too long to verify")
     I_up_f, _ = envelope(h_up, 0.5 * h)
     I_lo_f, _ = envelope(h_lo, 0.5 * h)
     quad_margin = max(float(np.max(np.abs(I_up_f[::2] - I_up))),

@@ -73,11 +73,11 @@ CLI_GOLDEN = {
         "5fbd2c08b1e1fc0d44bb567d3e718c3ec44b5a84c5d2266bd9b6c3200aa97848"),
 }
 
-# library writer case -> sha256 of the CSV; the trajectory and verification
-# cases were recorded with the chunked RK4 engine
+# library writer case -> sha256 of the CSV; the verification cases were
+# recorded with the chunked RK4 engine
 LIBRARY_GOLDEN = {
-    "trajectory-forward": "45f6d2f763c2de1b642e6dfa6e837ebea35197da069ee151c531f06df3ed8f65",
-    "trajectory-transformed": "22ffa1f2f2edf94b24a4723c842da3485f1df93096b466de0fb840b99e5bb650",
+    "trajectory-forward": "3c28f86bf85a436ed5681fe8829ef82453e5df021abe7fc6d6c8d2c7c9f7870a",
+    "trajectory-transformed": "5ed5da4b0ad9087505bce0d11ad196fcf513022c2574b54e04780e90cce9518f",
     "verification-bounds": "45c455537d57aeece568620daa8a223b1742f24d272b82bbc251272b33300d75",
     "verification-coupling": "857417b54718069ff9efa5ea9d504832d05d609c8226a482429b48d5f8882f4c",
 }

@@ -1,6 +1,7 @@
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 import ctmc_bounds as cb
@@ -317,3 +318,28 @@ def test_non_finite_envelope_exits_with_eval_code(tmp_path, capsys, command):
     out, err = capsys.readouterr()
     assert code == cli.EXIT_EVAL and out == ""
     assert err.startswith("error: envelope integral ") and "is not finite" in err
+
+
+def test_finite_integral_with_an_overflowing_envelope(tmp_path, capsys):
+    # a column sum near 200 over a horizon of 10 integrates to about 2000:
+    # finite, but exp(2000) overflows; bounds reports the integral and an
+    # infinite envelope, verify has no finite envelope to compare against
+    doc = {"schema": 1,
+           "chain": {"kind": "birth_death", "states": 2, "birth": [0.01, 200.0],
+                     "death": [0.01, 0.01]},
+           "analysis": {"horizon": 10.0, "grid": 11, "steps": 10, "weights": [1.0, 1.0]}}
+    path = _write(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = cb.compute_bounds(cb.load_model(path).chain, [1.0, 1.0], 10.0, 11)
+        assert np.isfinite(report.I_upper).all() and np.isfinite(report.I_lower).all()
+        assert report.I_upper[-1] > 1000.0 and report.env_upper[-1] == np.inf
+        assert report.env_lower[-1] == 0.0
+        code = cli.main(["bounds", path, "--csv", str(tmp_path / "b.csv")])
+        assert code == cli.EXIT_OK
+        assert "inf" in (tmp_path / "b.csv").read_text().splitlines()[-1].split(",")
+        capsys.readouterr()
+        code = cli.main(["verify", path])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_EVAL and out == ""
+    assert err.startswith("error: envelopes exp(") and "double-precision range" in err

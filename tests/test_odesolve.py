@@ -153,28 +153,51 @@ def _assert_close_per_step(got, ref):
 
 @pytest.mark.parametrize("chain", sorted(ENGINE_CHAINS))
 @pytest.mark.parametrize("steps", ["1", "c-1", "c", "2c", "2c+5"])
-def test_rk4_scan_matches_per_step_reference(chain, steps):
+@pytest.mark.parametrize("columns", [None, 3, 5], ids=["vector", "narrow", "wide"])
+def test_rk4_scan_matches_per_step_reference(chain, steps, columns):
+    # S = 4: a vector or 3 columns take the RK4 stages, 5 columns the step operators
     spec = ENGINE_CHAINS[chain]
-    c = odesolve._chunk_length(spec.S)
+    c = odesolve.CHUNK_STEPS
     n = {"1": 1, "c-1": c - 1, "c": c, "2c": 2 * c, "2c+5": 2 * c + 5}[steps]
     h = 2.0 / n
     mats = odesolve._system_matrices("transformed", spec, None,
                                      np.linspace(0.0, 2.0, 4 * n + 1))
     assert len(mats) == (1 if chain == "one-matrix" else 4 * n + 1)
-    X0 = np.random.default_rng(3).uniform(-1.0, 1.0, (spec.S, 3))
+    shape = (spec.S,) if columns is None else (spec.S, columns)
+    X0 = np.random.default_rng(3).uniform(-1.0, 1.0, shape)
     _assert_close_per_step(_scan_states(mats[::2], n, h, X0),
                            rk4_reference(mats[::2], n, h, X0))
     # the halved scan: n steps, each two RK4 steps of h/2
-    _assert_close_per_step(_scan_states(mats, n, h, X0[:, 0], halved=True),
-                           rk4_reference(mats, 2 * n, 0.5 * h, X0[:, 0])[::2])
+    _assert_close_per_step(_scan_states(mats, n, h, X0, halved=True),
+                           rk4_reference(mats, 2 * n, 0.5 * h, X0)[::2])
+
+
+@pytest.mark.parametrize("x0", [[1.0, 0.0], [[1.0, 2.0], [0.0, 0.0]]],
+                         ids=["vector", "wide"])
+def test_zero_supported_start_on_a_stiff_constant_system_does_not_raise(x0):
+    # R = diag(0.375, ~4e10): its powers overflow within one chunk, but a
+    # start with no weight on the second coordinate never grows, and an
+    # overflowing power times a zero entry must not surface as a NaN state
+    mats = np.diag([-1.0, 1000.0])[None]
+    n = 2 * odesolve.CHUNK_STEPS
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        states = _scan_states(mats, n, 1.0, x0)
+    ref = rk4_reference(mats, n, 1.0, x0)
+    assert np.all(ref[:, 1] == 0.0) and np.isfinite(ref).all()
+    _assert_close_per_step(states, ref)
 
 
 @pytest.mark.parametrize("birth", [200.0, cb.RateFunction.sinusoid(200.0, 20.0, 0.1)],
                          ids=["one-matrix", "time-varying"])
-def test_blow_up_inside_a_chunk_reports_the_first_offending_time(monkeypatch, birth):
-    # the state passes 1e12 at step 5 and overflows at step 49: with chunks
-    # of 64 steps both happen inside the first one, and the guard must name
-    # the first offending step without the overflow surfacing as a warning
+@pytest.mark.parametrize("x0, first", [([1.0, 1.0], 5), (np.eye(2), 2)],
+                         ids=["vector", "identity"])
+def test_blow_up_inside_a_chunk_reports_the_first_offending_time(monkeypatch, birth,
+                                                                 x0, first):
+    # the state passes 1e12 at step 5 (2 from the identity) and overflows at
+    # step 49 (47): with chunks of 64 steps both happen inside the first one,
+    # and the guard must name the first offending step without the overflow
+    # surfacing as a warning
     monkeypatch.setattr(odesolve, "CHUNK_STEPS", 64)
     spec = cb.birth_death_chain(2, [0.01, birth], [0.01, 0.01])
     n, tmax = 4000, 2000.0
@@ -182,13 +205,14 @@ def test_blow_up_inside_a_chunk_reports_the_first_offending_time(monkeypatch, bi
     mats = odesolve._system_matrices("transformed", spec, None,
                                      np.linspace(0.0, tmax, 2 * n + 1))
     with np.errstate(all="ignore"):
-        ref = rk4_reference(mats, 64, h, [1.0, 1.0])
-    first = int(np.argmax(np.abs(ref).max(axis=1) > odesolve.MAX_STATE))
-    assert first == 5 and not np.isfinite(ref).all()
+        ref = rk4_reference(mats, 64, h, x0)
+    peaks = np.abs(ref).reshape(len(ref), -1).max(axis=1)
+    assert int(np.argmax(peaks > odesolve.MAX_STATE)) == first
+    assert not np.isfinite(ref).all()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(cb.OdeBlowUpError, match=re.escape(f"t={first * h} ")):
-            cb.solve("transformed", spec, [1.0, 1.0], tmax=tmax, n_steps=n)
+            cb.solve("transformed", spec, x0, tmax=tmax, n_steps=n)
 
 
 def test_verify_bounds_sharp_chain_ratios_are_one():
@@ -221,6 +245,16 @@ def test_exact_ratios_bound_the_random_ones_on_a_sharp_chain():
                                         / st.env_up).max())) <= 1e-13
     assert abs(rep.exact_lower - float((phi.sum(axis=1).min(axis=1)
                                         / st.env_lo).min())) <= 1e-13
+
+
+def test_verify_refuses_a_lower_envelope_that_underflows():
+    # h_lower = -2: exp(I_lower) is 0 from t = 380 on (exp(-760)), and every
+    # ratio to it and the integrator margin would be infinite, a vacuous pass
+    spec = cb.birth_death_chain(3, [1.0, 2.0, 1.0], [2.0, 1.0, 2.0])
+    report = cb.compute_bounds(spec, np.ones(3), 1000.0, 11)
+    assert report.I_lower[-1] == -2000.0 and report.env_lower[-1] == 0.0
+    with pytest.raises(cb.NonFiniteBoundError, match=re.escape("exp(-760.0) at t=380.0 ")):
+        cb.verify_bounds(spec, np.ones(3), 1000.0, n_steps=100, n_trials=2)
 
 
 def test_verify_bounds_time_varying_chain():
