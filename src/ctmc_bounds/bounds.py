@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec, check_regularity, evaluation_times, require_homogeneous
-from .spectral import SharpnessConditionError, check_sharpness_conditions, perron_weights
+from .spectral import (SharpnessConditionError, check_sharpness_conditions, equalization_tol,
+                       perron_weights)
 from .transform import (apply_weights, build_reduced, require_essential_nonnegativity,
                         to_bstar)
 
@@ -109,8 +110,7 @@ def envelope(values_half, step: float):
     return I, env
 
 
-def compute_bounds(spec: ChainSpec, weights, tmax: float, n_grid: int,
-                   checks: bool = True) -> BoundReport:
+def compute_bounds(spec: ChainSpec, weights, tmax: float, n_grid: int) -> BoundReport:
     """Evaluate the two-sided envelopes for a chain on [0, tmax].
 
     Parameters
@@ -123,14 +123,13 @@ def compute_bounds(spec: ChainSpec, weights, tmax: float, n_grid: int,
     n_grid : int
         Number of report times (>= 2); the integrand is sampled twice as
         densely so every reported integral is a Simpson value.
-    checks : bool
-        When True (default), verify regularity (a failure only adds a
-        warning) and essential non-negativity of the transformed matrix
-        (a failure raises NonnegativityError, since the envelope argument
-        needs it).
 
-    Raises NonFiniteBoundError if an envelope integral is not finite; an
-    envelope beyond the double-precision range is reported as inf.
+    Regularity is checked on the report grid (a failure only adds a
+    warning) and essential non-negativity of the transformed matrix on the
+    Simpson grid (a failure raises NonnegativityError, since the envelope
+    argument needs it). Raises NonFiniteBoundError if an envelope integral
+    is not finite; an envelope beyond the double-precision range is
+    reported as inf.
 
     A homogeneous chain's transformed matrix is built and checked once;
     its column-sum extremes are constant along the grid.
@@ -142,16 +141,15 @@ def compute_bounds(spec: ChainSpec, weights, tmax: float, n_grid: int,
     times = evaluation_times(spec, half)
     Bstar = to_bstar(build_reduced(spec, times))
 
+    require_essential_nonnegativity(Bstar, times)
     warnings = []
-    if checks:
-        require_essential_nonnegativity(Bstar, times)
-        reg = check_regularity(spec, times[::2])
-        if not reg.regular:
-            v = reg.violations[0]
-            warnings.append(
-                f"generator is not regular on the grid (first break: t={v.t}, "
-                f"state {v.state}, jump {v.k}->{v.k + 1} {v.direction}); proceeding "
-                f"because the transformed matrix is essentially non-negative")
+    reg = check_regularity(spec, times[::2])
+    if not reg.regular:
+        v = reg.violations[0]
+        warnings.append(
+            f"generator is not regular on the grid (first break: t={v.t}, "
+            f"state {v.state}, jump {v.k}->{v.k + 1} {v.direction}); proceeding "
+            f"because the transformed matrix is essentially non-negative")
 
     sums = apply_weights(Bstar, d).sum(axis=-2)
     h_up = np.broadcast_to(sums.max(axis=-1), half.shape)
@@ -169,16 +167,18 @@ def sharp_report(spec: ChainSpec, tmax: float = 1.0, n_grid: int = 201) -> Bound
 
     Requires a homogeneous chain passing the class sharpness conditions and
     an irreducible transformed matrix. Both column-sum extremes are checked
-    to agree with lambda0 before the report is marked sharp.
+    to agree with lambda0 within :func:`equalization_tol` before the report
+    is marked sharp.
     """
     require_homogeneous(spec, "sharp-rate report")
     cond = check_sharpness_conditions(spec)
     if not cond.passed:
         raise SharpnessConditionError("; ".join(cond.failures))
-    rate = perron_weights(to_bstar(build_reduced(spec, 0.0)))
+    bstar = to_bstar(build_reduced(spec, 0.0))
+    rate = perron_weights(bstar)
     report = compute_bounds(spec, rate.weights, tmax, n_grid)
     lam0 = rate.lambda0
-    tol = 1e-9 * abs(lam0) if abs(lam0) > 1e-12 else 1e-12
+    tol = equalization_tol(lam0, bstar)
     worst = max(float(np.max(np.abs(report.h_upper - lam0))),
                 float(np.max(np.abs(report.h_lower - lam0))))
     if worst > tol:

@@ -28,13 +28,19 @@ of the reduced system essentially non-negative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .rates import RateEvaluationError, as_rate
 
-KINDS = ("general", "birth_death", "batch_birth", "batch_death", "batch_both")
+# the rate lists each structured kind carries, in the order its constructor takes them
+RATE_LISTS = {
+    "birth_death": ("birth", "death"),
+    "batch_birth": ("batch_birth", "death"),
+    "batch_death": ("batch_death", "birth"),
+    "batch_both": ("batch_birth", "batch_death"),
+}
+KINDS = ("general", *RATE_LISTS)
 
 
 class InhomogeneousChainError(ValueError):
@@ -47,9 +53,9 @@ class ChainSpec:
 
     Use the module-level constructors (:func:`birth_death_chain`,
     :func:`batch_birth_chain`, :func:`batch_death_chain`,
-    :func:`batch_both_chain`, :func:`general_chain`) rather than
-    instantiating directly; they validate list lengths and coerce plain
-    numbers to constant rate functions.
+    :func:`batch_both_chain`, :func:`class_chain`, :func:`general_chain`)
+    rather than instantiating directly; they validate list lengths and
+    coerce plain numbers to constant rate functions.
     """
 
     S: int
@@ -76,36 +82,35 @@ def _rate_tuple(values, length, name) -> tuple:
     return rates
 
 
+def class_chain(kind, S, *lists) -> ChainSpec:
+    """Structured chain of a kind from its rate lists, in the order of RATE_LISTS[kind].
+
+    Each list holds S rates; plain numbers become constant rate functions.
+    """
+    S = _check_states(S)
+    names = RATE_LISTS[kind]
+    return ChainSpec(S, kind, **{name: _rate_tuple(values, S, name)
+                                 for name, values in zip(names, lists, strict=True)})
+
+
 def birth_death_chain(S, birth, death) -> ChainSpec:
     """Single-step chain with birth rates birth_0..birth_{S-1} and death rates death_1..death_S."""
-    S = _check_states(S)
-    return ChainSpec(S, "birth_death",
-                     birth=_rate_tuple(birth, S, "birth"),
-                     death=_rate_tuple(death, S, "death"))
+    return class_chain("birth_death", S, birth, death)
 
 
 def batch_birth_chain(S, batch_birth, death) -> ChainSpec:
     """Group births of size k at rate a_k (independent of the state), single deaths."""
-    S = _check_states(S)
-    return ChainSpec(S, "batch_birth",
-                     batch_birth=_rate_tuple(batch_birth, S, "batch_birth"),
-                     death=_rate_tuple(death, S, "death"))
+    return class_chain("batch_birth", S, batch_birth, death)
 
 
 def batch_death_chain(S, batch_death, birth) -> ChainSpec:
     """Group deaths of size k at rate b_k (independent of the state), single births."""
-    S = _check_states(S)
-    return ChainSpec(S, "batch_death",
-                     batch_death=_rate_tuple(batch_death, S, "batch_death"),
-                     birth=_rate_tuple(birth, S, "birth"))
+    return class_chain("batch_death", S, batch_death, birth)
 
 
 def batch_both_chain(S, batch_birth, batch_death) -> ChainSpec:
     """Group births at rates a_k and group deaths at rates b_k, all state-independent."""
-    S = _check_states(S)
-    return ChainSpec(S, "batch_both",
-                     batch_birth=_rate_tuple(batch_birth, S, "batch_birth"),
-                     batch_death=_rate_tuple(batch_death, S, "batch_death"))
+    return class_chain("batch_both", S, batch_birth, batch_death)
 
 
 def general_chain(S, transitions) -> ChainSpec:
@@ -129,38 +134,21 @@ def _check_states(S) -> int:
     return S
 
 
-@lru_cache(maxsize=None)
 def _transition_table(spec: ChainSpec) -> tuple:
-    """All off-diagonal entries of Q as ((i, j, rate_fn), ...)."""
+    """All off-diagonal entries of Q as ((i, j, rate_fn), ...).
+
+    Each rate list drives its own jumps, and an empty list drives none: out
+    of state i, a_k jumps to i+k and b_k to i-k for every size k that stays
+    in 0..S, birth_i jumps to i+1 and death_i to i-1; the general kind's
+    table lists its entries. The structured entries come row by row.
+    """
     S = spec.S
-    entries = []
-    if spec.kind == "general":
-        entries.extend(spec.transitions)
-    elif spec.kind == "birth_death":
-        for i in range(S):
-            entries.append((i, i + 1, spec.birth[i]))
-            entries.append((i + 1, i, spec.death[i]))
-    elif spec.kind == "batch_birth":
-        for i in range(S + 1):
-            for k in range(1, S - i + 1):
-                entries.append((i, i + k, spec.batch_birth[k - 1]))
-        for i in range(1, S + 1):
-            entries.append((i, i - 1, spec.death[i - 1]))
-    elif spec.kind == "batch_death":
-        for i in range(S + 1):
-            for k in range(1, i + 1):
-                entries.append((i, i - k, spec.batch_death[k - 1]))
-        for i in range(S):
-            entries.append((i, i + 1, spec.birth[i]))
-    elif spec.kind == "batch_both":
-        for i in range(S + 1):
-            for k in range(1, S - i + 1):
-                entries.append((i, i + k, spec.batch_birth[k - 1]))
-            for k in range(1, i + 1):
-                entries.append((i, i - k, spec.batch_death[k - 1]))
-    else:
-        raise ValueError(f"unknown chain kind {spec.kind!r}")
-    return tuple(entries)
+    return spec.transitions + tuple(
+        (i, i + sign * k, fn)
+        for i in range(S + 1)
+        for sign, rates in ((1, spec.batch_birth[:S - i]), (-1, spec.batch_death[:i]),
+                            (1, spec.birth[i:i + 1]), (-1, spec.death[i - 1:i]))
+        for k, fn in enumerate(rates, 1))
 
 
 def eval_generator(spec: ChainSpec, t):

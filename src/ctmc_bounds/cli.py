@@ -271,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--steps", type=int, help="RK4 steps over the horizon")
             p.add_argument("--trials", type=int, help="random trials for the envelopes")
             p.add_argument("--pairs", type=int, help="random probability pairs")
-            p.add_argument("--jobs", type=int, default=1,
-                           help="accepted for compatibility; has no effect")
 
     p = sub.add_parser("check", help="regularity and essential non-negativity")
     _common(p, csv=False)

@@ -19,11 +19,10 @@ A model file carries one chain and the analysis settings:
 
 Rate positions accept a plain number (constant rate), the name of an entry
 in the optional ``define`` block, or an inline object with exactly one of
-the keys ``constant``, ``sinusoid`` or ``table``. The rate lists required
-per kind: ``birth``+``death`` (birth_death), ``batch_birth``+``death``
-(batch_birth), ``batch_death``+``birth`` (batch_death),
-``batch_birth``+``batch_death`` (batch_both), or ``transitions`` - a list
-of {"from": i, "to": j, "rate": ...} objects - for the general kind.
+the keys ``constant``, ``sinusoid`` or ``table``. A structured kind takes
+the rate lists that ``chain.RATE_LISTS`` names for it, each of length S;
+the general kind takes ``transitions``, a list of {"from": i, "to": j,
+"rate": ...} objects.
 
 ``weights`` is one of "ones", "perron", "frozen-perron" or an explicit
 list of S positive numbers. All other analysis fields are optional and
@@ -36,26 +35,11 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .chain import (KINDS, ChainSpec, batch_birth_chain, batch_both_chain,
-                    batch_death_chain, birth_death_chain, general_chain)
+from .chain import KINDS, RATE_LISTS, ChainSpec, class_chain, general_chain
 from .rates import RateFunction
 
 SCHEMA_VERSION = 1
 WEIGHT_MODES = ("ones", "perron", "frozen-perron", "list")
-
-_KIND_LISTS = {
-    "birth_death": ("birth", "death"),
-    "batch_birth": ("batch_birth", "death"),
-    "batch_death": ("batch_death", "birth"),
-    "batch_both": ("batch_birth", "batch_death"),
-}
-
-_CONSTRUCTORS = {
-    "birth_death": birth_death_chain,
-    "batch_birth": batch_birth_chain,
-    "batch_death": batch_death_chain,
-    "batch_both": batch_both_chain,
-}
 
 
 class ModelFileError(ValueError):
@@ -129,7 +113,7 @@ def _parse_rate(node, defs, where):
     if isinstance(node, (int, float)):
         try:
             return RateFunction.constant(node)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ModelFileError(f"{where}: {exc}") from None
     if isinstance(node, dict) and len(node) == 1:
         (variant, params), = node.items()
@@ -147,7 +131,7 @@ def _parse_rate(node, defs, where):
                 return RateFunction.table(params["times"], params["values"])
         except ModelFileError:
             raise
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ModelFileError(f"{where}: invalid {variant} rate: {exc}") from None
     raise ModelFileError(f"{where}: expected a number, a defined name or an "
                          f"object with one of 'constant'/'sinusoid'/'table'")
@@ -161,14 +145,19 @@ def _parse_chain(node) -> ChainSpec:
         raise ModelFileError(f"chain kind must be one of {KINDS}, got {kind!r}")
     S = _integer(node.get("states"), "chain.states")
 
-    defs = {}
-    for name, sub in (node.get("define") or {}).items():
-        defs[name] = _parse_rate(sub, {}, f"define.{name}")
+    define = node.get("define") or {}
+    if not isinstance(define, dict):
+        raise ModelFileError("'chain.define' must be an object of named rates")
+    defs = {name: _parse_rate(sub, {}, f"define.{name}") for name, sub in define.items()}
 
     try:
         if kind == "general":
+            entries = node.get("transitions") or []
+            if not isinstance(entries, list):
+                raise ModelFileError("'chain.transitions' must be a list of "
+                                     "{\"from\": i, \"to\": j, \"rate\": ...} objects")
             transitions = {}
-            for idx, entry in enumerate(node.get("transitions") or ()):
+            for idx, entry in enumerate(entries):
                 try:
                     i = _integer(entry["from"], f"transitions[{idx}].from")
                     j = _integer(entry["to"], f"transitions[{idx}].to")
@@ -179,14 +168,13 @@ def _parse_chain(node) -> ChainSpec:
                     raise ModelFileError(f"transitions[{idx}]: duplicate pair ({i}, {j})")
                 transitions[(i, j)] = rate
             return general_chain(S, transitions)
-        first, second = _KIND_LISTS[kind]
-        lists = {}
-        for key in (first, second):
+        lists = []
+        for key in RATE_LISTS[kind]:
             raw = node.get(key)
             if not isinstance(raw, list):
                 raise ModelFileError(f"chain kind {kind!r} needs the list 'chain.{key}'")
-            lists[key] = [_parse_rate(v, defs, f"{key}[{i}]") for i, v in enumerate(raw)]
-        return _CONSTRUCTORS[kind](S, lists[first], lists[second])
+            lists.append([_parse_rate(v, defs, f"{key}[{i}]") for i, v in enumerate(raw)])
+        return class_chain(kind, S, *lists)
     except ModelFileError:
         raise
     except ValueError as exc:
@@ -271,7 +259,7 @@ def serialize_model(model: ModelFile) -> str:
             {"from": i, "to": j, "rate": _rate_to_json(fn)}
             for i, j, fn in spec.transitions]
     else:
-        for key in _KIND_LISTS[spec.kind]:
+        for key in RATE_LISTS[spec.kind]:
             chain[key] = [_rate_to_json(fn) for fn in getattr(spec, key)]
     a = model.analysis
     analysis = {"horizon": a.horizon, "grid": a.grid, "steps": a.steps,

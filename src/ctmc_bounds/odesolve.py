@@ -456,8 +456,10 @@ def verify_convergence_coupling(spec: ChainSpec, weights, tmax: float,
     the propagated difference of the non-zero-state coordinates through the
     tail-sum transform and the weights, and checks the upper envelope on
     the resulting norm; the integrator margin compares the propagators with
-    the step-h/2 ones. Propagating the difference, not differencing the
-    propagated pair, keeps nearly equal pairs free of cancellation.
+    the step-h/2 ones, each pair relative to its own starting norm.
+    Propagating the difference, not differencing the propagated pair, keeps
+    nearly equal pairs free of cancellation; the difference's state-0 entry
+    is set to minus the sum of the others, so it carries no mass.
     Probability conservation (column sums within 1e-10 of one) and
     nonnegativity (entries >= -1e-12) are checked on every forward
     trajectory as well. Raises NonnegativityError, before any pair runs, if
@@ -476,6 +478,9 @@ def verify_convergence_coupling(spec: ChainSpec, weights, tmax: float,
     rng = np.random.default_rng(seed)
     P = _draw_pairs(rng, spec.S + 1, n_pairs)
     diff = P[:, :n_pairs] - P[:, n_pairs:]
+    # a difference of probability vectors carries no mass; the round-off
+    # of the normalisation would otherwise stay undamped while it decays
+    diff[0] = -diff[1:].sum(axis=0)
     columns = np.hstack([P, diff])
 
     norms0 = _coupling_norms(diff[1:], st.d)
@@ -497,9 +502,10 @@ def verify_convergence_coupling(spec: ChainSpec, weights, tmax: float,
         ratio_max[ks] = up.max(axis=1)
         candidates += _beyond("coupling", up, up > 1.0 + band, grid[ks])
 
-    # forward-propagator error maps through the tail-sum transform with a
-    # factor sum(d), and a pair of probability vectors has l1 norm <= 2
-    integ_margin = float(2.0 * worst * st.d.sum() * 2.0 / float(np.min(safe_norms0)))
+    # forward-propagator error of pair j maps through the tail-sum transform
+    # with a factor sum(d) times its l1 norm over its starting norm
+    growth = float((np.abs(diff).sum(axis=0) / safe_norms0).max())
+    integ_margin = 2.0 * worst * float(st.d.sum()) * growth
     slack_total = slack + integ_margin + st.quad_margin
     violations = _confirm(candidates, slack_total)
     if prob_sum_err > 1e-10:

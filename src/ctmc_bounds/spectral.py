@@ -26,6 +26,9 @@ from .transform import apply_weights, require_essential_nonnegativity
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
+PERRON_TOL = 1e-14    # relative bracket width at which the Perron solve stops
+MAX_SOLVES = 10**6    # cap on its linear solves: non-convergence is an error, not a hang
+
 
 class ReducibleMatrixError(ValueError):
     """Sharp weighting requested for a matrix whose directed graph is not strongly connected."""
@@ -39,8 +42,8 @@ class SharpnessConditionError(ValueError):
     """The structural conditions guaranteeing a sharp rate do not hold."""
 
 
-def check_irreducible(M, tol: float = 0.0) -> bool:
-    """True iff the directed graph with edges i -> j for M_ij > tol (i != j) is strongly connected.
+def check_irreducible(M) -> bool:
+    """True iff the directed graph with edges i -> j for M_ij > 0 (i != j) is strongly connected.
 
     Uses one forward and one backward reachability pass from node 0.
     """
@@ -48,7 +51,7 @@ def check_irreducible(M, tol: float = 0.0) -> bool:
     S = M.shape[0]
     if S == 1:
         return True
-    adj = (M > tol) & ~np.eye(S, dtype=bool)
+    adj = (M > 0.0) & ~np.eye(S, dtype=bool)
     return _reaches_all(adj) and _reaches_all(adj.T)
 
 
@@ -83,7 +86,7 @@ class SharpRate:
     bracket: tuple
 
 
-def perron_weights(Bstar, x0=None, tol: float = 1e-14, max_iter: int = 10**6) -> SharpRate:
+def perron_weights(Bstar, x0=None) -> SharpRate:
     """Positive weights equalizing the column sums of D Bstar D^{-1}.
 
     Noda's inverse iteration with the Collatz-Wielandt bound as shift. For
@@ -131,8 +134,8 @@ def perron_weights(Bstar, x0=None, tol: float = 1e-14, max_iter: int = 10**6) ->
         eigenvector, and with it the weighting, would not be unique).
     PowerIterationError
         On hitting the solve cap, if the weights span more than the
-        double-precision range, or if the converged weights fail the
-        equal-column-sum postcondition.
+        double-precision range, or if the converged column sums spread
+        by more than :func:`equalization_tol`.
     """
     B = np.asarray(Bstar, dtype=float)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
@@ -151,7 +154,7 @@ def perron_weights(Bstar, x0=None, tol: float = 1e-14, max_iter: int = 10**6) ->
             raise ValueError("x0 must be a finite vector of length S without zero entries")
         x = x / x.sum()
 
-    floor = 4.0 * _EPS * float(np.max(np.abs(B)))
+    floor = _round_off_floor(B)
     W = apply_weights(B, x)
     r = W.sum(axis=0)
     # buffers reused by every solve: fresh S x S temporaries freed at the heap top
@@ -160,10 +163,10 @@ def perron_weights(Bstar, x0=None, tol: float = 1e-14, max_iter: int = 10**6) ->
     iterations = 0
     while True:
         lo, hi = float(r.min()), float(r.max())
-        if hi - lo <= max(tol * max(abs(lo), abs(hi)), floor):
+        if hi - lo <= max(PERRON_TOL * max(abs(lo), abs(hi)), floor):
             break
-        if iterations == max_iter:
-            raise PowerIterationError(f"no convergence within {max_iter} solves "
+        if iterations == MAX_SOLVES:
+            raise PowerIterationError(f"no convergence within {MAX_SOLVES} solves "
                                       f"(bracket width {hi - lo:.3e})")
         iterations += 1
         try:
@@ -190,17 +193,28 @@ def perron_weights(Bstar, x0=None, tol: float = 1e-14, max_iter: int = 10**6) ->
     lambda0 = float(x @ r)
     residual = float(np.abs(x * (r - lambda0)).sum())
 
-    m = float(np.max(np.abs(np.diag(B))))
-    spread = hi - lo
-    if abs(lambda0) > 1e-12 * m:
-        spread_tol = 1e-9 * abs(lambda0)
-    else:
-        spread_tol = 1e-12
+    spread, spread_tol = hi - lo, equalization_tol(lambda0, B)
     if spread > spread_tol:
         raise PowerIterationError(f"column sums not equalized: spread {spread:.3e} "
                                   f"exceeds tolerance {spread_tol:.3e}")
     return SharpRate(lambda0=lambda0, weights=x, iterations=iterations,
                      residual=residual, bracket=(lo, hi))
+
+
+def _round_off_floor(B) -> float:
+    """4 ulps of the largest absolute entry: the narrowest bracket round-off allows."""
+    return 4.0 * _EPS * float(np.max(np.abs(B)))
+
+
+def equalization_tol(lambda0, Bstar) -> float:
+    """How far equalized column sums of the weighted Bstar may spread around lambda0.
+
+    1e-9 relative to lambda0, but never below the round-off floor at which
+    the Perron iteration stops, 4 ulps of the largest absolute entry of
+    Bstar; the floor decides only when |lambda0| is below about 1e-6 of
+    that entry.
+    """
+    return max(1e-9 * abs(lambda0), _round_off_floor(Bstar))
 
 
 @dataclass(frozen=True)
@@ -215,45 +229,23 @@ class ConditionReport:
 def check_sharpness_conditions(spec: ChainSpec) -> ConditionReport:
     """Check the class conditions under which the equalizing weights exist.
 
-    birth_death: all birth and death rates positive. batch_birth: positive
-    death rates and a_2 < a_1 (strict). batch_death: positive birth rates
-    and b_2 < b_1. batch_both: both strict inequalities. Conditions on the
-    second batch rate are vacuous for S = 1. The general kind carries no
-    structural certificate and always fails.
+    Every single-step rate list a chain carries (birth, death) must be
+    positive, and every batch list must start strictly decreasing: a_2 < a_1
+    and b_2 < b_1, vacuous for S = 1. So birth_death needs positive births
+    and deaths, batch_birth positive deaths and a_2 < a_1, batch_death
+    positive births and b_2 < b_1, and batch_both both inequalities. The
+    general kind carries no structural certificate and always fails.
 
     The chain must be homogeneous (all rates constant).
     """
     require_homogeneous(spec, "sharpness-condition check")
-    failures = []
-
-    def _values(fns):
-        return [fn.constant_value for fn in fns]
-
-    if spec.kind == "birth_death":
-        if min(_values(spec.birth), default=1.0) <= 0.0:
-            failures.append("all birth rates must be positive")
-        if min(_values(spec.death), default=1.0) <= 0.0:
-            failures.append("all death rates must be positive")
-    elif spec.kind == "batch_birth":
-        if min(_values(spec.death), default=1.0) <= 0.0:
-            failures.append("all death rates must be positive")
-        a = _values(spec.batch_birth)
-        if spec.S >= 2 and not a[1] < a[0]:
-            failures.append(f"need a_2 < a_1, got a_1={a[0]}, a_2={a[1]}")
-    elif spec.kind == "batch_death":
-        if min(_values(spec.birth), default=1.0) <= 0.0:
-            failures.append("all birth rates must be positive")
-        b = _values(spec.batch_death)
-        if spec.S >= 2 and not b[1] < b[0]:
-            failures.append(f"need b_2 < b_1, got b_1={b[0]}, b_2={b[1]}")
-    elif spec.kind == "batch_both":
-        a = _values(spec.batch_birth)
-        b = _values(spec.batch_death)
-        if spec.S >= 2 and not a[1] < a[0]:
-            failures.append(f"need a_2 < a_1, got a_1={a[0]}, a_2={a[1]}")
-        if spec.S >= 2 and not b[1] < b[0]:
-            failures.append(f"need b_2 < b_1, got b_1={b[0]}, b_2={b[1]}")
-    else:
+    failures = [f"all {name} rates must be positive" for name in ("birth", "death")
+                if min((fn.constant_value for fn in getattr(spec, name)), default=1.0) <= 0.0]
+    for name, x in (("batch_birth", "a"), ("batch_death", "b")):
+        first = [fn.constant_value for fn in getattr(spec, name)[:2]]
+        if len(first) == 2 and not first[1] < first[0]:
+            failures.append(f"need {x}_2 < {x}_1, got {x}_1={first[0]}, {x}_2={first[1]}")
+    if spec.kind == "general":
         failures.append("general chains carry no structural sharpness certificate")
     return ConditionReport(passed=not failures, kind=spec.kind,
                            failures=tuple(failures))

@@ -1,9 +1,10 @@
 """Reference computations that only the tests use.
 
 Each re-derives a quantity the library computes another way: the
-triangular similarity as explicit integer matrices, column sums of a single
-matrix, eigenvalues by plain power iteration, and RK4 trajectories one
-stage at a time.
+generator entry by entry from the model-file definition of each chain kind,
+the triangular similarity as explicit integer matrices, column sums of a
+single matrix, eigenvalues by plain power iteration, and RK4 trajectories
+one stage at a time.
 """
 
 from dataclasses import dataclass
@@ -11,6 +12,50 @@ from dataclasses import dataclass
 import numpy as np
 
 from ctmc_bounds import PowerIterationError
+
+
+def _jump_rate(kind, lists, i, j):
+    """The rate function of the jump i -> j (i != j) of a structured kind, or None.
+
+    birth_i drives i -> i+1 (i = 0..S-1), death_i drives i -> i-1
+    (i = 1..S), the group-birth rate a_k drives i -> i+k from every state
+    and the group-death rate b_k drives i -> i-k (k = 1..S).
+    """
+    k = j - i
+    if kind == "birth_death":
+        return lists["birth"][i] if k == 1 else lists["death"][j] if k == -1 else None
+    if kind == "batch_birth":
+        return lists["batch_birth"][k - 1] if k > 0 else lists["death"][j] if k == -1 else None
+    if kind == "batch_death":
+        return lists["birth"][i] if k == 1 else lists["batch_death"][-k - 1] if k < 0 else None
+    if kind == "batch_both":
+        return lists["batch_birth"][k - 1] if k > 0 else lists["batch_death"][-k - 1]
+    raise ValueError(f"unknown structured kind {kind!r}")
+
+
+def dense_generator(kind, S, lists, t):
+    """Q(t) assembled pair by pair (i, j) from the model-file definition of a kind.
+
+    lists maps the kind's rate-list names to their rate functions; the
+    general kind takes "transitions", a mapping {(i, j): rate function}.
+    Each diagonal entry is minus the sum of its row. t is a scalar or a
+    1d array of times; the result has shape t.shape + (S+1, S+1).
+    """
+    ts = np.asarray(t, dtype=float)
+    Q = np.zeros(ts.shape + (S + 1, S + 1))
+    for i in range(S + 1):
+        for j in range(S + 1):
+            if i == j:
+                continue
+            if kind == "general":
+                fn = lists["transitions"].get((i, j))
+            else:
+                fn = _jump_rate(kind, lists, i, j)
+            if fn is not None:
+                Q[..., i, j] = fn(ts)
+    idx = np.arange(S + 1)
+    Q[..., idx, idx] = -Q.sum(axis=-1)
+    return Q
 
 
 def triangular_pair(S: int):

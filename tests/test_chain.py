@@ -3,6 +3,44 @@ import pytest
 
 import ctmc_bounds as cb
 from conftest import CLASS_KINDS, random_class_chain, random_regular_general
+from linalg_oracles import dense_generator
+
+CONSTRUCTORS = {"birth_death": cb.birth_death_chain, "batch_birth": cb.batch_birth_chain,
+                "batch_death": cb.batch_death_chain, "batch_both": cb.batch_both_chain}
+# the two rate lists of each structured kind, in the constructor's order
+KIND_LISTS = {"birth_death": ("birth", "death"), "batch_birth": ("batch_birth", "death"),
+              "batch_death": ("batch_death", "birth"),
+              "batch_both": ("batch_birth", "batch_death")}
+
+
+def _mixed_rates(rng, n):
+    """n rate functions cycling through the constant, sinusoid and table variants."""
+    rates = []
+    for m in range(n):
+        c = float(rng.uniform(0.5, 3.0))
+        rates.append((c, cb.RateFunction.sinusoid(c, 0.4 * c, 0.7, float(m)),
+                      cb.RateFunction.table([0.0, 0.8, 2.0], [c, 0.3 * c, 2.0 * c]))[m % 3])
+    return tuple(cb.as_rate(r) for r in rates)
+
+
+@pytest.mark.parametrize("S", [1, 2, 5])
+@pytest.mark.parametrize("kind", ["general", *CLASS_KINDS])
+def test_generator_matches_dense_oracle_bit_for_bit(kind, S):
+    rng = np.random.default_rng(100 * S + len(kind))
+    if kind == "general":
+        pairs = [(i, j) for i in range(S + 1) for j in range(S + 1) if i != j]
+        # leave out S - 1 of the pairs, so some entries of Q are absent
+        pairs = [pairs[m] for m in sorted(rng.permutation(len(pairs))[:len(pairs) - S + 1])]
+        lists = {"transitions": dict(zip(pairs, _mixed_rates(rng, len(pairs))))}
+        spec = cb.general_chain(S, lists["transitions"])
+    else:
+        lists = {name: _mixed_rates(rng, S) for name in KIND_LISTS[kind]}
+        spec = CONSTRUCTORS[kind](S, *(lists[name] for name in KIND_LISTS[kind]))
+    for t in (0.37, np.linspace(0.0, 2.0, 5)):
+        expected = dense_generator(kind, S, lists, t)
+        got = cb.eval_generator(spec, t)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected), (kind, S, t)
 
 
 def test_birth_death_two_state_generator():

@@ -7,7 +7,7 @@ import pytest
 import ctmc_bounds as cb
 from ctmc_bounds import bounds as bounds_module
 from ctmc_bounds import cli
-from conftest import NONREGULAR_OVERRIDE_RATES
+from conftest import NONREGULAR_OVERRIDE_RATES, random_class_chain
 
 BD3 = {
     "schema": 1,
@@ -133,6 +133,32 @@ def test_cmd_rate_reports_closed_form(tmp_path, capsys):
     assert "lambda0: -0.58578643762" in out
     assert "beta_star=0.58578643762" in out
     assert "sharpness conditions (birth_death): pass" in out
+
+
+def _rate_is_sharp(tmp_path, capsys, chain, name="model.json"):
+    doc = {"schema": 1, "chain": chain, "analysis": {"grid": 11}}
+    code = cli.main(["rate", _write(tmp_path, doc, name)])
+    out, err = capsys.readouterr()
+    return code == cli.EXIT_OK and "sharp: yes" in out and err == ""
+
+
+def test_cmd_rate_is_sharp_when_lambda0_is_below_round_off_of_the_rates(tmp_path, capsys):
+    # lambda0 ~ -1.9e-7 against rates of 10: the equalized column sums can
+    # spread by round-off of the rates (8.9e-15), far more than 1e-9 |lambda0|
+    birth, death = [10.0] * 20, [10.0] * 20
+    birth[10] = death[10] = 1e-6
+    chain = {"kind": "birth_death", "states": 20, "birth": birth, "death": death}
+    assert _rate_is_sharp(tmp_path, capsys, chain)
+
+
+def test_cmd_rate_is_sharp_on_random_birth_death_chains(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    for n in range(200):
+        spec = random_class_chain(rng, "birth_death", int(rng.integers(2, 80)))
+        chain = {"kind": "birth_death", "states": spec.S,
+                 "birth": [fn.constant_value for fn in spec.birth],
+                 "death": [fn.constant_value for fn in spec.death]}
+        assert _rate_is_sharp(tmp_path, capsys, chain, f"chain{n}.json"), n
 
 
 def test_cmd_rate_rejects_time_varying_chain(tmp_path, capsys):

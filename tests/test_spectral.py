@@ -217,6 +217,28 @@ def test_sharpness_conditions_per_class():
     assert not cb.check_sharpness_conditions(general).passed
 
 
+# one failing chain of every kind and the exact failures it reports, in order
+FAILING_CONDITIONS = [
+    (cb.birth_death_chain(2, [1.0, 0.0], [0.0, 1.0]),
+     ("all birth rates must be positive", "all death rates must be positive")),
+    (cb.batch_birth_chain(2, [1.0, 1.5], [1.0, 0.0]),
+     ("all death rates must be positive", "need a_2 < a_1, got a_1=1.0, a_2=1.5")),
+    (cb.batch_death_chain(3, [0.5, 0.5, 0.25], [0.0, 2.0, 1.0]),
+     ("all birth rates must be positive", "need b_2 < b_1, got b_1=0.5, b_2=0.5")),
+    (cb.batch_both_chain(3, [1.0, 2.0, 0.5], [0.25, 0.25, 0.1]),
+     ("need a_2 < a_1, got a_1=1.0, a_2=2.0", "need b_2 < b_1, got b_1=0.25, b_2=0.25")),
+    (cb.general_chain(1, {(0, 1): 1.0, (1, 0): 1.0}),
+     ("general chains carry no structural sharpness certificate",)),
+]
+
+
+@pytest.mark.parametrize("spec, failures", FAILING_CONDITIONS,
+                         ids=[spec.kind for spec, _ in FAILING_CONDITIONS])
+def test_sharpness_condition_failures_are_exact(spec, failures):
+    rep = cb.check_sharpness_conditions(spec)
+    assert rep == cb.ConditionReport(passed=False, kind=spec.kind, failures=failures)
+
+
 def test_sharpness_conditions_need_homogeneous():
     lam = cb.RateFunction.sinusoid(1.0, 0.5, 1.0)
     spec = cb.birth_death_chain(2, [lam, 1.0], [1.0, 1.0])
