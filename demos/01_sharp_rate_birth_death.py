@@ -16,9 +16,10 @@ a, b = 1.0, 2.0          # birth and death rates, identical across states
 spec = cb.birth_death_chain(S, [a] * S, [b] * S)
 
 print("generator Q(0):")
-print(cb.eval_generator(spec, 0.0))
+Q = cb.eval_generator(spec, 0.0)
+print(Q)
 
-B = cb.build_reduced(spec, 0.0)
+B = cb.build_reduced(Q)
 print("\nreduced matrix B (state 0 eliminated):")
 print(B)
 

@@ -31,10 +31,10 @@ for name, spec in chains.items():
     print("Q(0):")
     print(np.round(Q, 3))
 
-    report = cb.check_regularity(spec, [0.0])
+    report = cb.check_regularity(Q[None], [0.0])
     print("regular:", report.regular)
 
-    numeric = cb.to_bstar(cb.build_reduced(spec, 0.0))
+    numeric = cb.to_bstar(cb.build_reduced(Q))
     analytic = cb.analytic_bstar(spec, 0.0)
     print("closed-form transform matches numeric:",
           np.abs(numeric - analytic).max() < 1e-12)
@@ -49,8 +49,9 @@ for name, spec in chains.items():
 print("=" * 64)
 broken = cb.batch_birth_chain(3, [1.0, 2.0, 0.5], [1.0, 1.0, 1.0])
 print("a_2 > a_1:")
-print("  regular:", cb.check_regularity(broken, [0.0]).regular)
-bstar = cb.to_bstar(cb.build_reduced(broken, 0.0))
+Q = cb.eval_generator(broken, 0.0)
+print("  regular:", cb.check_regularity(Q[None], [0.0]).regular)
+bstar = cb.to_bstar(cb.build_reduced(Q))
 nn = cb.check_essential_nonnegativity(bstar)
 print("  transform essentially non-negative:", nn.passed,
       "| worst off-diagonal:", nn.min_offdiagonal)

@@ -12,7 +12,7 @@ import numpy as np
 import ctmc_bounds as cb
 
 spec = cb.batch_both_chain(4, [1.2, 0.6, 0.3, 0.15], [1.0, 0.5, 0.25, 0.1])
-rate = cb.perron_weights(cb.to_bstar(cb.build_reduced(spec, 0.0)))
+rate = cb.perron_weights(cb.to_bstar(cb.build_reduced(cb.eval_generator(spec, 0.0))))
 print(f"sharp rate lambda0 = {rate.lambda0:.10f}")
 print("weights:", np.round(rate.weights, 6))
 

@@ -12,7 +12,7 @@ from .rates import RateEvaluationError, RateFunction, as_rate
 from .chain import (ChainSpec, InhomogeneousChainError, RegularityReport,
                     RegularityViolation, batch_birth_chain, batch_both_chain,
                     batch_death_chain, birth_death_chain, check_regularity,
-                    eval_generator, eval_transposed, general_chain)
+                    eval_generator, general_chain)
 from .transform import (NonnegativityError, NonnegReport, analytic_bstar,
                         apply_weights, build_reduced, check_essential_nonnegativity,
                         require_essential_nonnegativity, to_bstar)
@@ -41,7 +41,7 @@ __all__ = [
     "bound_report_to_csv", "build_reduced", "check_essential_nonnegativity",
     "check_irreducible", "check_regularity", "check_sharpness_conditions",
     "closed_form_bd", "compute_bounds", "cumulative_simpson", "eval_generator",
-    "eval_transposed", "general_chain", "load_model", "parse_model",
+    "general_chain", "load_model", "parse_model",
     "perron_weights", "require_essential_nonnegativity", "serialize_model",
     "sharp_report", "solve", "to_bstar", "trajectory_to_csv",
     "verification_to_csv", "verify_bounds", "verify_convergence_coupling",

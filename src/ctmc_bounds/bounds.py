@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, check_regularity, evaluation_times, require_homogeneous
+from .chain import (ChainSpec, check_regularity, eval_generator, evaluation_times,
+                    require_homogeneous)
 from .spectral import (SharpnessConditionError, check_sharpness_conditions, equalization_tol,
                        perron_weights)
 from .transform import (apply_weights, build_reduced, require_essential_nonnegativity,
@@ -139,11 +140,15 @@ def compute_bounds(spec: ChainSpec, weights, tmax: float, n_grid: int) -> BoundR
 
     half = np.linspace(0.0, tmax, 2 * n + 1)
     times = evaluation_times(spec, half)
-    Bstar = to_bstar(build_reduced(spec, times))
+    Q = eval_generator(spec, times)
+    reg = check_regularity(Q[::2], times[::2])
+    B = build_reduced(Q)
+    del Q  # to_bstar runs beside B alone and apply_weights beside B*: the peak is Q + B
+    Bstar = to_bstar(B)
+    del B
 
     require_essential_nonnegativity(Bstar, times)
     warnings = []
-    reg = check_regularity(spec, times[::2])
     if not reg.regular:
         v = reg.violations[0]
         warnings.append(
@@ -174,7 +179,7 @@ def sharp_report(spec: ChainSpec, tmax: float = 1.0, n_grid: int = 201) -> Bound
     cond = check_sharpness_conditions(spec)
     if not cond.passed:
         raise SharpnessConditionError("; ".join(cond.failures))
-    bstar = to_bstar(build_reduced(spec, 0.0))
+    bstar = to_bstar(build_reduced(eval_generator(spec, 0.0)))
     rate = perron_weights(bstar)
     report = compute_bounds(spec, rate.weights, tmax, n_grid)
     lam0 = rate.lambda0

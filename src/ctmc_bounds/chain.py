@@ -27,6 +27,7 @@ of the reduced system essentially non-negative.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,7 +153,7 @@ def _transition_table(spec: ChainSpec) -> tuple:
 
 
 def eval_generator(spec: ChainSpec, t):
-    """Transition-intensity matrix Q(t).
+    """Transition-intensity matrix Q(t), the only place a chain's rates are evaluated.
 
     Parameters
     ----------
@@ -165,13 +166,19 @@ def eval_generator(spec: ChainSpec, t):
         Shape (S+1, S+1) for scalar t, (len(t), S+1, S+1) for array t.
         Off-diagonal entries are the transition intensities; each diagonal
         entry is minus the sum of its row, so rows sum to zero up to
-        round-off.
+        round-off. A result larger than the machine's physical memory
+        raises MemoryError before anything is allocated.
     """
     ts = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(ts)):
         raise RateEvaluationError(f"generator requested at non-finite time {t!r}")
     n = spec.S + 1
-    Q = np.zeros(ts.shape + (n, n))
+    shape = ts.shape + (n, n)
+    size, memory = 8 * ts.size * n * n, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if size > memory:
+        raise MemoryError(f"a generator stack of shape {shape} needs {size / 2**30:.4g} GiB, "
+                          f"more than the {memory / 2**30:.4g} GiB of physical memory")
+    Q = np.zeros(shape)
     for i, j, fn in _transition_table(spec):
         try:
             Q[..., i, j] = fn(ts)
@@ -180,11 +187,6 @@ def eval_generator(spec: ChainSpec, t):
     idx = np.arange(n)
     Q[..., idx, idx] = -Q.sum(axis=-1)
     return Q
-
-
-def eval_transposed(spec: ChainSpec, t):
-    """Transposed intensity matrix A(t) = Q(t)^T; its columns sum to zero."""
-    return np.swapaxes(eval_generator(spec, t), -1, -2)
 
 
 @dataclass(frozen=True)
@@ -215,20 +217,23 @@ class RegularityReport:
                    "behaviour between grid points is not checked")
 
 
-def check_regularity(spec: ChainSpec, grid) -> RegularityReport:
+def check_regularity(Q, grid) -> RegularityReport:
     """Check that arrival intensities are non-increasing in the jump size on a time grid.
 
-    For every grid time and every state i, both families of intensities
-    into i - q_{i-k,i}(t) from below and q_{i+k,i}(t) from above - must be
-    non-increasing in k (non-strictly). Violations are collected and
-    reported, never raised.
+    Q holds the generators at the grid times, a (len(grid), S+1, S+1)
+    stack as :func:`eval_generator` returns it. For every grid time and
+    every state i, both families of intensities into i - q_{i-k,i}(t) from
+    below and q_{i+k,i}(t) from above - must be non-increasing in k
+    (non-strictly). Violations are collected and reported, never raised.
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if grid.size == 0:
         raise ValueError("regularity check needs a non-empty time grid")
-    Qs = eval_generator(spec, grid)
+    Qs = np.asarray(Q, dtype=float)
+    if Qs.shape[:-2] != grid.shape:
+        raise ValueError(f"need one generator per grid time, got {Qs.shape} for {grid.size}")
     violations = []
-    S = spec.S
+    S = Qs.shape[-1] - 1
     for i in range(S + 1):
         for direction, rows in (("up", np.arange(i - 1, -1, -1)),
                                 ("down", np.arange(i + 1, S + 1))):

@@ -20,8 +20,9 @@ Exit codes (a total function of the outcome):
 2     model file cannot be parsed, or an analysis value is out
       of range
 3     rate evaluation, a trajectory or the Perron solve failed,
-      or an envelope integral is not finite (for ``verify`` also
-      an envelope that overflows or underflows to zero)
+      an envelope integral is not finite (for ``verify`` also
+      an envelope that overflows or underflows to zero), or a
+      matrix stack is larger than the machine's memory
 4     homogeneous-only command applied to a time-varying chain
 5     transformed matrix is reducible
 6     sharpness conditions not satisfied
@@ -39,7 +40,7 @@ import numpy as np
 
 from .bounds import (NonFiniteBoundError, bound_report_to_csv, compute_bounds,
                      sharp_report, write_csv)
-from .chain import InhomogeneousChainError, check_regularity
+from .chain import InhomogeneousChainError, check_regularity, eval_generator
 from .modelfile import AnalysisSettings, ModelFileError, load_model
 from .odesolve import (OdeBlowUpError, verify_bounds, verify_convergence_coupling)
 from .rates import RateEvaluationError
@@ -60,6 +61,7 @@ EXIT_CONDITIONS = 6
 _ERROR_EXITS = ((NonnegativityError, EXIT_VIOLATION), (ModelFileError, EXIT_PARSE),
                 (RateEvaluationError, EXIT_EVAL), (OdeBlowUpError, EXIT_EVAL),
                 (PowerIterationError, EXIT_EVAL), (NonFiniteBoundError, EXIT_EVAL),
+                (MemoryError, EXIT_EVAL),
                 (InhomogeneousChainError, EXIT_INHOMOGENEOUS),
                 (ReducibleMatrixError, EXIT_REDUCIBLE),
                 (SharpnessConditionError, EXIT_CONDITIONS))
@@ -87,24 +89,17 @@ def _load_weights_file(path):
         raise ModelFileError(f"weights file {path} must contain numbers") from None
 
 
-def _apply_overrides(settings: AnalysisSettings, args) -> AnalysisSettings:
-    updates = {}
-    for flag, field in (("horizon", "horizon"), ("grid", "grid"),
-                        ("steps", "steps"), ("trials", "trials"),
-                        ("pairs", "pairs"), ("seed", "seed"),
-                        ("tol", "tolerance")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            updates[field] = value
-    if getattr(args, "weights", None) is not None:
-        w = args.weights
-        if w in ("ones", "perron", "frozen-perron"):
-            updates["weights_mode"] = w
-            updates["weights"] = None
-        else:
-            updates["weights_mode"] = "list"
-            updates["weights"] = _load_weights_file(w)
-    return dataclasses.replace(settings, **updates)
+def _load(args):
+    """The model file's chain and its settings, with the options given on the command line."""
+    model = load_model(args.model)
+    updates = {f.name: getattr(args, f.name) for f in dataclasses.fields(AnalysisSettings)
+               if f.name != "weights" and getattr(args, f.name, None) is not None}
+    w = getattr(args, "weights", None)
+    if w in ("ones", "perron", "frozen-perron"):
+        updates.update(weights_mode=w, weights=None)
+    elif w is not None:
+        updates.update(weights_mode="list", weights=_load_weights_file(w))
+    return model.chain, dataclasses.replace(model.analysis, **updates)
 
 
 def resolve_weights(spec, settings: AnalysisSettings):
@@ -132,16 +127,16 @@ def resolve_weights(spec, settings: AnalysisSettings):
         if not spec.is_homogeneous:
             warnings.append("frozen-perron weights computed at t=0 of a "
                             "time-varying chain: a heuristic, not sharp")
-        return perron_weights(to_bstar(build_reduced(spec, 0.0))).weights, warnings
+        bstar = to_bstar(build_reduced(eval_generator(spec, 0.0)))
+        return perron_weights(bstar).weights, warnings
     raise ModelFileError(f"unknown weights mode {mode!r}")
 
 
 def cmd_check(args) -> int:
-    model = load_model(args.model)
-    spec, settings = model.chain, _apply_overrides(model.analysis, args)
+    spec, settings = _load(args)
     grid = np.linspace(0.0, settings.horizon, settings.grid)
-
-    reg = check_regularity(spec, grid)
+    Q = eval_generator(spec, grid)
+    reg = check_regularity(Q, grid)
     if reg.regular:
         print(f"regular: yes ({settings.grid} grid points over "
               f"[0, {_fmt(settings.horizon)}])")
@@ -151,7 +146,9 @@ def cmd_check(args) -> int:
               f"state {v.state}, {v.direction} jump {v.k}->{v.k + 1}: "
               f"{_fmt(v.value)} -> {_fmt(v.next_value)})")
 
-    nonneg = check_essential_nonnegativity(to_bstar(build_reduced(spec, grid)))
+    B = build_reduced(Q)
+    del Q  # to_bstar runs beside B alone
+    nonneg = check_essential_nonnegativity(to_bstar(B))
     worst = _fmt(nonneg.min_offdiagonal)
     if nonneg.passed:
         print(f"B* essentially non-negative: yes (off-diagonal minimum {worst})")
@@ -166,8 +163,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_rate(args) -> int:
-    model = load_model(args.model)
-    spec, settings = model.chain, _apply_overrides(model.analysis, args)
+    spec, settings = _load(args)
     cond = check_sharpness_conditions(spec)
     status = "pass" if cond.passed else "FAIL: " + "; ".join(cond.failures)
     print(f"sharpness conditions ({spec.kind}): {status}")
@@ -199,8 +195,7 @@ def _print_closed_form(spec, lambda0) -> None:
 
 
 def cmd_bounds(args) -> int:
-    model = load_model(args.model)
-    spec, settings = model.chain, _apply_overrides(model.analysis, args)
+    spec, settings = _load(args)
     weights, warnings = resolve_weights(spec, settings)
     report = compute_bounds(spec, weights, settings.horizon, settings.grid)
     for note in warnings + list(report.warnings):
@@ -217,8 +212,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    model = load_model(args.model)
-    spec, settings = model.chain, _apply_overrides(model.analysis, args)
+    spec, settings = _load(args)
     weights, warnings = resolve_weights(spec, settings)
     for note in warnings:
         print(f"warning: {note}")
@@ -250,45 +244,40 @@ def cmd_verify(args) -> int:
     return EXIT_OK if rep_b.passed and rep_c.passed else EXIT_VIOLATION
 
 
+_OPTIONS = {
+    "horizon": dict(type=float, help="analysis horizon Tmax"),
+    "grid": dict(type=int, help="number of report grid points"),
+    "seed": dict(type=int, help="seed for randomized commands"),
+    "tol": dict(type=float, dest="tolerance", metavar="TOL", help="verification slack"),
+    "weights": dict(help="ones | perron | frozen-perron | path to a weights file"),
+    "csv": dict(help="write the report to this CSV path"),
+    "closed-form": dict(action="store_true",
+                        help="cross-check against the constant birth-death closed form"),
+    "steps": dict(type=int, help="RK4 steps over the horizon"),
+    "trials": dict(type=int, help="random trials for the envelopes"),
+    "pairs": dict(type=int, help="random probability pairs"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ctmc-bounds",
         description="Convergence-rate bounds for finite continuous-time "
                     "Markov chains with structured generators.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def _common(p, csv=True, verify=False):
+    # each subcommand takes only the options it reads
+    for name, func, help_text, options in (
+            ("check", cmd_check, "regularity and essential non-negativity", "horizon grid"),
+            ("rate", cmd_rate, "sharp rate of a homogeneous chain",
+             "horizon grid csv closed-form"),
+            ("bounds", cmd_bounds, "two-sided envelope report", "horizon grid weights csv"),
+            ("verify", cmd_verify, "randomized trajectory verification",
+             "horizon grid seed tol weights csv steps trials pairs")):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("model", help="path to the JSON model file")
-        p.add_argument("--horizon", type=float, help="analysis horizon Tmax")
-        p.add_argument("--grid", type=int, help="number of report grid points")
-        p.add_argument("--seed", type=int, help="seed for randomized commands")
-        p.add_argument("--tol", type=float, help="verification slack")
-        p.add_argument("--weights",
-                       help="ones | perron | frozen-perron | path to a weights file")
-        if csv:
-            p.add_argument("--csv", help="write the report to this CSV path")
-        if verify:
-            p.add_argument("--steps", type=int, help="RK4 steps over the horizon")
-            p.add_argument("--trials", type=int, help="random trials for the envelopes")
-            p.add_argument("--pairs", type=int, help="random probability pairs")
-
-    p = sub.add_parser("check", help="regularity and essential non-negativity")
-    _common(p, csv=False)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("rate", help="sharp rate of a homogeneous chain")
-    _common(p)
-    p.add_argument("--closed-form", action="store_true",
-                   help="cross-check against the constant birth-death closed form")
-    p.set_defaults(func=cmd_rate)
-
-    p = sub.add_parser("bounds", help="two-sided envelope report")
-    _common(p)
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("verify", help="randomized trajectory verification")
-    _common(p, verify=True)
-    p.set_defaults(func=cmd_verify)
+        for option in options.split():
+            p.add_argument(f"--{option}", **_OPTIONS[option])
+        p.set_defaults(func=func)
     return parser
 
 

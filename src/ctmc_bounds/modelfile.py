@@ -220,7 +220,7 @@ def parse_model(text: str) -> ModelFile:
         raise ModelFileError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ModelFileError("top level must be an object")
-    if doc.get("schema") != SCHEMA_VERSION:
+    if "schema" not in doc or _integer(doc["schema"], "schema") != SCHEMA_VERSION:
         raise ModelFileError(f"unsupported schema version {doc.get('schema')!r}; "
                              f"this build reads version {SCHEMA_VERSION}")
     if "chain" not in doc:

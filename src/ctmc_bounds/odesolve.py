@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import NonFiniteBoundError, check_horizon, envelope, write_csv
-from .chain import ChainSpec, eval_transposed, evaluation_times
+from .chain import ChainSpec, eval_generator, evaluation_times
 from .transform import (apply_weights, build_reduced, require_essential_nonnegativity,
                         to_bstar, validate_weights)
 
@@ -77,8 +77,8 @@ def _system_matrices(system, spec, weights, ts):
         raise ValueError(f"unknown system {system!r}; choose from {SYSTEMS}")
     times = evaluation_times(spec, ts)
     if system == "forward":
-        return eval_transposed(spec, times)
-    B = build_reduced(spec, times)
+        return np.swapaxes(eval_generator(spec, times), -1, -2)
+    B = build_reduced(eval_generator(spec, times))
     if system == "reduced_hom":
         return B
     return apply_weights(to_bstar(B), _weight_vector(weights, spec.S))
@@ -357,7 +357,7 @@ def _verification_setup(spec, weights, tmax, n_steps) -> _Setup:
     h = tmax / n
     ts_fine = np.linspace(0.0, tmax, 4 * n + 1)
     times = evaluation_times(spec, ts_fine)
-    bstar = to_bstar(build_reduced(spec, times))
+    bstar = to_bstar(build_reduced(eval_generator(spec, times)))
     require_essential_nonnegativity(bstar, times)
     weighted = apply_weights(bstar, d)
 

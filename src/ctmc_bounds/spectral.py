@@ -102,6 +102,12 @@ def perron_weights(Bstar, x0=None) -> SharpRate:
     is the same step in exact arithmetic and keeps every weight to full
     relative precision when they span many orders of magnitude.
 
+    The iteration stops once the bracket is no wider than PERRON_TOL times
+    its largest absolute end, at the round-off floor of 4 ulps of the
+    largest absolute entry, or as soon as a step fails to shrink the
+    bracket, keeping the narrowest one; more than MAX_SOLVES solves is an
+    error, not a hang.
+
     Parameters
     ----------
     Bstar : (S, S) array_like
@@ -110,14 +116,6 @@ def perron_weights(Bstar, x0=None) -> SharpRate:
         Starting weights (entries taken absolute, none zero); defaults to
         the uniform vector. Different starts converge to the same weights
         up to normalization.
-    tol : float
-        Stop once the bracket is no wider than tol times its largest
-        absolute end. The iteration also stops at the round-off floor,
-        4 ulps of the largest absolute entry, and as soon as a step fails
-        to shrink the bracket; it then keeps the narrowest bracket.
-    max_iter : int
-        Hard cap on the number of solves, turning non-convergence into an
-        error instead of a hang.
 
     Returns
     -------

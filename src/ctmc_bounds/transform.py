@@ -18,17 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .chain import ChainSpec, eval_transposed
+from .chain import ChainSpec
 
 
-def build_reduced(spec: ChainSpec, t):
-    """Reduced S x S matrix B(t) with entries a_ij(t) - a_i0(t), i, j = 1..S.
+def build_reduced(Q):
+    """Reduced S x S matrix B with entries a_ij - a_i0, i, j = 1..S, of A = Q^T.
 
-    Equivalently: the lower-right S x S block of A(t) minus the column
-    (a_10, ..., a_S0) broadcast across all columns. Accepts scalar or array
-    times like :func:`ctmc_bounds.chain.eval_generator`.
+    Equivalently: the lower-right S x S block of A minus the column
+    (a_10, ..., a_S0) broadcast across all columns. Takes a generator or a
+    stack of them, as :func:`ctmc_bounds.chain.eval_generator` returns.
     """
-    A = eval_transposed(spec, t)
+    A = np.swapaxes(Q, -1, -2)
     return A[..., 1:, 1:] - A[..., 1:, :1]
 
 

@@ -1,4 +1,7 @@
-"""Shared chain generators for the test suite."""
+"""Shared chain generators and fixtures for the test suite."""
+
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
@@ -94,3 +97,25 @@ NONREGULAR_OVERRIDE_RATES = {
 @pytest.fixture
 def nonregular_override_chain():
     return cb.general_chain(3, NONREGULAR_OVERRIDE_RATES)
+
+
+@pytest.fixture
+def generator_points(monkeypatch):
+    """The number of time points of every eval_generator call, in call order.
+
+    eval_generator is wrapped at every binding: in ctmc_bounds.chain, in
+    the package namespace and in each module that imported it by name.
+    """
+    original, points = cb.chain.eval_generator, []
+
+    def counting(spec, t):
+        points.append(int(np.size(t)))
+        return original(spec, t)
+
+    modules = [cb] + [importlib.import_module(f"{cb.__name__}.{m.name}")
+                      for m in pkgutil.iter_modules(cb.__path__)]
+    for module in modules:
+        for name, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, name, counting)
+    return points

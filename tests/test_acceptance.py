@@ -19,7 +19,7 @@ from test_transform import _bstar_from_entry_formulas
 
 
 def _bstar(spec, t=0.0):
-    return cb.to_bstar(cb.build_reduced(spec, t))
+    return cb.to_bstar(cb.build_reduced(cb.eval_generator(spec, t)))
 
 
 def _ok(n, text):
@@ -86,7 +86,7 @@ def test_criterion_04_analytic_vs_numeric_transform():
 
     rng = np.random.default_rng(404)
     general = random_regular_general(rng, 5)
-    A = cb.eval_transposed(general, 0.0)
+    A = cb.eval_generator(general, 0.0).T
     oracle = _bstar_from_entry_formulas(A)
     numeric = _bstar(general)
     row_diff = float(np.abs(numeric - oracle).max())

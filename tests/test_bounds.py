@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import ctmc_bounds as cb
-from ctmc_bounds import chain as chain_module
 from conftest import random_sharp_chain
 
 
@@ -60,7 +59,7 @@ def test_cumulative_simpson_componentwise_on_trailing_axes():
 
 def test_compute_bounds_constant_chain_integrates_linearly():
     spec = cb.birth_death_chain(3, [1.0] * 3, [1.0] * 3)
-    rate = cb.perron_weights(cb.to_bstar(cb.build_reduced(spec, 0.0)))
+    rate = cb.perron_weights(cb.to_bstar(cb.build_reduced(cb.eval_generator(spec, 0.0))))
     rep = cb.compute_bounds(spec, rate.weights, tmax=2.0, n_grid=101)
     lam0 = rate.lambda0
     assert np.allclose(rep.h_upper, lam0, atol=1e-12)
@@ -163,17 +162,9 @@ HOMOGENEOUS_RUNS = {
 
 
 @pytest.mark.parametrize("run", sorted(HOMOGENEOUS_RUNS))
-def test_homogeneous_generator_is_evaluated_at_one_time(monkeypatch, run):
-    original = chain_module.eval_generator
-    points = []
-
-    def counting(spec, t):
-        points.append(np.size(t))
-        return original(spec, t)
-
-    monkeypatch.setattr(chain_module, "eval_generator", counting)
+def test_homogeneous_generator_is_evaluated_at_one_time(generator_points, run):
     HOMOGENEOUS_RUNS[run](cb.birth_death_chain(200, [1.0] * 200, [2.0] * 200))
-    assert points and all(n == 1 for n in points)
+    assert generator_points and all(n == 1 for n in generator_points)
 
 
 @pytest.mark.parametrize("run", sorted(HOMOGENEOUS_RUNS))
@@ -187,6 +178,24 @@ def test_homogeneous_bounds_allocate_a_few_matrices(run):
     finally:
         tracemalloc.stop()
     assert peak < 5e6
+
+
+def test_time_varying_bounds_peak_at_the_generator_and_reduced_stacks():
+    # Q and B are the largest pair of stacks alive at once: Q is dropped
+    # before to_bstar builds B*, and B before apply_weights builds B**
+    S, n_grid = 30, 401
+    lam = cb.RateFunction.sinusoid(1.0, 0.5, 1.0)
+    spec = cb.birth_death_chain(S, [lam] * S, [1.0] * S)
+    times = 2 * n_grid - 1
+    q_plus_b = times * ((S + 1) ** 2 + S ** 2) * 8
+    cb.compute_bounds(spec, np.ones(S), 1.0, n_grid)  # one-time set-up is not measured
+    tracemalloc.start()
+    try:
+        cb.compute_bounds(spec, np.ones(S), 1.0, n_grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * q_plus_b
 
 
 def test_homogeneous_report_equals_time_varying_report_bit_for_bit():

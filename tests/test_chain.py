@@ -59,7 +59,7 @@ def test_batch_birth_generator_hand_assembled():
 def test_batch_death_transposed_hand_assembled():
     spec = cb.batch_death_chain(2, [2.0, 1.0], [1.0, 1.0])
     expected = [[-1.0, 2.0, 1.0], [1.0, -3.0, 2.0], [0.0, 1.0, -3.0]]
-    assert np.array_equal(cb.eval_transposed(spec, 0.0), expected)
+    assert np.array_equal(cb.eval_generator(spec, 0.0).T, expected)
 
 
 def test_transpose_relation_and_zero_sums():
@@ -68,7 +68,7 @@ def test_transpose_relation_and_zero_sums():
         for S in (1, 3, 6):
             spec = random_class_chain(rng, kind, S)
             Q = cb.eval_generator(spec, 0.7)
-            A = cb.eval_transposed(spec, 0.7)
+            A = cb.eval_generator(spec, 0.7).T
             assert np.array_equal(A, Q.T)
             scale = np.abs(Q).max()
             assert np.abs(Q.sum(axis=1)).max() <= 1e-13 * scale
@@ -106,14 +106,15 @@ def test_negative_rate_at_evaluation_is_an_error():
 def test_regularity_birth_death_always_regular():
     rng = np.random.default_rng(3)
     spec = random_class_chain(rng, "birth_death", 5)
-    report = cb.check_regularity(spec, np.linspace(0, 1, 11))
+    grid = np.linspace(0, 1, 11)
+    report = cb.check_regularity(cb.eval_generator(spec, grid), grid)
     assert report.regular
     assert report.violations == ()
 
 
 def test_regularity_flags_increasing_batch_rates():
     spec = cb.batch_birth_chain(2, [1.0, 2.0], [1.0, 1.0])
-    report = cb.check_regularity(spec, [0.0])
+    report = cb.check_regularity(cb.eval_generator(spec, [0.0]), [0.0])
     assert not report.regular
     # arrivals into state 2: the size-1 group birth (rate 1) is beaten by
     # the size-2 one (rate 2)
@@ -125,7 +126,8 @@ def test_regularity_flags_increasing_batch_rates():
 def test_regularity_geometric_batches_regular():
     spec = cb.batch_both_chain(4, [2.0 ** -k for k in range(1, 5)],
                                [3.0 ** -k for k in range(1, 5)])
-    assert cb.check_regularity(spec, [0.0, 0.5, 1.0]).regular
+    grid = [0.0, 0.5, 1.0]
+    assert cb.check_regularity(cb.eval_generator(spec, grid), grid).regular
 
 
 def test_class_constructors_regular_under_monotone_batches():
@@ -133,13 +135,22 @@ def test_class_constructors_regular_under_monotone_batches():
     for kind in CLASS_KINDS:
         for S in (2, 4, 8):
             spec = random_class_chain(rng, kind, S)
-            assert cb.check_regularity(spec, np.linspace(0, 1, 5)).regular, (kind, S)
+            grid = np.linspace(0, 1, 5)
+            assert cb.check_regularity(cb.eval_generator(spec, grid), grid).regular, (kind, S)
 
 
 def test_regularity_nonempty_grid_required():
     spec = cb.birth_death_chain(1, [1.0], [1.0])
     with pytest.raises(ValueError):
-        cb.check_regularity(spec, [])
+        cb.check_regularity(cb.eval_generator(spec, []), [])
+
+
+def test_regularity_needs_one_generator_per_grid_time():
+    spec = cb.birth_death_chain(1, [1.0], [1.0])
+    for Q, grid in ((cb.eval_generator(spec, [0.0, 1.0]), [0.0]),
+                    (cb.eval_generator(spec, 0.0), [0.0])):
+        with pytest.raises(ValueError, match="one generator per grid time"):
+            cb.check_regularity(Q, grid)
 
 
 def test_constructor_validation():
@@ -160,7 +171,7 @@ def test_structural_construction_defers_monotonicity():
     # check is what flags it later
     spec = cb.batch_birth_chain(3, [1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
     assert spec.kind == "batch_birth"
-    assert not cb.check_regularity(spec, [0.0]).regular
+    assert not cb.check_regularity(cb.eval_generator(spec, [0.0]), [0.0]).regular
 
 
 def test_is_homogeneous():

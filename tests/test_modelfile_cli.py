@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -309,25 +310,77 @@ def test_cli_overrides_model_settings(tmp_path, capsys):
                                                ("chain", "states", 2.5),
                                                ("analysis", "grid", 10.5),
                                                ("analysis", "horizon", "1"),
-                                               ("analysis", "seed", True)],
+                                               ("analysis", "seed", True),
+                                               (None, "schema", True)],
                          ids=["states-string", "states-fraction", "grid-fraction",
-                              "horizon-string", "seed-boolean"])
+                              "horizon-string", "seed-boolean", "schema-boolean"])
 def test_model_numbers_of_the_wrong_type_exit_with_parse_code(tmp_path, capsys,
                                                               block, key, value):
     doc = json.loads(json.dumps(BD3))
-    doc[block][key] = value
+    (doc[block] if block else doc)[key] = value
     code = cli.main(["bounds", _write(tmp_path, doc)])
     out, err = capsys.readouterr()
     assert code == cli.EXIT_PARSE and out == ""
-    assert err.startswith(f"error: '{block}.{key}' must be ")
+    field = f"{block}.{key}" if block else key
+    assert err.startswith(f"error: '{field}' must be ")
 
 
 def test_model_integer_fields_accept_integral_floats():
     doc = json.loads(json.dumps(BD3))
-    doc["chain"]["states"], doc["analysis"]["grid"] = 3.0, 101.0
+    doc["schema"], doc["chain"]["states"], doc["analysis"]["grid"] = 1.0, 3.0, 101.0
     model = cb.parse_model(json.dumps(doc))
     assert model.chain.S == 3 and model.analysis.grid == 101
     assert type(model.chain.S) is int and type(model.analysis.grid) is int
+
+
+@pytest.mark.parametrize("argv", [["rate", "--weights", "ones"], ["check", "--seed", "1"],
+                                  ["bounds", "--tol", "0"]],
+                         ids=["rate-weights", "check-seed", "bounds-tol"])
+def test_commands_refuse_options_they_do_not_read(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([argv[0], _write(tmp_path, BD3)] + argv[1:])
+    assert exc.value.code == cli.EXIT_PARSE
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+SINUSOID_BD3 = {"schema": 1,
+                "chain": {"kind": "birth_death", "states": 3,
+                          "define": {"lam": {"sinusoid": {"offset": 1.0, "amplitude": 0.5,
+                                                          "frequency": 1.0}}},
+                          "birth": ["lam", "lam", "lam"], "death": [1.0, 1.0, 1.0]},
+                "analysis": {"horizon": 2.0, "grid": 21}}
+
+
+@pytest.mark.parametrize("command, doc, points", [("bounds", SINUSOID_BD3, [2 * 21 - 1]),
+                                                  ("check", SINUSOID_BD3, [21]),
+                                                  ("rate", BD3, [1, 1])],
+                         ids=["bounds", "check", "rate"])
+def test_each_command_evaluates_the_generator_once_per_time(tmp_path, capsys,
+                                                             generator_points,
+                                                             command, doc, points):
+    # bounds and check feed the regularity check and the reduction from one
+    # Q stack; rate also evaluates Q(0) once more for the Perron solve
+    assert cli.main([command, _write(tmp_path, doc)]) == cli.EXIT_OK
+    assert generator_points == points
+
+
+def test_a_generator_stack_beyond_physical_memory_is_refused_before_allocation(
+        tmp_path, capsys):
+    # (3, S+1, S+1) doubles at S = 10**6 are 21.8 TiB
+    doc = {"schema": 1, "chain": {"kind": "general", "states": 10**6},
+           "analysis": {"grid": 3}}
+    path = _write(tmp_path, doc)
+    tracemalloc.start()
+    try:
+        code = cli.main(["check", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_EVAL and out == ""
+    assert err.startswith("error: a generator stack of shape (3, 1000001, 1000001) needs ")
+    assert err.count("\n") == 1
+    assert peak < 1e6
 
 
 @pytest.mark.parametrize("command", ["bounds", "verify"])

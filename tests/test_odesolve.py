@@ -62,7 +62,7 @@ def test_time_varying_probability_conservation():
 
 def test_equal_column_sums_give_exact_exponential_norm():
     spec = cb.birth_death_chain(3, [1.0] * 3, [1.0] * 3)
-    rate = cb.perron_weights(cb.to_bstar(cb.build_reduced(spec, 0.0)))
+    rate = cb.perron_weights(cb.to_bstar(cb.build_reduced(cb.eval_generator(spec, 0.0))))
     rng = np.random.default_rng(4)
     w0 = rng.uniform(0.0, 1.0, 3)
     traj = cb.solve("transformed", spec, w0, tmax=1.0, n_steps=2000,
@@ -217,7 +217,7 @@ def test_blow_up_inside_a_chunk_reports_the_first_offending_time(monkeypatch, bi
 
 def test_verify_bounds_sharp_chain_ratios_are_one():
     spec = cb.birth_death_chain(3, [1.0] * 3, [1.0] * 3)
-    rate = cb.perron_weights(cb.to_bstar(cb.build_reduced(spec, 0.0)))
+    rate = cb.perron_weights(cb.to_bstar(cb.build_reduced(cb.eval_generator(spec, 0.0))))
     rep = cb.verify_bounds(spec, rate.weights, tmax=5.0, n_steps=2000,
                            n_trials=25, seed=6)
     assert rep.passed and rep.n_violations == 0
@@ -228,7 +228,7 @@ def test_verify_bounds_sharp_chain_ratios_are_one():
 
 def test_exact_ratios_bound_the_random_ones_on_a_sharp_chain():
     spec = cb.batch_birth_chain(6, [1.2, 1.0, 0.8, 0.5, 0.3, 0.1], [1.0] * 6)
-    rate = cb.perron_weights(cb.to_bstar(cb.build_reduced(spec, 0.0)))
+    rate = cb.perron_weights(cb.to_bstar(cb.build_reduced(cb.eval_generator(spec, 0.0))))
     tmax, n = 3.0, 2000
     rep = cb.verify_bounds(spec, rate.weights, tmax, n_steps=n, n_trials=50, seed=5)
     assert rep.passed and rep.worst_upper > 1.0
@@ -329,7 +329,7 @@ def test_verifiers_validate_horizon_and_steps():
 def test_verify_coupling_passes_and_checks_probabilities():
     rng = np.random.default_rng(77)
     spec = random_sharp_chain(rng, "batch_both", 4)
-    rate = cb.perron_weights(cb.to_bstar(cb.build_reduced(spec, 0.0)))
+    rate = cb.perron_weights(cb.to_bstar(cb.build_reduced(cb.eval_generator(spec, 0.0))))
     rep = cb.verify_convergence_coupling(spec, rate.weights, tmax=2.0,
                                          n_steps=1500, n_pairs=200, seed=8)
     assert rep.passed and rep.n_violations == 0 and rep.kind == "coupling"
@@ -373,7 +373,7 @@ def test_coupling_propagates_nearly_equal_pairs_without_cancellation(monkeypatch
     # integrator margin of each pair is taken relative to its own starting
     # norm: dividing by the smallest one made slack_total 0.76 here, which
     # no ratio could exceed.
-    rate = cb.perron_weights(cb.to_bstar(cb.build_reduced(DEMO04_CHAIN, 0.0)))
+    rate = cb.perron_weights(cb.to_bstar(cb.build_reduced(cb.eval_generator(DEMO04_CHAIN, 0.0))))
     monkeypatch.setattr(odesolve, "_draw_pairs", _dyadic_pairs)
     rep = cb.verify_convergence_coupling(DEMO04_CHAIN, rate.weights, tmax=4.0,
                                          n_steps=2000, n_pairs=10, seed=3)
@@ -385,7 +385,7 @@ def test_coupling_pair_differences_carry_no_mass(monkeypatch):
     # a difference whose entries do not sum to zero keeps an undamped
     # stationary part while the rest decays: these pairs drifted to a ratio
     # of 1 + 2.7e-5 at t=4, far beyond a slack_total of 1e-8
-    rate = cb.perron_weights(cb.to_bstar(cb.build_reduced(DEMO04_CHAIN, 0.0)))
+    rate = cb.perron_weights(cb.to_bstar(cb.build_reduced(cb.eval_generator(DEMO04_CHAIN, 0.0))))
     monkeypatch.setattr(odesolve, "_draw_pairs", _shifted_pairs)
     rep = cb.verify_convergence_coupling(DEMO04_CHAIN, rate.weights, tmax=4.0,
                                          n_steps=8000, n_pairs=10, seed=3)

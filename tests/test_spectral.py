@@ -1,5 +1,5 @@
 import math
-import time
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ EPS = np.finfo(float).eps
 
 
 def _bstar(spec, t=0.0):
-    return cb.to_bstar(cb.build_reduced(spec, t))
+    return cb.to_bstar(cb.build_reduced(cb.eval_generator(spec, t)))
 
 
 def _uniform_bd(a, b, S):
@@ -136,10 +136,9 @@ def test_perron_large_symmetric_birth_death():
 def test_perron_weights_beyond_double_range_fail_fast():
     # the weights of this chain would span about 1e400
     B = _bstar(_uniform_bd(1.0, 1e4, 200))
-    start = time.perf_counter()
-    with pytest.raises(cb.PowerIterationError, match="double-precision range"):
+    with pytest.raises(cb.PowerIterationError, match="double-precision range") as exc:
         cb.perron_weights(B)
-    assert time.perf_counter() - start < 2.0
+    assert int(re.search(r"after (\d+) solves", str(exc.value)).group(1)) <= 200
 
 
 def test_perron_single_state():

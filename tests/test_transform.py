@@ -26,7 +26,7 @@ def test_triangular_action_is_tail_sums():
 
 def test_build_reduced_single_state():
     spec = cb.birth_death_chain(1, [1.0], [2.0])
-    assert np.array_equal(cb.build_reduced(spec, 0.0), [[-3.0]])
+    assert np.array_equal(cb.build_reduced(cb.eval_generator(spec, 0.0)), [[-3.0]])
 
 
 def test_build_reduced_two_state_hand_derived():
@@ -34,15 +34,16 @@ def test_build_reduced_two_state_hand_derived():
     # column of the lower-right block's rows: rows (a_i1 - a_i0, a_i2 - a_i0)
     # give ((-2-1, 1-1), (1-0, -1-0))
     spec = cb.birth_death_chain(2, [1.0, 1.0], [1.0, 1.0])
-    assert np.array_equal(cb.build_reduced(spec, 0.0), [[-3.0, 0.0], [1.0, -1.0]])
+    assert np.array_equal(cb.build_reduced(cb.eval_generator(spec, 0.0)),
+                          [[-3.0, 0.0], [1.0, -1.0]])
 
 
 def test_build_reduced_is_block_minus_first_column():
     rng = np.random.default_rng(13)
     spec = random_regular_general(rng, 5)
-    A = cb.eval_transposed(spec, 0.0)
+    A = cb.eval_generator(spec, 0.0).T
     expected = A[1:, 1:] - A[1:, :1]
-    assert np.array_equal(cb.build_reduced(spec, 0.0), expected)
+    assert np.array_equal(cb.build_reduced(cb.eval_generator(spec, 0.0)), expected)
 
 
 def test_to_bstar_zero_matrix():
@@ -87,7 +88,7 @@ def test_analytic_bstar_matches_numeric_all_classes(kind):
     for S in range(1, 9):
         for _ in range(5):
             spec = random_class_chain(rng, kind, S)
-            numeric = cb.to_bstar(cb.build_reduced(spec, 0.0))
+            numeric = cb.to_bstar(cb.build_reduced(cb.eval_generator(spec, 0.0)))
             analytic = cb.analytic_bstar(spec, 0.0)
             scale = max(1.0, np.abs(numeric).max())
             assert np.abs(numeric - analytic).max() <= 1e-12 * scale, (kind, S)
@@ -98,7 +99,7 @@ def test_analytic_bstar_time_varying_class():
     spec = cb.batch_death_chain(4, [1.0, 0.6, 0.3, 0.2],
                                 [lam, 1.0, lam, 2.0])
     for t in (0.0, 0.37, 1.91):
-        numeric = cb.to_bstar(cb.build_reduced(spec, t))
+        numeric = cb.to_bstar(cb.build_reduced(cb.eval_generator(spec, t)))
         assert np.allclose(cb.analytic_bstar(spec, t), numeric, atol=1e-13)
 
 
@@ -161,8 +162,8 @@ def _bstar_from_entry_formulas(A):
 def test_entry_formula_oracle_constant_chain():
     rng = np.random.default_rng(31)
     spec = random_regular_general(rng, 5)
-    A = cb.eval_transposed(spec, 0.0)
-    numeric = cb.to_bstar(cb.build_reduced(spec, 0.0))
+    A = cb.eval_generator(spec, 0.0).T
+    numeric = cb.to_bstar(cb.build_reduced(cb.eval_generator(spec, 0.0)))
     oracle = _bstar_from_entry_formulas(A)
     assert np.abs(numeric - oracle).max() <= 1e-12 * max(1.0, np.abs(oracle).max())
 
@@ -171,8 +172,8 @@ def test_entry_formula_oracle_time_varying_chain():
     rng = np.random.default_rng(32)
     spec = random_regular_general(rng, 5, time_varying=True)
     for t in (0.0, 0.37, 2.4):
-        A = cb.eval_transposed(spec, t)
-        numeric = cb.to_bstar(cb.build_reduced(spec, t))
+        A = cb.eval_generator(spec, t).T
+        numeric = cb.to_bstar(cb.build_reduced(cb.eval_generator(spec, t)))
         oracle = _bstar_from_entry_formulas(A)
         assert np.abs(numeric - oracle).max() <= 1e-12 * max(1.0, np.abs(oracle).max())
 
@@ -243,12 +244,12 @@ def test_regular_chains_have_essentially_nonnegative_transform():
     for kind in CLASS_KINDS:
         for S in (2, 5, 8):
             spec = random_class_chain(rng, kind, S)
-            Bs = cb.to_bstar(cb.build_reduced(spec, 0.0))
+            Bs = cb.to_bstar(cb.build_reduced(cb.eval_generator(spec, 0.0)))
             assert cb.check_essential_nonnegativity(Bs).passed, (kind, S)
     for S in (2, 4, 6):
         spec = random_regular_general(rng, S, time_varying=True)
         for t in (0.0, 0.8):
-            Bs = cb.to_bstar(cb.build_reduced(spec, t))
+            Bs = cb.to_bstar(cb.build_reduced(cb.eval_generator(spec, t)))
             assert cb.check_essential_nonnegativity(Bs).passed, ("general", S, t)
 
 
@@ -262,7 +263,7 @@ def test_apply_weights():
 def test_apply_weights_keeps_diagonal_and_nonnegativity():
     rng = np.random.default_rng(12)
     spec = random_class_chain(rng, "batch_both", 5)
-    Bs = cb.to_bstar(cb.build_reduced(spec, 0.0))
+    Bs = cb.to_bstar(cb.build_reduced(cb.eval_generator(spec, 0.0)))
     d = rng.uniform(0.5, 3.0, 5)
     out = cb.apply_weights(Bs, d)
     assert np.allclose(np.diag(out), np.diag(Bs), atol=1e-15)
@@ -281,6 +282,6 @@ def test_apply_weights_validation():
 
 def test_nonregular_chain_can_still_pass_nonnegativity(nonregular_override_chain):
     spec = nonregular_override_chain
-    assert not cb.check_regularity(spec, [0.0]).regular
-    Bs = cb.to_bstar(cb.build_reduced(spec, 0.0))
+    assert not cb.check_regularity(cb.eval_generator(spec, [0.0]), [0.0]).regular
+    Bs = cb.to_bstar(cb.build_reduced(cb.eval_generator(spec, 0.0)))
     assert cb.check_essential_nonnegativity(Bs).passed
