@@ -23,8 +23,8 @@ from .chain import (ChainSpec, check_regularity, eval_generator, evaluation_time
                     require_homogeneous)
 from .spectral import (SharpnessConditionError, check_sharpness_conditions, equalization_tol,
                        perron_weights)
-from .transform import (apply_weights, build_reduced, require_essential_nonnegativity,
-                        to_bstar)
+from .transform import (build_reduced, require_essential_nonnegativity, scan_transform,
+                        to_bstar, validate_weights)
 
 CSV_COLUMNS = ("t", "h_upper", "h_lower", "I_upper", "I_lower", "env_upper", "env_lower")
 
@@ -125,29 +125,33 @@ def compute_bounds(spec: ChainSpec, weights, tmax: float, n_grid: int) -> BoundR
         Number of report times (>= 2); the integrand is sampled twice as
         densely so every reported integral is a Simpson value.
 
-    Regularity is checked on the report grid (a failure only adds a
-    warning) and essential non-negativity of the transformed matrix on the
-    Simpson grid (a failure raises NonnegativityError, since the envelope
-    argument needs it). Raises NonFiniteBoundError if an envelope integral
-    is not finite; an envelope beyond the double-precision range is
-    reported as inf.
+    The weights are validated first (ValueError). Regularity is checked on
+    the report grid (a failure only adds a warning) and essential
+    non-negativity of the transformed matrix on the Simpson grid (a
+    failure raises NonnegativityError, since the envelope argument needs
+    it). Raises NonFiniteBoundError if an envelope integral is not finite;
+    an envelope beyond the double-precision range is reported as inf.
 
-    A homogeneous chain's transformed matrix is built and checked once;
-    its column-sum extremes are constant along the grid.
+    The generator stack is evaluated once, on the Simpson grid, and feeds
+    the regularity check and :func:`ctmc_bounds.transform.scan_transform`,
+    which hands over the weighted transform a slice of times at a time:
+    the peak is that stack plus one slice, and only the column sums are
+    kept. A homogeneous chain's transformed matrix is built and checked
+    once; its column-sum extremes are constant along the grid.
     """
     tmax, n = check_horizon(tmax, int(n_grid) - 1)
-    d = np.asarray(weights, dtype=float)
+    d = validate_weights(weights, spec.S)
 
     half = np.linspace(0.0, tmax, 2 * n + 1)
     times = evaluation_times(spec, half)
     Q = eval_generator(spec, times)
     reg = check_regularity(Q[::2], times[::2])
-    B = build_reduced(Q)
-    del Q  # to_bstar runs beside B alone and apply_weights beside B*: the peak is Q + B
-    Bstar = to_bstar(B)
-    del B
+    sums = np.empty((len(times), spec.S))
 
-    require_essential_nonnegativity(Bstar, times)
+    def column_sums(s, weighted):
+        sums[s] = weighted.sum(axis=-2)
+
+    require_essential_nonnegativity(scan_transform(Q, d, column_sums), times)
     warnings = []
     if not reg.regular:
         v = reg.violations[0]
@@ -156,7 +160,6 @@ def compute_bounds(spec: ChainSpec, weights, tmax: float, n_grid: int) -> BoundR
             f"state {v.state}, jump {v.k}->{v.k + 1} {v.direction}); proceeding "
             f"because the transformed matrix is essentially non-negative")
 
-    sums = apply_weights(Bstar, d).sum(axis=-2)
     h_up = np.broadcast_to(sums.max(axis=-1), half.shape)
     h_lo = np.broadcast_to(sums.min(axis=-1), half.shape)
     I_up, env_up = envelope(h_up, tmax / n)

@@ -152,6 +152,23 @@ def _transition_table(spec: ChainSpec) -> tuple:
         for k, fn in enumerate(rates, 1))
 
 
+def physical_memory() -> int:
+    """The machine's physical memory in bytes."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def require_memory(what: str, nbytes: int) -> None:
+    """MemoryError, before anything is allocated, if nbytes exceed the physical memory.
+
+    what names the arrays for the message. Asking first makes an oversized
+    stack fail the same way on every host, whatever its overcommit setting.
+    """
+    memory = physical_memory()
+    if nbytes > memory:
+        raise MemoryError(f"{what} needs {nbytes / 2**30:.4g} GiB, "
+                          f"more than the {memory / 2**30:.4g} GiB of physical memory")
+
+
 def eval_generator(spec: ChainSpec, t):
     """Transition-intensity matrix Q(t), the only place a chain's rates are evaluated.
 
@@ -167,17 +184,14 @@ def eval_generator(spec: ChainSpec, t):
         Off-diagonal entries are the transition intensities; each diagonal
         entry is minus the sum of its row, so rows sum to zero up to
         round-off. A result larger than the machine's physical memory
-        raises MemoryError before anything is allocated.
+        raises MemoryError before anything is allocated (:func:`require_memory`).
     """
     ts = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(ts)):
         raise RateEvaluationError(f"generator requested at non-finite time {t!r}")
     n = spec.S + 1
     shape = ts.shape + (n, n)
-    size, memory = 8 * ts.size * n * n, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if size > memory:
-        raise MemoryError(f"a generator stack of shape {shape} needs {size / 2**30:.4g} GiB, "
-                          f"more than the {memory / 2**30:.4g} GiB of physical memory")
+    require_memory(f"a generator stack of shape {shape}", 8 * ts.size * n * n)
     Q = np.zeros(shape)
     for i, j, fn in _transition_table(spec):
         try:

@@ -41,13 +41,13 @@ import numpy as np
 from .bounds import (NonFiniteBoundError, bound_report_to_csv, compute_bounds,
                      sharp_report, write_csv)
 from .chain import InhomogeneousChainError, check_regularity, eval_generator
-from .modelfile import AnalysisSettings, ModelFileError, load_model
-from .odesolve import (OdeBlowUpError, verify_bounds, verify_convergence_coupling)
+from .modelfile import WEIGHT_MODES, AnalysisSettings, ModelFileError, load_model
+from .odesolve import OdeBlowUpError, _verify_both
 from .rates import RateEvaluationError
 from .spectral import (PowerIterationError, ReducibleMatrixError, SharpnessConditionError,
                        check_sharpness_conditions, closed_form_bd, perron_weights)
-from .transform import (NonnegativityError, build_reduced, check_essential_nonnegativity,
-                        to_bstar, validate_weights)
+from .transform import (NonnegativityError, build_reduced, scan_transform, to_bstar,
+                        validate_weights)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -95,7 +95,7 @@ def _load(args):
     updates = {f.name: getattr(args, f.name) for f in dataclasses.fields(AnalysisSettings)
                if f.name != "weights" and getattr(args, f.name, None) is not None}
     w = getattr(args, "weights", None)
-    if w in ("ones", "perron", "frozen-perron"):
+    if w in WEIGHT_MODES:
         updates.update(weights_mode=w, weights=None)
     elif w is not None:
         updates.update(weights_mode="list", weights=_load_weights_file(w))
@@ -112,24 +112,24 @@ def resolve_weights(spec, settings: AnalysisSettings):
     """
     mode = settings.weights_mode
     warnings = []
-    if mode == "ones":
-        return np.ones(spec.S), warnings
     if mode == "list":
         try:
             return validate_weights(settings.weights, spec.S), warnings
         except ValueError as exc:
             raise ModelFileError(str(exc)) from None
-    if mode in ("perron", "frozen-perron"):
-        if mode == "perron" and not spec.is_homogeneous:
-            raise InhomogeneousChainError(
-                "weights mode 'perron' requires constant rates; "
-                "use 'frozen-perron' for time-varying chains")
-        if not spec.is_homogeneous:
-            warnings.append("frozen-perron weights computed at t=0 of a "
-                            "time-varying chain: a heuristic, not sharp")
-        bstar = to_bstar(build_reduced(eval_generator(spec, 0.0)))
-        return perron_weights(bstar).weights, warnings
-    raise ModelFileError(f"unknown weights mode {mode!r}")
+    if mode not in WEIGHT_MODES:
+        raise ModelFileError(f"unknown weights mode {mode!r}")
+    if mode == "ones":
+        return np.ones(spec.S), warnings
+    if mode == "perron" and not spec.is_homogeneous:
+        raise InhomogeneousChainError(
+            "weights mode 'perron' requires constant rates; "
+            "use 'frozen-perron' for time-varying chains")
+    if not spec.is_homogeneous:
+        warnings.append("frozen-perron weights computed at t=0 of a "
+                        "time-varying chain: a heuristic, not sharp")
+    bstar = to_bstar(build_reduced(eval_generator(spec, 0.0)))
+    return perron_weights(bstar).weights, warnings
 
 
 def cmd_check(args) -> int:
@@ -146,9 +146,7 @@ def cmd_check(args) -> int:
               f"state {v.state}, {v.direction} jump {v.k}->{v.k + 1}: "
               f"{_fmt(v.value)} -> {_fmt(v.next_value)})")
 
-    B = build_reduced(Q)
-    del Q  # to_bstar runs beside B alone
-    nonneg = check_essential_nonnegativity(to_bstar(B))
+    nonneg = scan_transform(Q, None, None)
     worst = _fmt(nonneg.min_offdiagonal)
     if nonneg.passed:
         print(f"B* essentially non-negative: yes (off-diagonal minimum {worst})")
@@ -216,11 +214,9 @@ def cmd_verify(args) -> int:
     weights, warnings = resolve_weights(spec, settings)
     for note in warnings:
         print(f"warning: {note}")
-    common = dict(tmax=settings.horizon, n_steps=settings.steps,
-                  seed=settings.seed, slack=settings.tolerance)
-    rep_b = verify_bounds(spec, weights, n_trials=settings.trials, **common)
-    rep_c = verify_convergence_coupling(spec, weights, n_pairs=settings.pairs,
-                                        **common)
+    rep_b, rep_c = _verify_both(spec, weights, settings.horizon, settings.steps,
+                                settings.trials, settings.pairs, settings.seed,
+                                settings.tolerance)
     for rep, label in ((rep_b, "bounds"), (rep_c, "coupling")):
         print(f"{label}: {'pass' if rep.passed else 'FAIL'} "
               f"({rep.n_trials} trials, seed {rep.seed}, "
@@ -249,7 +245,7 @@ _OPTIONS = {
     "grid": dict(type=int, help="number of report grid points"),
     "seed": dict(type=int, help="seed for randomized commands"),
     "tol": dict(type=float, dest="tolerance", metavar="TOL", help="verification slack"),
-    "weights": dict(help="ones | perron | frozen-perron | path to a weights file"),
+    "weights": dict(help=" | ".join(WEIGHT_MODES) + " | path to a weights file"),
     "csv": dict(help="write the report to this CSV path"),
     "closed-form": dict(action="store_true",
                         help="cross-check against the constant birth-death closed form"),

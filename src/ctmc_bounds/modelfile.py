@@ -39,7 +39,7 @@ from .chain import KINDS, RATE_LISTS, ChainSpec, class_chain, general_chain
 from .rates import RateFunction
 
 SCHEMA_VERSION = 1
-WEIGHT_MODES = ("ones", "perron", "frozen-perron", "list")
+WEIGHT_MODES = ("ones", "perron", "frozen-perron")  # the named weights; a list is the other
 
 
 class ModelFileError(ValueError):
@@ -199,7 +199,7 @@ def _parse_analysis(node) -> AnalysisSettings:
     if "weights" in node:
         w = node["weights"]
         if isinstance(w, str):
-            if w not in ("ones", "perron", "frozen-perron"):
+            if w not in WEIGHT_MODES:
                 raise ModelFileError(f"unknown weights mode {w!r}")
             weights_mode = w
         elif isinstance(w, list):

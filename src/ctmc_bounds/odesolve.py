@@ -20,6 +20,14 @@ step-h propagators Phi_k a chunk at a time: every trajectory of a random
 initial vector x0 is Phi_k x0, its norm is compared with the exponential
 envelopes, and the distance to the step-h/2 propagators certifies the
 integrator error.
+
+Both verifiers start from one set-up on the halved grid: the generator
+stack Q(t), evaluated once, and B**(t), which
+:func:`ctmc_bounds.transform.scan_transform` forms from it a slice of
+times at a time along with the envelopes. The forward system runs on Q
+transposed, the transformed one on B**; ``verify`` runs both verifiers
+from one set-up, holding Q + B**, and each verifier alone keeps only the
+stack it runs on.
 """
 
 from __future__ import annotations
@@ -31,9 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import NonFiniteBoundError, check_horizon, envelope, write_csv
-from .chain import ChainSpec, eval_generator, evaluation_times
+from .chain import ChainSpec, eval_generator, evaluation_times, require_memory
 from .transform import (apply_weights, build_reduced, require_essential_nonnegativity,
-                        to_bstar, validate_weights)
+                        scan_transform, to_bstar, validate_weights)
 
 SYSTEMS = ("forward", "reduced_hom", "transformed")
 
@@ -324,44 +332,61 @@ def _confirm(candidates, slack_total):
 
 @dataclass(frozen=True)
 class _Setup:
-    """What both verifiers share: the step grid, the weighted stack and the envelopes."""
+    """What both verifiers share: the step grid, the system stacks and the envelopes."""
 
     d: np.ndarray
     tmax: float
     n: int
     h: float
     ts_fine: np.ndarray     # halved grid, 4n+1 points; the step grid is ts_fine[::4]
-    mats_fine: np.ndarray   # B**(t) at evaluation_times(spec, ts_fine)
+    forward: np.ndarray | None      # A(t) = Q(t)^T at evaluation_times(spec, ts_fine)
+    transformed: np.ndarray | None  # B**(t) at the same times
     env_up: np.ndarray
     env_lo: np.ndarray
     quad_margin: float
 
 
-def _verification_setup(spec, weights, tmax, n_steps) -> _Setup:
-    """Checks, grids, transformed stack, precondition, envelopes and quadrature margin.
+def _verification_setup(spec, weights, tmax, n_steps, systems=("transformed",)) -> _Setup:
+    """Checks, grids, system stacks, precondition, envelopes and quadrature margin.
 
-    Each system is evaluated once, on the halved grid of 4n+1 points (at
+    The generator is evaluated once, on the halved grid of 4n+1 points (at
     one time for a homogeneous chain); the RK4 grid of step h with its
     midpoints is the [::2] slice, which equals linspace(0, tmax, 2n+1) bit
-    for bit. B*(t) must be essentially non-negative at every point of the
-    halved grid, else NonnegativityError is raised before any trial runs.
-    The envelopes integrate the column-sum extremes by Simpson's rule on
-    the step grid; the quadrature margin is their largest difference from
-    the integrals on the halved grid. NonFiniteBoundError is raised if an
-    envelope integral is not finite, the upper envelope overflows or the
-    lower one underflows to zero, since a ratio to such an envelope checks
-    nothing.
+    for bit. systems names the stacks to keep: "forward" is the generator
+    stack itself, transposed, and "transformed" is B**(t), which
+    scan_transform writes a slice of times at a time, so the set-up holds
+    at most Q + B**. Keeping B** raises MemoryError before Q is evaluated
+    if the two exceed the machine's physical memory. B*(t) must be
+    essentially non-negative at every point of the halved grid, else
+    NonnegativityError is raised before any trial runs.
+
+    The envelopes integrate the column-sum extremes of B** by Simpson's
+    rule on the step grid; the quadrature margin is their largest
+    difference from the integrals on the halved grid. NonFiniteBoundError
+    is raised if an envelope integral is not finite, the upper envelope
+    overflows or the lower one underflows to zero, since a ratio to such an
+    envelope checks nothing.
     """
     d = _weight_vector(weights, spec.S)
     tmax, n = check_horizon(tmax, n_steps)
     h = tmax / n
     ts_fine = np.linspace(0.0, tmax, 4 * n + 1)
     times = evaluation_times(spec, ts_fine)
-    bstar = to_bstar(build_reduced(eval_generator(spec, times)))
-    require_essential_nonnegativity(bstar, times)
-    weighted = apply_weights(bstar, d)
+    T, S = len(times), spec.S
+    weighted = None
+    if "transformed" in systems:
+        require_memory(f"a generator stack of shape {(T, S + 1, S + 1)} with a weighted "
+                       f"stack of shape {(T, S, S)}", 8 * T * ((S + 1) ** 2 + S * S))
+        weighted = np.empty((T, S, S))
+    Q = eval_generator(spec, times)
+    sums = np.empty((T, S))
 
-    sums = weighted.sum(axis=-2)
+    def keep(s, M):
+        sums[s] = M.sum(axis=-2)
+        if weighted is not None:
+            weighted[s] = M
+
+    require_essential_nonnegativity(scan_transform(Q, d, keep), times)
     h_up = np.broadcast_to(sums.max(axis=-1), ts_fine.shape)
     h_lo = np.broadcast_to(sums.min(axis=-1), ts_fine.shape)
     I_up, env_up = envelope(h_up[::2], h)
@@ -376,8 +401,16 @@ def _verification_setup(spec, weights, tmax, n_steps) -> _Setup:
     I_lo_f, _ = envelope(h_lo, 0.5 * h)
     quad_margin = max(float(np.max(np.abs(I_up_f[::2] - I_up))),
                       float(np.max(np.abs(I_lo_f[::2] - I_lo))))
-    return _Setup(d=d, tmax=tmax, n=n, h=h, ts_fine=ts_fine, mats_fine=weighted,
-                  env_up=env_up, env_lo=env_lo, quad_margin=quad_margin)
+    forward = np.swapaxes(Q, -1, -2) if "forward" in systems else None
+    return _Setup(d=d, tmax=tmax, n=n, h=h, ts_fine=ts_fine, forward=forward,
+                  transformed=weighted, env_up=env_up, env_lo=env_lo, quad_margin=quad_margin)
+
+
+def _at_least_one(count, what):
+    count = int(count)
+    if count < 1:
+        raise ValueError(f"need at least one {what}, got {count}")
+    return count
 
 
 def _report(kind, st, violations, **fields) -> VerificationReport:
@@ -410,19 +443,23 @@ def verify_bounds(spec: ChainSpec, weights, tmax: float, n_steps: int = 10_000,
     margin. Raises NonnegativityError, before any trial runs, if B*(t) is
     not essentially non-negative on the halved grid.
     """
-    n_trials = int(n_trials)
-    if n_trials < 1:
-        raise ValueError(f"need at least one trial, got {n_trials}")
+    n_trials = _at_least_one(n_trials, "trial")
     st = _verification_setup(spec, weights, tmax, n_steps)
+    return _bounds_trials(st, n_trials, seed, slack)
+
+
+def _bounds_trials(st, n_trials, seed, slack) -> VerificationReport:
+    """The random trials of :func:`verify_bounds` on a set-up that kept B**."""
+    S = len(st.d)
     rng = np.random.default_rng(seed)
-    X0 = np.hstack([_draw_columns(rng, spec.S, n_trials, signed=True),
-                    _draw_columns(rng, spec.S, n_trials, signed=False)])
+    X0 = np.hstack([_draw_columns(rng, S, n_trials, signed=True),
+                    _draw_columns(rng, S, n_trials, signed=False)])
     norms0 = np.abs(X0).sum(axis=0)
 
     band, worst, candidates = slack + st.quad_margin, 0.0, []
     ratio_up_max, ratio_lo_min = np.empty(st.n + 1), np.empty(st.n + 1)
     exact_up, exact_lo, grid = 0.0, math.inf, st.ts_fine[::4]
-    for k, phi, psi in _propagators(st.mats_fine, st.n, st.h):
+    for k, phi, psi in _propagators(st.transformed, st.n, st.h):
         ks = slice(k, k + len(phi))
         env_up, env_lo = st.env_up[ks], st.env_lo[ks]
         worst = max(worst, float((_l1_norms(phi - psi) / env_lo).max()))
@@ -465,18 +502,16 @@ def verify_convergence_coupling(spec: ChainSpec, weights, tmax: float,
     trajectory as well. Raises NonnegativityError, before any pair runs, if
     B*(t) is not essentially non-negative on the halved grid.
     """
-    n_pairs = int(n_pairs)
-    if n_pairs < 1:
-        raise ValueError(f"need at least one pair, got {n_pairs}")
-    # envelopes and quadrature margin belong to the transformed system, whose
-    # stack is dropped before the forward one is built
-    st = dataclasses.replace(_verification_setup(spec, weights, tmax, n_steps),
-                             mats_fine=None)
-    # trajectories come from the forward system
-    mats_fine = _system_matrices("forward", spec, None, st.ts_fine)
+    n_pairs = _at_least_one(n_pairs, "pair")
+    # the envelopes come from B**, which is not kept; the trajectories from the forward system
+    st = _verification_setup(spec, weights, tmax, n_steps, ("forward",))
+    return _coupling_trials(st, n_pairs, seed, slack)
 
+
+def _coupling_trials(st, n_pairs, seed, slack) -> VerificationReport:
+    """The random pairs of :func:`verify_convergence_coupling` on a set-up that kept A(t)."""
     rng = np.random.default_rng(seed)
-    P = _draw_pairs(rng, spec.S + 1, n_pairs)
+    P = _draw_pairs(rng, st.forward.shape[-1], n_pairs)
     diff = P[:, :n_pairs] - P[:, n_pairs:]
     # a difference of probability vectors carries no mass; the round-off
     # of the normalisation would otherwise stay undamped while it decays
@@ -489,7 +524,7 @@ def verify_convergence_coupling(spec: ChainSpec, weights, tmax: float,
     band, worst, candidates = slack + st.quad_margin, 0.0, []
     ratio_max, prob_sum_err, prob_min = np.empty(st.n + 1), 0.0, math.inf
     grid = st.ts_fine[::4]
-    for k, phi, psi in _propagators(mats_fine, st.n, st.h):
+    for k, phi, psi in _propagators(st.forward, st.n, st.h):
         ks = slice(k, k + len(phi))
         env_up = st.env_up[ks]
         worst = max(worst, float((_l1_norms(phi - psi) / env_up).max()))
@@ -517,6 +552,20 @@ def verify_convergence_coupling(spec: ChainSpec, weights, tmax: float,
         integrator_margin=integ_margin, slack_total=slack_total,
         worst_upper=float(ratio_max.max()), worst_lower=None, ratio_upper_max=ratio_max,
         prob_sum_error=prob_sum_err, prob_min=float(prob_min))
+
+
+def _verify_both(spec, weights, tmax, n_steps, n_trials, n_pairs, seed, slack):
+    """(verify_bounds(...), verify_convergence_coupling(...)) from one set-up.
+
+    The generator is evaluated once: its stack, transposed, carries the
+    coupling trials, and B** formed from it the bounds trials. The reports
+    equal those of the two verifiers run one after the other.
+    """
+    n_trials, n_pairs = _at_least_one(n_trials, "trial"), _at_least_one(n_pairs, "pair")
+    st = _verification_setup(spec, weights, tmax, n_steps, ("forward", "transformed"))
+    rep_b = _bounds_trials(st, n_trials, seed, slack)
+    st = dataclasses.replace(st, transformed=None)  # B** is freed before the coupling scan
+    return rep_b, _coupling_trials(st, n_pairs, seed, slack)
 
 
 def _coupling_norms(y, d):

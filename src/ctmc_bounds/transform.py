@@ -8,6 +8,12 @@ is essentially non-negative - all off-diagonal entries >= 0 - whenever the
 chain's generator has the regular jump-size structure. A further diagonal
 conjugation D B*(t) D^{-1} with positive weights preserves that property and
 is the knob the rate bounds are optimized over.
+
+Every function here works on one matrix or a stack of them, one per time.
+:func:`scan_transform` takes a whole-time generator stack through the
+reduction, the transform, the essential non-negativity check and the
+weights a slice of times at a time, so a command holds its generator stack
+and one slice of B and B*, never a whole-time B or B* stack.
 """
 
 from __future__ import annotations
@@ -19,6 +25,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .chain import ChainSpec
+
+CHUNK_BYTES = 2**20  # largest S x S stack slice of scan_transform, in bytes
 
 
 def build_reduced(Q):
@@ -165,6 +173,44 @@ def _offdiagonal_view(M):
                       writeable=False)
 
 
+def _offdiagonal_scan(M, tol):
+    """(minimum, its index, entries below -tol) over the off-diagonal entries of a stack.
+
+    The index is (..., i, j), the stack indices first, of the first minimum
+    in C order; the entries below -tol are (..., i, j, value) in C order.
+    The entries are read through a strided view: scanning a stack
+    allocates one value per matrix, not a copy.
+    """
+    S = M.shape[-1]
+    off = _offdiagonal_view(M)
+    mins = off.min(axis=(-2, -1))
+    k = tuple(int(x) for x in np.unravel_index(int(np.argmin(mins)), mins.shape))
+    r, c = divmod(int(np.argmin(off[k])), S)
+    below = []
+    eye = np.eye(S, dtype=bool)
+    for bad in np.argwhere(mins < -tol):
+        k_bad = tuple(int(x) for x in bad)
+        sub = M[k_bad]
+        for i, j in np.argwhere((sub < -tol) & ~eye):
+            below.append(k_bad + (int(i), int(j), float(sub[i, j])))
+    return float(mins[k]), k + divmod(1 + r * (S + 1) + c, S), below
+
+
+def _nonneg_report(low, index, below, tol) -> NonnegReport:
+    """The report from the minimum, its index and the entries found below -tol.
+
+    Without off-diagonal entries (S = 1) the minimum is +inf and the index None.
+    """
+    violations = sorted((v for v in below if v[-1] < -tol), key=lambda v: v[-1])
+    return NonnegReport(passed=not violations, min_offdiagonal=low, tolerance=tol,
+                        violations=tuple(violations), worst_index=index)
+
+
+def _tolerance(hi, lo):
+    """The default tolerance 1e-12 max|entry| from the largest and the smallest entry."""
+    return 1e-12 * max(float(hi), -float(lo))
+
+
 def check_essential_nonnegativity(Bstar, tol=None) -> NonnegReport:
     """Check that all off-diagonal entries of a matrix or a stack are >= -tol.
 
@@ -176,36 +222,66 @@ def check_essential_nonnegativity(Bstar, tol=None) -> NonnegReport:
     M = np.asarray(Bstar, dtype=float)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError(f"square matrix or stack expected, got shape {M.shape}")
-    S = M.shape[-1]
-    tol = 1e-12 * max(float(M.max()), -float(M.min())) if tol is None else float(tol)
-    if S < 2:
-        return NonnegReport(passed=True, min_offdiagonal=math.inf,
-                            tolerance=tol, violations=())
-    off = _offdiagonal_view(M)
-    mins = off.min(axis=(-2, -1))
-    k = tuple(int(x) for x in np.unravel_index(int(np.argmin(mins)), mins.shape))
-    r, c = divmod(int(np.argmin(off[k])), S)
-    worst_index = k + divmod(1 + r * (S + 1) + c, S)
-    violations = []
-    eye = np.eye(S, dtype=bool)
-    for bad in np.argwhere(mins < -tol):
-        k_bad = tuple(int(x) for x in bad)
-        sub = M[k_bad]
-        for i, j in np.argwhere((sub < -tol) & ~eye):
-            violations.append(k_bad + (int(i), int(j), float(sub[i, j])))
-    violations.sort(key=lambda v: v[-1])
-    return NonnegReport(passed=not violations, min_offdiagonal=float(mins[k]),
-                        tolerance=tol, violations=tuple(violations),
-                        worst_index=worst_index)
+    tol = _tolerance(M.max(), M.min()) if tol is None else float(tol)
+    scan = _offdiagonal_scan(M, tol) if M.shape[-1] > 1 else (math.inf, None, [])
+    return _nonneg_report(*scan, tol)
+
+
+def scan_transform(Q, weights, consume) -> NonnegReport:
+    """B*(t), or B**(t) with weights, of a generator stack, formed a slice of times at a time.
+
+    Q is a (T, S+1, S+1) stack as :func:`ctmc_bounds.chain.eval_generator`
+    returns it. Each slice of times, sized so that its S x S stack takes at
+    most CHUNK_BYTES, is reduced, transformed, checked for essential
+    non-negativity and, with weights, conjugated by them in place; then
+    consume(s, M), unless None, receives the slice s and that fresh stack M.
+    No whole-time B, B* or B** stack is formed.
+
+    Returns the report of :func:`check_essential_nonnegativity` on the whole
+    B* stack, field for field: the tolerance 1e-12 max|entry| spans every
+    time, so each slice keeps its entries below the tolerance of the slices
+    read so far, which can only grow, and the last slice settles which of
+    them are violations.
+    """
+    T, S = len(Q), Q.shape[-1] - 1
+    ratio = None
+    if weights is not None:
+        d = validate_weights(weights, S)
+        ratio = d[:, None] / d[None, :]
+    step = max(1, CHUNK_BYTES // (8 * S * S))
+    hi, lo, lows, indices, below = -math.inf, math.inf, [], [], []
+    for start in range(0, T, step):
+        s = slice(start, min(start + step, T))
+        M = to_bstar(build_reduced(Q[s]))
+        # np.maximum and np.minimum carry a NaN entry into the tolerance, as
+        # M.max() and M.min() do over the whole stack
+        hi, lo = np.maximum(hi, M.max()), np.minimum(lo, M.min())
+        if S > 1:
+            low, (k, i, j), found = _offdiagonal_scan(M, _tolerance(hi, lo))
+            lows.append(low)
+            indices.append((start + k, i, j))
+            below += [(start + v[0],) + v[1:] for v in found]
+        if ratio is not None:
+            M *= ratio
+        if consume is not None:
+            consume(s, M)
+        del M  # the next slice's B and B* are formed without this one
+    low, index = math.inf, None
+    if lows:
+        # the first of the smallest slice minima (a NaN first of all), as over the whole stack
+        first = int(np.argmin(lows))
+        low, index = lows[first], indices[first]
+    return _nonneg_report(low, index, below, _tolerance(hi, lo))
 
 
 def require_essential_nonnegativity(Bstar, times=None) -> NonnegReport:
     """:func:`check_essential_nonnegativity` that raises :class:`NonnegativityError` on failure.
 
-    times, when given, holds the time of each matrix of the stack; the
-    error message then names the time of the worst entry.
+    Bstar may also be the report of such a check, as :func:`scan_transform`
+    returns it. times, when given, holds the time of each matrix of the
+    stack; the error message then names the time of the worst entry.
     """
-    report = check_essential_nonnegativity(Bstar)
+    report = Bstar if isinstance(Bstar, NonnegReport) else check_essential_nonnegativity(Bstar)
     if not report.passed:
         *k, i, j = report.worst_index
         at = f" at t={times[tuple(k)]}" if times is not None else ""

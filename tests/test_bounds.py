@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ctmc_bounds as cb
+from ctmc_bounds import transform
 from conftest import random_sharp_chain
 
 
@@ -181,8 +182,7 @@ def test_homogeneous_bounds_allocate_a_few_matrices(run):
 
 
 def test_time_varying_bounds_peak_at_the_generator_and_reduced_stacks():
-    # Q and B are the largest pair of stacks alive at once: Q is dropped
-    # before to_bstar builds B*, and B before apply_weights builds B**
+    # the bound of the whole-stack design, in which Q and B were alive at once
     S, n_grid = 30, 401
     lam = cb.RateFunction.sinusoid(1.0, 0.5, 1.0)
     spec = cb.birth_death_chain(S, [lam] * S, [1.0] * S)
@@ -196,6 +196,24 @@ def test_time_varying_bounds_peak_at_the_generator_and_reduced_stacks():
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * q_plus_b
+
+
+def test_time_varying_bounds_hold_the_generator_stack_and_one_slice():
+    # no whole-time B or B*: beside Q and the column sums, scan_transform
+    # holds one slice of B and of B* at a time
+    S, n_grid = 30, 2001
+    lam = cb.RateFunction.sinusoid(1.0, 0.5, 1.0)
+    spec = cb.birth_death_chain(S, [lam] * S, [1.0] * S)
+    times = 2 * n_grid - 1
+    q, sums = times * (S + 1) ** 2 * 8, times * S * 8
+    cb.compute_bounds(spec, np.ones(S), 1.0, n_grid)  # one-time set-up is not measured
+    tracemalloc.start()
+    try:
+        cb.compute_bounds(spec, np.ones(S), 1.0, n_grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= q + sums + 2.5 * transform.CHUNK_BYTES
 
 
 def test_homogeneous_report_equals_time_varying_report_bit_for_bit():

@@ -351,15 +351,22 @@ SINUSOID_BD3 = {"schema": 1,
                 "analysis": {"horizon": 2.0, "grid": 21}}
 
 
+SINUSOID_BD3_VERIFY = {**SINUSOID_BD3, "analysis": {"horizon": 2.0, "steps": 40,
+                                                     "trials": 3, "pairs": 3}}
+
+
 @pytest.mark.parametrize("command, doc, points", [("bounds", SINUSOID_BD3, [2 * 21 - 1]),
                                                   ("check", SINUSOID_BD3, [21]),
-                                                  ("rate", BD3, [1, 1])],
-                         ids=["bounds", "check", "rate"])
+                                                  ("rate", BD3, [1, 1]),
+                                                  ("verify", SINUSOID_BD3_VERIFY, [4 * 40 + 1])],
+                         ids=["bounds", "check", "rate", "verify"])
 def test_each_command_evaluates_the_generator_once_per_time(tmp_path, capsys,
                                                              generator_points,
                                                              command, doc, points):
     # bounds and check feed the regularity check and the reduction from one
-    # Q stack; rate also evaluates Q(0) once more for the Perron solve
+    # Q stack; rate also evaluates Q(0) once more for the Perron solve;
+    # verify's halved grid carries the forward system and, through B**, the
+    # transformed one
     assert cli.main([command, _write(tmp_path, doc)]) == cli.EXIT_OK
     assert generator_points == points
 
@@ -381,6 +388,26 @@ def test_a_generator_stack_beyond_physical_memory_is_refused_before_allocation(
     assert err.startswith("error: a generator stack of shape (3, 1000001, 1000001) needs ")
     assert err.count("\n") == 1
     assert peak < 1e6
+
+
+def test_verify_refuses_generator_and_weighted_stacks_beyond_memory_before_allocation(
+        tmp_path, capsys, monkeypatch):
+    # S = 3 at 4n+1 = 400001 times: Q takes 51.2 MB and Q + B** 80.0 MB; a
+    # machine of 60 MB fits Q alone, so only the verifier's own guard refuses
+    monkeypatch.setattr(cb.chain, "physical_memory", lambda: 60 * 10**6)
+    path = _write(tmp_path, SINUSOID_BD3_VERIFY)
+    tracemalloc.start()
+    try:
+        code = cli.main(["verify", path, "--steps", "100000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_EVAL and out == ""
+    assert err.startswith("error: a generator stack of shape (400001, 4, 4) with a weighted "
+                          "stack of shape (400001, 3, 3) needs 0.07451 GiB, more than the ")
+    assert err.count("\n") == 1
+    assert peak < 8e6  # the 4n+1 grid times (3.2 MB), no stack
 
 
 @pytest.mark.parametrize("command", ["bounds", "verify"])

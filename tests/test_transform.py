@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ctmc_bounds as cb
+from ctmc_bounds import bounds, cli, odesolve, transform
 from conftest import CLASS_KINDS, random_class_chain, random_regular_general
 from linalg_oracles import triangular_pair
 
@@ -285,3 +286,94 @@ def test_nonregular_chain_can_still_pass_nonnegativity(nonregular_override_chain
     assert not cb.check_regularity(cb.eval_generator(spec, [0.0]), [0.0]).regular
     Bs = cb.to_bstar(cb.build_reduced(cb.eval_generator(spec, 0.0)))
     assert cb.check_essential_nonnegativity(Bs).passed
+
+
+def _plateaus(low, high, spans):
+    """A table rate at low, raised to high on each closed span, with short ramps between."""
+    times, values = [0.0], [low]
+    for a, b in spans:
+        times += [a - 0.05, a, b, b + 0.05]
+        values += [low, high, high, low]
+    return cb.RateFunction.table(times + [1.0], values + [low])
+
+
+# batch_birth S=3: B*(3,2) = a_1 - a_2 dips wherever a_2 rises above a_1 = 2
+CHUNKED_CASES = {
+    # -0.1 on [0.2, 0.3], the worst -0.5 only on [0.7, 0.8]
+    "worst-in-a-later-chunk": cb.batch_birth_chain(3, [
+        2.0, cb.RateFunction.table([0.0, 0.15, 0.2, 0.3, 0.35, 0.65, 0.7, 0.8, 0.85, 1.0],
+                                   [1.0, 1.0, 2.1, 2.1, 1.0, 1.0, 2.5, 2.5, 1.0, 1.0]),
+        0.5], [1.0] * 3),
+    # the same -0.5, bit for bit, on [0.2, 0.3] and on [0.7, 0.8]: the first wins
+    "tied-worst": cb.batch_birth_chain(
+        3, [2.0, _plateaus(1.0, 2.5, [(0.2, 0.3), (0.7, 0.8)]), 0.5], [1.0] * 3),
+    # rates near 1e-6 up to t=0.3 and near 1 from t=0.6: there B*(3,2) is about
+    # -1e-15, below the 4e-18 tolerance of those times alone but above the
+    # 1e-12 tolerance of the whole stack, so the chain passes
+    "between-tolerances": cb.batch_birth_chain(3, [
+        cb.RateFunction.table([0.0, 0.3, 0.6, 1.0], [1e-6, 1e-6, 1.0, 1.0]),
+        cb.RateFunction.table([0.0, 0.3, 0.6, 1.0], [1e-6 + 1e-15, 1e-6 + 1e-15, 0.5, 0.5]),
+        cb.RateFunction.table([0.0, 0.3, 0.6, 1.0], [1e-7, 1e-7, 0.25, 0.25])], [1e-6] * 3),
+}
+# the check grid has 11 times; bounds (2*11-1) and verify (4*5+1) share 21
+CHUNKED_ANALYSIS = {"horizon": 1.0, "grid": 11, "steps": 5, "trials": 3, "pairs": 3}
+
+
+def _whole_stack(spec, times):
+    return cb.check_essential_nonnegativity(
+        cb.to_bstar(cb.build_reduced(cb.eval_generator(spec, times))))
+
+
+@pytest.mark.parametrize("case", sorted(CHUNKED_CASES))
+def test_chunked_transform_reports_what_the_whole_stack_does(monkeypatch, case):
+    spec = CHUNKED_CASES[case]
+    times = np.linspace(0.0, 1.0, 21)
+    whole = _whole_stack(spec, times)
+    assert whole.passed == (case == "between-tolerances")
+    assert not cb.check_essential_nonnegativity(
+        cb.to_bstar(cb.build_reduced(cb.eval_generator(spec, times[:7])))).passed
+    for step in (1, 2, 3, 21):  # times per slice
+        monkeypatch.setattr(transform, "CHUNK_BYTES", step * 8 * spec.S ** 2)
+        assert transform.scan_transform(cb.eval_generator(spec, times), None, None) == whole
+
+
+@pytest.mark.parametrize("case", sorted(CHUNKED_CASES))
+def test_commands_judge_chunks_as_the_whole_stack(tmp_path, capsys, monkeypatch, case):
+    spec = CHUNKED_CASES[case]
+    path = tmp_path / "model.json"
+    path.write_text(cb.serialize_model(cb.ModelFile(
+        spec, cb.AnalysisSettings(**CHUNKED_ANALYSIS))))
+    monkeypatch.setattr(transform, "CHUNK_BYTES", 2 * 8 * spec.S ** 2)  # two times a slice
+    reports, scan = [], transform.scan_transform
+
+    def recorded(Q, weights, consume):
+        reports.append(scan(Q, weights, consume))
+        return reports[-1]
+
+    for module in (cli, bounds, odesolve):
+        monkeypatch.setattr(module, "scan_transform", recorded)
+
+    grid = np.linspace(0.0, 1.0, 11)
+    whole = _whole_stack(spec, grid)
+    i, j = whole.worst_index[1:]
+    at = f" at t={format(grid[whole.worst_index[0]], '.12g')}" if not whole.passed else ""
+    expected = (f"B* essentially non-negative: {'yes' if whole.passed else 'no'} "
+                f"({'off-diagonal minimum' if whole.passed else f'entry ({i + 1},{j + 1}) ='} "
+                f"{format(whole.min_offdiagonal, '.12g')}{at})")
+    assert cli.main(["check", str(path)]) == (cli.EXIT_OK if whole.passed else cli.EXIT_VIOLATION)
+    assert expected in capsys.readouterr().out.splitlines()
+    assert reports == [whole]
+
+    times = np.linspace(0.0, 1.0, 21)
+    whole = _whole_stack(spec, times)
+    for command in ("bounds", "verify"):
+        reports.clear()
+        code = cli.main([command, str(path)])
+        err = capsys.readouterr().err
+        assert reports == [whole]
+        if whole.passed:
+            assert code == cli.EXIT_OK and err == ""
+        else:
+            with pytest.raises(cb.NonnegativityError) as expected:
+                cb.require_essential_nonnegativity(whole, times)
+            assert code == cli.EXIT_VIOLATION and err == f"error: {expected.value}\n"
