@@ -135,23 +135,6 @@ def _check_states(S) -> int:
     return S
 
 
-def _transition_table(spec: ChainSpec) -> tuple:
-    """All off-diagonal entries of Q as ((i, j, rate_fn), ...).
-
-    Each rate list drives its own jumps, and an empty list drives none: out
-    of state i, a_k jumps to i+k and b_k to i-k for every size k that stays
-    in 0..S, birth_i jumps to i+1 and death_i to i-1; the general kind's
-    table lists its entries. The structured entries come row by row.
-    """
-    S = spec.S
-    return spec.transitions + tuple(
-        (i, i + sign * k, fn)
-        for i in range(S + 1)
-        for sign, rates in ((1, spec.batch_birth[:S - i]), (-1, spec.batch_death[:i]),
-                            (1, spec.birth[i:i + 1]), (-1, spec.death[i - 1:i]))
-        for k, fn in enumerate(rates, 1))
-
-
 def physical_memory() -> int:
     """The machine's physical memory in bytes."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -169,8 +152,28 @@ def require_memory(what: str, nbytes: int) -> None:
                           f"more than the {memory / 2**30:.4g} GiB of physical memory")
 
 
+# the structured rate lists in the order of their jumps out of one state, and
+# the first entry i->j that each list's k-th rate (k = 1..S) drives
+_FIRST_JUMPS = {"batch_birth": lambda k: (0, k), "batch_death": lambda k: (k, 0),
+                "birth": lambda k: (k - 1, k), "death": lambda k: (k, k - 1)}
+
+
+def _bits(fn) -> tuple:
+    """A key rates share only if they give the same doubles (== joins 0.0 and -0.0)."""
+    return fn.kind, np.asarray(fn.params).tobytes()
+
+
 def eval_generator(spec: ChainSpec, t):
     """Transition-intensity matrix Q(t), the only place a chain's rates are evaluated.
+
+    Each rate list drives its own jumps, and an empty list drives none: out
+    of state i, a_k jumps to i+k and b_k to i-k for every size k that stays
+    in 0..S, birth_i jumps to i+1 and death_i to i-1; the general kind's
+    table lists its entries. Each distinct rate is evaluated once at all of
+    t and written in one assignment: a_k along the k-th superdiagonal, b_k
+    along the k-th subdiagonal, the birth and death lists stacked along the
+    first ones. A negative rate is reported at the first entry it drives,
+    the general table in its order, then row by row a_k, b_k, birth, death.
 
     Parameters
     ----------
@@ -193,12 +196,34 @@ def eval_generator(spec: ChainSpec, t):
     shape = ts.shape + (n, n)
     require_memory(f"a generator stack of shape {shape}", 8 * ts.size * n * n)
     Q = np.zeros(shape)
-    for i, j, fn in _transition_table(spec):
-        try:
-            Q[..., i, j] = fn(ts)
-        except RateEvaluationError as exc:
-            raise RateEvaluationError(f"transition {i}->{j}: {exc}") from None
+    values = {}  # bit key of a distinct rate -> its values at ts
+
+    def evaluate(key, fn, i, j):
+        if key not in values:
+            try:
+                values[key] = np.asarray(fn(ts))
+            except RateEvaluationError as exc:
+                raise RateEvaluationError(f"transition {i}->{j}: {exc}") from None
+        return values[key]
+
+    for i, j, fn in spec.transitions:
+        key = _bits(fn)
+        Q[..., i, j] = evaluate(key, fn, i, j)
+        values[key] = Q[..., i, j]  # a view: a general chain holds no copy of its rates
+    keys = {name: [_bits(fn) for fn in getattr(spec, name)] for name in _FIRST_JUMPS}
+    firsts = [(i, rank, k, j, name)
+              for rank, (name, first) in enumerate(_FIRST_JUMPS.items())
+              for k in range(1, len(keys[name]) + 1) for i, j in [first(k)]]
+    for i, _, k, j, name in sorted(firsts):
+        evaluate(keys[name][k - 1], getattr(spec, name)[k - 1], i, j)
     idx = np.arange(n)
+    for k, key in enumerate(keys["batch_birth"], 1):
+        Q[..., idx[:n - k], idx[k:]] = values[key][..., None]  # the k-th superdiagonal
+    for k, key in enumerate(keys["batch_death"], 1):
+        Q[..., idx[k:], idx[:n - k]] = values[key][..., None]  # the k-th subdiagonal
+    for name, rows, cols in (("birth", idx[:-1], idx[1:]), ("death", idx[1:], idx[:-1])):
+        if keys[name]:
+            Q[..., rows, cols] = np.stack([values[key] for key in keys[name]], axis=-1)
     Q[..., idx, idx] = -Q.sum(axis=-1)
     return Q
 

@@ -119,3 +119,16 @@ def generator_points(monkeypatch):
             if value is original:
                 monkeypatch.setattr(module, name, counting)
     return points
+
+
+@pytest.fixture
+def rate_calls(monkeypatch):
+    """The rate function of every RateFunction call, in call order."""
+    original, calls = cb.RateFunction.__call__, []
+
+    def counting(self, t):
+        calls.append(self)
+        return original(self, t)
+
+    monkeypatch.setattr(cb.RateFunction, "__call__", counting)
+    return calls

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -23,24 +25,71 @@ def _mixed_rates(rng, n):
     return tuple(cb.as_rate(r) for r in rates)
 
 
-@pytest.mark.parametrize("S", [1, 2, 5])
-@pytest.mark.parametrize("kind", ["general", *CLASS_KINDS])
-def test_generator_matches_dense_oracle_bit_for_bit(kind, S):
-    rng = np.random.default_rng(100 * S + len(kind))
+def _shared_rates(rng, n, sharing, flip):
+    """n rate functions, every other one of which gives the same values as others.
+
+    "one-object": one RateFunction object, which every list of the case
+    holds; "equal-values": equal but distinct objects; "signed-zeros":
+    constant(-0.0) and constant(0.0) in turn, starting with 0.0 when flip is
+    odd. These two compare and hash equal, while their entries of Q differ
+    in sign.
+    """
+    rates = list(_mixed_rates(rng, n))
+    for m in range(0, n, 2):
+        rates[m] = {"one-object": SHARED,
+                    "equal-values": cb.RateFunction.sinusoid(1.5, 0.5, 0.7, 0.2),
+                    "signed-zeros": cb.RateFunction.constant((-0.0, 0.0)[(m // 2 + flip) % 2]),
+                    }[sharing]
+    return tuple(rates)
+
+
+SHARED = cb.RateFunction.table([0.0, 0.8, 2.0], [1.0, 0.4, 2.5])
+SHARING = ("distinct", "one-object", "equal-values", "signed-zeros", "define")
+
+
+def _sharing_case(rng, kind, S, sharing):
+    """(spec, lists) of one bit-identity case; lists as linalg_oracles.dense_generator takes them."""
+    names = ("transitions",) if kind == "general" else KIND_LISTS[kind]
     if kind == "general":
         pairs = [(i, j) for i in range(S + 1) for j in range(S + 1) if i != j]
         # leave out S - 1 of the pairs, so some entries of Q are absent
         pairs = [pairs[m] for m in sorted(rng.permutation(len(pairs))[:len(pairs) - S + 1])]
-        lists = {"transitions": dict(zip(pairs, _mixed_rates(rng, len(pairs))))}
-        spec = cb.general_chain(S, lists["transitions"])
-    else:
-        lists = {name: _mixed_rates(rng, S) for name in KIND_LISTS[kind]}
-        spec = CONSTRUCTORS[kind](S, *(lists[name] for name in KIND_LISTS[kind]))
-    for t in (0.37, np.linspace(0.0, 2.0, 5)):
-        expected = dense_generator(kind, S, lists, t)
-        got = cb.eval_generator(spec, t)
-        assert got.shape == expected.shape
-        assert np.array_equal(got, expected), (kind, S, t)
+    sizes = {name: len(pairs) if kind == "general" else S for name in names}
+    if sharing == "define":
+        # every list names the model file's defined rates, each name at several positions
+        chain = {"kind": kind, "states": S,
+                 "define": {"lam": {"sinusoid": {"offset": 1.2, "amplitude": 0.4,
+                                                 "frequency": 0.7}},
+                            "mu": {"table": {"times": [0.0, 2.0], "values": [0.5, 1.5]}}}}
+        for name in names:
+            refs = [("lam", "mu", 0.25)[m % 3] for m in range(sizes[name])]
+            chain[name] = ([{"from": i, "to": j, "rate": r} for (i, j), r in zip(pairs, refs)]
+                           if kind == "general" else refs)
+        spec = cb.parse_model(json.dumps({"schema": 1, "chain": chain})).chain
+        if kind == "general":
+            return spec, {"transitions": {(i, j): fn for i, j, fn in spec.transitions}}
+        return spec, {name: getattr(spec, name) for name in names}
+    lists = {name: _mixed_rates(rng, sizes[name]) if sharing == "distinct"
+             else _shared_rates(rng, sizes[name], sharing, flip)
+             for flip, name in enumerate(names)}
+    if kind == "general":
+        lists = {"transitions": dict(zip(pairs, lists["transitions"]))}
+        return cb.general_chain(S, lists["transitions"]), lists
+    return CONSTRUCTORS[kind](S, *(lists[name] for name in names)), lists
+
+
+@pytest.mark.parametrize("S", [1, 2, 5])
+@pytest.mark.parametrize("kind", ["general", *CLASS_KINDS])
+def test_generator_matches_dense_oracle_bit_for_bit(kind, S):
+    for sharing in SHARING:
+        rng = np.random.default_rng(100 * S + len(kind))
+        spec, lists = _sharing_case(rng, kind, S, sharing)
+        for t in (0.37, np.linspace(0.0, 2.0, 5)):
+            expected = dense_generator(kind, S, lists, t)
+            got = cb.eval_generator(spec, t)
+            assert got.shape == expected.shape
+            # bytes, not values: -0.0 == 0.0 would pass a value comparison
+            assert got.tobytes() == expected.tobytes(), (kind, S, sharing, t)
 
 
 def test_birth_death_two_state_generator():
@@ -101,6 +150,77 @@ def test_negative_rate_at_evaluation_is_an_error():
     cb.eval_generator(spec, 0.0)  # fine here
     with pytest.raises(cb.RateEvaluationError):
         cb.eval_generator(spec, 0.75)
+
+
+# two rates that turn negative near t = 0.75, with different values there
+DIPS = (cb.RateFunction.sinusoid(0.2, 1.0, 1.0), cb.RateFunction.sinusoid(0.1, 1.0, 1.0))
+
+
+def _dip_error(fn, t):
+    with pytest.raises(cb.RateEvaluationError) as info:
+        fn(t)
+    return str(info.value)
+
+
+def _with(values, dips):
+    """values with DIPS[d] put at index k for every (k, d) in dips."""
+    values = list(values)
+    for k, d in dips.items():
+        values[k] = DIPS[d]
+    return values
+
+
+# (spec, the jump the error names, the failing rate there): the first failing
+# entry of Q, row by row and, out of one state, in the order a_k, b_k, birth,
+# death (a_k first jumps 0->k, b_k first jumps k->0)
+ONES = [1.0] * 4
+FAILING = {
+    "batch_birth": (cb.batch_birth_chain(4, _with(ONES, {2: 0, 3: 1}), ONES), "0->3", 0),
+    "batch_death": (cb.batch_death_chain(4, _with(ONES, {1: 0, 2: 1}), ONES), "2->0", 0),
+    "birth": (cb.birth_death_chain(4, _with(ONES, {1: 0, 3: 1}), ONES), "1->2", 0),
+    "death": (cb.birth_death_chain(4, ONES, _with(ONES, {1: 0, 2: 1})), "2->1", 0),
+    "general": (cb.general_chain(3, {(0, 1): 1.0, (1, 0): DIPS[0], (1, 2): 1.0,
+                                     (2, 1): DIPS[1], (3, 2): DIPS[0]}), "1->0", 0),
+    # two failing lists in one chain
+    "batch_both": (cb.batch_both_chain(4, _with(ONES, {3: 1}), _with(ONES, {0: 0})),
+                   "0->4", 1),
+    "birth_before_death": (cb.birth_death_chain(4, _with(ONES, {1: 1}), _with(ONES, {0: 0})),
+                           "1->2", 1),
+    "batch_death_before_birth": (cb.batch_death_chain(4, _with(ONES, {1: 1}),
+                                                      _with(ONES, {2: 0})), "2->0", 1),
+    "birth_before_batch_death": (cb.batch_death_chain(4, _with(ONES, {2: 1}),
+                                                      _with(ONES, {1: 0})), "1->2", 0),
+    "batch_birth_before_death": (cb.batch_birth_chain(4, _with(ONES, {3: 1}),
+                                                      _with(ONES, {0: 0})), "0->4", 1),
+}
+
+
+@pytest.mark.parametrize("t", [0.75, np.linspace(0.0, 1.0, 9)], ids=["scalar", "array"])
+@pytest.mark.parametrize("case", FAILING)
+def test_a_negative_rate_names_its_first_failing_transition(case, t):
+    spec, jump, dip = FAILING[case]
+    with pytest.raises(cb.RateEvaluationError) as info:
+        cb.eval_generator(spec, t)
+    assert str(info.value) == f"transition {jump}: {_dip_error(DIPS[dip], t)}"
+
+
+def test_batch_rates_are_called_once_per_distinct_rate(rate_calls):
+    S = 50
+    batch = [cb.RateFunction.sinusoid(2.0, 0.5, 1.0, 0.01 * k) for k in range(2 * S)]
+    spec = cb.batch_both_chain(S, batch[:S], batch[S:])
+    cb.eval_generator(spec, np.linspace(0.0, 1.0, 11))
+    assert len(rate_calls) == 2 * S  # one call per entry of Q would make S * (S + 1) = 2550
+    assert set(rate_calls) == set(batch)
+
+
+def test_a_uniform_chain_from_defined_names_calls_each_name_once(rate_calls):
+    doc = {"schema": 1, "chain": {
+        "kind": "birth_death", "states": 20,
+        "define": {"lam": {"sinusoid": {"offset": 1.0, "amplitude": 0.5, "frequency": 1.0}},
+                   "mu": {"table": {"times": [0.0, 1.0], "values": [2.0, 1.0]}}},
+        "birth": ["lam"] * 20, "death": ["mu"] * 20}}
+    cb.eval_generator(cb.parse_model(json.dumps(doc)).chain, np.linspace(0.0, 1.0, 11))
+    assert len(rate_calls) == 2
 
 
 def test_regularity_birth_death_always_regular():

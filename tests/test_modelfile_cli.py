@@ -214,6 +214,23 @@ def test_cmd_exit_codes_for_bad_inputs(tmp_path):
     assert cli.main(["check", _write(tmp_path, doc)]) == cli.EXIT_EVAL
 
 
+def test_bounds_names_the_first_negative_transition_and_exits_with_eval_code(tmp_path,
+                                                                            capsys):
+    # both batch lists turn negative: a_3 from 0->3 comes before b_1 from 1->0
+    dips = {"dip": {"sinusoid": {"offset": 0.2, "amplitude": 1.0, "frequency": 1.0}},
+            "low": {"sinusoid": {"offset": 0.1, "amplitude": 1.0, "frequency": 1.0}}}
+    doc = {"schema": 1,
+           "chain": {"kind": "batch_both", "states": 4, "define": dips,
+                     "batch_birth": [1.0, 1.0, "dip", 0.5],
+                     "batch_death": ["low", 1.0, 0.5, 0.5]},
+           "analysis": {"horizon": 1.0, "grid": 5}}
+    assert cli.main(["bounds", _write(tmp_path, doc)]) == cli.EXIT_EVAL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: transition 0->3: sinusoid rate is negative at t=0.625: "
+                   "-0.5071067811865475\n")
+
+
 BROKEN_BATCH = {"schema": 1, "chain": {"kind": "batch_birth", "states": 3,
                                        "batch_birth": [0.1, 2.0, 0.1],
                                        "death": [1.0, 1.0, 1.0]},
