@@ -17,7 +17,7 @@ spec = cb.birth_death_chain(S, [lam] * S, [1.0] * S)
 print("chain is homogeneous:", spec.is_homogeneous)
 grid = np.linspace(0, 3, 301)
 print("regular on a fine grid:",
-      cb.check_regularity(cb.eval_generator(spec, grid), grid).regular)
+      cb.check_regularity(cb.rate_table(spec, grid)).regular)
 
 report = cb.compute_bounds(spec, np.ones(S), tmax=3.0, n_grid=601)
 print("\n   t     h_upper    h_lower    env_upper   env_lower")

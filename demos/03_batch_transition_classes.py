@@ -31,7 +31,7 @@ for name, spec in chains.items():
     print("Q(0):")
     print(np.round(Q, 3))
 
-    report = cb.check_regularity(Q[None], [0.0])
+    report = cb.check_regularity(cb.rate_table(spec, 0.0))
     print("regular:", report.regular)
 
     numeric = cb.to_bstar(cb.build_reduced(Q))
@@ -50,7 +50,7 @@ print("=" * 64)
 broken = cb.batch_birth_chain(3, [1.0, 2.0, 0.5], [1.0, 1.0, 1.0])
 print("a_2 > a_1:")
 Q = cb.eval_generator(broken, 0.0)
-print("  regular:", cb.check_regularity(Q[None], [0.0]).regular)
+print("  regular:", cb.check_regularity(cb.rate_table(broken, 0.0)).regular)
 bstar = cb.to_bstar(cb.build_reduced(Q))
 nn = cb.check_essential_nonnegativity(bstar)
 print("  transform essentially non-negative:", nn.passed,

@@ -9,10 +9,10 @@ integration of the underlying differential systems.
 """
 
 from .rates import RateEvaluationError, RateFunction, as_rate
-from .chain import (ChainSpec, InhomogeneousChainError, RegularityReport,
+from .chain import (ChainSpec, InhomogeneousChainError, RateTable, RegularityReport,
                     RegularityViolation, batch_birth_chain, batch_both_chain,
                     batch_death_chain, birth_death_chain, check_regularity,
-                    eval_generator, general_chain)
+                    eval_generator, general_chain, rate_table)
 from .transform import (NonnegativityError, NonnegReport, analytic_bstar,
                         apply_weights, build_reduced, check_essential_nonnegativity,
                         require_essential_nonnegativity, to_bstar)
@@ -33,7 +33,7 @@ __all__ = [
     "AnalysisSettings", "BoundReport", "ChainSpec", "ConditionReport",
     "InhomogeneousChainError", "ModelFile", "ModelFileError", "NonFiniteBoundError", "NonnegReport",
     "NonnegativityError", "OdeBlowUpError", "PowerIterationError",
-    "RateEvaluationError", "RateFunction", "ReducibleMatrixError",
+    "RateEvaluationError", "RateFunction", "RateTable", "ReducibleMatrixError",
     "RegularityReport", "RegularityViolation", "SharpRate",
     "SharpnessConditionError", "Trajectory", "VerificationReport",
     "analytic_bstar", "apply_weights", "as_rate", "batch_birth_chain",
@@ -42,7 +42,7 @@ __all__ = [
     "check_irreducible", "check_regularity", "check_sharpness_conditions",
     "closed_form_bd", "compute_bounds", "cumulative_simpson", "eval_generator",
     "general_chain", "load_model", "parse_model",
-    "perron_weights", "require_essential_nonnegativity", "serialize_model",
+    "perron_weights", "rate_table", "require_essential_nonnegativity", "serialize_model",
     "sharp_report", "solve", "to_bstar", "trajectory_to_csv",
     "verification_to_csv", "verify_bounds", "verify_convergence_coupling",
 ]

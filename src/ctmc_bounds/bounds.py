@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import (ChainSpec, check_regularity, eval_generator, evaluation_times,
+from .chain import (ChainSpec, check_regularity, evaluation_times, rate_table,
                     require_homogeneous)
 from .spectral import (SharpnessConditionError, check_sharpness_conditions, equalization_tol,
                        perron_weights)
@@ -132,26 +132,31 @@ def compute_bounds(spec: ChainSpec, weights, tmax: float, n_grid: int) -> BoundR
     it). Raises NonFiniteBoundError if an envelope integral is not finite;
     an envelope beyond the double-precision range is reported as inf.
 
-    The generator stack is evaluated once, on the Simpson grid, and feeds
-    the regularity check and :func:`ctmc_bounds.transform.scan_transform`,
-    which hands over the weighted transform a slice of times at a time:
-    the peak is that stack plus one slice, and only the column sums are
-    kept. A homogeneous chain's transformed matrix is built and checked
-    once; its column-sum extremes are constant along the grid.
+    The rates are evaluated once, on the Simpson grid, into a
+    :func:`ctmc_bounds.chain.rate_table`, which feeds the regularity check
+    and :func:`ctmc_bounds.transform.scan_transform`. The scan writes the
+    generator from the table a slice of times at a time and hands over the
+    weighted transform of each slice: the peak is the table, the column
+    sums and one slice; no whole-time generator stack is formed. A
+    homogeneous chain's transformed matrix is built and checked once; its
+    column-sum extremes are constant along the grid.
     """
     tmax, n = check_horizon(tmax, int(n_grid) - 1)
     d = validate_weights(weights, spec.S)
-
     half = np.linspace(0.0, tmax, 2 * n + 1)
-    times = evaluation_times(spec, half)
-    Q = eval_generator(spec, times)
-    reg = check_regularity(Q[::2], times[::2])
-    sums = np.empty((len(times), spec.S))
+    return _envelopes(rate_table(spec, evaluation_times(spec, half)), d, tmax, n)
+
+
+def _envelopes(table, d, tmax, n) -> BoundReport:
+    """The report of :func:`compute_bounds` from the rate table on its Simpson grid."""
+    half = np.linspace(0.0, tmax, 2 * n + 1)
+    reg = check_regularity(table.at(np.s_[::2]))
+    sums = np.empty((len(table), table.S))
 
     def column_sums(s, weighted):
         sums[s] = weighted.sum(axis=-2)
 
-    require_essential_nonnegativity(scan_transform(Q, d, column_sums), times)
+    require_essential_nonnegativity(scan_transform(table, d, column_sums), table.times)
     warnings = []
     if not reg.regular:
         v = reg.violations[0]
@@ -176,15 +181,19 @@ def sharp_report(spec: ChainSpec, tmax: float = 1.0, n_grid: int = 201) -> Bound
     Requires a homogeneous chain passing the class sharpness conditions and
     an irreducible transformed matrix. Both column-sum extremes are checked
     to agree with lambda0 within :func:`equalization_tol` before the report
-    is marked sharp.
+    is marked sharp. The Perron input and the envelopes come from one
+    evaluation of the rates at t=0.
     """
     require_homogeneous(spec, "sharp-rate report")
     cond = check_sharpness_conditions(spec)
     if not cond.passed:
         raise SharpnessConditionError("; ".join(cond.failures))
-    bstar = to_bstar(build_reduced(eval_generator(spec, 0.0)))
+    tmax, n = check_horizon(tmax, int(n_grid) - 1)
+    half = np.linspace(0.0, tmax, 2 * n + 1)
+    table = rate_table(spec, evaluation_times(spec, half))
+    bstar = to_bstar(build_reduced(table[0]))
     rate = perron_weights(bstar)
-    report = compute_bounds(spec, rate.weights, tmax, n_grid)
+    report = _envelopes(table, validate_weights(rate.weights, spec.S), tmax, n)
     lam0 = rate.lambda0
     tol = equalization_tol(lam0, bstar)
     worst = max(float(np.max(np.abs(report.h_upper - lam0))),

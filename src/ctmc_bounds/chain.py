@@ -23,10 +23,17 @@ entries never increase. All four structured classes are regular by
 construction whenever their batch-rate sequences are non-increasing, and
 regularity is exactly what makes the upper-triangular similarity transform
 of the reduced system essentially non-negative.
+
+The generator is assembled in two steps: :func:`rate_table` evaluates each
+distinct rate once over all the times a command needs, and the table writes
+Q for any slice of those times. :func:`check_regularity` compares the rates
+in the table, not the entries of Q.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import os
 from dataclasses import dataclass
 
@@ -163,17 +170,117 @@ def _bits(fn) -> tuple:
     return fn.kind, np.asarray(fn.params).tobytes()
 
 
-def eval_generator(spec: ChainSpec, t):
-    """Transition-intensity matrix Q(t), the only place a chain's rates are evaluated.
+@dataclass(frozen=True, eq=False)
+class RateTable:
+    """A chain's distinct rates over a grid of times, and the entries of Q that read them.
+
+    values[..., r] holds the r-th distinct rate at every time of times: a
+    (T, R) table, R at most 2S for the structured kinds. Each off-diagonal
+    entry of Q is a column of it or zero. diagonals lists, one diagonal of Q
+    at a time, (offset j - i, rows i, columns j ascending, table columns):
+    one table column for a whole batch diagonal, one per entry otherwise.
+
+    The table stands for the generator stack it writes, (T, S+1, S+1) as
+    shape and len give it: table[s] writes Q at times[s], so
+    :func:`ctmc_bounds.transform.scan_transform` takes the table a slice of
+    times at a time wherever it takes a held stack, and table[...] writes
+    the whole stack.
+    """
+
+    S: int
+    times: np.ndarray
+    values: np.ndarray
+    diagonals: tuple
+
+    @property
+    def shape(self) -> tuple:
+        return self.times.shape + (self.S + 1, self.S + 1)
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def at(self, s) -> "RateTable":
+        """The table at times[s], a view of these values."""
+        return dataclasses.replace(self, times=self.times[s], values=self.values[s])
+
+    def __getitem__(self, s):
+        """Q at times[s], written from the table, bit for bit as a whole stack's slice.
+
+        A result larger than the machine's physical memory raises
+        MemoryError before anything is allocated (:func:`require_memory`).
+        """
+        values = self.values[s]
+        shape = values.shape[:-1] + (self.S + 1, self.S + 1)
+        require_memory(f"a generator stack of shape {shape}", 8 * math.prod(shape))
+        Q = np.zeros(shape)
+        for _, rows, cols, columns in self.diagonals:
+            Q[..., rows, cols] = values[..., columns]
+        idx = np.arange(self.S + 1)
+        Q[..., idx, idx] = -Q.sum(axis=-1)
+        return Q
+
+
+def rate_table(spec: ChainSpec, t) -> RateTable:
+    """The chain's :class:`RateTable` at t, the only place a chain's rates are evaluated.
 
     Each rate list drives its own jumps, and an empty list drives none: out
     of state i, a_k jumps to i+k and b_k to i-k for every size k that stays
     in 0..S, birth_i jumps to i+1 and death_i to i-1; the general kind's
     table lists its entries. Each distinct rate is evaluated once at all of
-    t and written in one assignment: a_k along the k-th superdiagonal, b_k
-    along the k-th subdiagonal, the birth and death lists stacked along the
-    first ones. A negative rate is reported at the first entry it drives,
-    the general table in its order, then row by row a_k, b_k, birth, death.
+    t into one column: a_k drives the k-th superdiagonal, b_k the k-th
+    subdiagonal, the birth and death lists the first ones. A negative rate
+    is reported at the first entry it drives, the general table in its
+    order, then row by row a_k, b_k, birth, death. t is a float or a 1d
+    array of floats; a table larger than the machine's physical memory
+    raises MemoryError before it is allocated.
+    """
+    ts = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(ts)):
+        raise RateEvaluationError(f"generator requested at non-finite time {t!r}")
+    first = {}  # bit key of a distinct rate -> (rate, the first entry i->j it drives)
+    general = [(i, j, _bits(fn), fn) for i, j, fn in spec.transitions]
+    for i, j, key, fn in general:
+        first.setdefault(key, (fn, i, j))
+    keys = {name: [_bits(fn) for fn in getattr(spec, name)] for name in _FIRST_JUMPS}
+    firsts = [(i, rank, k, j, name)
+              for rank, (name, jump) in enumerate(_FIRST_JUMPS.items())
+              for k in range(1, len(keys[name]) + 1) for i, j in [jump(k)]]
+    for i, _, k, j, name in sorted(firsts):
+        first.setdefault(keys[name][k - 1], (getattr(spec, name)[k - 1], i, j))
+    shape = ts.shape + (len(first),)
+    require_memory(f"a rate table of shape {shape}", 8 * math.prod(shape))
+    values = np.empty(shape)
+    column = {key: r for r, key in enumerate(first)}
+    for r, (fn, i, j) in enumerate(first.values()):
+        try:
+            values[..., r] = fn(ts)
+        except RateEvaluationError as exc:
+            raise RateEvaluationError(f"transition {i}->{j}: {exc}") from None
+
+    diagonals = []
+    if general:
+        i, j, c = np.array([(i, j, column[key]) for i, j, key, _ in general], dtype=np.intp).T
+        order = np.lexsort((j, j - i))  # by offset, then by column
+        cuts = np.flatnonzero(np.diff((j - i)[order])) + 1
+        diagonals += [(int(cols[0] - rows[0]), rows, cols, cs) for rows, cols, cs in
+                      zip(*(np.split(x[order], cuts) for x in (i, j, c)))]
+    if any(keys.values()):
+        n = spec.S + 1
+        idx = np.arange(n)
+        one = lambda key: np.array([column[key]])
+        diagonals += [(k, idx[:n - k], idx[k:], one(key))
+                      for k, key in enumerate(keys["batch_birth"], 1)]
+        diagonals += [(-k, idx[k:], idx[:n - k], one(key))
+                      for k, key in enumerate(keys["batch_death"], 1)]
+        for name, k, rows, cols in (("birth", 1, idx[:-1], idx[1:]),
+                                    ("death", -1, idx[1:], idx[:-1])):
+            if keys[name]:
+                diagonals.append((k, rows, cols, np.array([column[key] for key in keys[name]])))
+    return RateTable(spec.S, ts, values, tuple(diagonals))
+
+
+def eval_generator(spec: ChainSpec, t):
+    """Transition-intensity matrix Q(t), written whole from the chain's :func:`rate_table`.
 
     Parameters
     ----------
@@ -189,43 +296,7 @@ def eval_generator(spec: ChainSpec, t):
         round-off. A result larger than the machine's physical memory
         raises MemoryError before anything is allocated (:func:`require_memory`).
     """
-    ts = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(ts)):
-        raise RateEvaluationError(f"generator requested at non-finite time {t!r}")
-    n = spec.S + 1
-    shape = ts.shape + (n, n)
-    require_memory(f"a generator stack of shape {shape}", 8 * ts.size * n * n)
-    Q = np.zeros(shape)
-    values = {}  # bit key of a distinct rate -> its values at ts
-
-    def evaluate(key, fn, i, j):
-        if key not in values:
-            try:
-                values[key] = np.asarray(fn(ts))
-            except RateEvaluationError as exc:
-                raise RateEvaluationError(f"transition {i}->{j}: {exc}") from None
-        return values[key]
-
-    for i, j, fn in spec.transitions:
-        key = _bits(fn)
-        Q[..., i, j] = evaluate(key, fn, i, j)
-        values[key] = Q[..., i, j]  # a view: a general chain holds no copy of its rates
-    keys = {name: [_bits(fn) for fn in getattr(spec, name)] for name in _FIRST_JUMPS}
-    firsts = [(i, rank, k, j, name)
-              for rank, (name, first) in enumerate(_FIRST_JUMPS.items())
-              for k in range(1, len(keys[name]) + 1) for i, j in [first(k)]]
-    for i, _, k, j, name in sorted(firsts):
-        evaluate(keys[name][k - 1], getattr(spec, name)[k - 1], i, j)
-    idx = np.arange(n)
-    for k, key in enumerate(keys["batch_birth"], 1):
-        Q[..., idx[:n - k], idx[k:]] = values[key][..., None]  # the k-th superdiagonal
-    for k, key in enumerate(keys["batch_death"], 1):
-        Q[..., idx[k:], idx[:n - k]] = values[key][..., None]  # the k-th subdiagonal
-    for name, rows, cols in (("birth", idx[:-1], idx[1:]), ("death", idx[1:], idx[:-1])):
-        if keys[name]:
-            Q[..., rows, cols] = np.stack([values[key] for key in keys[name]], axis=-1)
-    Q[..., idx, idx] = -Q.sum(axis=-1)
-    return Q
+    return rate_table(spec, t)[...]
 
 
 @dataclass(frozen=True)
@@ -256,36 +327,70 @@ class RegularityReport:
                    "behaviour between grid points is not checked")
 
 
-def check_regularity(Q, grid) -> RegularityReport:
+def check_regularity(table: RateTable) -> RegularityReport:
     """Check that arrival intensities are non-increasing in the jump size on a time grid.
 
-    Q holds the generators at the grid times, a (len(grid), S+1, S+1)
-    stack as :func:`eval_generator` returns it. For every grid time and
-    every state i, both families of intensities into i - q_{i-k,i}(t) from
-    below and q_{i+k,i}(t) from above - must be non-increasing in k
-    (non-strictly). Violations are collected and reported, never raised.
+    table holds the chain's rates at the grid times, as :func:`rate_table`
+    returns it. For every grid time and every state i, both families of
+    intensities into i - q_{i-k,i}(t) from below and q_{i+k,i}(t) from
+    above - must be non-increasing in k (non-strictly). Violations are
+    collected and reported, never raised.
+
+    Each entry of Q at jump size k+1 >= 2 is compared with the entry at
+    size k in its column, a table column or zero: each distinct pair of
+    table columns once over all times, about 2S pairs for the batch kinds,
+    and a broken pair is expanded into the entries where it occurs. An
+    entry that is zero at size k+1 never breaks the order, since rates are
+    non-negative.
     """
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    grid = np.atleast_1d(table.times)
     if grid.size == 0:
         raise ValueError("regularity check needs a non-empty time grid")
-    Qs = np.asarray(Q, dtype=float)
-    if Qs.shape[:-2] != grid.shape:
-        raise ValueError(f"need one generator per grid time, got {Qs.shape} for {grid.size}")
+    V = table.values.reshape(grid.size, -1)
+    zero = V.shape[1]  # the column index that stands for an absent entry
+    by_offset = {d: (cols, cs) for d, _, cols, cs in table.diagonals}
+    whole = []  # (pair, diagonal): one pair of columns along a whole diagonal
+    keys, owners, positions = [], [], []  # pairs entry by entry, on the other diagonals
+    for n, (d, _, cols, cs) in enumerate(table.diagonals):
+        if abs(d) < 2:
+            continue
+        # in each column j of Q, the entry one jump size nearer the diagonal, or zero
+        near = d - 1 if d > 0 else d + 1
+        near_cols, near_cs = by_offset.get(near, (None, [zero]))
+        if len(near_cs) == 1 and (near_cols is None or len(near_cols) == table.S + 1 - abs(near)):
+            a = near_cs  # one column, or zero, all along the nearer diagonal
+        else:
+            at = np.minimum(np.searchsorted(near_cols, cols), len(near_cols) - 1)
+            a = np.where(near_cols[at] == cols, np.broadcast_to(near_cs, near_cols.shape)[at], zero)
+        if len(a) == len(cs) == 1:
+            whole.append((int(a[0]) * (zero + 1) + int(cs[0]), n))
+        else:
+            keys.append(a * (zero + 1) + cs)
+            owners.append(np.full(len(cols), n))
+            positions.append(np.arange(len(cols)))
     violations = []
-    S = Qs.shape[-1] - 1
-    for i in range(S + 1):
-        for direction, rows in (("up", np.arange(i - 1, -1, -1)),
-                                ("down", np.arange(i + 1, S + 1))):
-            band = Qs[:, rows, i]  # intensities into i at jump sizes 1, 2, ...
-            if band.shape[1] < 2:
-                continue
-            bad_t, bad_k = np.nonzero(band[:, 1:] > band[:, :-1])
-            for ti, ki in zip(bad_t, bad_k):
-                violations.append(RegularityViolation(
-                    t=float(grid[ti]), state=i, k=int(ki) + 1, direction=direction,
-                    value=float(band[ti, ki]), next_value=float(band[ti, ki + 1])))
-    violations.sort(key=lambda v: (v.t, v.state, v.direction, v.k))
-    return RegularityReport(regular=not violations, violations=tuple(violations),
+    if whole or keys:
+        pairs, pair_of = np.unique(np.concatenate([[key for key, _ in whole], *keys]).astype(int),
+                                   return_inverse=True)
+        owners = np.concatenate([[n for _, n in whole], *owners]).astype(int)
+        positions = np.concatenate([[-1] * len(whole), *positions]).astype(int)
+        a, b = np.divmod(pairs, zero + 1)
+        value = V[:, np.minimum(a, zero - 1)]
+        value[:, a == zero] = 0.0
+        next_value = V[:, b]
+        broken = next_value > value
+        for p in np.flatnonzero(broken.any(axis=0)):
+            for e in np.flatnonzero(pair_of == p):
+                d, _, cols, _ = table.diagonals[owners[e]]
+                for ti in np.flatnonzero(broken[:, p]):
+                    for j in (cols if positions[e] < 0 else cols[positions[e]:positions[e] + 1]):
+                        v = RegularityViolation(
+                            t=float(grid[ti]), state=int(j), k=abs(d) - 1,
+                            direction="up" if d > 0 else "down",
+                            value=float(value[ti, p]), next_value=float(next_value[ti, p]))
+                        violations.append(((v.t, v.state, v.direction, v.k, ti), v))
+    violations.sort(key=lambda v: v[0])
+    return RegularityReport(regular=not violations, violations=tuple(v for _, v in violations),
                             grid=tuple(float(t) for t in grid))
 
 

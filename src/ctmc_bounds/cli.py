@@ -40,7 +40,7 @@ import numpy as np
 
 from .bounds import (NonFiniteBoundError, bound_report_to_csv, compute_bounds,
                      sharp_report, write_csv)
-from .chain import InhomogeneousChainError, check_regularity, eval_generator
+from .chain import InhomogeneousChainError, check_regularity, eval_generator, rate_table
 from .modelfile import WEIGHT_MODES, AnalysisSettings, ModelFileError, load_model
 from .odesolve import OdeBlowUpError, _verify_both
 from .rates import RateEvaluationError
@@ -135,8 +135,9 @@ def resolve_weights(spec, settings: AnalysisSettings):
 def cmd_check(args) -> int:
     spec, settings = _load(args)
     grid = np.linspace(0.0, settings.horizon, settings.grid)
-    Q = eval_generator(spec, grid)
-    reg = check_regularity(Q, grid)
+    table = rate_table(spec, grid)
+    reg = check_regularity(table)
+    nonneg = scan_transform(table, None, None)
     if reg.regular:
         print(f"regular: yes ({settings.grid} grid points over "
               f"[0, {_fmt(settings.horizon)}])")
@@ -145,8 +146,6 @@ def cmd_check(args) -> int:
         print(f"regular: no ({len(reg.violations)} violations; first: t={_fmt(v.t)}, "
               f"state {v.state}, {v.direction} jump {v.k}->{v.k + 1}: "
               f"{_fmt(v.value)} -> {_fmt(v.next_value)})")
-
-    nonneg = scan_transform(Q, None, None)
     worst = _fmt(nonneg.min_offdiagonal)
     if nonneg.passed:
         print(f"B* essentially non-negative: yes (off-diagonal minimum {worst})")

@@ -84,14 +84,15 @@ class RateFunction:
 
         Returns a float for scalar input, an ndarray of matching shape
         otherwise. Raises :class:`RateEvaluationError` if any requested time
-        is non-finite or any produced value is negative.
+        is non-finite or any produced value is negative; a constant's value
+        was checked when it was made.
         """
         ts = np.asarray(t, dtype=float)
-        if not np.all(np.isfinite(ts)):
+        if not np.isfinite(ts).all():
             raise RateEvaluationError(f"rate queried at non-finite time {t!r}")
         if self.kind == "constant":
-            out = np.full(ts.shape, self.params[0])
-        elif self.kind == "sinusoid":
+            return self.params[0] if ts.ndim == 0 else np.full(ts.shape, self.params[0])
+        if self.kind == "sinusoid":
             offset, amplitude, frequency, phase = self.params
             out = offset + amplitude * np.sin(2.0 * np.pi * frequency * ts + phase)
         else:

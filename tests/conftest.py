@@ -101,12 +101,13 @@ def nonregular_override_chain():
 
 @pytest.fixture
 def generator_points(monkeypatch):
-    """The number of time points of every eval_generator call, in call order.
+    """The number of time points of every rate table, in call order.
 
-    eval_generator is wrapped at every binding: in ctmc_bounds.chain, in
-    the package namespace and in each module that imported it by name.
+    rate_table, which evaluates the rates of every generator, is wrapped at
+    every binding: in ctmc_bounds.chain, in the package namespace and in
+    each module that imported it by name.
     """
-    original, points = cb.chain.eval_generator, []
+    original, points = cb.chain.rate_table, []
 
     def counting(spec, t):
         points.append(int(np.size(t)))

@@ -2,7 +2,7 @@
 
 Each re-derives a quantity the library computes another way: the
 generator entry by entry from the model-file definition of each chain kind,
-the triangular similarity as explicit integer matrices, column sums of a
+regularity entry by entry of the generator stack, the triangular similarity as explicit integer matrices, column sums of a
 single matrix, eigenvalues by plain power iteration, and RK4 trajectories
 one stage at a time.
 """
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ctmc_bounds import PowerIterationError
+from ctmc_bounds import PowerIterationError, RegularityReport, RegularityViolation
 
 
 def _jump_rate(kind, lists, i, j):
@@ -56,6 +56,34 @@ def dense_generator(kind, S, lists, t):
     idx = np.arange(S + 1)
     Q[..., idx, idx] = -Q.sum(axis=-1)
     return Q
+
+
+def dense_regularity(Q, grid) -> RegularityReport:
+    """The regularity report read off every entry of a (len(grid), S+1, S+1) generator stack.
+
+    For every state i and grid time, the intensities into i from below,
+    q_{i-k,i}, and from above, q_{i+k,i}, are compared at consecutive jump
+    sizes k, k+1; each increase is a violation.
+    """
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    Qs = np.asarray(Q, dtype=float)
+    assert Qs.shape[:-2] == grid.shape and grid.size > 0
+    violations = []
+    S = Qs.shape[-1] - 1
+    for i in range(S + 1):
+        for direction, rows in (("up", np.arange(i - 1, -1, -1)),
+                                ("down", np.arange(i + 1, S + 1))):
+            band = Qs[:, rows, i]  # intensities into i at jump sizes 1, 2, ...
+            if band.shape[1] < 2:
+                continue
+            bad_t, bad_k = np.nonzero(band[:, 1:] > band[:, :-1])
+            for ti, ki in zip(bad_t, bad_k):
+                violations.append(RegularityViolation(
+                    t=float(grid[ti]), state=i, k=int(ki) + 1, direction=direction,
+                    value=float(band[ti, ki]), next_value=float(band[ti, ki + 1])))
+    violations.sort(key=lambda v: (v.t, v.state, v.direction, v.k))
+    return RegularityReport(regular=not violations, violations=tuple(violations),
+                            grid=tuple(float(t) for t in grid))
 
 
 def triangular_pair(S: int):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ctmc_bounds as cb
-from ctmc_bounds import transform
+from ctmc_bounds import cli, transform
 from conftest import random_sharp_chain
 
 
@@ -214,6 +214,34 @@ def test_time_varying_bounds_hold_the_generator_stack_and_one_slice():
     finally:
         tracemalloc.stop()
     assert peak <= q + sums + 2.5 * transform.CHUNK_BYTES
+
+
+# batch_both with S=30: 60 distinct time-varying rates, regular at every time
+TV_BATCH_S30 = cb.batch_both_chain(
+    30, [cb.RateFunction.sinusoid(2.0 / k, 1.0 / k, 1.0) for k in range(1, 31)],
+    [cb.RateFunction.sinusoid(3.0 / k, 1.5 / k, 0.5) for k in range(1, 31)])
+
+
+@pytest.mark.parametrize("command", ["bounds", "check"])
+def test_time_varying_commands_peak_below_one_generator_stack(tmp_path, capsys, command):
+    # compute_bounds reads 2*2001-1 times and check 2001: each holds the rate
+    # table (60 doubles a time), its sums or regularity pairs, and one slice,
+    # never the whole-time generator stack of 31**2 doubles a time
+    path = tmp_path / "model.json"
+    path.write_text(cb.serialize_model(cb.ModelFile(
+        TV_BATCH_S30, cb.AnalysisSettings(horizon=1.0, grid=2001))))
+    runs = {"bounds": lambda: cb.compute_bounds(TV_BATCH_S30, np.ones(30), 1.0, 2001).warnings,
+            "check": lambda: cli.main(["check", str(path)])}
+    times = {"bounds": 2 * 2001 - 1, "check": 2001}[command]
+    runs[command]()  # one-time set-up is not measured
+    tracemalloc.start()
+    try:
+        result = runs[command]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not result  # regular: no warning from bounds, exit code 0 from check
+    assert peak < times * 31 ** 2 * 8
 
 
 def test_homogeneous_report_equals_time_varying_report_bit_for_bit():

@@ -5,7 +5,7 @@ import pytest
 
 import ctmc_bounds as cb
 from conftest import CLASS_KINDS, random_class_chain, random_regular_general
-from linalg_oracles import dense_generator
+from linalg_oracles import dense_generator, dense_regularity
 
 CONSTRUCTORS = {"birth_death": cb.birth_death_chain, "batch_birth": cb.batch_birth_chain,
                 "batch_death": cb.batch_death_chain, "batch_both": cb.batch_both_chain}
@@ -90,6 +90,52 @@ def test_generator_matches_dense_oracle_bit_for_bit(kind, S):
             assert got.shape == expected.shape
             # bytes, not values: -0.0 == 0.0 would pass a value comparison
             assert got.tobytes() == expected.tobytes(), (kind, S, sharing, t)
+
+
+@pytest.mark.parametrize("S", [1, 2, 5, 8])
+@pytest.mark.parametrize("kind", ["general", *CLASS_KINDS])
+def test_regularity_on_rate_pairs_matches_the_dense_oracle(kind, S):
+    # unordered batch lists, rates shared within and between lists, signed
+    # zeros side by side, absent entries of general chains; one time and many
+    broken = 0
+    for sharing in SHARING:
+        rng = np.random.default_rng(200 * S + len(kind))
+        spec, _ = _sharing_case(rng, kind, S, sharing)
+        for times in ([0.37], np.linspace(0.0, 2.0, 9)):
+            expected = dense_regularity(cb.eval_generator(spec, times), times)
+            assert cb.check_regularity(cb.rate_table(spec, times)) == expected, (sharing, times)
+            broken += len(expected.violations)
+        assert cb.check_regularity(cb.rate_table(spec, 0.37)) == dense_regularity(
+            cb.eval_generator(spec, 0.37)[None], [0.37])
+    assert (broken > 0) == (S > 1 and kind != "birth_death")
+
+
+def test_regularity_on_random_general_chains_matches_the_dense_oracle():
+    rng = np.random.default_rng(12)
+    broken = 0
+    for _ in range(40):
+        S = int(rng.integers(2, 9))
+        entries = [(i, j) for i in range(S + 1) for j in range(S + 1)
+                   if i != j and rng.uniform() < 0.7]
+        spec = cb.general_chain(S, dict(zip(entries, _mixed_rates(rng, len(entries)))))
+        times = np.linspace(0.0, 2.0, int(rng.integers(1, 12)))
+        expected = dense_regularity(cb.eval_generator(spec, times), times)
+        assert cb.check_regularity(cb.rate_table(spec, times)) == expected
+        broken += len(expected.violations)
+    assert broken > 1000
+
+
+@pytest.mark.parametrize("kind", ["general", *CLASS_KINDS])
+def test_rate_table_writes_slices_of_the_whole_generator_stack(kind):
+    rng = np.random.default_rng(31)
+    spec, _ = _sharing_case(rng, kind, 4, "signed-zeros")
+    times = np.linspace(0.0, 2.0, 11)
+    table = cb.rate_table(spec, times)
+    whole = cb.eval_generator(spec, times)
+    assert table.shape == whole.shape and len(table) == len(whole)
+    for s in (slice(0, 3), slice(3, 10), slice(10, 11), np.s_[::2]):
+        assert table[s].tobytes() == whole[s].tobytes()
+    assert table.at(np.s_[::2])[...].tobytes() == whole[::2].tobytes()
 
 
 def test_birth_death_two_state_generator():
@@ -227,14 +273,14 @@ def test_regularity_birth_death_always_regular():
     rng = np.random.default_rng(3)
     spec = random_class_chain(rng, "birth_death", 5)
     grid = np.linspace(0, 1, 11)
-    report = cb.check_regularity(cb.eval_generator(spec, grid), grid)
+    report = cb.check_regularity(cb.rate_table(spec, grid))
     assert report.regular
     assert report.violations == ()
 
 
 def test_regularity_flags_increasing_batch_rates():
     spec = cb.batch_birth_chain(2, [1.0, 2.0], [1.0, 1.0])
-    report = cb.check_regularity(cb.eval_generator(spec, [0.0]), [0.0])
+    report = cb.check_regularity(cb.rate_table(spec, [0.0]))
     assert not report.regular
     # arrivals into state 2: the size-1 group birth (rate 1) is beaten by
     # the size-2 one (rate 2)
@@ -247,7 +293,7 @@ def test_regularity_geometric_batches_regular():
     spec = cb.batch_both_chain(4, [2.0 ** -k for k in range(1, 5)],
                                [3.0 ** -k for k in range(1, 5)])
     grid = [0.0, 0.5, 1.0]
-    assert cb.check_regularity(cb.eval_generator(spec, grid), grid).regular
+    assert cb.check_regularity(cb.rate_table(spec, grid)).regular
 
 
 def test_class_constructors_regular_under_monotone_batches():
@@ -256,21 +302,13 @@ def test_class_constructors_regular_under_monotone_batches():
         for S in (2, 4, 8):
             spec = random_class_chain(rng, kind, S)
             grid = np.linspace(0, 1, 5)
-            assert cb.check_regularity(cb.eval_generator(spec, grid), grid).regular, (kind, S)
+            assert cb.check_regularity(cb.rate_table(spec, grid)).regular, (kind, S)
 
 
 def test_regularity_nonempty_grid_required():
     spec = cb.birth_death_chain(1, [1.0], [1.0])
     with pytest.raises(ValueError):
-        cb.check_regularity(cb.eval_generator(spec, []), [])
-
-
-def test_regularity_needs_one_generator_per_grid_time():
-    spec = cb.birth_death_chain(1, [1.0], [1.0])
-    for Q, grid in ((cb.eval_generator(spec, [0.0, 1.0]), [0.0]),
-                    (cb.eval_generator(spec, 0.0), [0.0])):
-        with pytest.raises(ValueError, match="one generator per grid time"):
-            cb.check_regularity(Q, grid)
+        cb.check_regularity(cb.rate_table(spec, []))
 
 
 def test_constructor_validation():
@@ -291,7 +329,7 @@ def test_structural_construction_defers_monotonicity():
     # check is what flags it later
     spec = cb.batch_birth_chain(3, [1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
     assert spec.kind == "batch_birth"
-    assert not cb.check_regularity(cb.eval_generator(spec, [0.0]), [0.0]).regular
+    assert not cb.check_regularity(cb.rate_table(spec, [0.0])).regular
 
 
 def test_is_homogeneous():

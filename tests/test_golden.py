@@ -74,6 +74,32 @@ CLI_GOLDEN = {
         "6276bb4712dd1bc6148eed362aa3d77af8621b5f96d9540375ce0bd8db347788"),
 }
 
+# `check` models: a regular chain, one that is not regular while its
+# transform stays essentially non-negative (a warning), and one whose
+# transform breaks midway through the horizon (exit 1, the worst entry and
+# its time)
+CHECK_MODELS = {
+    "regular": MODELS["sinusoid"][0],
+    "irregular-nonnegative": {"kind": "general", "states": 3, "transitions": [
+        {"from": i, "to": j, "rate": rate} for (i, j), rate in sorted({
+            (0, 1): 2.2, (0, 2): 0.5, (0, 3): 0.1, (1, 0): 2.6, (1, 2): 1.3, (1, 3): 0.1,
+            (2, 0): 1.6, (2, 1): 2.0, (2, 3): 1.9, (3, 0): 0.9, (3, 1): 2.4,
+            (3, 2): 1.8}.items())]},
+    "broken": {"kind": "batch_birth", "states": 3,
+               "batch_birth": [2.0, {"table": {"times": TIMES, "values": [1.0, 2.5, 1.0]}},
+                               0.5],
+               "death": [1.0, 2.0, 1.5]},
+}
+
+# check model -> (exit code, sha256 of stdout), recorded with the
+# regularity check that read every entry of a whole-time generator stack
+CHECK_GOLDEN = {
+    "broken": (1, "1a81a9773d9095a2be6761319a67fa1b649e13c1e0ad5746760b4909fb76bc1f"),
+    "irregular-nonnegative": (
+        0, "f435507b68e7abf4c763cd663b0b48574b06660fa9ae87162d249e6d9ea4695f"),
+    "regular": (0, "5db7a2fd8cfcef09fa30ff2a68b10ba70775f880a6179775a4365bb509f5a911"),
+}
+
 # library writer case -> sha256 of the CSV; the verification cases were
 # recorded with the chunked RK4 engine, the coupling case also with the
 # per-pair margin on mass-free pair differences
@@ -128,6 +154,20 @@ def _library_csvs(tmp_path):
 @pytest.mark.parametrize("model, command", sorted(CLI_GOLDEN))
 def test_cli_outputs_match_golden_bytes(tmp_path, capsys, model, command):
     assert _run_cli(tmp_path, capsys, model, command) == CLI_GOLDEN[model, command]
+
+
+def _run_check(tmp_path, capsys, model):
+    path = tmp_path / f"{model}.json"
+    path.write_text(json.dumps({"schema": 1, "chain": CHECK_MODELS[model],
+                                "analysis": ANALYSIS}))
+    capsys.readouterr()
+    code = cli.main(["check", str(path)])
+    return code, _sha(capsys.readouterr().out.encode())
+
+
+@pytest.mark.parametrize("model", sorted(CHECK_MODELS))
+def test_check_output_matches_golden_bytes(tmp_path, capsys, model):
+    assert _run_check(tmp_path, capsys, model) == CHECK_GOLDEN[model]
 
 
 def test_library_csv_writers_match_golden_bytes(tmp_path):

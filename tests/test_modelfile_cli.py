@@ -374,14 +374,14 @@ SINUSOID_BD3_VERIFY = {**SINUSOID_BD3, "analysis": {"horizon": 2.0, "steps": 40,
 
 @pytest.mark.parametrize("command, doc, points", [("bounds", SINUSOID_BD3, [2 * 21 - 1]),
                                                   ("check", SINUSOID_BD3, [21]),
-                                                  ("rate", BD3, [1, 1]),
+                                                  ("rate", BD3, [1]),
                                                   ("verify", SINUSOID_BD3_VERIFY, [4 * 40 + 1])],
                          ids=["bounds", "check", "rate", "verify"])
 def test_each_command_evaluates_the_generator_once_per_time(tmp_path, capsys,
                                                              generator_points,
                                                              command, doc, points):
     # bounds and check feed the regularity check and the reduction from one
-    # Q stack; rate also evaluates Q(0) once more for the Perron solve;
+    # rate table; rate takes the Perron input from the same table at t=0;
     # verify's halved grid carries the forward system and, through B**, the
     # transformed one
     assert cli.main([command, _write(tmp_path, doc)]) == cli.EXIT_OK
@@ -390,7 +390,7 @@ def test_each_command_evaluates_the_generator_once_per_time(tmp_path, capsys,
 
 def test_a_generator_stack_beyond_physical_memory_is_refused_before_allocation(
         tmp_path, capsys):
-    # (3, S+1, S+1) doubles at S = 10**6 are 21.8 TiB
+    # one time's (S+1, S+1) doubles at S = 10**6 are 7.3 TiB
     doc = {"schema": 1, "chain": {"kind": "general", "states": 10**6},
            "analysis": {"grid": 3}}
     path = _write(tmp_path, doc)
@@ -402,9 +402,29 @@ def test_a_generator_stack_beyond_physical_memory_is_refused_before_allocation(
         tracemalloc.stop()
     out, err = capsys.readouterr()
     assert code == cli.EXIT_EVAL and out == ""
-    assert err.startswith("error: a generator stack of shape (3, 1000001, 1000001) needs ")
+    assert err.startswith("error: a generator stack of shape (1, 1000001, 1000001) needs ")
     assert err.count("\n") == 1
     assert peak < 1e6
+
+
+def test_a_rate_table_beyond_physical_memory_is_refused_before_allocation(
+        tmp_path, capsys, monkeypatch):
+    # 10**6 grid times of the two distinct rates take 16 MB; a machine of
+    # 12 MB holds the 8 MB grid but not the table
+    monkeypatch.setattr(cb.chain, "physical_memory", lambda: 12 * 10**6)
+    path = _write(tmp_path, SINUSOID_BD3)
+    tracemalloc.start()
+    try:
+        code = cli.main(["check", path, "--grid", str(10**6)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_EVAL and out == ""
+    assert err.startswith("error: a rate table of shape (1000000, 2) needs 0.0149 GiB, "
+                          "more than the ")
+    assert err.count("\n") == 1
+    assert peak < 12e6  # the grid, no table
 
 
 def test_verify_refuses_generator_and_weighted_stacks_beyond_memory_before_allocation(

@@ -15,6 +15,20 @@ def test_constant_scalar_and_array():
     assert np.all(out == 2.5)
 
 
+def test_constant_keeps_return_types_signed_zero_and_time_check():
+    for value in (2.5, -0.0):
+        r = RateFunction.constant(value)
+        for t in (0.3, np.float64(0.3), np.array(0.3)):
+            out = r(t)
+            assert type(out) is float and math.copysign(1.0, out) == math.copysign(1.0, value)
+        out = r(np.zeros((2, 3)))
+        assert out.shape == (2, 3) and out.dtype == float
+        assert np.all(np.copysign(1.0, out) == math.copysign(1.0, value))
+        for t in (math.nan, math.inf, np.array([0.0, -math.inf])):
+            with pytest.raises(RateEvaluationError, match="non-finite time"):
+                r(t)
+
+
 def test_constant_rejects_negative_and_nonfinite():
     with pytest.raises(ValueError):
         RateFunction.constant(-0.1)

@@ -283,7 +283,7 @@ def test_apply_weights_validation():
 
 def test_nonregular_chain_can_still_pass_nonnegativity(nonregular_override_chain):
     spec = nonregular_override_chain
-    assert not cb.check_regularity(cb.eval_generator(spec, [0.0]), [0.0]).regular
+    assert not cb.check_regularity(cb.rate_table(spec, [0.0])).regular
     Bs = cb.to_bstar(cb.build_reduced(cb.eval_generator(spec, 0.0)))
     assert cb.check_essential_nonnegativity(Bs).passed
 
