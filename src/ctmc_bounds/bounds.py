@@ -147,16 +147,35 @@ def compute_bounds(spec: ChainSpec, weights, tmax: float, n_grid: int) -> BoundR
     return _envelopes(rate_table(spec, evaluation_times(spec, half)), d, tmax, n)
 
 
+def column_sum_extremes(table, d, size, keep=False):
+    """(h_up, h_lo, B**): the extreme column sums of B**(t) at the rate table's times.
+
+    :func:`ctmc_bounds.transform.scan_transform` writes B**(t) from the
+    table a slice of times at a time. B*(t) must be essentially
+    non-negative at every time of the table, else NonnegativityError is
+    raised. h_up and h_lo extend to a grid of size times: a homogeneous
+    chain's table holds one time, and its extremes are broadcast along the
+    grid. With keep, the whole-time B** stack is returned as well, else None.
+    """
+    T, S = len(table), table.S
+    sums = np.empty((T, S))
+    weighted = np.empty((T, S, S)) if keep else None
+
+    def consume(s, M):
+        sums[s] = M.sum(axis=-2)
+        if keep:
+            weighted[s] = M
+
+    require_essential_nonnegativity(scan_transform(table, d, consume), table.times)
+    return (np.broadcast_to(sums.max(axis=-1), (size,)),
+            np.broadcast_to(sums.min(axis=-1), (size,)), weighted)
+
+
 def _envelopes(table, d, tmax, n) -> BoundReport:
     """The report of :func:`compute_bounds` from the rate table on its Simpson grid."""
     half = np.linspace(0.0, tmax, 2 * n + 1)
     reg = check_regularity(table.at(np.s_[::2]))
-    sums = np.empty((len(table), table.S))
-
-    def column_sums(s, weighted):
-        sums[s] = weighted.sum(axis=-2)
-
-    require_essential_nonnegativity(scan_transform(table, d, column_sums), table.times)
+    h_up, h_lo, _ = column_sum_extremes(table, d, len(half))
     warnings = []
     if not reg.regular:
         v = reg.violations[0]
@@ -165,8 +184,6 @@ def _envelopes(table, d, tmax, n) -> BoundReport:
             f"state {v.state}, jump {v.k}->{v.k + 1} {v.direction}); proceeding "
             f"because the transformed matrix is essentially non-negative")
 
-    h_up = np.broadcast_to(sums.max(axis=-1), half.shape)
-    h_lo = np.broadcast_to(sums.min(axis=-1), half.shape)
     I_up, env_up = envelope(h_up, tmax / n)
     I_lo, env_lo = envelope(h_lo, tmax / n)
 

@@ -41,7 +41,7 @@ import numpy as np
 from .bounds import (NonFiniteBoundError, bound_report_to_csv, compute_bounds,
                      sharp_report, write_csv)
 from .chain import InhomogeneousChainError, check_regularity, eval_generator, rate_table
-from .modelfile import WEIGHT_MODES, AnalysisSettings, ModelFileError, load_model
+from .modelfile import WEIGHT_MODES, AnalysisSettings, ModelFileError, _number, load_model
 from .odesolve import OdeBlowUpError, _verify_both
 from .rates import RateEvaluationError
 from .spectral import (PowerIterationError, ReducibleMatrixError, SharpnessConditionError,
@@ -79,13 +79,13 @@ def _load_weights_file(path):
         raise ModelFileError(f"cannot read weights file {path}: {exc}") from None
     try:
         values = json.loads(text)
-        if not isinstance(values, list):
-            raise ValueError("expected a JSON array")
-    except (json.JSONDecodeError, ValueError):
-        values = text.replace(",", " ").split()
+    except json.JSONDecodeError:
+        values = None
+    if isinstance(values, list):  # a JSON array takes numbers as the model file does
+        return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(values))
     try:
-        return tuple(float(v) for v in values)
-    except (TypeError, ValueError):
+        return tuple(float(v) for v in text.replace(",", " ").split())
+    except ValueError:
         raise ModelFileError(f"weights file {path} must contain numbers") from None
 
 

@@ -67,9 +67,9 @@ class AnalysisSettings:
                                  f"got {self.horizon}")
         if self.grid < 2:
             raise ModelFileError(f"analysis grid needs at least 2 points, got {self.grid}")
-        for name in ("steps", "trials", "pairs"):
-            if getattr(self, name) < 1:
-                raise ModelFileError(f"analysis {name} must be at least 1, "
+        for name, least in (("steps", 1), ("trials", 1), ("pairs", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ModelFileError(f"analysis {name} must be at least {least}, "
                                      f"got {getattr(self, name)}")
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0.0):
             raise ModelFileError(f"analysis tolerance must be finite and >= 0, "

@@ -21,13 +21,14 @@ initial vector x0 is Phi_k x0, its norm is compared with the exponential
 envelopes, and the distance to the step-h/2 propagators certifies the
 integrator error.
 
-Both verifiers start from one set-up on the halved grid: the generator
-stack Q(t), evaluated once, and B**(t), which
-:func:`ctmc_bounds.transform.scan_transform` forms from it a slice of
-times at a time along with the envelopes. The forward system runs on Q
-transposed, the transformed one on B**; ``verify`` runs both verifiers
-from one set-up, holding Q + B**, and each verifier alone keeps only the
-stack it runs on.
+Every system is written from one :func:`ctmc_bounds.chain.rate_table`.
+Both verifiers start from one set-up on the halved grid: the rate table,
+evaluated once, and the envelopes, whose column sums
+:func:`ctmc_bounds.transform.scan_transform` takes from B**(t) a slice of
+times at a time. The bounds trials run on B**, which the same scan keeps;
+the coupling trials run on Q transposed, which they write from the table
+when they start. ``verify`` runs both verifiers from one set-up and frees
+B** before Q is written, so it holds one of the two stacks at a time.
 """
 
 from __future__ import annotations
@@ -38,10 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import NonFiniteBoundError, check_horizon, envelope, write_csv
-from .chain import ChainSpec, eval_generator, evaluation_times, require_memory
-from .transform import (apply_weights, build_reduced, require_essential_nonnegativity,
-                        scan_transform, to_bstar, validate_weights)
+from .bounds import (NonFiniteBoundError, check_horizon, column_sum_extremes, envelope,
+                     write_csv)
+from .chain import ChainSpec, RateTable, evaluation_times, rate_table, require_memory
+from .transform import build_reduced, scan_transform, validate_weights
 
 SYSTEMS = ("forward", "reduced_hom", "transformed")
 
@@ -78,18 +79,26 @@ def _weight_vector(weights, S):
 def _system_matrices(system, spec, weights, ts):
     """Coefficient matrices of the chosen system at evaluation_times(spec, ts).
 
-    A homogeneous chain gives a stack of one matrix, the same at every time
+    The rates are evaluated once into a rate table. The forward and the
+    reduced system are written from its generator stack; B** is written by
+    :func:`ctmc_bounds.transform.scan_transform` a slice of times at a
+    time, without a whole-time generator, B or B* stack, and raises
+    MemoryError first if it exceeds the machine's physical memory. A
+    homogeneous chain gives a stack of one matrix, the same at every time
     of ts; :func:`_rk4_scan` then powers its one-step operator.
     """
     if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}; choose from {SYSTEMS}")
-    times = evaluation_times(spec, ts)
+    table = rate_table(spec, evaluation_times(spec, ts))
     if system == "forward":
-        return np.swapaxes(eval_generator(spec, times), -1, -2)
-    B = build_reduced(eval_generator(spec, times))
+        return np.swapaxes(table[...], -1, -2)
     if system == "reduced_hom":
-        return B
-    return apply_weights(to_bstar(B), _weight_vector(weights, spec.S))
+        return build_reduced(table[...])
+    shape = (len(table), spec.S, spec.S)
+    require_memory(f"a weighted stack of shape {shape}", 8 * math.prod(shape))
+    weighted = np.empty(shape)
+    scan_transform(table, _weight_vector(weights, spec.S), weighted.__setitem__)
+    return weighted
 
 
 def _step_operators(M0, Mm, M1, h):
@@ -332,32 +341,32 @@ def _confirm(candidates, slack_total):
 
 @dataclass(frozen=True)
 class _Setup:
-    """What both verifiers share: the step grid, the system stacks and the envelopes."""
+    """What both verifiers share: the step grid, the rate table, B** and the envelopes."""
 
     d: np.ndarray
     tmax: float
     n: int
     h: float
     ts_fine: np.ndarray     # halved grid, 4n+1 points; the step grid is ts_fine[::4]
-    forward: np.ndarray | None      # A(t) = Q(t)^T at evaluation_times(spec, ts_fine)
-    transformed: np.ndarray | None  # B**(t) at the same times
+    table: RateTable        # the rates at evaluation_times(spec, ts_fine)
+    transformed: np.ndarray | None  # B**(t) at the same times, if kept
     env_up: np.ndarray
     env_lo: np.ndarray
     quad_margin: float
 
 
-def _verification_setup(spec, weights, tmax, n_steps, systems=("transformed",)) -> _Setup:
-    """Checks, grids, system stacks, precondition, envelopes and quadrature margin.
+def _verification_setup(spec, weights, tmax, n_steps, keep=True) -> _Setup:
+    """Checks, grids, rate table, precondition, envelopes and quadrature margin.
 
-    The generator is evaluated once, on the halved grid of 4n+1 points (at
-    one time for a homogeneous chain); the RK4 grid of step h with its
-    midpoints is the [::2] slice, which equals linspace(0, tmax, 2n+1) bit
-    for bit. systems names the stacks to keep: "forward" is the generator
-    stack itself, transposed, and "transformed" is B**(t), which
-    scan_transform writes a slice of times at a time, so the set-up holds
-    at most Q + B**. Keeping B** raises MemoryError before Q is evaluated
-    if the two exceed the machine's physical memory. B*(t) must be
-    essentially non-negative at every point of the halved grid, else
+    The rates are evaluated once into a rate table on the halved grid of
+    4n+1 points (at one time for a homogeneous chain); the RK4 grid of step
+    h with its midpoints is the [::2] slice, which equals
+    linspace(0, tmax, 2n+1) bit for bit. With keep, the set-up keeps B**(t),
+    which the scan of the envelopes writes a slice of times at a time. The
+    generator stack that the coupling trials write is the largest stack a
+    verifier holds: MemoryError is raised before anything is evaluated if
+    it exceeds the machine's physical memory. B*(t) must be essentially
+    non-negative at every point of the halved grid, else
     NonnegativityError is raised before any trial runs.
 
     The envelopes integrate the column-sum extremes of B** by Simpson's
@@ -372,23 +381,10 @@ def _verification_setup(spec, weights, tmax, n_steps, systems=("transformed",)) 
     h = tmax / n
     ts_fine = np.linspace(0.0, tmax, 4 * n + 1)
     times = evaluation_times(spec, ts_fine)
-    T, S = len(times), spec.S
-    weighted = None
-    if "transformed" in systems:
-        require_memory(f"a generator stack of shape {(T, S + 1, S + 1)} with a weighted "
-                       f"stack of shape {(T, S, S)}", 8 * T * ((S + 1) ** 2 + S * S))
-        weighted = np.empty((T, S, S))
-    Q = eval_generator(spec, times)
-    sums = np.empty((T, S))
-
-    def keep(s, M):
-        sums[s] = M.sum(axis=-2)
-        if weighted is not None:
-            weighted[s] = M
-
-    require_essential_nonnegativity(scan_transform(Q, d, keep), times)
-    h_up = np.broadcast_to(sums.max(axis=-1), ts_fine.shape)
-    h_lo = np.broadcast_to(sums.min(axis=-1), ts_fine.shape)
+    shape = (len(times), spec.S + 1, spec.S + 1)
+    require_memory(f"a generator stack of shape {shape}", 8 * math.prod(shape))
+    table = rate_table(spec, times)
+    h_up, h_lo, weighted = column_sum_extremes(table, d, len(ts_fine), keep)
     I_up, env_up = envelope(h_up[::2], h)
     I_lo, env_lo = envelope(h_lo[::2], h)
     bad = ~(np.isfinite(env_up) & (env_lo > 0.0))
@@ -401,8 +397,7 @@ def _verification_setup(spec, weights, tmax, n_steps, systems=("transformed",)) 
     I_lo_f, _ = envelope(h_lo, 0.5 * h)
     quad_margin = max(float(np.max(np.abs(I_up_f[::2] - I_up))),
                       float(np.max(np.abs(I_lo_f[::2] - I_lo))))
-    forward = np.swapaxes(Q, -1, -2) if "forward" in systems else None
-    return _Setup(d=d, tmax=tmax, n=n, h=h, ts_fine=ts_fine, forward=forward,
+    return _Setup(d=d, tmax=tmax, n=n, h=h, ts_fine=ts_fine, table=table,
                   transformed=weighted, env_up=env_up, env_lo=env_lo, quad_margin=quad_margin)
 
 
@@ -503,15 +498,15 @@ def verify_convergence_coupling(spec: ChainSpec, weights, tmax: float,
     B*(t) is not essentially non-negative on the halved grid.
     """
     n_pairs = _at_least_one(n_pairs, "pair")
-    # the envelopes come from B**, which is not kept; the trajectories from the forward system
-    st = _verification_setup(spec, weights, tmax, n_steps, ("forward",))
+    st = _verification_setup(spec, weights, tmax, n_steps, keep=False)
     return _coupling_trials(st, n_pairs, seed, slack)
 
 
 def _coupling_trials(st, n_pairs, seed, slack) -> VerificationReport:
-    """The random pairs of :func:`verify_convergence_coupling` on a set-up that kept A(t)."""
+    """The random pairs of :func:`verify_convergence_coupling`, on A(t) = Q(t)^T written here."""
+    forward = np.swapaxes(st.table[...], -1, -2)
     rng = np.random.default_rng(seed)
-    P = _draw_pairs(rng, st.forward.shape[-1], n_pairs)
+    P = _draw_pairs(rng, forward.shape[-1], n_pairs)
     diff = P[:, :n_pairs] - P[:, n_pairs:]
     # a difference of probability vectors carries no mass; the round-off
     # of the normalisation would otherwise stay undamped while it decays
@@ -524,7 +519,7 @@ def _coupling_trials(st, n_pairs, seed, slack) -> VerificationReport:
     band, worst, candidates = slack + st.quad_margin, 0.0, []
     ratio_max, prob_sum_err, prob_min = np.empty(st.n + 1), 0.0, math.inf
     grid = st.ts_fine[::4]
-    for k, phi, psi in _propagators(st.forward, st.n, st.h):
+    for k, phi, psi in _propagators(forward, st.n, st.h):
         ks = slice(k, k + len(phi))
         env_up = st.env_up[ks]
         worst = max(worst, float((_l1_norms(phi - psi) / env_up).max()))
@@ -557,14 +552,15 @@ def _coupling_trials(st, n_pairs, seed, slack) -> VerificationReport:
 def _verify_both(spec, weights, tmax, n_steps, n_trials, n_pairs, seed, slack):
     """(verify_bounds(...), verify_convergence_coupling(...)) from one set-up.
 
-    The generator is evaluated once: its stack, transposed, carries the
-    coupling trials, and B** formed from it the bounds trials. The reports
-    equal those of the two verifiers run one after the other.
+    The rates are evaluated once: B** kept by the set-up carries the bounds
+    trials, and the generator stack written from the table the coupling
+    trials, once B** is freed. The reports equal those of the two verifiers
+    run one after the other.
     """
     n_trials, n_pairs = _at_least_one(n_trials, "trial"), _at_least_one(n_pairs, "pair")
-    st = _verification_setup(spec, weights, tmax, n_steps, ("forward", "transformed"))
+    st = _verification_setup(spec, weights, tmax, n_steps)
     rep_b = _bounds_trials(st, n_trials, seed, slack)
-    st = dataclasses.replace(st, transformed=None)  # B** is freed before the coupling scan
+    st = dataclasses.replace(st, transformed=None)  # B** is freed before Q is written
     return rep_b, _coupling_trials(st, n_pairs, seed, slack)
 
 

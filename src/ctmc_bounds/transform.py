@@ -12,10 +12,9 @@ is the knob the rate bounds are optimized over.
 Every function here works on one matrix or a stack of them, one per time.
 :func:`scan_transform` takes a generator through the reduction, the
 transform, the essential non-negativity check and the weights a slice of
-times at a time: a held generator stack, or a rate table that writes each
-slice of the generator as the scan reads it. A command holds one slice of
-B and B*, never a whole-time B or B* stack, and with a rate table no
-whole-time generator stack either.
+times at a time. Every command hands it a rate table, which writes each
+slice of the generator as the scan reads it, so the scan holds one slice
+of Q, B and B*, never a whole-time stack of any of them.
 """
 
 from __future__ import annotations
@@ -232,9 +231,9 @@ def check_essential_nonnegativity(Bstar, tol=None) -> NonnegReport:
 def scan_transform(Q, weights, consume) -> NonnegReport:
     """B*(t), or B**(t) with weights, of a generator stack, formed a slice of times at a time.
 
-    Q is a (T, S+1, S+1) stack as :func:`ctmc_bounds.chain.eval_generator`
-    returns it, or a :class:`ctmc_bounds.chain.RateTable`, whose Q[s]
-    writes the generator at the slice s of its times. Each slice of times,
+    Q is a :class:`ctmc_bounds.chain.RateTable`, whose Q[s] writes the
+    generator at the slice s of its times, or a (T, S+1, S+1) stack as
+    :func:`ctmc_bounds.chain.eval_generator` returns it. Each slice of times,
     sized so that its S x S stack takes at most CHUNK_BYTES, is reduced,
     transformed, checked for essential non-negativity and, with weights,
     conjugated by them in place; then consume(s, M), unless None, receives

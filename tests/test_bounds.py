@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ctmc_bounds as cb
-from ctmc_bounds import cli, transform
+from ctmc_bounds import cli
 from conftest import random_sharp_chain
 
 
@@ -181,67 +181,67 @@ def test_homogeneous_bounds_allocate_a_few_matrices(run):
     assert peak < 5e6
 
 
-def test_time_varying_bounds_peak_at_the_generator_and_reduced_stacks():
-    # the bound of the whole-stack design, in which Q and B were alive at once
-    S, n_grid = 30, 401
-    lam = cb.RateFunction.sinusoid(1.0, 0.5, 1.0)
-    spec = cb.birth_death_chain(S, [lam] * S, [1.0] * S)
-    times = 2 * n_grid - 1
-    q_plus_b = times * ((S + 1) ** 2 + S ** 2) * 8
-    cb.compute_bounds(spec, np.ones(S), 1.0, n_grid)  # one-time set-up is not measured
-    tracemalloc.start()
-    try:
-        cb.compute_bounds(spec, np.ones(S), 1.0, n_grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.1 * q_plus_b
-
-
-def test_time_varying_bounds_hold_the_generator_stack_and_one_slice():
-    # no whole-time B or B*: beside Q and the column sums, scan_transform
-    # holds one slice of B and of B* at a time
-    S, n_grid = 30, 2001
-    lam = cb.RateFunction.sinusoid(1.0, 0.5, 1.0)
-    spec = cb.birth_death_chain(S, [lam] * S, [1.0] * S)
-    times = 2 * n_grid - 1
-    q, sums = times * (S + 1) ** 2 * 8, times * S * 8
-    cb.compute_bounds(spec, np.ones(S), 1.0, n_grid)  # one-time set-up is not measured
-    tracemalloc.start()
-    try:
-        cb.compute_bounds(spec, np.ones(S), 1.0, n_grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= q + sums + 2.5 * transform.CHUNK_BYTES
-
-
 # batch_both with S=30: 60 distinct time-varying rates, regular at every time
 TV_BATCH_S30 = cb.batch_both_chain(
     30, [cb.RateFunction.sinusoid(2.0 / k, 1.0 / k, 1.0) for k in range(1, 31)],
     [cb.RateFunction.sinusoid(3.0 / k, 1.5 / k, 0.5) for k in range(1, 31)])
+# birth-death with S=30: one sinusoidal birth rate and one constant death rate
+TV_BD_S30 = cb.birth_death_chain(30, [cb.RateFunction.sinusoid(1.0, 0.5, 1.0)] * 30, [1.0] * 30)
+ONE_STACK_CASES = {"bounds": ("bounds", TV_BATCH_S30, 2001),
+                   "check": ("check", TV_BATCH_S30, 2001),
+                   "bounds-bd-401": ("bounds", TV_BD_S30, 401),
+                   "bounds-bd-2001": ("bounds", TV_BD_S30, 2001)}
 
 
-@pytest.mark.parametrize("command", ["bounds", "check"])
-def test_time_varying_commands_peak_below_one_generator_stack(tmp_path, capsys, command):
-    # compute_bounds reads 2*2001-1 times and check 2001: each holds the rate
-    # table (60 doubles a time), its sums or regularity pairs, and one slice,
-    # never the whole-time generator stack of 31**2 doubles a time
-    path = tmp_path / "model.json"
-    path.write_text(cb.serialize_model(cb.ModelFile(
-        TV_BATCH_S30, cb.AnalysisSettings(horizon=1.0, grid=2001))))
-    runs = {"bounds": lambda: cb.compute_bounds(TV_BATCH_S30, np.ones(30), 1.0, 2001).warnings,
-            "check": lambda: cli.main(["check", str(path)])}
-    times = {"bounds": 2 * 2001 - 1, "check": 2001}[command]
-    runs[command]()  # one-time set-up is not measured
+def _traced_peak(run):
+    """(result, tracemalloc peak in bytes) of run(), after one untraced warm-up call."""
+    run()  # one-time set-up (imports, BLAS) is not measured
     tracemalloc.start()
     try:
-        result = runs[command]()
+        result = run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+@pytest.mark.parametrize("case", sorted(ONE_STACK_CASES))
+def test_time_varying_commands_peak_below_one_generator_stack(tmp_path, capsys, case):
+    # compute_bounds reads 2*grid-1 times and check grid times: each holds the
+    # rate table (60 or 2 doubles a time), its sums or regularity pairs, and
+    # one slice, never the whole-time generator stack of 31**2 doubles a time
+    command, spec, grid = ONE_STACK_CASES[case]
+    path = tmp_path / "model.json"
+    path.write_text(cb.serialize_model(cb.ModelFile(
+        spec, cb.AnalysisSettings(horizon=1.0, grid=grid))))
+    runs = {"bounds": lambda: cb.compute_bounds(spec, np.ones(30), 1.0, grid).warnings,
+            "check": lambda: cli.main(["check", str(path)])}
+    times = {"bounds": 2 * grid - 1, "check": grid}[command]
+    result, peak = _traced_peak(runs[command])
     assert not result  # regular: no warning from bounds, exit code 0 from check
     assert peak < times * 31 ** 2 * 8
+
+
+def test_verify_holds_the_generator_or_the_weighted_stack_never_both(tmp_path, capsys):
+    # 1000 steps read 4*1000+1 times: the bounds trials run on B** (30**2
+    # doubles a time), then the coupling trials on Q (31**2), written once
+    # B** is freed; the two stacks together would take 59.6 MB
+    path = tmp_path / "model.json"
+    path.write_text(cb.serialize_model(cb.ModelFile(
+        TV_BATCH_S30, cb.AnalysisSettings(horizon=1.0, steps=1000, trials=2, pairs=2))))
+    code, peak = _traced_peak(lambda: cli.main(["verify", str(path)]))
+    assert code == cli.EXIT_OK
+    assert peak < (4 * 1000 + 1) * (31 ** 2 + 30 ** 2) * 8
+
+
+def test_transformed_solve_holds_the_weighted_stack_alone():
+    # 1000 steps read 2*1000+1 times: B** (30**2 doubles a time) is written a
+    # slice at a time from the rate table, with no whole-time Q, B or B*; Q
+    # and B** together would take 29.8 MB
+    w0 = np.linspace(1.0, 2.0, 30)
+    traj, peak = _traced_peak(lambda: cb.solve("transformed", TV_BATCH_S30, w0, 1.0, 1000))
+    assert np.isfinite(traj.states).all()
+    assert peak < (2 * 1000 + 1) * (31 ** 2 + 30 ** 2) * 8
 
 
 def test_homogeneous_report_equals_time_varying_report_bit_for_bit():

@@ -292,6 +292,35 @@ def test_weights_file_and_length_validation(tmp_path):
                      "--weights", str(short)]) == cli.EXIT_PARSE
 
 
+@pytest.mark.parametrize("text, shown", [("[true, 1, 1]", "true"), ('["1", "2", "3"]', '"1"')],
+                         ids=["boolean", "strings"])
+def test_a_json_weights_file_takes_numbers_as_the_model_file_does(tmp_path, capsys,
+                                                                  text, shown):
+    wfile = tmp_path / "weights.json"
+    wfile.write_text("[1, 2.5, 3]")
+    assert cli.main(["bounds", _write(tmp_path, BD3), "--weights", str(wfile)]) == cli.EXIT_OK
+    capsys.readouterr()
+    wfile.write_text(text)
+    code = cli.main(["bounds", _write(tmp_path, BD3), "--weights", str(wfile)])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_PARSE and out == ""
+    assert err == f"error: '{wfile}[0]' must be a number, got {shown}\n"
+
+
+@pytest.mark.parametrize("where", ["flag", "model-file"])
+def test_a_negative_seed_exits_with_the_parse_code(tmp_path, capsys, where):
+    # the random generator refuses a negative seed with a traceback; the
+    # settings refuse it first, with one line and the parse code
+    doc = json.loads(json.dumps(BD3))
+    flags = ["--seed", "-1"] if where == "flag" else []
+    if where == "model-file":
+        doc["analysis"]["seed"] = -1
+    code = cli.main(["verify", _write(tmp_path, doc)] + flags)
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_PARSE and out == ""
+    assert err == "error: analysis seed must be at least 0, got -1\n"
+
+
 def test_frozen_perron_warns_on_time_varying(tmp_path, capsys):
     doc = {"schema": 1, "chain": {
         "kind": "birth_death", "states": 2,
@@ -427,24 +456,28 @@ def test_a_rate_table_beyond_physical_memory_is_refused_before_allocation(
     assert peak < 12e6  # the grid, no table
 
 
-def test_verify_refuses_generator_and_weighted_stacks_beyond_memory_before_allocation(
+def test_verify_fits_the_generator_stack_alone_and_refuses_a_larger_one(
         tmp_path, capsys, monkeypatch):
-    # S = 3 at 4n+1 = 400001 times: Q takes 51.2 MB and Q + B** 80.0 MB; a
-    # machine of 60 MB fits Q alone, so only the verifier's own guard refuses
-    monkeypatch.setattr(cb.chain, "physical_memory", lambda: 60 * 10**6)
+    # S = 3 at 4n+1 = 80001 times: Q takes 10.2 MB and Q + B** 16.0 MB.
+    # verify holds one of the two at a time, so a machine of 12 MB runs it;
+    # one of 10 MB, smaller than Q, refuses it before any allocation
     path = _write(tmp_path, SINUSOID_BD3_VERIFY)
+    monkeypatch.setattr(cb.chain, "physical_memory", lambda: 12 * 10**6)
+    assert cli.main(["verify", path, "--steps", "20000"]) == cli.EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setattr(cb.chain, "physical_memory", lambda: 10 * 10**6)
     tracemalloc.start()
     try:
-        code = cli.main(["verify", path, "--steps", "100000"])
+        code = cli.main(["verify", path, "--steps", "20000"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     out, err = capsys.readouterr()
     assert code == cli.EXIT_EVAL and out == ""
-    assert err.startswith("error: a generator stack of shape (400001, 4, 4) with a weighted "
-                          "stack of shape (400001, 3, 3) needs 0.07451 GiB, more than the ")
+    assert err.startswith("error: a generator stack of shape (80001, 4, 4) needs 0.009537 GiB, "
+                          "more than the ")
     assert err.count("\n") == 1
-    assert peak < 8e6  # the 4n+1 grid times (3.2 MB), no stack
+    assert peak < 2e6  # the 4n+1 grid times (0.64 MB), no table or stack
 
 
 @pytest.mark.parametrize("command", ["bounds", "verify"])

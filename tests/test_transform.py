@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ctmc_bounds as cb
-from ctmc_bounds import bounds, cli, odesolve, transform
+from ctmc_bounds import bounds, cli, transform
 from conftest import CLASS_KINDS, random_class_chain, random_regular_general
 from linalg_oracles import triangular_pair
 
@@ -350,7 +350,7 @@ def test_commands_judge_chunks_as_the_whole_stack(tmp_path, capsys, monkeypatch,
         reports.append(scan(Q, weights, consume))
         return reports[-1]
 
-    for module in (cli, bounds, odesolve):
+    for module in (cli, bounds):  # check's scan, and bounds' and verify's
         monkeypatch.setattr(module, "scan_transform", recorded)
 
     grid = np.linspace(0.0, 1.0, 11)
