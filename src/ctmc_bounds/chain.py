@@ -25,9 +25,10 @@ regularity is exactly what makes the upper-triangular similarity transform
 of the reduced system essentially non-negative.
 
 The generator is assembled in two steps: :func:`rate_table` evaluates each
-distinct rate once over all the times a command needs, and the table writes
-Q for any slice of those times. :func:`check_regularity` compares the rates
-in the table, not the entries of Q.
+distinct rate once over all the times a command needs, and an (S+1, S+1)
+index names the table column each entry of Q reads, so the table writes Q
+for any slice of those times by one gather. :func:`check_regularity`
+compares the rates the index names, not the entries of Q.
 """
 
 from __future__ import annotations
@@ -160,9 +161,10 @@ def require_memory(what: str, nbytes: int) -> None:
 
 
 # the structured rate lists in the order of their jumps out of one state, and
-# the first entry i->j that each list's k-th rate (k = 1..S) drives
-_FIRST_JUMPS = {"batch_birth": lambda k: (0, k), "batch_death": lambda k: (k, 0),
-                "birth": lambda k: (k - 1, k), "death": lambda k: (k, k - 1)}
+# the run of entries i->j, i+1->j+1, ... (count of them) that each list's
+# k-th rate (k = 1..S) drives in a chain of n = S+1 states
+_RUNS = {"batch_birth": lambda k, n: (0, k, n - k), "batch_death": lambda k, n: (k, 0, n - k),
+         "birth": lambda k, n: (k - 1, k, 1), "death": lambda k, n: (k, k - 1, 1)}
 
 
 def _bits(fn) -> tuple:
@@ -175,10 +177,10 @@ class RateTable:
     """A chain's distinct rates over a grid of times, and the entries of Q that read them.
 
     values[..., r] holds the r-th distinct rate at every time of times: a
-    (T, R) table, R at most 2S for the structured kinds. Each off-diagonal
-    entry of Q is a column of it or zero. diagonals lists, one diagonal of Q
-    at a time, (offset j - i, rows i, columns j ascending, table columns):
-    one table column for a whole batch diagonal, one per entry otherwise.
+    (T, R+1) table, R at most 2S for the structured kinds, whose last
+    column holds zeros. index is the (S+1, S+1) array of the table column
+    each entry of Q reads: a rate, or the zero column for the diagonal and
+    every absent entry.
 
     The table stands for the generator stack it writes, (T, S+1, S+1) as
     shape and len give it: table[s] writes Q at times[s], so
@@ -190,11 +192,11 @@ class RateTable:
     S: int
     times: np.ndarray
     values: np.ndarray
-    diagonals: tuple
+    index: np.ndarray
 
     @property
     def shape(self) -> tuple:
-        return self.times.shape + (self.S + 1, self.S + 1)
+        return self.times.shape + self.index.shape
 
     def __len__(self) -> int:
         return len(self.times)
@@ -210,11 +212,9 @@ class RateTable:
         MemoryError before anything is allocated (:func:`require_memory`).
         """
         values = self.values[s]
-        shape = values.shape[:-1] + (self.S + 1, self.S + 1)
+        shape = values.shape[:-1] + self.index.shape
         require_memory(f"a generator stack of shape {shape}", 8 * math.prod(shape))
-        Q = np.zeros(shape)
-        for _, rows, cols, columns in self.diagonals:
-            Q[..., rows, cols] = values[..., columns]
+        Q = np.take(values, self.index, axis=-1)
         idx = np.arange(self.S + 1)
         Q[..., idx, idx] = -Q.sum(axis=-1)
         return Q
@@ -227,56 +227,44 @@ def rate_table(spec: ChainSpec, t) -> RateTable:
     of state i, a_k jumps to i+k and b_k to i-k for every size k that stays
     in 0..S, birth_i jumps to i+1 and death_i to i-1; the general kind's
     table lists its entries. Each distinct rate is evaluated once at all of
-    t into one column: a_k drives the k-th superdiagonal, b_k the k-th
-    subdiagonal, the birth and death lists the first ones. A negative rate
-    is reported at the first entry it drives, the general table in its
+    t into one column, and a last column of zeros follows them. A negative
+    rate is reported at the first entry it drives, the general table in its
     order, then row by row a_k, b_k, birth, death. t is a float or a 1d
-    array of floats; a table larger than the machine's physical memory
-    raises MemoryError before it is allocated.
+    array of floats; a table, or an index of Q, larger than the machine's
+    physical memory raises MemoryError before it is allocated, the index
+    after the rates are evaluated.
     """
     ts = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(ts)):
         raise RateEvaluationError(f"generator requested at non-finite time {t!r}")
-    first = {}  # bit key of a distinct rate -> (rate, the first entry i->j it drives)
-    general = [(i, j, _bits(fn), fn) for i, j, fn in spec.transitions]
-    for i, j, key, fn in general:
-        first.setdefault(key, (fn, i, j))
-    keys = {name: [_bits(fn) for fn in getattr(spec, name)] for name in _FIRST_JUMPS}
-    firsts = [(i, rank, k, j, name)
-              for rank, (name, jump) in enumerate(_FIRST_JUMPS.items())
-              for k in range(1, len(keys[name]) + 1) for i, j in [jump(k)]]
-    for i, _, k, j, name in sorted(firsts):
-        first.setdefault(keys[name][k - 1], (getattr(spec, name)[k - 1], i, j))
-    shape = ts.shape + (len(first),)
+    n = spec.S + 1
+    # (i, j, count, rate): the run of entries that a rate drives, first entries in report order
+    runs = [(i, j, 1, fn) for i, j, fn in spec.transitions]
+    runs += sorted(((*run(k, n), fn) for name, run in _RUNS.items()
+                    for k, fn in enumerate(getattr(spec, name), 1)), key=lambda run: run[0])
+    first = {}  # bit key of a rate -> (its column, the rate, the first entry i->j it drives)
+    columns = []  # the column of each run's rate
+    for i, j, _, fn in runs:
+        columns.append(first.setdefault(_bits(fn), (len(first), fn, i, j))[0])
+    shape = ts.shape + (len(first) + 1,)
     require_memory(f"a rate table of shape {shape}", 8 * math.prod(shape))
-    values = np.empty(shape)
-    column = {key: r for r, key in enumerate(first)}
-    for r, (fn, i, j) in enumerate(first.values()):
+    values = np.zeros(shape)
+    for r, fn, i, j in first.values():
         try:
             values[..., r] = fn(ts)
         except RateEvaluationError as exc:
             raise RateEvaluationError(f"transition {i}->{j}: {exc}") from None
 
-    diagonals = []
-    if general:
-        i, j, c = np.array([(i, j, column[key]) for i, j, key, _ in general], dtype=np.intp).T
-        order = np.lexsort((j, j - i))  # by offset, then by column
-        cuts = np.flatnonzero(np.diff((j - i)[order])) + 1
-        diagonals += [(int(cols[0] - rows[0]), rows, cols, cs) for rows, cols, cs in
-                      zip(*(np.split(x[order], cuts) for x in (i, j, c)))]
-    if any(keys.values()):
-        n = spec.S + 1
-        idx = np.arange(n)
-        one = lambda key: np.array([column[key]])
-        diagonals += [(k, idx[:n - k], idx[k:], one(key))
-                      for k, key in enumerate(keys["batch_birth"], 1)]
-        diagonals += [(-k, idx[k:], idx[:n - k], one(key))
-                      for k, key in enumerate(keys["batch_death"], 1)]
-        for name, k, rows, cols in (("birth", 1, idx[:-1], idx[1:]),
-                                    ("death", -1, idx[1:], idx[:-1])):
-            if keys[name]:
-                diagonals.append((k, rows, cols, np.array([column[key] for key in keys[name]])))
-    return RateTable(spec.S, ts, values, tuple(diagonals))
+    require_memory(f"an index of shape {(n, n)}", np.dtype(np.intp).itemsize * n * n)
+    index = np.full((n, n), len(first), dtype=np.intp)
+    flat = index.reshape(-1)
+    singles = [(i * n + j, c) for (i, j, count, _), c in zip(runs, columns) if count == 1]
+    at, c = np.array(singles, dtype=np.intp).reshape(-1, 2).T
+    flat[at] = c  # one write for the entries that a rate drives alone
+    for (i, j, count, _), c in zip(runs, columns):
+        if count > 1:
+            flat[i * n + j::n + 1][:count] = c
+    return RateTable(spec.S, ts, values, index)
 
 
 def eval_generator(spec: ChainSpec, t):
@@ -337,58 +325,33 @@ def check_regularity(table: RateTable) -> RegularityReport:
     collected and reported, never raised.
 
     Each entry of Q at jump size k+1 >= 2 is compared with the entry at
-    size k in its column, a table column or zero: each distinct pair of
-    table columns once over all times, about 2S pairs for the batch kinds,
-    and a broken pair is expanded into the entries where it occurs. An
-    entry that is zero at size k+1 never breaks the order, since rates are
-    non-negative.
+    size k in its column, both read off the table's index: each distinct
+    pair of table columns once over all times, about 2S pairs for the batch
+    kinds, and a broken pair is expanded into the entries where it occurs.
+    An absent entry reads the zero column, and one at size k+1 is skipped:
+    it never breaks the order, since rates are non-negative.
     """
     grid = np.atleast_1d(table.times)
     if grid.size == 0:
         raise ValueError("regularity check needs a non-empty time grid")
     V = table.values.reshape(grid.size, -1)
-    zero = V.shape[1]  # the column index that stands for an absent entry
-    by_offset = {d: (cols, cs) for d, _, cols, cs in table.diagonals}
-    whole = []  # (pair, diagonal): one pair of columns along a whole diagonal
-    keys, owners, positions = [], [], []  # pairs entry by entry, on the other diagonals
-    for n, (d, _, cols, cs) in enumerate(table.diagonals):
-        if abs(d) < 2:
-            continue
-        # in each column j of Q, the entry one jump size nearer the diagonal, or zero
-        near = d - 1 if d > 0 else d + 1
-        near_cols, near_cs = by_offset.get(near, (None, [zero]))
-        if len(near_cs) == 1 and (near_cols is None or len(near_cols) == table.S + 1 - abs(near)):
-            a = near_cs  # one column, or zero, all along the nearer diagonal
-        else:
-            at = np.minimum(np.searchsorted(near_cols, cols), len(near_cols) - 1)
-            a = np.where(near_cols[at] == cols, np.broadcast_to(near_cs, near_cols.shape)[at], zero)
-        if len(a) == len(cs) == 1:
-            whole.append((int(a[0]) * (zero + 1) + int(cs[0]), n))
-        else:
-            keys.append(a * (zero + 1) + cs)
-            owners.append(np.full(len(cols), n))
-            positions.append(np.arange(len(cols)))
+    zero = V.shape[1] - 1  # the column of zeros
+    i, j = np.nonzero(table.index != zero)
+    far = abs(j - i) >= 2
+    i, j = i[far], j[far]
+    near = table.index[i + np.sign(j - i), j]  # one jump size nearer the diagonal
+    pairs, pair_of = np.unique(near * (zero + 1) + table.index[i, j], return_inverse=True)
+    a, b = np.divmod(pairs, zero + 1)
+    broken = V[:, b] > V[:, a]
     violations = []
-    if whole or keys:
-        pairs, pair_of = np.unique(np.concatenate([[key for key, _ in whole], *keys]).astype(int),
-                                   return_inverse=True)
-        owners = np.concatenate([[n for _, n in whole], *owners]).astype(int)
-        positions = np.concatenate([[-1] * len(whole), *positions]).astype(int)
-        a, b = np.divmod(pairs, zero + 1)
-        value = V[:, np.minimum(a, zero - 1)]
-        value[:, a == zero] = 0.0
-        next_value = V[:, b]
-        broken = next_value > value
-        for p in np.flatnonzero(broken.any(axis=0)):
-            for e in np.flatnonzero(pair_of == p):
-                d, _, cols, _ = table.diagonals[owners[e]]
-                for ti in np.flatnonzero(broken[:, p]):
-                    for j in (cols if positions[e] < 0 else cols[positions[e]:positions[e] + 1]):
-                        v = RegularityViolation(
-                            t=float(grid[ti]), state=int(j), k=abs(d) - 1,
-                            direction="up" if d > 0 else "down",
-                            value=float(value[ti, p]), next_value=float(next_value[ti, p]))
-                        violations.append(((v.t, v.state, v.direction, v.k, ti), v))
+    for p in np.flatnonzero(broken.any(axis=0)):
+        for e in np.flatnonzero(pair_of == p):
+            for ti in np.flatnonzero(broken[:, p]):
+                v = RegularityViolation(
+                    t=float(grid[ti]), state=int(j[e]), k=int(abs(j[e] - i[e])) - 1,
+                    direction="up" if j[e] > i[e] else "down",
+                    value=float(V[ti, a[p]]), next_value=float(V[ti, b[p]]))
+                violations.append(((v.t, v.state, v.direction, v.k, ti), v))
     violations.sort(key=lambda v: v[0])
     return RegularityReport(regular=not violations, violations=tuple(v for _, v in violations),
                             grid=tuple(float(t) for t in grid))

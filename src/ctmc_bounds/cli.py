@@ -41,7 +41,8 @@ import numpy as np
 from .bounds import (NonFiniteBoundError, bound_report_to_csv, compute_bounds,
                      sharp_report, write_csv)
 from .chain import InhomogeneousChainError, check_regularity, eval_generator, rate_table
-from .modelfile import WEIGHT_MODES, AnalysisSettings, ModelFileError, _number, load_model
+from .modelfile import (WEIGHT_MODES, AnalysisSettings, ModelFileError, _number, load_model,
+                        read_text)
 from .odesolve import OdeBlowUpError, _verify_both
 from .rates import RateEvaluationError
 from .spectral import (PowerIterationError, ReducibleMatrixError, SharpnessConditionError,
@@ -72,11 +73,7 @@ def _fmt(x) -> str:
 
 
 def _load_weights_file(path):
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ModelFileError(f"cannot read weights file {path}: {exc}") from None
+    text = read_text(path, f"weights file {path}")
     try:
         values = json.loads(text)
     except json.JSONDecodeError:

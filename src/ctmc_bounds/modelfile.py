@@ -229,14 +229,21 @@ def parse_model(text: str) -> ModelFile:
                      analysis=_parse_analysis(doc.get("analysis")))
 
 
+def read_text(path, what) -> str:
+    """The text of a UTF-8 file; :class:`ModelFileError` if it cannot be read or decoded.
+
+    what names the file for the message.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ModelFileError(f"cannot read {what}: {exc}") from None
+
+
 def load_model(path) -> ModelFile:
     """Read and parse a model file from disk."""
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ModelFileError(f"cannot read {path}: {exc}") from None
-    return parse_model(text)
+    return parse_model(read_text(path, path))
 
 
 def _rate_to_json(fn: RateFunction):

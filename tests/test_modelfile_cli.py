@@ -307,6 +307,23 @@ def test_a_json_weights_file_takes_numbers_as_the_model_file_does(tmp_path, caps
     assert err == f"error: '{wfile}[0]' must be a number, got {shown}\n"
 
 
+@pytest.mark.parametrize("weights", [False, True], ids=["check-model", "bounds-weights"])
+def test_a_file_that_is_not_utf8_exits_with_the_parse_code(tmp_path, capsys, weights):
+    # JSON is UTF-8: bytes that do not decode are a parse error on one line,
+    # not a traceback beside the property-violation code
+    raw = tmp_path / "raw.json"
+    raw.write_bytes(b"\xff\xfe\x00")
+    if weights:
+        code = cli.main(["bounds", _write(tmp_path, BD3), "--weights", str(raw)])
+    else:
+        code = cli.main(["check", str(raw)])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_PARSE and out == ""
+    what = "weights file " if weights else ""
+    assert err.startswith(f"error: cannot read {what}{raw}: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("where", ["flag", "model-file"])
 def test_a_negative_seed_exits_with_the_parse_code(tmp_path, capsys, where):
     # the random generator refuses a negative seed with a traceback; the
@@ -419,7 +436,8 @@ def test_each_command_evaluates_the_generator_once_per_time(tmp_path, capsys,
 
 def test_a_generator_stack_beyond_physical_memory_is_refused_before_allocation(
         tmp_path, capsys):
-    # one time's (S+1, S+1) doubles at S = 10**6 are 7.3 TiB
+    # at S = 10**6 the (S+1, S+1) index of Q, like one time's doubles, takes
+    # 7.3 TiB; the index is asked for first
     doc = {"schema": 1, "chain": {"kind": "general", "states": 10**6},
            "analysis": {"grid": 3}}
     path = _write(tmp_path, doc)
@@ -431,15 +449,15 @@ def test_a_generator_stack_beyond_physical_memory_is_refused_before_allocation(
         tracemalloc.stop()
     out, err = capsys.readouterr()
     assert code == cli.EXIT_EVAL and out == ""
-    assert err.startswith("error: a generator stack of shape (1, 1000001, 1000001) needs ")
+    assert err.startswith("error: an index of shape (1000001, 1000001) needs ")
     assert err.count("\n") == 1
     assert peak < 1e6
 
 
 def test_a_rate_table_beyond_physical_memory_is_refused_before_allocation(
         tmp_path, capsys, monkeypatch):
-    # 10**6 grid times of the two distinct rates take 16 MB; a machine of
-    # 12 MB holds the 8 MB grid but not the table
+    # 10**6 grid times of the two distinct rates and the zero column take
+    # 24 MB; a machine of 12 MB holds the 8 MB grid but not the table
     monkeypatch.setattr(cb.chain, "physical_memory", lambda: 12 * 10**6)
     path = _write(tmp_path, SINUSOID_BD3)
     tracemalloc.start()
@@ -450,10 +468,33 @@ def test_a_rate_table_beyond_physical_memory_is_refused_before_allocation(
         tracemalloc.stop()
     out, err = capsys.readouterr()
     assert code == cli.EXIT_EVAL and out == ""
-    assert err.startswith("error: a rate table of shape (1000000, 2) needs 0.0149 GiB, "
+    assert err.startswith("error: a rate table of shape (1000000, 3) needs 0.02235 GiB, "
                           "more than the ")
     assert err.count("\n") == 1
     assert peak < 12e6  # the grid, no table
+
+
+def test_the_index_of_a_structured_chain_beyond_physical_memory_is_refused_before_allocation(
+        tmp_path, capsys, monkeypatch):
+    # batch_birth at S = 2000 with one shared rate: a table of two columns,
+    # but an index of Q of (S+1)**2 integers, 32 MB, on a machine of 16 MB
+    S = 2000
+    doc = {"schema": 1, "chain": {"kind": "batch_birth", "states": S,
+                                  "batch_birth": [1.0] * S, "death": [1.0] * S}}
+    path = _write(tmp_path, doc)
+    monkeypatch.setattr(cb.chain, "physical_memory", lambda: 16 * 10**6)
+    tracemalloc.start()
+    try:
+        code = cli.main(["check", path, "--grid", "2"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_EVAL and out == ""
+    assert err.startswith("error: an index of shape (2001, 2001) needs 0.02983 GiB, "
+                          "more than the ")
+    assert err.count("\n") == 1
+    assert peak < 4e6  # the chain's rates, no index
 
 
 def test_verify_fits_the_generator_stack_alone_and_refuses_a_larger_one(
