@@ -210,7 +210,7 @@ def sharp_report(spec: ChainSpec, tmax: float = 1.0, n_grid: int = 201) -> Bound
     table = rate_table(spec, evaluation_times(spec, half))
     bstar = to_bstar(build_reduced(table[0]))
     rate = perron_weights(bstar)
-    report = _envelopes(table, validate_weights(rate.weights, spec.S), tmax, n)
+    report = _envelopes(table, rate.weights, tmax, n)
     lam0 = rate.lambda0
     tol = equalization_tol(lam0, bstar)
     worst = max(float(np.max(np.abs(report.h_upper - lam0))),

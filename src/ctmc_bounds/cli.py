@@ -17,8 +17,8 @@ Exit codes (a total function of the outcome):
 1     property violation: an envelope break, or a non-negativity
       break (``check``; ``bounds``, ``verify`` and the perron
       weight modes refuse such a chain)
-2     model file cannot be parsed, or an analysis value is out
-      of range
+2     model file cannot be parsed, an analysis value is out
+      of range, or the --csv path cannot be written
 3     rate evaluation, a trajectory or the Perron solve failed,
       an envelope integral is not finite (for ``verify`` also
       an envelope that overflows or underflows to zero), or a
@@ -60,6 +60,7 @@ EXIT_CONDITIONS = 6
 
 # typed errors and the exit codes main() maps them to
 _ERROR_EXITS = ((NonnegativityError, EXIT_VIOLATION), (ModelFileError, EXIT_PARSE),
+                (OSError, EXIT_PARSE),
                 (RateEvaluationError, EXIT_EVAL), (OdeBlowUpError, EXIT_EVAL),
                 (PowerIterationError, EXIT_EVAL), (NonFiniteBoundError, EXIT_EVAL),
                 (MemoryError, EXIT_EVAL),
@@ -90,35 +91,30 @@ def _load(args):
     """The model file's chain and its settings, with the options given on the command line."""
     model = load_model(args.model)
     updates = {f.name: getattr(args, f.name) for f in dataclasses.fields(AnalysisSettings)
-               if f.name != "weights" and getattr(args, f.name, None) is not None}
-    w = getattr(args, "weights", None)
-    if w in WEIGHT_MODES:
-        updates.update(weights_mode=w, weights=None)
-    elif w is not None:
-        updates.update(weights_mode="list", weights=_load_weights_file(w))
+               if getattr(args, f.name, None) is not None}
+    if updates.get("weights") not in (None, *WEIGHT_MODES):  # not a mode name: a file
+        updates["weights"] = _load_weights_file(updates["weights"])
     return model.chain, dataclasses.replace(model.analysis, **updates)
 
 
 def resolve_weights(spec, settings: AnalysisSettings):
-    """Weight vector for the configured mode, plus soft warnings.
+    """Weight vector for the configured weights, plus soft warnings.
 
     'ones' is the default; 'perron' demands a homogeneous chain and yields
     the sharp equalizing weights; 'frozen-perron' computes them from the
     transform at t=0 of a possibly time-varying chain, flagged as a
-    heuristic; 'list' takes the user-provided values.
+    heuristic; a tuple gives the weights themselves.
     """
-    mode = settings.weights_mode
+    w = settings.weights
     warnings = []
-    if mode == "list":
+    if not isinstance(w, str):
         try:
-            return validate_weights(settings.weights, spec.S), warnings
+            return validate_weights(w, spec.S), warnings
         except ValueError as exc:
             raise ModelFileError(str(exc)) from None
-    if mode not in WEIGHT_MODES:
-        raise ModelFileError(f"unknown weights mode {mode!r}")
-    if mode == "ones":
+    if w == "ones":
         return np.ones(spec.S), warnings
-    if mode == "perron" and not spec.is_homogeneous:
+    if w == "perron" and not spec.is_homogeneous:
         raise InhomogeneousChainError(
             "weights mode 'perron' requires constant rates; "
             "use 'frozen-perron' for time-varying chains")
@@ -264,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
              "horizon grid csv closed-form"),
             ("bounds", cmd_bounds, "two-sided envelope report", "horizon grid weights csv"),
             ("verify", cmd_verify, "randomized trajectory verification",
-             "horizon grid seed tol weights csv steps trials pairs")):
+             "horizon seed tol weights csv steps trials pairs")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("model", help="path to the JSON model file")
         for option in options.split():

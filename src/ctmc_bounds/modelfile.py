@@ -25,15 +25,16 @@ the general kind takes ``transitions``, a list of {"from": i, "to": j,
 "rate": ...} objects.
 
 ``weights`` is one of "ones", "perron", "frozen-perron" or an explicit
-list of S positive numbers. All other analysis fields are optional and
-default to the values shown above (horizon 1.0 if absent).
+list of S positive numbers, which the settings hold as a tuple. All
+analysis fields are optional and default to the values shown above
+(horizon 1.0 if absent).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .chain import KINDS, RATE_LISTS, ChainSpec, class_chain, general_chain
 from .rates import RateFunction
@@ -48,13 +49,17 @@ class ModelFileError(ValueError):
 
 @dataclass(frozen=True)
 class AnalysisSettings:
-    """Horizon, resolutions, weighting mode and randomness of an analysis."""
+    """Horizon, resolutions, weights and randomness of an analysis.
+
+    The fields are the keys of the model file's analysis block, in its
+    order. weights is a name of WEIGHT_MODES or a tuple of weights, which
+    are validated against the chain when they are used.
+    """
 
     horizon: float = 1.0
     grid: int = 1001
     steps: int = 10_000
-    weights_mode: str = "ones"
-    weights: tuple | None = None
+    weights: str | tuple = "ones"
     trials: int = 100
     pairs: int = 50
     seed: int = 0
@@ -62,6 +67,8 @@ class AnalysisSettings:
 
     def __post_init__(self):
         # dataclasses.replace re-runs this, so CLI overrides are checked too
+        if isinstance(self.weights, str) and self.weights not in WEIGHT_MODES:
+            raise ModelFileError(f"unknown weights mode {self.weights!r}")
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ModelFileError(f"analysis horizon must be positive and finite, "
                                  f"got {self.horizon}")
@@ -195,21 +202,14 @@ def _parse_analysis(node) -> AnalysisSettings:
     extra = set(node) - set(_ANALYSIS_NUMBERS) - {"weights"}
     if extra:
         raise ModelFileError(f"unknown analysis fields {sorted(extra)}")
-    weights_mode, weights = "ones", None
-    if "weights" in node:
-        w = node["weights"]
-        if isinstance(w, str):
-            if w not in WEIGHT_MODES:
-                raise ModelFileError(f"unknown weights mode {w!r}")
-            weights_mode = w
-        elif isinstance(w, list):
-            weights_mode = "list"
-            weights = tuple(_number(v, f"analysis.weights[{i}]") for i, v in enumerate(w))
-        else:
-            raise ModelFileError("'analysis.weights' must be a mode name or a list")
+    w = node.get("weights", AnalysisSettings.weights)
+    if isinstance(w, list):
+        w = tuple(_number(v, f"analysis.weights[{i}]") for i, v in enumerate(w))
+    elif not isinstance(w, str):
+        raise ModelFileError("'analysis.weights' must be a mode name or a list")
     numbers = {key: kind(node[key], f"analysis.{key}")
                for key, kind in _ANALYSIS_NUMBERS.items() if key in node}
-    return AnalysisSettings(weights_mode=weights_mode, weights=weights, **numbers)
+    return AnalysisSettings(weights=w, **numbers)
 
 
 def parse_model(text: str) -> ModelFile:
@@ -268,10 +268,5 @@ def serialize_model(model: ModelFile) -> str:
     else:
         for key in RATE_LISTS[spec.kind]:
             chain[key] = [_rate_to_json(fn) for fn in getattr(spec, key)]
-    a = model.analysis
-    analysis = {"horizon": a.horizon, "grid": a.grid, "steps": a.steps,
-                "weights": list(a.weights) if a.weights_mode == "list" else a.weights_mode,
-                "trials": a.trials, "pairs": a.pairs, "seed": a.seed,
-                "tolerance": a.tolerance}
     return json.dumps({"schema": SCHEMA_VERSION, "chain": chain,
-                       "analysis": analysis}, indent=2) + "\n"
+                       "analysis": asdict(model.analysis)}, indent=2) + "\n"

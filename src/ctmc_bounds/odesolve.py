@@ -42,7 +42,7 @@ import numpy as np
 from .bounds import (NonFiniteBoundError, check_horizon, column_sum_extremes, envelope,
                      write_csv)
 from .chain import ChainSpec, RateTable, evaluation_times, rate_table, require_memory
-from .transform import build_reduced, scan_transform, validate_weights
+from .transform import CHUNK_BYTES, build_reduced, scan_transform, validate_weights
 
 SYSTEMS = ("forward", "reduced_hom", "transformed")
 
@@ -79,26 +79,33 @@ def _weight_vector(weights, S):
 def _system_matrices(system, spec, weights, ts):
     """Coefficient matrices of the chosen system at evaluation_times(spec, ts).
 
-    The rates are evaluated once into a rate table. The forward and the
-    reduced system are written from its generator stack; B** is written by
-    :func:`ctmc_bounds.transform.scan_transform` a slice of times at a
-    time, without a whole-time generator, B or B* stack, and raises
-    MemoryError first if it exceeds the machine's physical memory. A
-    homogeneous chain gives a stack of one matrix, the same at every time
-    of ts; :func:`_rk4_scan` then powers its one-step operator.
+    The rates are evaluated once into a rate table. The forward system is
+    its generator stack, transposed; B, and B** by
+    :func:`ctmc_bounds.transform.scan_transform`, are written from the
+    table a slice of times at a time, without a whole-time generator stack
+    (nor a B or B* stack for B**), and MemoryError is raised first if the
+    stack exceeds the machine's physical memory. A homogeneous chain gives
+    a stack of one matrix, the same at every time of ts; :func:`_rk4_scan`
+    then powers its one-step operator.
     """
     if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}; choose from {SYSTEMS}")
     table = rate_table(spec, evaluation_times(spec, ts))
     if system == "forward":
         return np.swapaxes(table[...], -1, -2)
-    if system == "reduced_hom":
-        return build_reduced(table[...])
     shape = (len(table), spec.S, spec.S)
-    require_memory(f"a weighted stack of shape {shape}", 8 * math.prod(shape))
-    weighted = np.empty(shape)
-    scan_transform(table, _weight_vector(weights, spec.S), weighted.__setitem__)
-    return weighted
+    require_memory(f"a {system} stack of shape {shape}", 8 * math.prod(shape))
+    if system == "transformed":
+        weighted = np.empty(shape)
+        scan_transform(table, _weight_vector(weights, spec.S), weighted.__setitem__)
+        return weighted
+    # B takes the layout that build_reduced gives a whole stack: the products
+    # of the RK4 scan, and so the last bits of the states, depend on it
+    B = np.swapaxes(np.empty(shape), -1, -2)
+    step = max(1, CHUNK_BYTES // (8 * spec.S ** 2))
+    for start in range(0, len(table), step):
+        B[start:start + step] = build_reduced(table[start:start + step])
+    return B
 
 
 def _step_operators(M0, Mm, M1, h):

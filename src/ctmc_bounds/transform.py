@@ -235,8 +235,9 @@ def scan_transform(Q, weights, consume) -> NonnegReport:
     generator at the slice s of its times, or a (T, S+1, S+1) stack as
     :func:`ctmc_bounds.chain.eval_generator` returns it. Each slice of times,
     sized so that its S x S stack takes at most CHUNK_BYTES, is reduced,
-    transformed, checked for essential non-negativity and, with weights,
-    conjugated by them in place; then consume(s, M), unless None, receives
+    transformed, checked for essential non-negativity and, with weights (an
+    (S,) float vector that :func:`validate_weights` has passed), conjugated
+    by them in place; then consume(s, M), unless None, receives
     the slice s and that fresh stack M. No whole-time B, B* or B** stack is
     formed.
 
@@ -247,10 +248,7 @@ def scan_transform(Q, weights, consume) -> NonnegReport:
     them are violations.
     """
     T, S = len(Q), Q.shape[-1] - 1
-    ratio = None
-    if weights is not None:
-        d = validate_weights(weights, S)
-        ratio = d[:, None] / d[None, :]
+    ratio = None if weights is None else weights[:, None] / weights[None, :]
     step = max(1, CHUNK_BYTES // (8 * S * S))
     hi, lo, lows, indices, below = -math.inf, math.inf, [], [], []
     for start in range(0, T, step):

@@ -244,6 +244,15 @@ def test_transformed_solve_holds_the_weighted_stack_alone():
     assert peak < (2 * 1000 + 1) * (31 ** 2 + 30 ** 2) * 8
 
 
+def test_reduced_solve_holds_its_stack_alone():
+    # B (30**2 doubles a time) is written a slice at a time from the rate
+    # table at the 2*1000+1 times, with no whole-time Q beside it
+    y0 = np.linspace(1.0, 2.0, 30)
+    traj, peak = _traced_peak(lambda: cb.solve("reduced_hom", TV_BATCH_S30, y0, 1.0, 1000))
+    assert np.isfinite(traj.states).all()
+    assert peak < (2 * 1000 + 1) * (31 ** 2 + 30 ** 2) * 8
+
+
 def test_homogeneous_report_equals_time_varying_report_bit_for_bit():
     # flat two-breakpoint tables take the time-varying path, and np.interp
     # returns their value exactly

@@ -1,6 +1,8 @@
 import json
+import re
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +38,7 @@ def test_parse_and_defaults():
     assert model.chain.S == 1
     assert model.analysis.horizon == 1.0
     assert model.analysis.grid == 1001
-    assert model.analysis.weights_mode == "ones"
+    assert model.analysis.weights == "ones"
 
 
 def test_round_trip_preserves_chain_and_settings():
@@ -94,6 +96,11 @@ def test_parse_errors():
             "kind": "general", "states": 1,
             "transitions": [{"from": 0, "to": 1, "rate": 1.0},
                             {"from": 0, "to": 1, "rate": 2.0}]}}))
+
+
+def test_settings_refuse_an_unknown_weights_mode_when_constructed():
+    with pytest.raises(cb.ModelFileError, match="unknown weights mode 'bogus'"):
+        cb.AnalysisSettings(weights="bogus")
 
 
 def test_cmd_check_passes_class_chain(tmp_path, capsys):
@@ -397,13 +404,43 @@ def test_model_integer_fields_accept_integral_floats():
 
 
 @pytest.mark.parametrize("argv", [["rate", "--weights", "ones"], ["check", "--seed", "1"],
-                                  ["bounds", "--tol", "0"]],
-                         ids=["rate-weights", "check-seed", "bounds-tol"])
+                                  ["bounds", "--tol", "0"], ["verify", "--grid", "5"]],
+                         ids=["rate-weights", "check-seed", "bounds-tol", "verify-grid"])
 def test_commands_refuse_options_they_do_not_read(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main([argv[0], _write(tmp_path, BD3)] + argv[1:])
     assert exc.value.code == cli.EXIT_PARSE
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_the_readme_flag_table_lists_the_flags_each_command_accepts(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = {command: set(re.findall(r"`--([\w-]+)`", flags))
+             for command, flags in re.findall(r"^\| `(\w+)` \| (`--.*) \|$", readme, re.M)}
+    assert set(table) == {"check", "rate", "bounds", "verify"}
+    assert set().union(*table.values()) <= set(cli._OPTIONS)
+    parser = cli.build_parser()
+    for option, spec in cli._OPTIONS.items():
+        value = [] if spec.get("action") == "store_true" else ["1"]
+        for command, flags in table.items():
+            argv = [command, "model.json", f"--{option}", *value]
+            if option in flags:
+                parser.parse_args(argv)
+            else:
+                with pytest.raises(SystemExit):
+                    parser.parse_args(argv)
+
+
+@pytest.mark.parametrize("command", ["rate", "bounds", "verify"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_a_csv_path_that_cannot_be_written_exits_with_the_parse_code(tmp_path, capsys,
+                                                                     command, target):
+    csv = tmp_path / "missing" / "out.csv" if target == "missing-directory" else tmp_path
+    code = cli.main([command, _write(tmp_path, BD3), "--csv", str(csv)])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_PARSE
+    assert out and "csv written" not in out  # the results printed before the write stay
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 SINUSOID_BD3 = {"schema": 1,

@@ -50,19 +50,18 @@ def chains(draw, max_states=4, rate=rates()):
 
 @st.composite
 def analyses(draw, S, small=False):
-    weights_mode = draw(st.sampled_from(("ones", "perron", "frozen-perron", "list")))
-    weights = None
-    if weights_mode == "list":
-        weights = tuple(draw(st.lists(st.floats(0.1, 10.0), min_size=S, max_size=S)))
+    weights = draw(st.one_of(st.sampled_from(("ones", "perron", "frozen-perron")),
+                             st.lists(st.floats(0.1, 10.0), min_size=S,
+                                      max_size=S).map(tuple)))
     if small:
         return cb.AnalysisSettings(
             horizon=draw(st.floats(0.1, 2.0)), grid=draw(st.integers(2, 9)),
-            steps=draw(st.integers(1, 12)), weights_mode=weights_mode, weights=weights,
+            steps=draw(st.integers(1, 12)), weights=weights,
             trials=draw(st.integers(1, 3)), pairs=draw(st.integers(1, 3)),
             seed=draw(st.integers(0, 2**32)), tolerance=draw(st.floats(0.0, 1e-3)))
     return cb.AnalysisSettings(
         horizon=draw(st.floats(1e-3, 1e6)), grid=draw(st.integers(2, 10**6)),
-        steps=draw(st.integers(1, 10**6)), weights_mode=weights_mode, weights=weights,
+        steps=draw(st.integers(1, 10**6)), weights=weights,
         trials=draw(st.integers(1, 10**4)), pairs=draw(st.integers(1, 10**4)),
         seed=draw(st.integers(0, 2**63)), tolerance=draw(st.floats(0.0, 1.0)))
 

@@ -1,4 +1,4 @@
-"""Count the code lines of the package, without docstrings and comments.
+"""Count the code lines and the settable values of the package.
 
     python3 tools/src_lines.py [CHECKOUT]
 
@@ -6,11 +6,16 @@ prints, for each module of CHECKOUT/src/ctmc_bounds (default: this
 checkout), the number of lines that hold code, and their total. Blank
 lines, comment lines and the lines of docstrings (a string that stands
 alone as the first statement of a module, class or function) do not count.
+Then it prints the settable values: the flags each subcommand of the CLI
+accepts, with their total, and the number of AnalysisSettings fields, read
+from the package that CHECKOUT/src imports.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
+import dataclasses
 import io
 import sys
 import tokenize
@@ -40,6 +45,23 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
+def settable_values(src: Path) -> None:
+    """Print the flags of each subcommand and the AnalysisSettings fields of the package in src."""
+    sys.path.insert(0, str(src))
+    from ctmc_bounds import cli, modelfile
+    if not Path(cli.__file__).resolve().is_relative_to(src):
+        raise ImportError(f"ctmc_bounds was imported from {cli.__file__}, not {src}")
+    sub, = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    total = 0
+    for name, parser in sub.choices.items():
+        flags = [a for a in parser._actions
+                 if a.option_strings and not isinstance(a, argparse._HelpAction)]
+        total += len(flags)
+        print(f"{len(flags):6d} flags of {name}")
+    print(f"{total:6d} flags in total")
+    print(f"{len(dataclasses.fields(modelfile.AnalysisSettings)):6d} AnalysisSettings fields")
+
+
 def main(argv) -> int:
     root = Path(argv[1] if len(argv) > 1 else Path(__file__).resolve().parents[1])
     total = 0
@@ -48,6 +70,7 @@ def main(argv) -> int:
         total += n
         print(f"{n:6d} {path.name}")
     print(f"{total:6d} total")
+    settable_values((root / "src").resolve())
     return 0
 
 
