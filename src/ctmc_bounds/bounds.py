@@ -23,14 +23,10 @@ from .chain import (ChainSpec, check_regularity, evaluation_times, rate_table,
                     require_homogeneous)
 from .spectral import (SharpnessConditionError, check_sharpness_conditions, equalization_tol,
                        perron_weights)
-from .transform import (build_reduced, require_essential_nonnegativity, scan_transform,
-                        to_bstar, validate_weights)
+from .transform import (NonFiniteBoundError, build_reduced, require_essential_nonnegativity,
+                        scan_transform, to_bstar, validate_weights)
 
 CSV_COLUMNS = ("t", "h_upper", "h_lower", "I_upper", "I_lower", "env_upper", "env_lower")
-
-
-class NonFiniteBoundError(ArithmeticError):
-    """An envelope integral, or an envelope to verify, left the double-precision range."""
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ Exit codes (a total function of the outcome):
 2     model file cannot be parsed, an analysis value is out
       of range, or the --csv path cannot be written
 3     rate evaluation, a trajectory or the Perron solve failed,
-      an envelope integral is not finite (for ``verify`` also
+      a rate, an entry of B* or an envelope integral is not
+      finite (for ``verify`` also
       an envelope that overflows or underflows to zero), or a
       matrix stack is larger than the machine's memory
 4     homogeneous-only command applied to a time-varying chain
@@ -272,7 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # every non-finite result has its own check and error, so numpy's
+        # warnings would only add lines before the one error line
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except tuple(kind for kind, _ in _ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _ERROR_EXITS if isinstance(exc, kind))

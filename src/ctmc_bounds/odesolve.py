@@ -42,7 +42,7 @@ import numpy as np
 from .bounds import (NonFiniteBoundError, check_horizon, column_sum_extremes, envelope,
                      write_csv)
 from .chain import ChainSpec, RateTable, evaluation_times, rate_table, require_memory
-from .transform import CHUNK_BYTES, build_reduced, scan_transform, validate_weights
+from .transform import build_reduced, scan_transform, slices, validate_weights
 
 SYSTEMS = ("forward", "reduced_hom", "transformed")
 
@@ -102,9 +102,8 @@ def _system_matrices(system, spec, weights, ts):
     # B takes the layout that build_reduced gives a whole stack: the products
     # of the RK4 scan, and so the last bits of the states, depend on it
     B = np.swapaxes(np.empty(shape), -1, -2)
-    step = max(1, CHUNK_BYTES // (8 * spec.S ** 2))
-    for start in range(0, len(table), step):
-        B[start:start + step] = build_reduced(table[start:start + step])
+    for s in slices(len(table), spec.S):
+        B[s] = build_reduced(table[s])
     return B
 
 

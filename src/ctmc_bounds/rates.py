@@ -9,7 +9,7 @@ import numpy as np
 
 
 class RateEvaluationError(ValueError):
-    """A rate function produced a negative value, or was queried at a bad time."""
+    """A rate function produced a negative or non-finite value, or was queried at a bad time."""
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,8 @@ class RateFunction:
 
     Negative values are rejected statically for constants and tables (their
     sign is decidable from the parameters) and at evaluation time for
-    sinusoids, where frequency and phase make static sign analysis hard.
+    sinusoids, where frequency and phase make static sign analysis hard;
+    a sinusoid value that overflows is rejected there as well.
 
     Instances are immutable and safe to evaluate concurrently.
     """
@@ -84,8 +85,9 @@ class RateFunction:
 
         Returns a float for scalar input, an ndarray of matching shape
         otherwise. Raises :class:`RateEvaluationError` if any requested time
-        is non-finite or any produced value is negative; a constant's value
-        was checked when it was made.
+        is non-finite or any produced value is negative or not finite, as a
+        sinusoid's can overflow; a constant's value was checked when it was
+        made.
         """
         ts = np.asarray(t, dtype=float)
         if not np.isfinite(ts).all():
@@ -98,13 +100,12 @@ class RateFunction:
         else:
             times, values = self.params
             out = np.interp(ts, times, values)
-        if np.any(out < 0.0):
-            flat_t = np.atleast_1d(ts).ravel()
-            flat_v = np.atleast_1d(out).ravel()
-            i = int(np.argmax(flat_v < 0.0))
-            raise RateEvaluationError(
-                f"{self.kind} rate is negative at t={flat_t[i]}: {flat_v[i]}"
-            )
+        ok = (out >= 0.0) & (out < math.inf)  # neither negative nor infinite nor NaN
+        if not ok.all():
+            i = int(np.argmin(ok))  # the first bad value in C order
+            t_bad, v_bad = np.ravel(ts)[i], np.ravel(out)[i]
+            what = "negative" if v_bad < 0.0 else "not finite"
+            raise RateEvaluationError(f"{self.kind} rate is {what} at t={t_bad}: {v_bad}")
         return float(out) if out.ndim == 0 else out
 
 

@@ -127,6 +127,8 @@ def perron_weights(Bstar, x0=None) -> SharpRate:
     ------
     NonnegativityError
         If the matrix is not essentially non-negative.
+    NonFiniteBoundError
+        If an entry of the matrix is not finite.
     ReducibleMatrixError
         If the matrix graph is not strongly connected (the positive
         eigenvector, and with it the weighting, would not be unique).

@@ -15,6 +15,11 @@ transform, the essential non-negativity check and the weights a slice of
 times at a time. Every command hands it a rate table, which writes each
 slice of the generator as the scan reads it, so the scan holds one slice
 of Q, B and B*, never a whole-time stack of any of them.
+
+Essential non-negativity is judged in one place, :func:`_judge`, which reads
+B* a slice of :func:`slices` at a time: the scan hands it the slices it
+forms, :func:`check_essential_nonnegativity` copies of its input's. An entry
+of B* that is not finite is refused there with :class:`NonFiniteBoundError`.
 """
 
 from __future__ import annotations
@@ -23,11 +28,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .chain import ChainSpec
 
-CHUNK_BYTES = 2**20  # largest S x S stack slice of scan_transform, in bytes
+CHUNK_BYTES = 2**20  # largest S x S stack slice of slices(), in bytes
 
 
 def build_reduced(Q):
@@ -139,13 +143,21 @@ class NonnegativityError(ValueError):
     """B*(t) has a negative off-diagonal entry, so the envelope bounds do not apply."""
 
 
+class NonFiniteBoundError(ArithmeticError):
+    """An entry of B*(t), an envelope integral, or an envelope to verify is not finite.
+
+    The rates, or the horizon, exceed the double-precision range; a rate
+    that is itself not finite is a :class:`ctmc_bounds.rates.RateEvaluationError`.
+    """
+
+
 @dataclass(frozen=True)
 class NonnegReport:
     """Result of the essential non-negativity check of a matrix or a stack.
 
-    worst_index locates the smallest off-diagonal entry as (..., i, j), the
-    stack indices first. Without off-diagonal entries (S = 1) it is None
-    and min_offdiagonal is +inf.
+    worst_index locates the first smallest off-diagonal entry in C order:
+    (i, j) in an (S, S) matrix, (t, i, j) in a (T, S, S) stack. Without
+    off-diagonal entries (S = 1) it is None and min_offdiagonal is +inf.
     """
 
     passed: bool
@@ -155,77 +167,68 @@ class NonnegReport:
     worst_index: tuple | None = None
 
 
-def _offdiagonal_view(M):
-    """Read-only (..., S-1, S) view of the off-diagonal entries of a matrix stack.
+def slices(T: int, S: int):
+    """Consecutive slices of range(T) whose (len, S, S) float stacks take at most CHUNK_BYTES."""
+    step = max(1, CHUNK_BYTES // (8 * S * S))
+    for start in range(0, T, step):
+        yield slice(start, min(start + step, T))
 
-    In a row-major matrix the diagonal entries lie S+1 apart, so the entries
-    after (0, 0) form S-1 rows of S+1 that each end on the diagonal; leaving
-    that last entry out leaves exactly the off-diagonal ones. Entry (r, c)
-    of the view is the flat entry 1 + r*(S+1) + c of its matrix. The stack
-    axes may have any strides (a broadcast stack stays a view); matrices
-    whose rows are not contiguous are copied first.
+
+def _judge(stacks, times=None, ndim=3) -> NonnegReport:
+    """The non-negativity report of consecutive B* slices, field for field as the whole stack's.
+
+    stacks yields C-contiguous (len, S, S) float stacks, the judge's to
+    write until it asks for the next: each slice's diagonal is set to +inf
+    for its off-diagonal minima, then restored bit for bit. The tolerance
+    1e-12 max|entry| spans every slice, so each slice keeps its entries
+    below the tolerance of the slices read so far, which can only grow,
+    and the last slice settles which of them are violations. Indices are
+    (t, i, j), or (i, j) with ndim 2. A slice with an entry that is not
+    finite raises NonFiniteBoundError, naming its time if times, the time
+    of each matrix, is given.
     """
-    S = M.shape[-1]
-    item = M.itemsize
-    if M.strides[-2:] != (S * item, item):
-        M = np.ascontiguousarray(M)
-    return as_strided(M[..., 0, 1:], shape=M.shape[:-2] + (S - 1, S),
-                      strides=M.strides[:-2] + ((S + 1) * item, item),
-                      writeable=False)
-
-
-def _offdiagonal_scan(M, tol):
-    """(minimum, its index, entries below -tol) over the off-diagonal entries of a stack.
-
-    The index is (..., i, j), the stack indices first, of the first minimum
-    in C order; the entries below -tol are (..., i, j, value) in C order.
-    The entries are read through a strided view: scanning a stack
-    allocates one value per matrix, not a copy.
-    """
-    S = M.shape[-1]
-    off = _offdiagonal_view(M)
-    mins = off.min(axis=(-2, -1))
-    k = tuple(int(x) for x in np.unravel_index(int(np.argmin(mins)), mins.shape))
-    r, c = divmod(int(np.argmin(off[k])), S)
-    below = []
-    eye = np.eye(S, dtype=bool)
-    for bad in np.argwhere(mins < -tol):
-        k_bad = tuple(int(x) for x in bad)
-        sub = M[k_bad]
-        for i, j in np.argwhere((sub < -tol) & ~eye):
-            below.append(k_bad + (int(i), int(j), float(sub[i, j])))
-    return float(mins[k]), k + divmod(1 + r * (S + 1) + c, S), below
-
-
-def _nonneg_report(low, index, below, tol) -> NonnegReport:
-    """The report from the minimum, its index and the entries found below -tol.
-
-    Without off-diagonal entries (S = 1) the minimum is +inf and the index None.
-    """
-    violations = sorted((v for v in below if v[-1] < -tol), key=lambda v: v[-1])
+    hi, lo, low, index, below, start = -math.inf, math.inf, math.inf, None, [], 0
+    for M in stacks:
+        S, flat = M.shape[-1], M.reshape(len(M), -1)
+        top, bottom = float(M.max()), float(M.min())
+        if not (math.isfinite(top) and math.isfinite(bottom)):  # a NaN entry makes both NaN
+            k = start + int(np.argmin(np.isfinite(flat).all(axis=1)))
+            at = "" if times is None else f" at t={times[k]}"
+            raise NonFiniteBoundError(f"B* has an entry that is not finite{at}: the rates "
+                                      f"exceed the double-precision range")
+        hi, lo, diag = max(hi, top), min(lo, bottom), flat[:, ::S + 1].copy()
+        flat[:, ::S + 1] = math.inf
+        mins = flat.min(axis=1)
+        k = int(np.argmin(mins))
+        if mins[k] < low:
+            low, index = float(mins[k]), (start + k,) + divmod(int(np.argmin(flat[k])), S)
+        tol = 1e-12 * max(hi, -lo)
+        for k in np.flatnonzero(mins < -tol):
+            below += [(start + int(k), int(i), int(j), float(M[k, i, j]))
+                      for i, j in np.argwhere(M[k] < -tol)]
+        flat[:, ::S + 1] = diag
+        start += len(M)
+        del M, flat  # the next slice is formed without this one
+    violations = sorted((v[3 - ndim:] for v in below if v[-1] < -tol), key=lambda v: v[-1])
+    index = None if index is None else index[3 - ndim:]
     return NonnegReport(passed=not violations, min_offdiagonal=low, tolerance=tol,
                         violations=tuple(violations), worst_index=index)
 
 
-def _tolerance(hi, lo):
-    """The default tolerance 1e-12 max|entry| from the largest and the smallest entry."""
-    return 1e-12 * max(float(hi), -float(lo))
+def check_essential_nonnegativity(Bstar) -> NonnegReport:
+    """Check that all off-diagonal entries of an (S, S) matrix or a (T, S, S) stack are >= -tol.
 
-
-def check_essential_nonnegativity(Bstar, tol=None) -> NonnegReport:
-    """Check that all off-diagonal entries of a matrix or a stack are >= -tol.
-
-    The default tolerance is 1e-12 times the largest absolute entry of the
-    whole input, so genuine structure failures are flagged while round-off
-    from rate arithmetic is not. The entries are read through a strided
-    view: checking a stack allocates one value per matrix, not a copy.
+    The tolerance is 1e-12 times the largest absolute entry of the whole
+    input, so genuine structure failures are flagged while round-off from
+    rate arithmetic is not. The input is read a copied slice at a time, so
+    checking a stack allocates at most CHUNK_BYTES and never writes to it.
+    An entry that is not finite raises NonFiniteBoundError.
     """
     M = np.asarray(Bstar, dtype=float)
-    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2] or M.size == 0:
         raise ValueError(f"square matrix or stack expected, got shape {M.shape}")
-    tol = _tolerance(M.max(), M.min()) if tol is None else float(tol)
-    scan = _offdiagonal_scan(M, tol) if M.shape[-1] > 1 else (math.inf, None, [])
-    return _nonneg_report(*scan, tol)
+    stack = M.reshape((-1,) + M.shape[-2:])
+    return _judge((stack[s].copy() for s in slices(len(stack), M.shape[-1])), ndim=M.ndim)
 
 
 def scan_transform(Q, weights, consume) -> NonnegReport:
@@ -233,46 +236,30 @@ def scan_transform(Q, weights, consume) -> NonnegReport:
 
     Q is a :class:`ctmc_bounds.chain.RateTable`, whose Q[s] writes the
     generator at the slice s of its times, or a (T, S+1, S+1) stack as
-    :func:`ctmc_bounds.chain.eval_generator` returns it. Each slice of times,
-    sized so that its S x S stack takes at most CHUNK_BYTES, is reduced,
-    transformed, checked for essential non-negativity and, with weights (an
-    (S,) float vector that :func:`validate_weights` has passed), conjugated
-    by them in place; then consume(s, M), unless None, receives
-    the slice s and that fresh stack M. No whole-time B, B* or B** stack is
-    formed.
+    :func:`ctmc_bounds.chain.eval_generator` returns it. Each slice of
+    :func:`slices` is reduced, transformed, judged for essential
+    non-negativity and, with weights (an (S,) float vector that
+    :func:`validate_weights` has passed), conjugated by them in place; then
+    consume(s, M), unless None, receives the slice s and that fresh stack
+    M. No whole-time B, B* or B** stack is formed.
 
     Returns the report of :func:`check_essential_nonnegativity` on the whole
-    B* stack, field for field: the tolerance 1e-12 max|entry| spans every
-    time, so each slice keeps its entries below the tolerance of the slices
-    read so far, which can only grow, and the last slice settles which of
-    them are violations.
+    B* stack, field for field; an entry of B* that is not finite raises
+    NonFiniteBoundError, naming its time if Q is a rate table.
     """
-    T, S = len(Q), Q.shape[-1] - 1
     ratio = None if weights is None else weights[:, None] / weights[None, :]
-    step = max(1, CHUNK_BYTES // (8 * S * S))
-    hi, lo, lows, indices, below = -math.inf, math.inf, [], [], []
-    for start in range(0, T, step):
-        s = slice(start, min(start + step, T))
-        M = to_bstar(build_reduced(Q[s]))
-        # np.maximum and np.minimum carry a NaN entry into the tolerance, as
-        # M.max() and M.min() do over the whole stack
-        hi, lo = np.maximum(hi, M.max()), np.minimum(lo, M.min())
-        if S > 1:
-            low, (k, i, j), found = _offdiagonal_scan(M, _tolerance(hi, lo))
-            lows.append(low)
-            indices.append((start + k, i, j))
-            below += [(start + v[0],) + v[1:] for v in found]
-        if ratio is not None:
-            M *= ratio
-        if consume is not None:
-            consume(s, M)
-        del M  # the next slice's B and B* are formed without this one
-    low, index = math.inf, None
-    if lows:
-        # the first of the smallest slice minima (a NaN first of all), as over the whole stack
-        first = int(np.argmin(lows))
-        low, index = lows[first], indices[first]
-    return _nonneg_report(low, index, below, _tolerance(hi, lo))
+
+    def bstar_slices():
+        for s in slices(len(Q), Q.shape[-1] - 1):
+            M = to_bstar(build_reduced(Q[s]))
+            yield M  # the judge reads B* before it is weighted
+            if ratio is not None:
+                M *= ratio
+            if consume is not None:
+                consume(s, M)
+            del M  # the next slice's B and B* are formed without this one
+
+    return _judge(bstar_slices(), getattr(Q, "times", None))
 
 
 def require_essential_nonnegativity(Bstar, times=None) -> NonnegReport:

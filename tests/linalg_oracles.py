@@ -2,8 +2,9 @@
 
 Each re-derives a quantity the library computes another way: the
 generator entry by entry from the model-file definition of each chain kind,
-regularity entry by entry of the generator stack, the triangular similarity as explicit integer matrices, column sums of a
-single matrix, eigenvalues by plain power iteration, and RK4 trajectories
+regularity entry by entry of the generator stack, essential non-negativity
+of a whole B* stack at once, the triangular similarity as explicit integer
+matrices, column sums of a single matrix, eigenvalues by plain power iteration, and RK4 trajectories
 one stage at a time.
 """
 
@@ -11,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ctmc_bounds import PowerIterationError, RegularityReport, RegularityViolation
+from ctmc_bounds import (NonnegReport, PowerIterationError, RegularityReport,
+                         RegularityViolation)
 
 
 def _jump_rate(kind, lists, i, j):
@@ -84,6 +86,30 @@ def dense_regularity(Q, grid) -> RegularityReport:
     violations.sort(key=lambda v: (v.t, v.state, v.direction, v.k))
     return RegularityReport(regular=not violations, violations=tuple(violations),
                             grid=tuple(float(t) for t in grid))
+
+
+def dense_nonnegativity(Bstar) -> NonnegReport:
+    """The essential non-negativity report read off a whole (S, S) or (T, S, S) stack at once.
+
+    A boolean mask selects the off-diagonal entries; the tolerance is
+    1e-12 times the largest absolute entry of the stack, the worst entry
+    the first smallest off-diagonal entry in C order, and the violations,
+    the off-diagonal entries below -tolerance, are sorted worst first.
+    """
+    M = np.asarray(Bstar, dtype=float)
+    stack = M.reshape((-1,) + M.shape[-2:])
+    off = np.broadcast_to(~np.eye(M.shape[-1], dtype=bool), stack.shape)
+    tol = 1e-12 * max(float(stack.max()), -float(stack.min()))
+    bad = [tuple(int(x) for x in k) + (float(stack[tuple(k)]),)
+           for k in np.argwhere(off & (stack < -tol))]
+    violations = tuple(v[3 - M.ndim:] for v in sorted(bad, key=lambda v: v[-1]))
+    if not off.any():
+        return NonnegReport(passed=True, min_offdiagonal=np.inf, tolerance=tol,
+                            violations=(), worst_index=None)
+    low = float(stack[off].min())
+    worst = tuple(int(x) for x in np.argwhere(off & (stack == low))[0])
+    return NonnegReport(passed=not violations, min_offdiagonal=low, tolerance=tol,
+                        violations=violations, worst_index=worst[3 - M.ndim:])
 
 
 def triangular_pair(S: int):

@@ -245,6 +245,46 @@ BROKEN_BATCH = {"schema": 1, "chain": {"kind": "batch_birth", "states": 3,
                              "pairs": 2}}
 
 
+# every rate 1e308: the generator's diagonal, and so B*, overflows; a sinusoid
+# 1e308 + 1e308 sin(2 pi t) overflows itself where sin(2 pi t) > 0.8 (t in 0.15..0.35)
+OVERFLOW_MODELS = {
+    "all-rates-1e308": {"schema": 1, "chain": {"kind": "birth_death", "states": 3,
+                                              "birth": [1e308] * 3, "death": [1e308] * 3}},
+    "sinusoid-1e308": {"schema": 1, "chain": {
+        "kind": "birth_death", "states": 3,
+        "define": {"big": {"sinusoid": {"offset": 1e308, "amplitude": 1e308,
+                                        "frequency": 1.0}}},
+        "birth": ["big", 1.0, 1.0], "death": [1.0, 1.0, 1.0]}},
+}
+OVERFLOW_ERRORS = {
+    ("all-rates-1e308", "rate"): "B* has an entry that is not finite: the rates exceed "
+                                 "the double-precision range",
+    ("all-rates-1e308", None): "B* has an entry that is not finite at t=0.0: the rates "
+                               "exceed the double-precision range",
+    ("sinusoid-1e308", "rate"): "sharpness-condition check requires constant rates, "
+                                "but the chain is time-varying",
+    ("sinusoid-1e308", "verify"): "transition 0->1: sinusoid rate is not finite at "
+                                  "t=0.1875: inf",
+    ("sinusoid-1e308", None): "transition 0->1: sinusoid rate is not finite at t=0.25: inf",
+}
+
+
+@pytest.mark.parametrize("command", ["check", "rate", "bounds", "verify"])
+@pytest.mark.parametrize("model", sorted(OVERFLOW_MODELS))
+def test_rates_beyond_the_double_precision_range_end_in_one_error_line(tmp_path, capsys,
+                                                                       model, command):
+    doc = dict(OVERFLOW_MODELS[model], analysis={"horizon": 1.0, "grid": 5, "steps": 4,
+                                                 "trials": 2, "pairs": 2})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # each would be a line on stderr
+        code = cli.main([command, _write(tmp_path, doc)])
+    err = capsys.readouterr().err
+    message = OVERFLOW_ERRORS.get((model, command), OVERFLOW_ERRORS[(model, None)])
+    assert [str(w.message) for w in caught] == []
+    assert err == f"error: {message}\n"
+    assert code == (cli.EXIT_INHOMOGENEOUS if message.startswith("sharpness") else cli.EXIT_EVAL)
+
+
 @pytest.mark.parametrize("argv", [["bounds"], ["verify"],
                                   ["bounds", "--weights", "frozen-perron"],
                                   ["verify", "--weights", "perron"]])

@@ -52,6 +52,21 @@ def test_sinusoid_negative_excursion_errors_at_evaluation():
         r(np.linspace(0.0, 1.0, 50))
 
 
+def test_sinusoid_values_that_are_not_finite_error_at_evaluation():
+    r = RateFunction.sinusoid(1e308, 1e308, 1.0)  # 2e308 overflows at t = 0.25
+    assert r(0.0) == 1e308
+    with np.errstate(over="ignore", invalid="ignore"):  # the sum overflows, sin(inf) is NaN
+        with pytest.raises(RateEvaluationError,
+                           match=r"^sinusoid rate is not finite at t=0.25: inf$"):
+            r(0.25)
+        with pytest.raises(RateEvaluationError, match=r"not finite at t=0.25: inf"):
+            r(np.array([0.0, 0.25, 0.75]))  # the first bad value is named
+        with pytest.raises(RateEvaluationError, match=r"not finite at t=1.0: nan"):
+            RateFunction.sinusoid(1.0, 1.0, 1e308)(1.0)
+    with pytest.raises(RateEvaluationError, match=r"negative at t=0.25: -1"):
+        RateFunction.sinusoid(0.0, -1.0, 1.0)(np.array([0.0, 0.25, 0.5]))
+
+
 def test_table_exact_at_breakpoints_affine_between_clamped_outside():
     r = RateFunction.table([0.0, 1.0, 3.0], [2.0, 4.0, 1.0])
     assert r(0.0) == 2.0

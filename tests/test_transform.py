@@ -2,11 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import ctmc_bounds as cb
 from ctmc_bounds import bounds, cli, transform
 from conftest import CLASS_KINDS, random_class_chain, random_regular_general
-from linalg_oracles import triangular_pair
+from linalg_oracles import dense_nonnegativity, triangular_pair
 
 
 def test_triangular_pair_exact_inverse():
@@ -193,7 +196,6 @@ def test_essential_nonnegativity_relative_tolerance():
     # a tiny negative entry relative to the matrix scale is round-off, not failure
     M = np.array([[-1e6, -1e-8], [1.0, -2e6]])
     assert cb.check_essential_nonnegativity(M).passed
-    assert not cb.check_essential_nonnegativity(M, tol=1e-12).passed
 
 
 def test_essential_nonnegativity_on_a_stack_locates_the_worst_entry():
@@ -225,6 +227,59 @@ def test_essential_nonnegativity_reads_a_stack_without_copying():
         tracemalloc.stop()
     assert rep.passed
     assert peak < stack.nbytes / 10
+
+
+# entries of several scales, so that ties, round-off below the tolerance and
+# violations found only against the tolerance of later slices all occur
+ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 1e-3, -1e-13, -1e-15, 40.0])
+
+
+@st.composite
+def stacks(draw, extra=0):
+    """A (T, S+extra, S+extra) float stack and a CHUNK_BYTES of one to all of its T times."""
+    T, S = draw(st.integers(1, 9)), draw(st.integers(1, 4))
+    stack = draw(hnp.arrays(float, (T, S + extra, S + extra), elements=ENTRIES))
+    per_time = 8 * S * S
+    return stack, draw(st.integers(1, (T + 1) * per_time))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(stacks())
+def test_essential_nonnegativity_reports_what_the_whole_stack_does(case):
+    stack, chunk = case
+    stack.flags.writeable = False
+    before = stack.tobytes()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transform, "CHUNK_BYTES", chunk)
+        assert cb.check_essential_nonnegativity(stack) == dense_nonnegativity(stack)
+        assert cb.check_essential_nonnegativity(stack[0]) == dense_nonnegativity(stack[0])
+    assert stack.tobytes() == before  # read-only input comes back bit for bit
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(stacks(extra=1))
+def test_scan_transform_reports_what_the_whole_stack_does(case):
+    Q, chunk = case  # any entries: B* of the stack, not of a generator
+    whole = dense_nonnegativity(cb.to_bstar(cb.build_reduced(Q)))
+    written = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transform, "CHUNK_BYTES", chunk)
+        report = transform.scan_transform(Q, None, lambda s, M: written.append(M.tobytes()))
+    assert report == whole
+    assert b"".join(written) == cb.to_bstar(cb.build_reduced(Q)).tobytes()  # diagonal restored
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf])
+@pytest.mark.parametrize("where", [(0, 1), (1, 1)], ids=["off-diagonal", "diagonal"])
+def test_essential_nonnegativity_refuses_an_entry_that_is_not_finite(bad, where):
+    stack = np.tile(np.array([[-1.0, 0.5], [1.0, -2.0]]), (7, 1, 1))
+    stack[4][where] = bad
+    with pytest.raises(cb.NonFiniteBoundError, match=r"^B\* has an entry that is not finite: "):
+        cb.check_essential_nonnegativity(stack)
+    with pytest.raises(cb.NonFiniteBoundError):
+        cb.check_essential_nonnegativity(stack[4])
 
 
 def test_to_bstar_allocates_only_its_result():
@@ -320,8 +375,7 @@ CHUNKED_ANALYSIS = {"horizon": 1.0, "grid": 11, "steps": 5, "trials": 3, "pairs"
 
 
 def _whole_stack(spec, times):
-    return cb.check_essential_nonnegativity(
-        cb.to_bstar(cb.build_reduced(cb.eval_generator(spec, times))))
+    return dense_nonnegativity(cb.to_bstar(cb.build_reduced(cb.eval_generator(spec, times))))
 
 
 @pytest.mark.parametrize("case", sorted(CHUNKED_CASES))

@@ -7,8 +7,10 @@ checkout), the number of lines that hold code, and their total. Blank
 lines, comment lines and the lines of docstrings (a string that stands
 alone as the first statement of a module, class or function) do not count.
 Then it prints the settable values: the flags each subcommand of the CLI
-accepts, with their total, and the number of AnalysisSettings fields, read
-from the package that CHECKOUT/src imports.
+accepts, with their total, the number of AnalysisSettings fields, and the
+optional parameters (those with a default) of the functions that the
+package exports in __all__, read from the package that CHECKOUT/src
+imports.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import ast
 import dataclasses
+import inspect
 import io
 import sys
 import tokenize
@@ -46,8 +49,9 @@ def code_lines(source: str) -> int:
 
 
 def settable_values(src: Path) -> None:
-    """Print the flags of each subcommand and the AnalysisSettings fields of the package in src."""
+    """Print the flags, settings fields and optional parameters of the package in src."""
     sys.path.insert(0, str(src))
+    import ctmc_bounds
     from ctmc_bounds import cli, modelfile
     if not Path(cli.__file__).resolve().is_relative_to(src):
         raise ImportError(f"ctmc_bounds was imported from {cli.__file__}, not {src}")
@@ -60,6 +64,13 @@ def settable_values(src: Path) -> None:
         print(f"{len(flags):6d} flags of {name}")
     print(f"{total:6d} flags in total")
     print(f"{len(dataclasses.fields(modelfile.AnalysisSettings)):6d} AnalysisSettings fields")
+    optional = []
+    for name in ctmc_bounds.__all__:
+        func = getattr(ctmc_bounds, name)
+        if inspect.isfunction(func):
+            optional += [f"{name}({p.name})" for p in inspect.signature(func).parameters.values()
+                         if p.default is not p.empty]
+    print(f"{len(optional):6d} optional parameters of exported functions: {' '.join(optional)}")
 
 
 def main(argv) -> int:
