@@ -15,12 +15,13 @@ sharp.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chain import (ChainSpec, check_regularity, evaluation_times, rate_table,
-                    require_homogeneous)
+                    require_homogeneous, require_memory)
 from .spectral import (SharpnessConditionError, check_sharpness_conditions, equalization_tol,
                        perron_weights)
 from .transform import (NonFiniteBoundError, build_reduced, require_essential_nonnegativity,
@@ -143,35 +144,35 @@ def compute_bounds(spec: ChainSpec, weights, tmax: float, n_grid: int) -> BoundR
     return _envelopes(rate_table(spec, evaluation_times(spec, half)), d, tmax, n)
 
 
-def column_sum_extremes(table, d, size, keep=False):
-    """(h_up, h_lo, B**): the extreme column sums of B**(t) at the rate table's times.
+def column_sum_extremes(table, d, size):
+    """(h_up, h_lo): the extreme column sums of B**(t) at the rate table's times.
 
     :func:`ctmc_bounds.transform.scan_transform` writes B**(t) from the
     table a slice of times at a time. B*(t) must be essentially
     non-negative at every time of the table, else NonnegativityError is
     raised. h_up and h_lo extend to a grid of size times: a homogeneous
     chain's table holds one time, and its extremes are broadcast along the
-    grid. With keep, the whole-time B** stack is returned as well, else None.
+    grid. The column sums, S doubles per time, are the only whole-time
+    array formed; MemoryError is raised before they are allocated if they
+    exceed the machine's physical memory.
     """
-    T, S = len(table), table.S
-    sums = np.empty((T, S))
-    weighted = np.empty((T, S, S)) if keep else None
+    shape = (len(table), table.S)
+    require_memory(f"column sums of shape {shape}", 8 * math.prod(shape))
+    sums = np.empty(shape)
 
     def consume(s, M):
         sums[s] = M.sum(axis=-2)
-        if keep:
-            weighted[s] = M
 
     require_essential_nonnegativity(scan_transform(table, d, consume), table.times)
     return (np.broadcast_to(sums.max(axis=-1), (size,)),
-            np.broadcast_to(sums.min(axis=-1), (size,)), weighted)
+            np.broadcast_to(sums.min(axis=-1), (size,)))
 
 
 def _envelopes(table, d, tmax, n) -> BoundReport:
     """The report of :func:`compute_bounds` from the rate table on its Simpson grid."""
     half = np.linspace(0.0, tmax, 2 * n + 1)
     reg = check_regularity(table.at(np.s_[::2]))
-    h_up, h_lo, _ = column_sum_extremes(table, d, len(half))
+    h_up, h_lo = column_sum_extremes(table, d, len(half))
     warnings = []
     if not reg.regular:
         v = reg.violations[0]

@@ -14,26 +14,26 @@ system, a square state such as the identity crosses a chunk on its c
 one-step operators R_k, formed at once by batched matrix products, with
 one product per step; narrower states, vectors or a few columns, take the
 RK4 stages directly.
-:func:`solve` runs the engine from the caller's initial vector. The
-verifiers run it from the identity with steps h and h/2 and receive the
-step-h propagators Phi_k a chunk at a time: every trajectory of a random
-initial vector x0 is Phi_k x0, its norm is compared with the exponential
-envelopes, and the distance to the step-h/2 propagators certifies the
-integrator error.
+:func:`solve` runs the engine from the caller's initial vector.
 
 Every system is written from one :func:`ctmc_bounds.chain.rate_table`.
 Both verifiers start from one set-up on the halved grid: the rate table,
 evaluated once, and the envelopes, whose column sums
 :func:`ctmc_bounds.transform.scan_transform` takes from B**(t) a slice of
-times at a time. The bounds trials run on B**, which the same scan keeps;
-the coupling trials run on Q transposed, which they write from the table
-when they start. ``verify`` runs both verifiers from one set-up and frees
-B** before Q is written, so it holds one of the two stacks at a time.
+times at a time. One pair of identity scans, with steps h and h/2, then
+carries both verifiers a chunk at a time. Each scan writes the forward
+matrices A(t) = Q(t)^T of a chunk from the table, and maps each forward
+one-step operator to that of B** through its increment (RK4 commutes with
+the constant change of variables), so it yields the forward propagators
+Phi_k, which the coupling trials read, beside the transformed ones G_k,
+which the bounds trials read. Every trajectory of a random initial vector
+x0 is a propagator applied to x0, its norm is compared with the
+exponential envelopes, and the distance to the step-h/2 propagators
+certifies the integrator error. No whole-time Q, B or B** stack is formed.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -42,7 +42,7 @@ import numpy as np
 from .bounds import (NonFiniteBoundError, check_horizon, column_sum_extremes, envelope,
                      write_csv)
 from .chain import ChainSpec, RateTable, evaluation_times, rate_table, require_memory
-from .transform import build_reduced, scan_transform, slices, validate_weights
+from .transform import build_reduced, scan_transform, slices, to_bstar, validate_weights
 
 SYSTEMS = ("forward", "reduced_hom", "transformed")
 
@@ -107,8 +107,8 @@ def _system_matrices(system, spec, weights, ts):
     return B
 
 
-def _step_operators(M0, Mm, M1, h):
-    """One-step RK4 operators R = I + h/6 (M0 + 2 (K2 + K3) + K4) of stacks of matrices.
+def _increments(M0, Mm, M1, h):
+    """R - I of the one-step RK4 operators R = I + h/6 (M0 + 2 (K2 + K3) + K4) of matrix stacks.
 
     M0, Mm and M1 hold the coefficient matrix at the start, the midpoint and
     the end of each step. K2 = Mm + h/2 Mm M0, K3 = Mm + h/2 Mm K2 and
@@ -120,7 +120,13 @@ def _step_operators(M0, Mm, M1, h):
     R += 2.0 * K
     R += M1 + h * (M1 @ K)
     R *= h / 6.0
-    R.reshape(len(R), -1)[:, ::R.shape[-1] + 1] += 1.0
+    return R
+
+
+def _add_identity(R):
+    """R + I for each square matrix of a stack, in place; returns R."""
+    diagonal = np.arange(R.shape[-1])
+    R[..., diagonal, diagonal] += 1.0
     return R
 
 
@@ -140,17 +146,23 @@ def _rk4_scan(mats, n, h, x0, halved=False):
     consecutive states each. mats holds the coefficient matrix at spacing
     h/2 (2n+1 matrices), so every stage time is on the grid, or one matrix
     for a constant system. With halved, each step is two RK4 steps of h/2
-    and mats holds 4n+1 matrices at spacing h/4. States may be vectors or
-    column batches; started from the identity, the scan yields the
+    and mats holds 4n+1 matrices at spacing h/4. mats is a stack or an
+    object with a length whose slices are stacks, read a chunk at a time;
+    with an increments method, as :class:`_Forward` has, it forms the
+    increments R - I of the constant and the operator paths below in place
+    of :func:`_increments`. States may be vectors, column batches or a
+    stack of square matrices, each member taking the products it would
+    take alone; started from the identity, the scan yields the
     propagators. Yielded arrays are fresh; callers may keep them.
 
     A constant system has one operator R, with a halved step applied as
     R R; each chunk is one product with its powers R^1..R^c, or one product
     with R a step if a power overflows. On a time-varying system, a state
-    with at least as many columns as rows (the identity) crosses a chunk on
-    its one-step operators R_k, formed at once, a halved step applied as
-    R_{2j+1} R_{2j}. A narrower state takes the RK4 stages directly, O(S^2)
-    a step instead of the O(S^3) of forming R_k.
+    with at least as many columns as rows (the identity, or a stack of
+    square matrices) crosses a chunk on its one-step operators R_k, formed
+    at once, a halved step applied as R_{2j+1} R_{2j}. A narrower state
+    takes the RK4 stages directly, O(S^2) a step instead of the O(S^3) of
+    forming R_k.
 
     Raises OdeBlowUpError at the first state beyond MAX_STATE in magnitude
     or not finite; the check runs once per chunk.
@@ -159,12 +171,13 @@ def _rk4_scan(mats, n, h, x0, halved=False):
     yield 0, x[None]
     c = CHUNK_STEPS
     hs = 0.5 * h if halved else h
-    wide = x.ndim == 2 and x.shape[1] >= x.shape[0]
+    wide = x.ndim >= 2 and x.shape[-1] >= x.shape[-2]
+    increments = getattr(mats, "increments", _increments)
     powers = None
     # overflow is left to the guard, which names the first state it reaches
     with np.errstate(over="ignore", invalid="ignore"):
         if len(mats) == 1:
-            R = _step_operators(mats, mats, mats, hs)[0]
+            R = _add_identity(increments(mats[:1], mats[:1], mats[:1], hs))[0]
             if halved:
                 R = R @ R
             powers = np.empty((min(c, n),) + R.shape)
@@ -188,7 +201,7 @@ def _rk4_scan(mats, n, h, x0, halved=False):
                         x = np.matmul(R, x, out=states[i])
                 elif wide:
                     sub = mats[per_step * k: per_step * (k + m) + 1]
-                    R = _step_operators(sub[0:-1:2], sub[1::2], sub[2::2], hs)
+                    R = _add_identity(increments(sub[0:-1:2], sub[1::2], sub[2::2], hs))
                     if halved:
                         R = R[1::2] @ R[0::2]
                     for i in range(m):
@@ -261,9 +274,9 @@ class VerificationReport:
     quadrature margins. ratio_upper_max / ratio_lower_min hold the per-grid
     extremes across trials for CSV export. exact_upper / exact_lower
     (bounds kind only) are the same extremes over every initial vector,
-    read from the propagators Phi_k: the induced l1 norm of Phi_k over
-    env_up(t_k), and its smallest column sum over env_lo(t_k), the worst
-    case for non-negative starts. They are reported; the verdict rests on
+    read from the transformed propagators G_k: the induced l1 norm of G_k
+    over env_up(t_k), and its smallest column sum over env_lo(t_k), the
+    worst case for non-negative starts. They are reported; the verdict rests on
     the random trials.
     """
 
@@ -308,19 +321,63 @@ def _draw_pairs(rng, dim, n_pairs):
     return P
 
 
-def _propagators(mats_fine, n, h):
-    """Yield (k, Phi, Psi): the RK4 propagators from 0 to t_k, t_{k+1}, ... in chunks.
+class _Forward:
+    """The forward system A(t) = Q(t)^T of a rate table, with the transformed system beside it.
 
-    Phi[i] and Psi[i] propagate from 0 to t_{k+i} = (k+i) h with steps h
-    and h/2; mats_fine holds the matrices at spacing h/4 (or just one).
-    Both identity scans take n sequential steps. Twice the divergence
-    ||Phi - Psi||_1->1 estimates the integrator error of Phi x0 relative to
-    ||x0||_1, the conservative Richardson-style margin.
+    Indexed by a slice of times, writes A at those times from the table
+    alone, so a scan holds no whole-time stack. Its one-step operators
+    (:meth:`increments`) carry the weighted transformed system
+    w' = B**(t) w along.
     """
-    eye = np.eye(mats_fine.shape[-1])
-    for (k, phi), (_, psi) in zip(_rk4_scan(mats_fine[::2], n, h, eye),
-                                  _rk4_scan(mats_fine, n, h, eye, halved=True)):
-        yield k, phi, psi
+
+    def __init__(self, table: RateTable, d):
+        self.table, self.ratio = table, d[:, None] / d[None, :]
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def __getitem__(self, s):
+        return np.swapaxes(self.table[s], -1, -2)
+
+    def increments(self, M0, Mm, M1, h):
+        """A (..., 2, S+1, S+1) stack: R - I of each forward RK4 operator and of that of B**.
+
+        With K = R - I, the transformed operator is I + D T (K[1:, 1:] -
+        K[1:, 0] 1^T) T^{-1} D^{-1} (T the tail sums of
+        :func:`ctmc_bounds.transform.to_bstar`, D the weights): on the
+        mass-free subspace the forward system is the reduced one, and RK4
+        commutes with the constant changes of variables to B**. Mapping the
+        increment K, rather than R or the propagators, keeps the forward
+        system's round-off in the probability mass, which it never damps,
+        out of the transformed operators. The transformed increment fills
+        the lower-right S x S block of the second matrix; its first row and
+        column are zero, so that state keeps a one in its corner.
+        """
+        K = _increments(M0, Mm, M1, h)
+        pair = np.zeros(K.shape[:-2] + (2,) + K.shape[-2:])
+        pair[..., 0, :, :] = K
+        pair[..., 1, 1:, 1:] = to_bstar(build_reduced(np.swapaxes(K, -1, -2))) * self.ratio
+        return pair
+
+
+def _propagators(table, d, n, h):
+    """Yield (k, Phi, G, Phi - Psi, G - H): RK4 propagators from 0 to t_k, t_{k+1}, ... in chunks.
+
+    Phi[i] and Psi[i] propagate the forward system p' = A(t) p from 0 to
+    t_{k+i} = (k+i) h with steps h and h/2, and G[i] and H[i] the
+    transformed system w' = B**(t) w with the weights d, carried along by
+    the operators of :class:`_Forward`. table holds the rates at spacing
+    h/4 (or at one time); each scan writes A from it a chunk of steps at a
+    time, so no whole-time stack is formed. Both identity scans take n
+    sequential steps. Twice the divergence ||Phi - Psi||_1->1 (or
+    ||G - H||_1->1) estimates the integrator error of Phi x0 (or G x0)
+    relative to ||x0||_1, the conservative Richardson-style margin.
+    """
+    eye = np.stack([np.eye(table.S + 1)] * 2)
+    for (k, phi), (_, psi) in zip(_rk4_scan(_Forward(table.at(np.s_[::2]), d), n, h, eye),
+                                  _rk4_scan(_Forward(table, d), n, h, eye, halved=True)):
+        dphi = phi - psi
+        yield k, phi[:, 0], phi[:, 1, 1:, 1:], dphi[:, 0], dphi[:, 1, 1:, 1:]
 
 
 def _l1_norms(M):
@@ -347,7 +404,7 @@ def _confirm(candidates, slack_total):
 
 @dataclass(frozen=True)
 class _Setup:
-    """What both verifiers share: the step grid, the rate table, B** and the envelopes."""
+    """What both verifiers share: the step grid, the rate table and the envelopes."""
 
     d: np.ndarray
     tmax: float
@@ -355,25 +412,23 @@ class _Setup:
     h: float
     ts_fine: np.ndarray     # halved grid, 4n+1 points; the step grid is ts_fine[::4]
     table: RateTable        # the rates at evaluation_times(spec, ts_fine)
-    transformed: np.ndarray | None  # B**(t) at the same times, if kept
     env_up: np.ndarray
     env_lo: np.ndarray
     quad_margin: float
 
 
-def _verification_setup(spec, weights, tmax, n_steps, keep=True) -> _Setup:
+def _verification_setup(spec, weights, tmax, n_steps) -> _Setup:
     """Checks, grids, rate table, precondition, envelopes and quadrature margin.
 
     The rates are evaluated once into a rate table on the halved grid of
     4n+1 points (at one time for a homogeneous chain); the RK4 grid of step
     h with its midpoints is the [::2] slice, which equals
-    linspace(0, tmax, 2n+1) bit for bit. With keep, the set-up keeps B**(t),
-    which the scan of the envelopes writes a slice of times at a time. The
-    generator stack that the coupling trials write is the largest stack a
-    verifier holds: MemoryError is raised before anything is evaluated if
-    it exceeds the machine's physical memory. B*(t) must be essentially
-    non-negative at every point of the halved grid, else
-    NonnegativityError is raised before any trial runs.
+    linspace(0, tmax, 2n+1) bit for bit. The table is the set-up's only
+    whole-time array besides the column sums of B**(t), which the scan of
+    the envelopes writes a slice of times at a time; each is refused with
+    MemoryError before it is allocated if it exceeds the machine's physical
+    memory. B*(t) must be essentially non-negative at every point of the
+    halved grid, else NonnegativityError is raised before any trial runs.
 
     The envelopes integrate the column-sum extremes of B** by Simpson's
     rule on the step grid; the quadrature margin is their largest
@@ -386,11 +441,8 @@ def _verification_setup(spec, weights, tmax, n_steps, keep=True) -> _Setup:
     tmax, n = check_horizon(tmax, n_steps)
     h = tmax / n
     ts_fine = np.linspace(0.0, tmax, 4 * n + 1)
-    times = evaluation_times(spec, ts_fine)
-    shape = (len(times), spec.S + 1, spec.S + 1)
-    require_memory(f"a generator stack of shape {shape}", 8 * math.prod(shape))
-    table = rate_table(spec, times)
-    h_up, h_lo, weighted = column_sum_extremes(table, d, len(ts_fine), keep)
+    table = rate_table(spec, evaluation_times(spec, ts_fine))
+    h_up, h_lo = column_sum_extremes(table, d, len(ts_fine))
     I_up, env_up = envelope(h_up[::2], h)
     I_lo, env_lo = envelope(h_lo[::2], h)
     bad = ~(np.isfinite(env_up) & (env_lo > 0.0))
@@ -404,7 +456,22 @@ def _verification_setup(spec, weights, tmax, n_steps, keep=True) -> _Setup:
     quad_margin = max(float(np.max(np.abs(I_up_f[::2] - I_up))),
                       float(np.max(np.abs(I_lo_f[::2] - I_lo))))
     return _Setup(d=d, tmax=tmax, n=n, h=h, ts_fine=ts_fine, table=table,
-                  transformed=weighted, env_up=env_up, env_lo=env_lo, quad_margin=quad_margin)
+                  env_up=env_up, env_lo=env_lo, quad_margin=quad_margin)
+
+
+def _scan(st, *judges):
+    """The reports of judgements fed every chunk of one pair of identity scans.
+
+    A judgement is a generator that draws its starts when first advanced,
+    then receives each chunk of :func:`_propagators` and,
+    sent None after the last chunk, yields its report.
+    """
+    for judge in judges:
+        next(judge)
+    for chunk in _propagators(st.table, st.d, st.n, st.h):
+        for judge in judges:
+            judge.send(chunk)
+    return tuple(judge.send(None) for judge in judges)
 
 
 def _at_least_one(count, what):
@@ -435,10 +502,12 @@ def verify_bounds(spec: ChainSpec, weights, tmax: float, n_steps: int = 10_000,
     with l1 norm below 1e-6 are rejected and redrawn. The seed fixes all
     draws, making runs bit-reproducible.
 
-    The trajectories are the step-h RK4 propagators of the transformed
-    system applied to the draws; the same scan compares each propagator
-    with the step-h/2 one and reads the exact worst ratios over every
-    initial vector off it. A ratio beyond 1 +/- slack_total at any grid
+    The trajectories are the step-h RK4 propagators G_k of the transformed
+    system applied to the draws; one pair of identity scans of the forward
+    system carries G_k beside its own propagators (:func:`_propagators`),
+    so no whole-time B** is formed. The same scan compares each G_k with
+    the step-h/2 one and reads the exact worst ratios over every initial
+    vector off it. A ratio beyond 1 +/- slack_total at any grid
     time is recorded as a violation and fails the report; slack_total =
     slack + that step-halving integrator margin + the quadrature refinement
     margin. Raises NonnegativityError, before any trial runs, if B*(t) is
@@ -446,11 +515,11 @@ def verify_bounds(spec: ChainSpec, weights, tmax: float, n_steps: int = 10_000,
     """
     n_trials = _at_least_one(n_trials, "trial")
     st = _verification_setup(spec, weights, tmax, n_steps)
-    return _bounds_trials(st, n_trials, seed, slack)
+    return _scan(st, _bounds_trials(st, n_trials, seed, slack))[0]
 
 
-def _bounds_trials(st, n_trials, seed, slack) -> VerificationReport:
-    """The random trials of :func:`verify_bounds` on a set-up that kept B**."""
+def _bounds_trials(st, n_trials, seed, slack):
+    """The random trials of :func:`verify_bounds`, a judgement of :func:`_scan`."""
     S = len(st.d)
     rng = np.random.default_rng(seed)
     X0 = np.hstack([_draw_columns(rng, S, n_trials, signed=True),
@@ -460,13 +529,16 @@ def _bounds_trials(st, n_trials, seed, slack) -> VerificationReport:
     band, worst, candidates = slack + st.quad_margin, 0.0, []
     ratio_up_max, ratio_lo_min = np.empty(st.n + 1), np.empty(st.n + 1)
     exact_up, exact_lo, grid = 0.0, math.inf, st.ts_fine[::4]
-    for k, phi, psi in _propagators(st.transformed, st.n, st.h):
+    # one buffer for the chunks' products: fresh ones cost page faults in every chunk
+    Y_chunk = np.empty((CHUNK_STEPS,) + X0.shape)
+    while (chunk := (yield)) is not None:
+        k, _, phi, _, dphi = chunk
         ks = slice(k, k + len(phi))
         env_up, env_lo = st.env_up[ks], st.env_lo[ks]
-        worst = max(worst, float((_l1_norms(phi - psi) / env_lo).max()))
+        worst = max(worst, float((_l1_norms(dphi) / env_lo).max()))
         exact_up = max(exact_up, float((_l1_norms(phi) / env_up).max()))
         exact_lo = min(exact_lo, float((phi.sum(axis=-2).min(axis=-1) / env_lo).min()))
-        Y = phi @ X0
+        Y = np.matmul(phi, X0, out=Y_chunk[:len(phi)])
         norms = np.abs(Y, out=Y).sum(axis=-2)
         up = norms / (env_up[:, None] * norms0)
         lo = norms[:, n_trials:] / (env_lo[:, None] * norms0[n_trials:])
@@ -476,7 +548,7 @@ def _bounds_trials(st, n_trials, seed, slack) -> VerificationReport:
 
     integ_margin = 2.0 * worst
     slack_total = slack + integ_margin + st.quad_margin
-    return _report(
+    yield _report(
         "bounds", st, _confirm(candidates, slack_total), n_trials=n_trials, seed=seed,
         slack=slack, integrator_margin=integ_margin, slack_total=slack_total,
         worst_upper=float(ratio_up_max.max()), worst_lower=float(ratio_lo_min.min()),
@@ -504,15 +576,14 @@ def verify_convergence_coupling(spec: ChainSpec, weights, tmax: float,
     B*(t) is not essentially non-negative on the halved grid.
     """
     n_pairs = _at_least_one(n_pairs, "pair")
-    st = _verification_setup(spec, weights, tmax, n_steps, keep=False)
-    return _coupling_trials(st, n_pairs, seed, slack)
+    st = _verification_setup(spec, weights, tmax, n_steps)
+    return _scan(st, _coupling_trials(st, n_pairs, seed, slack))[0]
 
 
-def _coupling_trials(st, n_pairs, seed, slack) -> VerificationReport:
-    """The random pairs of :func:`verify_convergence_coupling`, on A(t) = Q(t)^T written here."""
-    forward = np.swapaxes(st.table[...], -1, -2)
+def _coupling_trials(st, n_pairs, seed, slack):
+    """The random pairs of :func:`verify_convergence_coupling`, a judgement of :func:`_scan`."""
     rng = np.random.default_rng(seed)
-    P = _draw_pairs(rng, forward.shape[-1], n_pairs)
+    P = _draw_pairs(rng, len(st.d) + 1, n_pairs)
     diff = P[:, :n_pairs] - P[:, n_pairs:]
     # a difference of probability vectors carries no mass; the round-off
     # of the normalisation would otherwise stay undamped while it decays
@@ -525,11 +596,13 @@ def _coupling_trials(st, n_pairs, seed, slack) -> VerificationReport:
     band, worst, candidates = slack + st.quad_margin, 0.0, []
     ratio_max, prob_sum_err, prob_min = np.empty(st.n + 1), 0.0, math.inf
     grid = st.ts_fine[::4]
-    for k, phi, psi in _propagators(forward, st.n, st.h):
+    X_chunk = np.empty((CHUNK_STEPS,) + columns.shape)
+    while (chunk := (yield)) is not None:
+        k, phi, _, dphi, _ = chunk
         ks = slice(k, k + len(phi))
         env_up = st.env_up[ks]
-        worst = max(worst, float((_l1_norms(phi - psi) / env_up).max()))
-        X = phi @ columns
+        worst = max(worst, float((_l1_norms(dphi) / env_up).max()))
+        X = np.matmul(phi, columns, out=X_chunk[:len(phi)])
         probs = X[..., :2 * n_pairs]
         prob_sum_err = max(prob_sum_err, float(np.abs(probs.sum(axis=-2) - 1.0).max()))
         prob_min = min(prob_min, float(probs.min()))
@@ -548,7 +621,7 @@ def _coupling_trials(st, n_pairs, seed, slack) -> VerificationReport:
         violations.append(("probability-sum", -1, 0.0, prob_sum_err))
     if prob_min < -1e-12:
         violations.append(("probability-negative", -1, 0.0, prob_min))
-    return _report(
+    yield _report(
         "coupling", st, violations, n_trials=n_pairs, seed=seed, slack=slack,
         integrator_margin=integ_margin, slack_total=slack_total,
         worst_upper=float(ratio_max.max()), worst_lower=None, ratio_upper_max=ratio_max,
@@ -556,18 +629,16 @@ def _coupling_trials(st, n_pairs, seed, slack) -> VerificationReport:
 
 
 def _verify_both(spec, weights, tmax, n_steps, n_trials, n_pairs, seed, slack):
-    """(verify_bounds(...), verify_convergence_coupling(...)) from one set-up.
+    """(verify_bounds(...), verify_convergence_coupling(...)) from one set-up and one scan.
 
-    The rates are evaluated once: B** kept by the set-up carries the bounds
-    trials, and the generator stack written from the table the coupling
-    trials, once B** is freed. The reports equal those of the two verifiers
-    run one after the other.
+    The rates are evaluated once, and one pair of identity scans of the
+    forward system feeds both judgements chunk by chunk. The reports equal
+    those of the two verifiers run one after the other.
     """
     n_trials, n_pairs = _at_least_one(n_trials, "trial"), _at_least_one(n_pairs, "pair")
     st = _verification_setup(spec, weights, tmax, n_steps)
-    rep_b = _bounds_trials(st, n_trials, seed, slack)
-    st = dataclasses.replace(st, transformed=None)  # B** is freed before Q is written
-    return rep_b, _coupling_trials(st, n_pairs, seed, slack)
+    return _scan(st, _bounds_trials(st, n_trials, seed, slack),
+                 _coupling_trials(st, n_pairs, seed, slack))
 
 
 def _coupling_norms(y, d):

@@ -4,7 +4,8 @@ Each demo runs in a fresh interpreter, with a temporary directory as its
 working directory, against the package in this checkout's src/. The
 digests were recorded before ``solve`` took B** from the slice-wise scan
 of a rate table; demos 01 and 02 integrate the transformed system, 04
-runs both verifiers.
+runs both verifiers, and its output was recorded again when the
+transformed operators came to be mapped from the forward ones.
 """
 
 import hashlib
@@ -27,8 +28,8 @@ DEMOS = {
     "03_batch_transition_classes.py": (
         "e9bb244d75394b61811d71b221f515ded9617cbed5e33d54c1dd9f951bb1e931", {}),
     "04_trajectory_verification.py": (
-        "1f8e398bb77213b125cb8c2a02d4c1e506b04474ac6fc67514ca8f1abdd474f5",
-        {"verify_bounds.csv": "3b8e94555370509594a037f9d612a69ff583e671972ae689751aa64fe5ebe194",
+        "3256fe2ce3b61135e601c1cdee91ac7102fd8e393a296ecba7394e5e7089ea92",
+        {"verify_bounds.csv": "660c2ed65fd6a3b77bc2017df518d7dffe4453876a1a047b09e08e720065d60d",
          "verify_coupling.csv":
              "bf463687e93dafe6850aa658a9e6936adf2c1c04c2c7e26f7ffe9ed29ccaaeac"}),
 }

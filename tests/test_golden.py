@@ -41,8 +41,10 @@ MODELS = {
 # Perron weights; their digests were recorded with the Collatz-Wielandt
 # shifted inverse iteration. The verify runs were recorded with the chunked
 # RK4 engine (step operators formed in batches, pair differences propagated,
-# exact worst ratios printed) and the per-pair coupling margin on pair
-# differences that carry no mass; the other runs with the first version of
+# exact worst ratios printed), the per-pair coupling margin on pair
+# differences that carry no mass, and the transformed operators mapped from
+# the forward ones (bounds columns moved by at most 2e-15 relative; the
+# coupling column did not move); the other runs with the first version of
 # the code.
 CLI_GOLDEN = {
     ("homogeneous", "rate"): (
@@ -52,25 +54,25 @@ CLI_GOLDEN = {
         0, "33fe81e764bcb4e3ac2e96ff022f45535acf22475c929ba6aca44b200219ed22",
         "e93d15131a3edd1698c994e1de983bf9bc9abeedf8e010a10013dedefaaf734e"),
     ("homogeneous", "verify"): (
-        0, "a8b84bfd63578d202a328974561709f630fc60064fef10469b0d3cbb1726f19b",
-        "355dd393c3738186209f8eefda5c8a68e77789d5a5576720ff8bf1aa8bbdf21a"),
+        0, "dec74f88b4be76a19a481306abb378095f82f9ad7b5f23a990a4f78c78d40a66",
+        "680d7ec1197b2438f037c3a518204b078c3a1625352ed0727af40ff829c16c9a"),
     ("sinusoid", "bounds"): (
         0, "278f625373c1463a67dc82d5069b2f799366b4da29c0e9e6ca6ec6d462f1fd1a",
         "a8a7ed04f082aa0e7d31a36dda841bf5797d281f424e1e270b50ee6ad958cb8b"),
     ("sinusoid", "verify"): (
-        0, "abbad3740a12f6a773b57625c9b02fa65b5ccfda3277394ac9947bf2341e9e7a",
+        0, "8b83644fc1e3f7f5e92cb4d319272a41979de4ff2e5bae31d8bb7c0d87eecd78",
         "0e7131ad09bcb7d771ebdd9c1f1b3c29f2aab3eeacbf6038401bee4b476fb018"),
     ("table", "bounds"): (
         0, "a1038b9d4b230da771b3c469c27d55530028b7798bd22d018593dbcd4c41613e",
         "cefc5e3b813254b0cbaa043e68d397543a826f18fb96407a8a62f83a8c218d4c"),
     ("table", "verify"): (
-        0, "231b06ef4ac59377132f12a8c30d93506ee6e2e1ff426fb1527c53757073661b",
+        0, "dbdf50ef4f0017492524affb54cb3d281ffa08f64f5109767bf57a657556d622",
         "a8b601d2e2f66aa692af03ce28eba8c3b8b0ad7019a9594c3be947212b574b20"),
     ("weights", "bounds"): (
         0, "6140a21f2f29e2d225f4874976c8f49d8efa58c3213f1f85216399ff855a3917",
         "7d8d6240952b249e2ac7eae48aa3b4ce7f0c1977780e2e7a5f67e8d5c04e9736"),
     ("weights", "verify"): (
-        0, "1ad55d9b0f660bbf3a5fc589f3222fe734e8d191bf522a9ecf969687eac51892",
+        0, "0d8709affc34eb4c60b135354e32a2b5a5daa23a1ae41cd25ab30a30f820b1a7",
         "6276bb4712dd1bc6148eed362aa3d77af8621b5f96d9540375ce0bd8db347788"),
 }
 
@@ -102,11 +104,12 @@ CHECK_GOLDEN = {
 
 # library writer case -> sha256 of the CSV; the verification cases were
 # recorded with the chunked RK4 engine, the coupling case also with the
-# per-pair margin on mass-free pair differences
+# per-pair margin on mass-free pair differences, the bounds case also with
+# the transformed operators mapped from the forward ones
 LIBRARY_GOLDEN = {
     "trajectory-forward": "3c28f86bf85a436ed5681fe8829ef82453e5df021abe7fc6d6c8d2c7c9f7870a",
     "trajectory-transformed": "5ed5da4b0ad9087505bce0d11ad196fcf513022c2574b54e04780e90cce9518f",
-    "verification-bounds": "45c455537d57aeece568620daa8a223b1742f24d272b82bbc251272b33300d75",
+    "verification-bounds": "49392fddd744d5904c9e6497cf1443062147701e90e238e745ccf03d1fc165d1",
     "verification-coupling": "0dec00cf8c90650dbd031f3609857c60c7aa5ffb773e3b39741c3ed33cbc16e8",
 }
 

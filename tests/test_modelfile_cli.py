@@ -574,16 +574,25 @@ def test_the_index_of_a_structured_chain_beyond_physical_memory_is_refused_befor
     assert peak < 4e6  # the chain's rates, no index
 
 
-def test_verify_fits_the_generator_stack_alone_and_refuses_a_larger_one(
+# six states driven by two distinct rates: the column sums of B** (six
+# doubles a time) outgrow the rate table (three doubles a time, the zeros included)
+SINUSOID_BD6_VERIFY = {"schema": 1,
+                       "chain": {**SINUSOID_BD3["chain"], "states": 6,
+                                 "birth": ["lam"] * 6, "death": [1.0] * 6},
+                       "analysis": SINUSOID_BD3_VERIFY["analysis"]}
+
+
+def test_verify_runs_below_its_generator_stack_and_refuses_its_column_sums(
         tmp_path, capsys, monkeypatch):
-    # S = 3 at 4n+1 = 80001 times: Q takes 10.2 MB and Q + B** 16.0 MB.
-    # verify holds one of the two at a time, so a machine of 12 MB runs it;
-    # one of 10 MB, smaller than Q, refuses it before any allocation
-    path = _write(tmp_path, SINUSOID_BD3_VERIFY)
-    monkeypatch.setattr(cb.chain, "physical_memory", lambda: 12 * 10**6)
+    # S = 6 at 4n+1 = 80001 times: a whole Q would take 31.4 MB and a whole
+    # B** 23.0 MB, but verify holds neither, so a machine of 8 MB runs it;
+    # the table takes 1.92 MB and the column sums 3.84 MB, so a machine of
+    # 3 MB refuses the column sums before they are allocated
+    path = _write(tmp_path, SINUSOID_BD6_VERIFY)
+    monkeypatch.setattr(cb.chain, "physical_memory", lambda: 8 * 10**6)
     assert cli.main(["verify", path, "--steps", "20000"]) == cli.EXIT_OK
     capsys.readouterr()
-    monkeypatch.setattr(cb.chain, "physical_memory", lambda: 10 * 10**6)
+    monkeypatch.setattr(cb.chain, "physical_memory", lambda: 3 * 10**6)
     tracemalloc.start()
     try:
         code = cli.main(["verify", path, "--steps", "20000"])
@@ -592,10 +601,27 @@ def test_verify_fits_the_generator_stack_alone_and_refuses_a_larger_one(
         tracemalloc.stop()
     out, err = capsys.readouterr()
     assert code == cli.EXIT_EVAL and out == ""
-    assert err.startswith("error: a generator stack of shape (80001, 4, 4) needs 0.009537 GiB, "
+    assert err.startswith("error: column sums of shape (80001, 6) needs 0.003576 GiB, "
                           "more than the ")
     assert err.count("\n") == 1
-    assert peak < 2e6  # the 4n+1 grid times (0.64 MB), no table or stack
+    assert peak < 1.92e6 + 3.84e6  # the table is allocated, the column sums are not
+
+
+def test_verify_holds_no_whole_time_stack(tmp_path, capsys):
+    # S = 24 at 4n+1 = 8001 times: one whole (S+1)^2 stack of doubles, as a
+    # whole Q or (a little smaller) a whole B** would be, takes 40.0 MB
+    doc = {"schema": 1, "chain": {**SINUSOID_BD3["chain"], "states": 24,
+                                  "birth": ["lam"] * 24, "death": [1.0] * 24},
+           "analysis": {"horizon": 2.0, "steps": 2000}}
+    path = _write(tmp_path, doc)
+    tracemalloc.start()
+    try:
+        code = cli.main(["verify", path, "--csv", str(tmp_path / "ratios.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_OK
+    assert peak < 8 * (4 * 2000 + 1) * 25**2 / 4
 
 
 @pytest.mark.parametrize("command", ["bounds", "verify"])

@@ -411,3 +411,32 @@ def test_trajectory_csv_export(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "t,p0,p1"
     assert len(lines) == 52
+
+
+def _mapped(phi, d, T):
+    """D T (Phi[1:, 1:] - Phi[1:, 0] 1^T) T^{-1} D^{-1} of forward propagators Phi."""
+    Y = phi[..., 1:, 1:] - phi[..., 1:, :1]
+    return (d[:, None] * (T @ Y @ np.linalg.inv(T))) / d[None, :]
+
+
+@pytest.mark.parametrize("spec, weights", [
+    (cb.batch_both_chain(5, [LAM, 0.8, 0.5, 0.3, 0.1], [LAM, 0.6, 0.4, 0.2, 0.1]),
+     [1.0, 0.7, 1.3, 0.9, 1.6]),
+    (cb.birth_death_chain(5, [1.5, 1.0, 0.5, 2.0, 1.0], [1.0, 2.0, 1.0, 1.0, 0.5]),
+     [0.6, 1.0, 1.4, 1.1, 0.8])], ids=["time-varying", "homogeneous"])
+def test_forward_propagators_map_to_the_transformed_ones(spec, weights):
+    # on probability differences the forward system is the reduced one, and
+    # the tail sums T and the weights D carry it to B**: RK4 commutes with
+    # both, so the mapped forward propagators are the transformed ones; the
+    # lower all-ones matrix in T's place breaks the map
+    d, tmax, n = np.array(weights), 2.0, 2 * odesolve.CHUNK_STEPS + 7
+    table = cb.chain.rate_table(spec, cb.chain.evaluation_times(
+        spec, np.linspace(0.0, tmax, 4 * n + 1)))
+    chunks = list(odesolve._propagators(table, d, n, tmax / n))
+    phi, G = (np.concatenate([chunk[i] for chunk in chunks]) for i in (1, 2))
+    want = cb.solve("transformed", spec, np.eye(spec.S), tmax, n, weights=d).states
+    tol = 1e-12 * np.abs(want).max()
+    T = np.triu(np.ones((spec.S, spec.S)))
+    assert np.abs(G - want).max() <= tol
+    assert np.abs(_mapped(phi, d, T) - want).max() <= tol
+    assert np.abs(_mapped(phi, d, T.T) - want).max() > 1e3 * tol
