@@ -185,9 +185,9 @@ class RateTable:
     The table stands for the generator stack it writes, (T, S+1, S+1) as
     shape and len give it: table[s] writes Q at times[s], so
     :func:`ctmc_bounds.transform.scan_transform` reads the table a slice of
-    times at a time, as the verifiers' scans do, and table[...] writes the
-    whole stack where a system runs on it, as the forward system of
-    :func:`ctmc_bounds.odesolve.solve` does.
+    times at a time, as the RK4 scans of :func:`ctmc_bounds.odesolve.solve`
+    and the verifiers read it a chunk of steps at a time, and table[...]
+    writes the whole stack, as :func:`eval_generator` does.
     """
 
     S: int

@@ -14,17 +14,21 @@ system, a square state such as the identity crosses a chunk on its c
 one-step operators R_k, formed at once by batched matrix products, with
 one product per step; narrower states, vectors or a few columns, take the
 RK4 stages directly.
-:func:`solve` runs the engine from the caller's initial vector.
 
-Every system is written from one :func:`ctmc_bounds.chain.rate_table`.
+Every system is written from one :func:`ctmc_bounds.chain.rate_table` by
+one chunked writer, :class:`_System`, which writes A(t) = Q(t)^T, B(t) or
+B**(t) for a chunk of steps as the engine reads it. :func:`solve` runs the
+engine on it from the caller's initial vector, so it holds no whole-time
+Q, B or B**: its only whole-time arrays are the table and the states.
+
 Both verifiers start from one set-up on the halved grid: the rate table,
 evaluated once, and the envelopes, whose column sums
 :func:`ctmc_bounds.transform.scan_transform` takes from B**(t) a slice of
 times at a time. One pair of identity scans, with steps h and h/2, then
-carries both verifiers a chunk at a time. Each scan writes the forward
-matrices A(t) = Q(t)^T of a chunk from the table, and maps each forward
-one-step operator to that of B** through its increment (RK4 commutes with
-the constant change of variables), so it yields the forward propagators
+carries both verifiers a chunk at a time. Each scan runs on the forward
+writer, :class:`_Forward`, whose operators map each forward one-step
+operator to that of B** through its increment (RK4 commutes with the
+constant change of variables), so it yields the forward propagators
 Phi_k, which the coupling trials read, beside the transformed ones G_k,
 which the bounds trials read. Every trajectory of a random initial vector
 x0 is a propagator applied to x0, its norm is compared with the
@@ -42,7 +46,7 @@ import numpy as np
 from .bounds import (NonFiniteBoundError, check_horizon, column_sum_extremes, envelope,
                      write_csv)
 from .chain import ChainSpec, RateTable, evaluation_times, rate_table, require_memory
-from .transform import build_reduced, scan_transform, slices, to_bstar, validate_weights
+from .transform import build_reduced, to_bstar, validate_weights
 
 SYSTEMS = ("forward", "reduced_hom", "transformed")
 
@@ -50,6 +54,7 @@ MAX_STATE = 1e12          # blow-up guard threshold
 MIN_DRAW_NORM = 1e-6      # random initial vectors below this l1 norm are redrawn
 VIOLATION_CAP = 100       # violations stored per report (the count is exact)
 CHUNK_STEPS = 32          # RK4 steps per chunk of the scan
+SCAN_MATRICES = 32        # (S+1) x (S+1) matrices a step that a pair of scans holds at most
 
 
 class OdeBlowUpError(RuntimeError):
@@ -76,35 +81,28 @@ def _weight_vector(weights, S):
     return np.ones(S) if weights is None else validate_weights(weights, S)
 
 
-def _system_matrices(system, spec, weights, ts):
-    """Coefficient matrices of the chosen system at evaluation_times(spec, ts).
+class _System:
+    """The coefficient matrices of one system, written from a rate table a chunk at a time.
 
-    The rates are evaluated once into a rate table. The forward system is
-    its generator stack, transposed; B, and B** by
-    :func:`ctmc_bounds.transform.scan_transform`, are written from the
-    table a slice of times at a time, without a whole-time generator stack
-    (nor a B or B* stack for B**), and MemoryError is raised first if the
-    stack exceeds the machine's physical memory. A homogeneous chain gives
-    a stack of one matrix, the same at every time of ts; :func:`_rk4_scan`
-    then powers its one-step operator.
+    Indexed by a slice of times, writes A = Q^T, B or B** = D B* D^{-1}
+    (d the weights) at those times from the table alone, so a scan over it
+    holds no whole-time stack.
     """
-    if system not in SYSTEMS:
-        raise ValueError(f"unknown system {system!r}; choose from {SYSTEMS}")
-    table = rate_table(spec, evaluation_times(spec, ts))
-    if system == "forward":
-        return np.swapaxes(table[...], -1, -2)
-    shape = (len(table), spec.S, spec.S)
-    require_memory(f"a {system} stack of shape {shape}", 8 * math.prod(shape))
-    if system == "transformed":
-        weighted = np.empty(shape)
-        scan_transform(table, _weight_vector(weights, spec.S), weighted.__setitem__)
-        return weighted
-    # B takes the layout that build_reduced gives a whole stack: the products
-    # of the RK4 scan, and so the last bits of the states, depend on it
-    B = np.swapaxes(np.empty(shape), -1, -2)
-    for s in slices(len(table), spec.S):
-        B[s] = build_reduced(table[s])
-    return B
+
+    def __init__(self, table: RateTable, d, system="forward"):
+        self.table, self.ratio, self.system = table, d[:, None] / d[None, :], system
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def __getitem__(self, s):
+        if self.system == "forward":
+            return np.swapaxes(self.table[s], -1, -2)
+        M = build_reduced(self.table[s])
+        if self.system == "transformed":
+            M = to_bstar(M)
+            M *= self.ratio
+        return M
 
 
 def _increments(M0, Mm, M1, h):
@@ -147,10 +145,11 @@ def _rk4_scan(mats, n, h, x0, halved=False):
     h/2 (2n+1 matrices), so every stage time is on the grid, or one matrix
     for a constant system. With halved, each step is two RK4 steps of h/2
     and mats holds 4n+1 matrices at spacing h/4. mats is a stack or an
-    object with a length whose slices are stacks, read a chunk at a time;
-    with an increments method, as :class:`_Forward` has, it forms the
-    increments R - I of the constant and the operator paths below in place
-    of :func:`_increments`. States may be vectors, column batches or a
+    object with a length whose slices are stacks, as :class:`_System` is;
+    each chunk reads its slice once. With an increments method, as
+    :class:`_Forward` has, it forms the increments R - I of the constant
+    and the operator paths below in place of :func:`_increments`. States
+    may be vectors, column batches or a
     stack of square matrices, each member taking the products it would
     take alone; started from the identity, the scan yields the
     propagators. Yielded arrays are fresh; callers may keep them.
@@ -191,16 +190,16 @@ def _rk4_scan(mats, n, h, x0, halved=False):
     per_step = 4 if halved else 2
     for k in range(0, n, c):
         m = min(c, n - k)
+        states = np.empty((m,) + x.shape)
         with np.errstate(over="ignore", invalid="ignore"):
             if powers is not None:
-                states = powers[:m] @ x
+                np.matmul(powers[:m], x, out=states)
+            elif len(mats) == 1:
+                for i in range(m):
+                    x = np.matmul(R, x, out=states[i])
             else:
-                states = np.empty((m,) + x.shape)
-                if len(mats) == 1:
-                    for i in range(m):
-                        x = np.matmul(R, x, out=states[i])
-                elif wide:
-                    sub = mats[per_step * k: per_step * (k + m) + 1]
+                sub = mats[per_step * k: per_step * (k + m) + 1]
+                if wide:
                     R = _add_identity(increments(sub[0:-1:2], sub[1::2], sub[2::2], hs))
                     if halved:
                         R = R[1::2] @ R[0::2]
@@ -208,8 +207,8 @@ def _rk4_scan(mats, n, h, x0, halved=False):
                         x = np.matmul(R[i], x, out=states[i])
                 else:
                     for i in range(m):
-                        for j in range(per_step * (k + i), per_step * (k + i + 1), 2):
-                            x = _rk4_step(mats[j], mats[j + 1], mats[j + 2], hs, x)
+                        for j in range(per_step * i, per_step * (i + 1), 2):
+                            x = _rk4_step(sub[j], sub[j + 1], sub[j + 2], hs, x)
                         states[i] = x
             _guard(states, k + 1, h)
         x = states[-1]
@@ -217,13 +216,15 @@ def _rk4_scan(mats, n, h, x0, halved=False):
 
 
 def _guard(states, k, h):
-    """OdeBlowUpError at the first of the states x_k, x_{k+1}, ... beyond MAX_STATE."""
+    """OdeBlowUpError at the first of the states x_k, x_{k+1}, ... not within MAX_STATE."""
     if not states.size or (states.max() <= MAX_STATE and states.min() >= -MAX_STATE):
         return
     peaks = np.abs(states.reshape(len(states), -1)).max(axis=1)
     i = int(np.argmax(~(peaks <= MAX_STATE)))
-    raise OdeBlowUpError(f"state magnitude {float(peaks[i])} at t={(k + i) * h} "
-                         f"exceeds {MAX_STATE}")
+    t, peak = (k + i) * h, float(peaks[i])
+    if not math.isfinite(peak):
+        raise OdeBlowUpError(f"state at t={t} is not finite")
+    raise OdeBlowUpError(f"state magnitude {peak} at t={t} exceeds {MAX_STATE}")
 
 
 def solve(system: str, spec: ChainSpec, x0, tmax: float, n_steps: int,
@@ -247,17 +248,28 @@ def solve(system: str, spec: ChainSpec, x0, tmax: float, n_steps: int,
     Raises
     ------
     OdeBlowUpError
-        If a state exceeds 1e12 in magnitude or becomes non-finite.
+        If a state exceeds 1e12 in magnitude or becomes non-finite, as it
+        does where the rates exceed the double-precision range.
+    MemoryError
+        Before anything is allocated, if the states, (n_steps+1,) +
+        x0.shape doubles, or the rate table exceed the machine's physical
+        memory. The matrices of the system are written from the table a
+        chunk of steps at a time, so no whole-time Q, B or B** is formed.
     """
     tmax, n = check_horizon(tmax, n_steps)
+    if system not in SYSTEMS:
+        raise ValueError(f"unknown system {system!r}; choose from {SYSTEMS}")
     dim = spec.S + 1 if system == "forward" else spec.S
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim not in (1, 2) or x0.shape[0] != dim:
         raise ValueError(f"initial state for {system!r} must have leading "
                          f"dimension {dim}, got shape {x0.shape}")
+    d = _weight_vector(weights, spec.S)
+    shape = (n + 1,) + x0.shape
+    require_memory(f"states of shape {shape}", 8 * math.prod(shape))
     ts = np.linspace(0.0, tmax, 2 * n + 1)
-    mats = _system_matrices(system, spec, weights, ts)
-    states = np.empty((n + 1,) + x0.shape)
+    mats = _System(rate_table(spec, evaluation_times(spec, ts)), d, system)
+    states = np.empty(shape)
     for k, chunk in _rk4_scan(mats, n, tmax / n, x0):
         states[k:k + len(chunk)] = chunk
     return Trajectory(grid=ts[::2], states=states, coords=_COORDS[system])
@@ -321,23 +333,12 @@ def _draw_pairs(rng, dim, n_pairs):
     return P
 
 
-class _Forward:
-    """The forward system A(t) = Q(t)^T of a rate table, with the transformed system beside it.
+class _Forward(_System):
+    """The forward :class:`_System`, whose one-step operators carry w' = B**(t) w along.
 
-    Indexed by a slice of times, writes A at those times from the table
-    alone, so a scan holds no whole-time stack. Its one-step operators
-    (:meth:`increments`) carry the weighted transformed system
-    w' = B**(t) w along.
+    Its slices are the forward matrices A; its :meth:`increments` add the
+    weighted transformed system's operators beside the forward ones.
     """
-
-    def __init__(self, table: RateTable, d):
-        self.table, self.ratio = table, d[:, None] / d[None, :]
-
-    def __len__(self) -> int:
-        return len(self.table)
-
-    def __getitem__(self, s):
-        return np.swapaxes(self.table[s], -1, -2)
 
     def increments(self, M0, Mm, M1, h):
         """A (..., 2, S+1, S+1) stack: R - I of each forward RK4 operator and of that of B**.
@@ -462,12 +463,15 @@ def _verification_setup(spec, weights, tmax, n_steps) -> _Setup:
 def _scan(st, *judges):
     """The reports of judgements fed every chunk of one pair of identity scans.
 
-    A judgement is a generator that draws its starts when first advanced,
-    then receives each chunk of :func:`_propagators` and,
-    sent None after the last chunk, yields its report.
+    A judgement is a generator that draws its starts when first advanced
+    and yields the doubles a step of its chunk buffer takes, then receives
+    each chunk of :func:`_propagators` and, sent None after the last chunk,
+    yields its report. Before the first chunk, MemoryError is raised if the
+    working set of a chunk, SCAN_MATRICES (S+1) x (S+1) matrices and the
+    buffers a step, exceeds the machine's physical memory.
     """
-    for judge in judges:
-        next(judge)
+    per_step = SCAN_MATRICES * (len(st.d) + 1) ** 2 + sum(next(judge) for judge in judges)
+    require_memory(f"a scan chunk of {CHUNK_STEPS} steps", 8 * CHUNK_STEPS * per_step)
     for chunk in _propagators(st.table, st.d, st.n, st.h):
         for judge in judges:
             judge.send(chunk)
@@ -529,9 +533,10 @@ def _bounds_trials(st, n_trials, seed, slack):
     band, worst, candidates = slack + st.quad_margin, 0.0, []
     ratio_up_max, ratio_lo_min = np.empty(st.n + 1), np.empty(st.n + 1)
     exact_up, exact_lo, grid = 0.0, math.inf, st.ts_fine[::4]
+    chunk = yield X0.size
     # one buffer for the chunks' products: fresh ones cost page faults in every chunk
     Y_chunk = np.empty((CHUNK_STEPS,) + X0.shape)
-    while (chunk := (yield)) is not None:
+    while chunk is not None:
         k, _, phi, _, dphi = chunk
         ks = slice(k, k + len(phi))
         env_up, env_lo = st.env_up[ks], st.env_lo[ks]
@@ -545,6 +550,7 @@ def _bounds_trials(st, n_trials, seed, slack):
         ratio_up_max[ks], ratio_lo_min[ks] = up.max(axis=1), lo.min(axis=1)
         candidates += _beyond("upper", up, up > 1.0 + band, grid[ks])
         candidates += _beyond("lower", lo, lo < 1.0 - band, grid[ks], n_trials)
+        chunk = yield
 
     integ_margin = 2.0 * worst
     slack_total = slack + integ_margin + st.quad_margin
@@ -596,8 +602,9 @@ def _coupling_trials(st, n_pairs, seed, slack):
     band, worst, candidates = slack + st.quad_margin, 0.0, []
     ratio_max, prob_sum_err, prob_min = np.empty(st.n + 1), 0.0, math.inf
     grid = st.ts_fine[::4]
+    chunk = yield columns.size
     X_chunk = np.empty((CHUNK_STEPS,) + columns.shape)
-    while (chunk := (yield)) is not None:
+    while chunk is not None:
         k, phi, _, dphi, _ = chunk
         ks = slice(k, k + len(phi))
         env_up = st.env_up[ks]
@@ -610,6 +617,7 @@ def _coupling_trials(st, n_pairs, seed, slack):
         up = norms / (env_up[:, None] * safe_norms0)
         ratio_max[ks] = up.max(axis=1)
         candidates += _beyond("coupling", up, up > 1.0 + band, grid[ks])
+        chunk = yield
 
     # forward-propagator error of pair j maps through the tail-sum transform
     # with a factor sum(d) times its l1 norm over its starting norm

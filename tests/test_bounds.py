@@ -222,35 +222,35 @@ def test_time_varying_commands_peak_below_one_generator_stack(tmp_path, capsys, 
     assert peak < times * 31 ** 2 * 8
 
 
-def test_verify_holds_the_generator_or_the_weighted_stack_never_both(tmp_path, capsys):
-    # 1000 steps read 4*1000+1 times: the bounds trials run on B** (30**2
-    # doubles a time), then the coupling trials on Q (31**2), written once
-    # B** is freed; the two stacks together would take 59.6 MB
+def test_verify_peaks_below_one_generator_stack(tmp_path, capsys):
+    # 1000 steps read 4*1000+1 times: the scans write Q (31**2 doubles a
+    # time) from the rate table a chunk of 32 steps at a time and map it to
+    # B** there, so verify holds neither whole; a whole Q would take 30.8 MB
     path = tmp_path / "model.json"
     path.write_text(cb.serialize_model(cb.ModelFile(
         TV_BATCH_S30, cb.AnalysisSettings(horizon=1.0, steps=1000, trials=2, pairs=2))))
     code, peak = _traced_peak(lambda: cli.main(["verify", str(path)]))
     assert code == cli.EXIT_OK
-    assert peak < (4 * 1000 + 1) * (31 ** 2 + 30 ** 2) * 8
+    assert peak < (4 * 1000 + 1) * 31 ** 2 * 8
 
 
-def test_transformed_solve_holds_the_weighted_stack_alone():
-    # 1000 steps read 2*1000+1 times: B** (30**2 doubles a time) is written a
-    # slice at a time from the rate table, with no whole-time Q, B or B*; Q
-    # and B** together would take 29.8 MB
+def test_transformed_solve_holds_no_whole_time_stack():
+    # 1000 steps read 2*1000+1 times: B** (30**2 doubles a time) is written
+    # from the rate table a chunk of 32 steps at a time, as are Q, B and B*
+    # within it; a whole B** would take 14.4 MB
     w0 = np.linspace(1.0, 2.0, 30)
     traj, peak = _traced_peak(lambda: cb.solve("transformed", TV_BATCH_S30, w0, 1.0, 1000))
     assert np.isfinite(traj.states).all()
-    assert peak < (2 * 1000 + 1) * (31 ** 2 + 30 ** 2) * 8
+    assert peak < (2 * 1000 + 1) * 30 ** 2 * 8 / 4
 
 
-def test_reduced_solve_holds_its_stack_alone():
-    # B (30**2 doubles a time) is written a slice at a time from the rate
-    # table at the 2*1000+1 times, with no whole-time Q beside it
+def test_reduced_solve_holds_no_whole_time_stack():
+    # B (30**2 doubles a time) is written from the rate table a chunk of 32
+    # steps at a time, with no whole-time Q or B
     y0 = np.linspace(1.0, 2.0, 30)
     traj, peak = _traced_peak(lambda: cb.solve("reduced_hom", TV_BATCH_S30, y0, 1.0, 1000))
     assert np.isfinite(traj.states).all()
-    assert peak < (2 * 1000 + 1) * (31 ** 2 + 30 ** 2) * 8
+    assert peak < (2 * 1000 + 1) * 30 ** 2 * 8 / 4
 
 
 def test_homogeneous_report_equals_time_varying_report_bit_for_bit():

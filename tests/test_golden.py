@@ -105,10 +105,17 @@ CHECK_GOLDEN = {
 # library writer case -> sha256 of the CSV; the verification cases were
 # recorded with the chunked RK4 engine, the coupling case also with the
 # per-pair margin on mass-free pair differences, the bounds case also with
-# the transformed operators mapped from the forward ones
+# the transformed operators mapped from the forward ones. The two "-chunks"
+# solves cross three chunks of the scan (70 steps), a vector on the RK4
+# stages and an identity on the step operators; they were recorded while
+# solve still ran on whole-time stacks of B and B**
 LIBRARY_GOLDEN = {
     "trajectory-forward": "3c28f86bf85a436ed5681fe8829ef82453e5df021abe7fc6d6c8d2c7c9f7870a",
     "trajectory-transformed": "5ed5da4b0ad9087505bce0d11ad196fcf513022c2574b54e04780e90cce9518f",
+    "trajectory-reduced-chunks":
+        "802d411978f14b1ecf0022a61e10501d2926cf9f51b9f5153b80d195aa2490bf",
+    "trajectory-identity-chunks":
+        "61fb790ebb4f25d4f1186f3d0b0420ee218af8ad062b31b43f76f818bf3bbc57",
     "verification-bounds": "49392fddd744d5904c9e6497cf1443062147701e90e238e745ccf03d1fc165d1",
     "verification-coupling": "0dec00cf8c90650dbd031f3609857c60c7aa5ffb773e3b39741c3ed33cbc16e8",
 }
@@ -130,6 +137,11 @@ def _run_cli(tmp_path, capsys, model, command):
     return code, _sha(csv_path.read_bytes()), _sha(out.encode())
 
 
+def _flattened(traj):
+    """A trajectory of square states as one of vectors, each state's entries in C order."""
+    return cb.Trajectory(traj.grid, traj.states.reshape(len(traj.states), -1), traj.coords)
+
+
 def _library_csvs(tmp_path):
     """Write each library CSV once and return {case: file bytes}."""
     sin = cb.parse_model(json.dumps({"schema": 1, "chain": MODELS["sinusoid"][0]})).chain
@@ -140,6 +152,10 @@ def _library_csvs(tmp_path):
         "trajectory-transformed": lambda p: cb.trajectory_to_csv(
             cb.solve("transformed", table, [0.5, -0.25, 1.0], 1.5, 25,
                      weights=[1.0, 0.8, 1.2]), p),
+        "trajectory-reduced-chunks": lambda p: cb.trajectory_to_csv(
+            cb.solve("reduced_hom", sin, [0.3, -0.2, 0.5], 1.0, 70), p),
+        "trajectory-identity-chunks": lambda p: cb.trajectory_to_csv(_flattened(
+            cb.solve("transformed", table, np.eye(3), 1.5, 70, weights=[1.0, 0.8, 1.2])), p),
         "verification-bounds": lambda p: cb.verification_to_csv(
             cb.verify_bounds(table, np.ones(3), 1.5, n_steps=60, n_trials=5, seed=4), p),
         "verification-coupling": lambda p: cb.verification_to_csv(

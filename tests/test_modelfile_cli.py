@@ -663,3 +663,35 @@ def test_finite_integral_with_an_overflowing_envelope(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert code == cli.EXIT_EVAL and out == ""
     assert err.startswith("error: envelopes exp(") and "double-precision range" in err
+
+
+def test_verify_refuses_the_working_set_of_a_chunk_before_the_first(tmp_path, capsys,
+                                                                     monkeypatch):
+    # S = 40, 64 steps: the table and the column sums are small, while a
+    # chunk of the scans holds about 968 (S+1)^2 doubles, 13 MB. The figure
+    # asked for lies between that peak and twice it, and a refusal comes
+    # before the scans allocate anything
+    doc = {"schema": 1, "chain": {**SINUSOID_BD3["chain"], "states": 40,
+                                  "birth": ["lam"] * 40, "death": [1.0] * 40},
+           "analysis": {"horizon": 1.0, "steps": 64, "trials": 2, "pairs": 2}}
+    path = _write(tmp_path, doc)
+    model = cb.load_model(path)
+    run = lambda: cb.odesolve._verify_both(model.chain, None, 1.0, 64, 2, 2, 0, 1e-8)
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+        monkeypatch.setattr(cb.chain, "physical_memory", lambda: peak)
+        tracemalloc.reset_peak()
+        code = cli.main(["verify", path])
+        refused_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_EVAL and out == ""
+    assert err.startswith("error: a scan chunk of 32 steps needs ")
+    assert err.count("\n") == 1
+    assert refused_peak < peak / 4
+    monkeypatch.setattr(cb.chain, "physical_memory", lambda: 2 * peak)
+    assert cli.main(["verify", path]) == cli.EXIT_OK

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -124,6 +126,22 @@ def test_solve_validation():
         cb.solve("transformed", spec, [1.0, 0.0], 1.0, 10, weights=[1.0, -2.0])
 
 
+def test_solve_refuses_its_states_before_allocating_them(monkeypatch):
+    # 10001 states of a (4, 50) batch take 16 MB; a homogeneous chain's
+    # table holds one time, so a machine of 8 MB refuses the states alone
+    spec = cb.birth_death_chain(3, [1.0, 2.0, 1.0], [2.0, 1.0, 2.0])
+    monkeypatch.setattr(cb.chain, "physical_memory", lambda: 8 * 10**6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match=re.escape("states of shape (10001, 4, 50) ")):
+            cb.solve("forward", spec, np.ones((4, 50)), 1.0, 10000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert cb.solve("forward", spec, np.ones((4, 50)), 1.0, 1000).states.shape == (1001, 4, 50)
+
+
 def test_blow_up_guard_reports_time():
     # a transformed system with a strongly positive column sum grows without
     # bound; the guard must abort rather than emit non-finite states
@@ -137,6 +155,12 @@ ENGINE_CHAINS = {
     "time-varying": cb.birth_death_chain(4, [LAM, 1.0, LAM, 2.0], [1.0, 2.0, 1.0, 1.0]),
     "one-matrix": cb.birth_death_chain(4, [1.5, 1.0, 0.5, 2.0], [1.0, 2.0, 1.0, 1.0]),
 }
+
+
+def _transformed(spec, ts):
+    """The chunked writer of B** (ones weights) at evaluation_times(spec, ts)."""
+    table = cb.chain.rate_table(spec, cb.chain.evaluation_times(spec, ts))
+    return odesolve._System(table, np.ones(spec.S), "transformed")
 
 
 def _scan_states(mats, n, h, x0, halved=False):
@@ -160,15 +184,16 @@ def test_rk4_scan_matches_per_step_reference(chain, steps, columns):
     c = odesolve.CHUNK_STEPS
     n = {"1": 1, "c-1": c - 1, "c": c, "2c": 2 * c, "2c+5": 2 * c + 5}[steps]
     h = 2.0 / n
-    mats = odesolve._system_matrices("transformed", spec, None,
-                                     np.linspace(0.0, 2.0, 4 * n + 1))
+    fine = _transformed(spec, np.linspace(0.0, 2.0, 4 * n + 1))
+    coarse = odesolve._System(fine.table.at(np.s_[::2]), np.ones(spec.S), "transformed")
+    mats = fine[:]  # the whole stack, for the reference
     assert len(mats) == (1 if chain == "one-matrix" else 4 * n + 1)
     shape = (spec.S,) if columns is None else (spec.S, columns)
     X0 = np.random.default_rng(3).uniform(-1.0, 1.0, shape)
-    _assert_close_per_step(_scan_states(mats[::2], n, h, X0),
+    _assert_close_per_step(_scan_states(coarse, n, h, X0),
                            rk4_reference(mats[::2], n, h, X0))
     # the halved scan: n steps, each two RK4 steps of h/2
-    _assert_close_per_step(_scan_states(mats, n, h, X0, halved=True),
+    _assert_close_per_step(_scan_states(fine, n, h, X0, halved=True),
                            rk4_reference(mats, 2 * n, 0.5 * h, X0)[::2])
 
 
@@ -188,6 +213,18 @@ def test_zero_supported_start_on_a_stiff_constant_system_does_not_raise(x0):
     _assert_close_per_step(states, ref)
 
 
+@pytest.mark.parametrize("system, x0", [("forward", np.full(4, 0.25)),
+                                        ("reduced_hom", np.ones(3)), ("transformed", np.ones(3))])
+def test_a_state_that_is_not_finite_is_named_so(system, x0):
+    # the diagonal of Q, -2e308, overflows: every system's first step is NaN,
+    # and the transformed one reaches the guard, not a check of B*
+    spec = cb.birth_death_chain(3, [1e308] * 3, [1e308] * 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(cb.OdeBlowUpError, match=r"^state at t=0\.025 is not finite$"):
+            cb.solve(system, spec, x0, 1.0, 40)
+
+
 @pytest.mark.parametrize("birth", [200.0, cb.RateFunction.sinusoid(200.0, 20.0, 0.1)],
                          ids=["one-matrix", "time-varying"])
 @pytest.mark.parametrize("x0, first", [([1.0, 1.0], 5), (np.eye(2), 2)],
@@ -202,8 +239,7 @@ def test_blow_up_inside_a_chunk_reports_the_first_offending_time(monkeypatch, bi
     spec = cb.birth_death_chain(2, [0.01, birth], [0.01, 0.01])
     n, tmax = 4000, 2000.0
     h = tmax / n
-    mats = odesolve._system_matrices("transformed", spec, None,
-                                     np.linspace(0.0, tmax, 2 * n + 1))
+    mats = _transformed(spec, np.linspace(0.0, tmax, 2 * n + 1))[:2 * 64 + 1]
     with np.errstate(all="ignore"):
         ref = rk4_reference(mats, 64, h, x0)
     peaks = np.abs(ref).reshape(len(ref), -1).max(axis=1)
@@ -440,3 +476,29 @@ def test_forward_propagators_map_to_the_transformed_ones(spec, weights):
     assert np.abs(G - want).max() <= tol
     assert np.abs(_mapped(phi, d, T) - want).max() <= tol
     assert np.abs(_mapped(phi, d, T.T) - want).max() > 1e3 * tol
+
+
+def _fields(report):
+    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+
+
+@pytest.mark.parametrize("spec, weights", [
+    (cb.batch_both_chain(5, [LAM, 0.8, 0.5, 0.3, 0.1], [LAM, 0.6, 0.4, 0.2, 0.1]),
+     [1.0, 0.7, 1.3, 0.9, 1.6]),
+    (cb.birth_death_chain(4, [1.5, 1.0, 0.5, 2.0], [1.0, 2.0, 1.0, 1.0]), None),
+    (cb.birth_death_chain(30, [LAM] * 30, [1.0] * 30), None)],
+    ids=["time-varying-batch", "homogeneous", "time-varying-S30"])
+def test_both_verifiers_in_one_scan_report_what_each_reports_alone(spec, weights):
+    # 97 steps cross four chunks of the scan, the last one short
+    args = (spec, weights, 1.5, 97)
+    both = odesolve._verify_both(*args, n_trials=4, n_pairs=3, seed=7, slack=1e-8)
+    alone = (cb.verify_bounds(*args, n_trials=4, seed=7, slack=1e-8),
+             cb.verify_convergence_coupling(*args, n_pairs=3, seed=7, slack=1e-8))
+    for got, want in zip(both, alone, strict=True):
+        got, want = _fields(got), _fields(want)
+        assert got.keys() == want.keys()
+        for name, value in want.items():
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(got[name], value), name
+            else:
+                assert got[name] == value, name
