@@ -222,11 +222,13 @@ def write_csv(path, header, columns) -> None:
     """Write equal-length columns of numbers as CSV under a header row.
 
     Comma separator, '.' decimal point, LF line endings, a trailing newline
-    and 17 significant digits (round-trip exact for doubles).
+    and 17 significant digits (round-trip exact for doubles). Each row is
+    formatted by one template.
     """
-    rows = zip(*(np.asarray(col, dtype=float).tolist() for col in columns), strict=True)
+    columns = [np.asarray(col, dtype=float).tolist() for col in columns]
+    template = ",".join(["%.17g"] * len(columns))
     lines = [",".join(header)]
-    lines.extend(",".join(format(v, ".17g") for v in row) for row in rows)
+    lines.extend(template % row for row in zip(*columns, strict=True))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

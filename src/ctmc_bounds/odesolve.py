@@ -25,15 +25,17 @@ Both verifiers start from one set-up on the halved grid: the rate table,
 evaluated once, and the envelopes, whose column sums
 :func:`ctmc_bounds.transform.scan_transform` takes from B**(t) a slice of
 times at a time. One pair of identity scans, with steps h and h/2, then
-carries both verifiers a chunk at a time. Each scan runs on the forward
-writer, :class:`_Forward`, whose operators map each forward one-step
-operator to that of B** through its increment (RK4 commutes with the
-constant change of variables), so it yields the forward propagators
-Phi_k, which the coupling trials read, beside the transformed ones G_k,
-which the bounds trials read. Every trajectory of a random initial vector
-x0 is a propagator applied to x0, its norm is compared with the
-exponential envelopes, and the distance to the step-h/2 propagators
-certifies the integrator error. No whole-time Q, B or B** stack is formed.
+carries the verifiers a chunk at a time. Each scan runs on the forward
+writer, :class:`_Forward`, which maps each forward RK4 increment K = R - I
+to that of B** by two constant products, L K Rt (RK4 commutes with the
+constant change of variables); the step-h/2 scan fuses the increments of
+its two half steps before the map, so each step takes one map. The scans
+carry the blocks the verifiers read: the forward propagators Phi_k, which
+the coupling trials read, and the transformed ones G_k, which the bounds
+trials read. Every trajectory of a random initial vector x0 is a
+propagator applied to x0, its norm is compared with the exponential
+envelopes, and the distance to the step-h/2 propagators certifies the
+integrator error. No whole-time Q, B or B** stack is formed.
 """
 
 from __future__ import annotations
@@ -49,12 +51,13 @@ from .chain import ChainSpec, RateTable, evaluation_times, rate_table, require_m
 from .transform import build_reduced, to_bstar, validate_weights
 
 SYSTEMS = ("forward", "reduced_hom", "transformed")
+BLOCKS = ("forward", "transformed")  # the systems whose propagators the verifier scans carry
 
 MAX_STATE = 1e12          # blow-up guard threshold
 MIN_DRAW_NORM = 1e-6      # random initial vectors below this l1 norm are redrawn
 VIOLATION_CAP = 100       # violations stored per report (the count is exact)
 CHUNK_STEPS = 32          # RK4 steps per chunk of the scan
-SCAN_MATRICES = 32        # (S+1) x (S+1) matrices a step that a pair of scans holds at most
+SCAN_MATRICES = 26        # (S+1) x (S+1) matrices a step that a pair of scans holds at most
 
 
 class OdeBlowUpError(RuntimeError):
@@ -121,6 +124,18 @@ def _increments(M0, Mm, M1, h):
     return R
 
 
+def _fused(K1, K2):
+    """K1 + K2 + K2 K1, the increment of (I + K2)(I + K1), for stacks of increments.
+
+    Two steps taken as one operator this way need one product, not the two
+    of forming both operators and their product. K1 is overwritten.
+    """
+    K = np.matmul(K2, K1)
+    K1 += K2
+    K += K1
+    return K
+
+
 def _add_identity(R):
     """R + I for each square matrix of a stack, in place; returns R."""
     diagonal = np.arange(R.shape[-1])
@@ -146,22 +161,22 @@ def _rk4_scan(mats, n, h, x0, halved=False):
     for a constant system. With halved, each step is two RK4 steps of h/2
     and mats holds 4n+1 matrices at spacing h/4. mats is a stack or an
     object with a length whose slices are stacks, as :class:`_System` is;
-    each chunk reads its slice once. With an increments method, as
-    :class:`_Forward` has, it forms the increments R - I of the constant
-    and the operator paths below in place of :func:`_increments`. States
-    may be vectors, column batches or a
-    stack of square matrices, each member taking the products it would
+    each chunk reads its slice once. The constant and the operator paths
+    below form the increment K = R - I of each step by :func:`_increments`,
+    the two of a halved step fused into one by :func:`_fused`; with an
+    increments method, as :class:`_Forward` has, K is passed through it
+    before the identity is added. States may be vectors, column batches or
+    a stack of square matrices, each member taking the products it would
     take alone; started from the identity, the scan yields the
     propagators. Yielded arrays are fresh; callers may keep them.
 
-    A constant system has one operator R, with a halved step applied as
-    R R; each chunk is one product with its powers R^1..R^c, or one product
-    with R a step if a power overflows. On a time-varying system, a state
-    with at least as many columns as rows (the identity, or a stack of
-    square matrices) crosses a chunk on its one-step operators R_k, formed
-    at once, a halved step applied as R_{2j+1} R_{2j}. A narrower state
-    takes the RK4 stages directly, O(S^2) a step instead of the O(S^3) of
-    forming R_k.
+    A constant system has one operator R; each chunk is one product with
+    its powers R^1..R^c, or one product with R a step if a power
+    overflows. On a time-varying system, a state with at least as many
+    columns as rows (the identity, or a stack of square matrices) crosses
+    a chunk on its one-step operators R_k, formed at once. A narrower
+    state takes the RK4 stages directly, O(S^2) a step instead of the
+    O(S^3) of forming R_k.
 
     Raises OdeBlowUpError at the first state beyond MAX_STATE in magnitude
     or not finite; the check runs once per chunk.
@@ -171,14 +186,21 @@ def _rk4_scan(mats, n, h, x0, halved=False):
     c = CHUNK_STEPS
     hs = 0.5 * h if halved else h
     wide = x.ndim >= 2 and x.shape[-1] >= x.shape[-2]
-    increments = getattr(mats, "increments", _increments)
+    lift = getattr(mats, "increments", None)
+
+    def operators(M0, Mm, M1):
+        # I + the increment of each step; those of the two RK4 steps of a
+        # halved step are fused into one, a constant system's one serving both
+        K = _increments(M0, Mm, M1, hs)
+        if halved:
+            K = _fused(K[0::2], K[1::2]) if len(K) > 1 else _fused(K, K)
+        return _add_identity(K if lift is None else lift(K))
+
     powers = None
     # overflow is left to the guard, which names the first state it reaches
     with np.errstate(over="ignore", invalid="ignore"):
         if len(mats) == 1:
-            R = _add_identity(increments(mats[:1], mats[:1], mats[:1], hs))[0]
-            if halved:
-                R = R @ R
+            R = operators(mats[:1], mats[:1], mats[:1])[0]
             powers = np.empty((min(c, n),) + R.shape)
             powers[0] = R
             for i in range(1, len(powers)):
@@ -200,9 +222,7 @@ def _rk4_scan(mats, n, h, x0, halved=False):
             else:
                 sub = mats[per_step * k: per_step * (k + m) + 1]
                 if wide:
-                    R = _add_identity(increments(sub[0:-1:2], sub[1::2], sub[2::2], hs))
-                    if halved:
-                        R = R[1::2] @ R[0::2]
+                    R = operators(sub[0:-1:2], sub[1::2], sub[2::2])
                     for i in range(m):
                         x = np.matmul(R[i], x, out=states[i])
                 else:
@@ -336,49 +356,80 @@ def _draw_pairs(rng, dim, n_pairs):
 class _Forward(_System):
     """The forward :class:`_System`, whose one-step operators carry w' = B**(t) w along.
 
-    Its slices are the forward matrices A; its :meth:`increments` add the
-    weighted transformed system's operators beside the forward ones.
+    Its slices are the forward matrices A; its :meth:`increments` give the
+    scan the operators of the blocks it carries: 'forward', the forward
+    system's own, and 'transformed', those of the weighted transformed
+    system, mapped from the forward ones by two constant factors.
     """
 
-    def increments(self, M0, Mm, M1, h):
-        """A (..., 2, S+1, S+1) stack: R - I of each forward RK4 operator and of that of B**.
+    def __init__(self, table: RateTable, d, blocks=BLOCKS):
+        super().__init__(table, d)
+        self.blocks = blocks
+        self.left = _weighted_tail_sums(d)
+        # column j of K Rt is (K[:, j+1] - K[:, j]) / d_j
+        self.right = (np.eye(len(d) + 1, len(d), -1) - np.eye(len(d) + 1, len(d))) / d
 
-        With K = R - I, the transformed operator is I + D T (K[1:, 1:] -
-        K[1:, 0] 1^T) T^{-1} D^{-1} (T the tail sums of
-        :func:`ctmc_bounds.transform.to_bstar`, D the weights): on the
+    def increments(self, K):
+        """A (..., len(blocks), S+1, S+1) stack of increments R - I from forward ones K.
+
+        The forward block is K. The transformed one is L K Rt in the
+        lower-right S x S block, its first row and column zero, so that
+        state keeps a one in its corner: L = D T [0 | I] and
+        Rt = [-1^T; I] T^{-1} D^{-1} (T the tail sums of
+        :func:`ctmc_bounds.transform.to_bstar`, D the weights), so that
+        L K Rt = D T (K[1:, 1:] - K[1:, 0] 1^T) T^{-1} D^{-1}. On the
         mass-free subspace the forward system is the reduced one, and RK4
         commutes with the constant changes of variables to B**. Mapping the
         increment K, rather than R or the propagators, keeps the forward
         system's round-off in the probability mass, which it never damps,
-        out of the transformed operators. The transformed increment fills
-        the lower-right S x S block of the second matrix; its first row and
-        column are zero, so that state keeps a one in its corner.
+        out of the transformed operators; K of two fused steps maps to the
+        fused transformed increment, since 1^T K = 0.
         """
-        K = _increments(M0, Mm, M1, h)
-        pair = np.zeros(K.shape[:-2] + (2,) + K.shape[-2:])
-        pair[..., 0, :, :] = K
-        pair[..., 1, 1:, 1:] = to_bstar(build_reduced(np.swapaxes(K, -1, -2))) * self.ratio
-        return pair
+        if self.blocks == ("forward",):
+            return K[..., None, :, :]
+        out = np.empty(K.shape[:-2] + (len(self.blocks),) + K.shape[-2:])
+        if self.blocks[0] == "forward":
+            out[..., 0, :, :] = K
+        G = out[..., -1, :, :]
+        G[..., 0, :] = 0.0
+        G[..., 1:, 0] = 0.0
+        KR = np.matmul(K.reshape(-1, K.shape[-1]), self.right).reshape(K.shape[:-1] + (-1,))
+        np.matmul(self.left, KR, out=G[..., 1:, 1:])
+        return out
 
 
-def _propagators(table, d, n, h):
-    """Yield (k, Phi, G, Phi - Psi, G - H): RK4 propagators from 0 to t_k, t_{k+1}, ... in chunks.
+def _propagators(table, d, n, h, blocks=BLOCKS):
+    """Yield (k, Phi, G, e_Phi, e_G): RK4 propagators from 0 to t_k, t_{k+1}, ... in chunks.
 
     Phi[i] and Psi[i] propagate the forward system p' = A(t) p from 0 to
     t_{k+i} = (k+i) h with steps h and h/2, and G[i] and H[i] the
     transformed system w' = B**(t) w with the weights d, carried along by
-    the operators of :class:`_Forward`. table holds the rates at spacing
-    h/4 (or at one time); each scan writes A from it a chunk of steps at a
-    time, so no whole-time stack is formed. Both identity scans take n
-    sequential steps. Twice the divergence ||Phi - Psi||_1->1 (or
-    ||G - H||_1->1) estimates the integrator error of Phi x0 (or G x0)
-    relative to ||x0||_1, the conservative Richardson-style margin.
+    the operators of :class:`_Forward`; e_Phi[i] = ||Phi[i] - Psi[i]||_1->1
+    and e_G[i] = ||G[i] - H[i]||_1->1 are their divergences. Only the
+    blocks named are carried; an absent one's propagators and divergences
+    are yielded as None. table holds the rates at spacing h/4 (or at one
+    time); each scan writes A from it a chunk of steps at a time, so no
+    whole-time stack is formed. Both identity scans take n sequential
+    steps. Twice the divergence estimates the integrator error of Phi x0
+    (or G x0) relative to ||x0||_1, the conservative Richardson-style margin.
     """
-    eye = np.stack([np.eye(table.S + 1)] * 2)
-    for (k, phi), (_, psi) in zip(_rk4_scan(_Forward(table.at(np.s_[::2]), d), n, h, eye),
-                                  _rk4_scan(_Forward(table, d), n, h, eye, halved=True)):
-        dphi = phi - psi
-        yield k, phi[:, 0], phi[:, 1, 1:, 1:], dphi[:, 0], dphi[:, 1, 1:, 1:]
+    eye = np.stack([np.eye(table.S + 1)] * len(blocks))
+    for (k, phi), (_, psi) in zip(
+            _rk4_scan(_Forward(table.at(np.s_[::2]), d, blocks), n, h, eye),
+            _rk4_scan(_Forward(table, d, blocks), n, h, eye, halved=True)):
+        found = {}
+        for i, block in enumerate(blocks):
+            inner = np.s_[:, i] if block == "forward" else np.s_[:, i, 1:, 1:]
+            diff = np.subtract(phi[inner], psi[inner])
+            found[block] = phi[inner], np.abs(diff, out=diff).sum(axis=-2).max(axis=-1)
+            del diff  # one block's difference at a time
+        (F, eF), (G, eG) = (found.get(block, (None, None)) for block in BLOCKS)
+        yield k, F, G, eF, eG
+
+
+def _weighted_tail_sums(d):
+    """D T [0 | I], the (S, S+1) matrix that maps x to the weighted tail sums of x[1:]."""
+    return np.triu(np.ones((len(d), len(d) + 1)), 1) * d[:, None]
 
 
 def _l1_norms(M):
@@ -464,15 +515,19 @@ def _scan(st, *judges):
     """The reports of judgements fed every chunk of one pair of identity scans.
 
     A judgement is a generator that draws its starts when first advanced
-    and yields the doubles a step of its chunk buffer takes, then receives
-    each chunk of :func:`_propagators` and, sent None after the last chunk,
-    yields its report. Before the first chunk, MemoryError is raised if the
-    working set of a chunk, SCAN_MATRICES (S+1) x (S+1) matrices and the
-    buffers a step, exceeds the machine's physical memory.
+    and yields the doubles a step of its chunk buffer takes and the
+    :data:`BLOCKS` it reads, then receives each chunk of
+    :func:`_propagators`, which carries only the blocks some judgement
+    reads, and, sent None after the last chunk, yields its report. Before
+    the first chunk, MemoryError is raised if the working set of a chunk,
+    SCAN_MATRICES (S+1) x (S+1) matrices and the buffers a step, exceeds
+    the machine's physical memory.
     """
-    per_step = SCAN_MATRICES * (len(st.d) + 1) ** 2 + sum(next(judge) for judge in judges)
+    needs = [next(judge) for judge in judges]
+    blocks = tuple(b for b in BLOCKS if any(b in reads for _, reads in needs))
+    per_step = SCAN_MATRICES * (len(st.d) + 1) ** 2 + sum(size for size, _ in needs)
     require_memory(f"a scan chunk of {CHUNK_STEPS} steps", 8 * CHUNK_STEPS * per_step)
-    for chunk in _propagators(st.table, st.d, st.n, st.h):
+    for chunk in _propagators(st.table, st.d, st.n, st.h, blocks):
         for judge in judges:
             judge.send(chunk)
     return tuple(judge.send(None) for judge in judges)
@@ -533,14 +588,14 @@ def _bounds_trials(st, n_trials, seed, slack):
     band, worst, candidates = slack + st.quad_margin, 0.0, []
     ratio_up_max, ratio_lo_min = np.empty(st.n + 1), np.empty(st.n + 1)
     exact_up, exact_lo, grid = 0.0, math.inf, st.ts_fine[::4]
-    chunk = yield X0.size
+    chunk = yield X0.size, ("transformed",)
     # one buffer for the chunks' products: fresh ones cost page faults in every chunk
     Y_chunk = np.empty((CHUNK_STEPS,) + X0.shape)
     while chunk is not None:
-        k, _, phi, _, dphi = chunk
+        k, _, phi, _, divergence = chunk
         ks = slice(k, k + len(phi))
         env_up, env_lo = st.env_up[ks], st.env_lo[ks]
-        worst = max(worst, float((_l1_norms(dphi) / env_lo).max()))
+        worst = max(worst, float((divergence / env_lo).max()))
         exact_up = max(exact_up, float((_l1_norms(phi) / env_up).max()))
         exact_lo = min(exact_lo, float((phi.sum(axis=-2).min(axis=-1) / env_lo).min()))
         Y = np.matmul(phi, X0, out=Y_chunk[:len(phi)])
@@ -548,8 +603,10 @@ def _bounds_trials(st, n_trials, seed, slack):
         up = norms / (env_up[:, None] * norms0)
         lo = norms[:, n_trials:] / (env_lo[:, None] * norms0[n_trials:])
         ratio_up_max[ks], ratio_lo_min[ks] = up.max(axis=1), lo.min(axis=1)
-        candidates += _beyond("upper", up, up > 1.0 + band, grid[ks])
-        candidates += _beyond("lower", lo, lo < 1.0 - band, grid[ks], n_trials)
+        if ratio_up_max[ks].max() > 1.0 + band:
+            candidates += _beyond("upper", up, up > 1.0 + band, grid[ks])
+        if ratio_lo_min[ks].min() < 1.0 - band:
+            candidates += _beyond("lower", lo, lo < 1.0 - band, grid[ks], n_trials)
         chunk = yield
 
     integ_margin = 2.0 * worst
@@ -596,27 +653,29 @@ def _coupling_trials(st, n_pairs, seed, slack):
     diff[0] = -diff[1:].sum(axis=0)
     columns = np.hstack([P, diff])
 
-    norms0 = _coupling_norms(diff[1:], st.d)
+    tail_sums = _weighted_tail_sums(st.d)
+    norms0 = np.abs(tail_sums @ diff).sum(axis=0)
     safe_norms0 = np.where(norms0 < 1e-300, 1.0, norms0)
 
     band, worst, candidates = slack + st.quad_margin, 0.0, []
     ratio_max, prob_sum_err, prob_min = np.empty(st.n + 1), 0.0, math.inf
     grid = st.ts_fine[::4]
-    chunk = yield columns.size
+    chunk = yield columns.size, ("forward",)
     X_chunk = np.empty((CHUNK_STEPS,) + columns.shape)
     while chunk is not None:
-        k, phi, _, dphi, _ = chunk
+        k, phi, _, divergence, _ = chunk
         ks = slice(k, k + len(phi))
         env_up = st.env_up[ks]
-        worst = max(worst, float((_l1_norms(dphi) / env_up).max()))
+        worst = max(worst, float((divergence / env_up).max()))
         X = np.matmul(phi, columns, out=X_chunk[:len(phi)])
         probs = X[..., :2 * n_pairs]
         prob_sum_err = max(prob_sum_err, float(np.abs(probs.sum(axis=-2) - 1.0).max()))
         prob_min = min(prob_min, float(probs.min()))
-        norms = _coupling_norms(X[:, 1:, 2 * n_pairs:], st.d)
+        norms = np.abs(tail_sums @ X[..., 2 * n_pairs:]).sum(axis=-2)
         up = norms / (env_up[:, None] * safe_norms0)
         ratio_max[ks] = up.max(axis=1)
-        candidates += _beyond("coupling", up, up > 1.0 + band, grid[ks])
+        if ratio_max[ks].max() > 1.0 + band:
+            candidates += _beyond("coupling", up, up > 1.0 + band, grid[ks])
         chunk = yield
 
     # forward-propagator error of pair j maps through the tail-sum transform
@@ -647,12 +706,6 @@ def _verify_both(spec, weights, tmax, n_steps, n_trials, n_pairs, seed, slack):
     st = _verification_setup(spec, weights, tmax, n_steps)
     return _scan(st, _bounds_trials(st, n_trials, seed, slack),
                  _coupling_trials(st, n_pairs, seed, slack))
-
-
-def _coupling_norms(y, d):
-    """l1 norms of D T y for column batches y (..., S, m): weights times tail sums."""
-    u = np.cumsum(y[..., ::-1, :], axis=-2)[..., ::-1, :]
-    return np.abs(d[:, None] * u).sum(axis=-2)
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

@@ -4,8 +4,9 @@ Each re-derives a quantity the library computes another way: the
 generator entry by entry from the model-file definition of each chain kind,
 regularity entry by entry of the generator stack, essential non-negativity
 of a whole B* stack at once, the triangular similarity as explicit integer
-matrices, column sums of a single matrix, eigenvalues by plain power iteration, and RK4 trajectories
-one stage at a time.
+matrices, column sums of a single matrix, eigenvalues by plain power iteration, RK4 trajectories
+one stage at a time, and the transformed RK4 increment by the structural
+tail-sum transform.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ctmc_bounds import (NonnegReport, PowerIterationError, RegularityReport,
-                         RegularityViolation)
+                         RegularityViolation, build_reduced, to_bstar)
 
 
 def _jump_rate(kind, lists, i, j):
@@ -211,3 +212,12 @@ def rk4_reference(mats, n, h, x0):
         x = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         states.append(x)
     return np.stack(states)
+
+
+def transformed_increment(K, d):
+    """D T (K[1:, 1:] - K[1:, 0] 1^T) T^{-1} D^{-1} of forward increments K, structurally.
+
+    The reduction and the tail-sum transform of :func:`to_bstar` applied to
+    K as to a forward matrix A = Q^T, then the weights d.
+    """
+    return to_bstar(build_reduced(np.swapaxes(K, -1, -2))) * (d[:, None] / d[None, :])

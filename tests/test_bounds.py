@@ -287,3 +287,32 @@ def test_bound_report_csv_round_trip(tmp_path):
     assert float(row[0]) == rep.grid[k]
     assert float(row[1]) == rep.h_upper[k]   # 17 digits round-trip exactly
     assert float(row[5]) == rep.env_upper[k]
+
+
+def _csv_one_call_per_value(path, header, columns):
+    """The CSV writer as it was: one format(v, '.17g') call per value."""
+    rows = zip(*(np.asarray(col, dtype=float).tolist() for col in columns), strict=True)
+    lines = [",".join(header)]
+    lines.extend(",".join(format(v, ".17g") for v in row) for row in rows)
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def test_csv_rows_by_one_template_keep_the_bytes_of_one_call_per_value(tmp_path):
+    # the edges of the double range, signed zeros, non-finite values, round
+    # numbers and 17-digit ones; 2001 rows of 7 columns, and one column alone
+    special = [math.inf, -math.inf, math.nan, 0.0, -0.0, 1e308, -1e308, 5e-324,
+               -5e-324, 2.2250738585072014e-308, 1.0, -1.0, 0.1, 1e16, 1e17,
+               123456789.0, 1 / 3, 2.0 ** 53 + 2, 1e-5, 9.999999999999999e22]
+    rng = np.random.default_rng(5)
+    values = np.concatenate([special, rng.standard_normal(2001 * 7 - len(special))
+                             * 10.0 ** rng.integers(-300, 300, 2001 * 7 - len(special))])
+    columns = rng.permutation(values).reshape(7, 2001)
+    header = list(cb.bounds.CSV_COLUMNS)
+    for head, cols in ((header, columns), (header[:1], columns[:1])):
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        cb.bounds.write_csv(new, head, cols)
+        _csv_one_call_per_value(old, head, cols)
+        assert new.read_bytes() == old.read_bytes()
+    with pytest.raises(ValueError):
+        cb.bounds.write_csv(tmp_path / "ragged.csv", header[:2], [[1.0, 2.0], [3.0]])

@@ -10,7 +10,7 @@ import pytest
 import ctmc_bounds as cb
 from ctmc_bounds import odesolve
 from conftest import random_class_chain, random_sharp_chain
-from linalg_oracles import rk4_reference
+from linalg_oracles import rk4_reference, transformed_increment
 
 
 def _two_state_exact(t):
@@ -476,6 +476,59 @@ def test_forward_propagators_map_to_the_transformed_ones(spec, weights):
     assert np.abs(G - want).max() <= tol
     assert np.abs(_mapped(phi, d, T) - want).max() <= tol
     assert np.abs(_mapped(phi, d, T.T) - want).max() > 1e3 * tol
+
+
+def _increments_of(S, h):
+    """The forward writer of a time-varying batch_both chain, its non-uniform weights
+    and its RK4 increments for 8 steps of h."""
+    rng = np.random.default_rng(S)
+    lists = [sorted(rng.uniform(0.1, 2.0, S - 1), reverse=True) for _ in range(2)]
+    spec = cb.batch_both_chain(S, [LAM] + lists[0], [LAM] + lists[1])
+    table = cb.chain.rate_table(spec, cb.chain.evaluation_times(
+        spec, np.linspace(0.0, 16 * h, 17)))
+    d = rng.uniform(0.3, 3.0, S)
+    writer = odesolve._Forward(table, d)
+    A = writer[:]
+    return writer, d, odesolve._increments(A[0:-1:2], A[1::2], A[2::2], h)
+
+
+@pytest.mark.parametrize("h", [1e-3, 0.1])
+@pytest.mark.parametrize("S", [1, 2, 5, 30])
+def test_transformed_increments_by_two_products_match_the_tail_sum_transform(S, h):
+    # both round within a few ulps of the sum of the absolute terms they
+    # add: L K Rt those of its products, the structural oracle also the
+    # state-0 column it subtracts from every other
+    writer, d, K = _increments_of(S, h)
+    got = writer.increments(K)
+    assert got.shape == (8, 2, S + 1, S + 1)
+    assert np.array_equal(got[:, 0], K)
+    G = got[:, 1]
+    assert np.all(G[:, 0, :] == 0.0) and np.all(G[:, :, 0] == 0.0)
+    terms = np.abs(writer.left) @ (np.abs(K) @ np.abs(writer.right)
+                                   + 2.0 * np.abs(K[..., :1]) / d)
+    assert np.all(np.abs(G[:, 1:, 1:] - transformed_increment(K, d)) <= 1e-15 * terms)
+    # each block alone is the same block
+    for i, block in enumerate(odesolve.BLOCKS):
+        alone = odesolve._Forward(writer.table, d, (block,)).increments(K)
+        assert np.array_equal(alone[:, 0], got[:, i])
+
+
+@pytest.mark.parametrize("h", [1e-3, 0.1])
+@pytest.mark.parametrize("S", [1, 2, 5, 30])
+def test_fused_half_steps_are_the_increment_of_their_product(S, h):
+    # (I + K2)(I + K1) - I in extended precision, within 1e-15 of the
+    # scale of its terms |K1| + |K2| + |K2| |K1|
+    _, _, K = _increments_of(S, h)
+    K1, K2 = K[0::2], K[1::2]
+    scale = (np.abs(K1) + np.abs(K2) + np.abs(K2) @ np.abs(K1)).max()
+    eye = np.eye(S + 1, dtype=np.longdouble)
+    want = (eye + K2.astype(np.longdouble)) @ (eye + K1.astype(np.longdouble)) - eye
+    got = odesolve._fused(K1.copy(), K2.copy())
+    assert np.abs(got - want).max() <= 1e-15 * scale
+    # a constant system fuses its one increment with itself
+    K0 = K[:1].copy()
+    want = (eye + K0.astype(np.longdouble)) @ (eye + K0.astype(np.longdouble)) - eye
+    assert np.abs(odesolve._fused(K0, K0) - want).max() <= 1e-15 * scale
 
 
 def _fields(report):
