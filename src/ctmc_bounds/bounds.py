@@ -22,8 +22,8 @@ import numpy as np
 
 from .chain import (ChainSpec, check_regularity, evaluation_times, rate_table,
                     require_homogeneous, require_memory)
-from .spectral import (SharpnessConditionError, check_sharpness_conditions, equalization_tol,
-                       perron_weights)
+from .spectral import (SharpnessConditionError, SharpRate, check_sharpness_conditions,
+                       equalization_tol, perron_weights)
 from .transform import (NonFiniteBoundError, build_reduced, require_essential_nonnegativity,
                         scan_transform, to_bstar, validate_weights)
 
@@ -38,9 +38,10 @@ class BoundReport:
     at those times; I_upper/I_lower their running integrals (zero at t=0);
     env_upper/env_lower the exponential envelopes exp(I) that multiply the
     initial norm. sharp is set (with lambda0) when the envelopes provably
-    coincide. warnings records soft findings such as a failed regularity
-    check that was overridden by a verified essentially non-negative
-    transform.
+    coincide, and perron then holds the Perron solve behind lambda0 and
+    the weights (its solve count and final bracket). warnings records soft
+    findings such as a failed regularity check that was overridden by a
+    verified essentially non-negative transform.
     """
 
     grid: np.ndarray
@@ -53,6 +54,7 @@ class BoundReport:
     weights: np.ndarray
     sharp: bool = False
     lambda0: float | None = None
+    perron: SharpRate | None = None
     warnings: tuple = ()
 
 
@@ -215,7 +217,7 @@ def sharp_report(spec: ChainSpec, tmax: float = 1.0, n_grid: int = 201) -> Bound
     if worst > tol:
         raise SharpnessConditionError(
             f"column-sum extremes deviate from lambda0 by {worst:.3e} (> {tol:.3e})")
-    return dataclasses.replace(report, sharp=True, lambda0=lam0)
+    return dataclasses.replace(report, sharp=True, lambda0=lam0, perron=rate)
 
 
 def write_csv(path, header, columns) -> None:

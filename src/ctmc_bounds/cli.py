@@ -161,6 +161,9 @@ def cmd_rate(args) -> int:
     report = sharp_report(spec, tmax=settings.horizon, n_grid=settings.grid)
     print(f"lambda0: {format(report.lambda0, '.17g')}")
     print("weights: " + " ".join(format(w, ".17g") for w in report.weights))
+    lo, hi = report.perron.bracket
+    print(f"perron: {report.perron.iterations} solves, "
+          f"bracket [{format(lo, '.17g')}, {format(hi, '.17g')}]")
     print("sharp: yes (h_max = h_min = lambda0 on the grid)")
     if args.closed_form:
         _print_closed_form(spec, report.lambda0)

@@ -9,7 +9,11 @@ transformed operators came to be mapped from the forward ones, and again
 when that map became two constant products and the half steps were fused:
 its ratio columns moved by at most 9e-16 relative, and the printed
 integrator margin, a round-off level step-halving divergence, went
-6.67e-13 to 3.40e-13.
+6.67e-13 to 3.40e-13. Demo 01 was recorded again when the Perron solve
+came to start birth-death chains from the symmetrizing scaling: 6 solves
+became 5, the last two digits of each bracket end moved, and the printed
+difference from the closed form went 0.00e+00 to 1.11e-16; lambda0 and
+the weights as printed did not move.
 """
 
 import hashlib
@@ -25,7 +29,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # demo -> (sha256 of stdout, {CSV file name: sha256 of its bytes})
 DEMOS = {
     "01_sharp_rate_birth_death.py": (
-        "284e0cd4d23a1f40a236e7386c3e38acc53834769b816db23ea3360de7791ffa", {}),
+        "da1283415b67e0a5b1b5f1ebba3842a0fd9d0a38050827dfc289c27655584e25", {}),
     "02_time_varying_envelopes.py": (
         "2cf4c0641e6d876c04c909f22bdb2071f37aa937c247bb59fb7f6297b61084ae",
         {"envelopes.csv": "1ed964b71ab54ebbfd84ad3421a4f3899e8b68de4eb3c02ad3f1f5fbc0944f0a"}),

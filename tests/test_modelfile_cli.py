@@ -143,6 +143,17 @@ def test_cmd_rate_reports_closed_form(tmp_path, capsys):
     assert "sharpness conditions (birth_death): pass" in out
 
 
+def test_cmd_rate_reports_the_perron_solve(tmp_path, capsys):
+    assert cli.main(["rate", _write(tmp_path, BD3)]) == 0
+    lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    spec = cb.parse_model(json.dumps(BD3)).chain
+    rate = cb.perron_weights(cb.to_bstar(cb.build_reduced(cb.eval_generator(spec, 0.0))))
+    lo, hi = rate.bracket
+    assert lines["perron"] == (f"{rate.iterations} solves, "
+                               f"bracket [{format(lo, '.17g')}, {format(hi, '.17g')}]")
+    assert lo <= float(lines["lambda0"]) <= hi
+
+
 def _rate_is_sharp(tmp_path, capsys, chain, name="model.json"):
     doc = {"schema": 1, "chain": chain, "analysis": {"grid": 11}}
     code = cli.main(["rate", _write(tmp_path, doc, name)])

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 
 import numpy as np
@@ -62,6 +63,36 @@ def test_irreducibility():
     assert cb.check_irreducible(_bstar(spec))
 
 
+def _strongly_connected(M):
+    """Reachability by repeated squaring of I + adjacency: no search involved."""
+    S = len(M)
+    reach = ((M > 0.0) | np.eye(S, dtype=bool)).astype(float)
+    for _ in range(math.ceil(math.log2(S)) if S > 1 else 0):
+        reach = np.minimum(reach @ reach, 1.0)
+    return bool(np.all(reach > 0.0))
+
+
+def test_irreducibility_agrees_with_reachability_on_sparse_matrices():
+    rng = np.random.default_rng(5)
+    seen = set()
+    for _ in range(600):
+        S = int(rng.integers(1, 9))
+        M = np.where(rng.random((S, S)) < rng.uniform(0.05, 0.5),
+                     rng.uniform(-0.3, 1.0, (S, S)), 0.0)
+        if rng.random() < 0.6:  # a path both ways, in half of them with one link cut
+            k = np.arange(S - 1)
+            M[k, k + 1], M[k + 1, k] = rng.uniform(0.1, 1.0, (2, S - 1))
+            if S > 1 and rng.random() < 0.5:
+                i = int(rng.integers(S - 1))
+                M[(i, i + 1) if rng.random() < 0.5 else (i + 1, i)] = 0.0
+        path = bool(np.all(np.diag(M, 1) > 0.0) and np.all(np.diag(M, -1) > 0.0))
+        expected = _strongly_connected(M)
+        assert cb.check_irreducible(M) == expected, M
+        seen.add((S > 1 and path, expected))
+    # paths, and matrices off a path both strongly connected and not
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
 def test_perron_matches_closed_form_birth_death():
     for a in (0.5, 1.0, 2.0):
         for b in (0.5, 1.0, 2.0):
@@ -87,6 +118,88 @@ def test_perron_bracket_encloses_closed_form(a, b, S):
 def test_perron_birth_death_200_needs_few_solves():
     rate = cb.perron_weights(_bstar(_uniform_bd(1.0, 2.0, 200)))
     assert rate.iterations <= 100
+
+
+@pytest.mark.parametrize("S", [50, 200, 1000])
+@pytest.mark.parametrize("a, b", [(1.0, 2.0), (0.5, 2.0), (1.0, 1.1), (1.0, 1.0)])
+def test_perron_birth_death_takes_few_solves(a, b, S):
+    # deaths at least births: from uniform weights these took up to 113 solves
+    rate = cb.perron_weights(_bstar(_uniform_bd(a, b, S)))
+    assert rate.iterations <= 8
+
+
+@pytest.mark.parametrize("S", [50, 200, 1000])
+@pytest.mark.parametrize("a, b", [(1.0, 2.0), (0.5, 2.0)])
+def test_perron_birth_death_with_drift_matches_closed_form(a, b, S):
+    rate = cb.perron_weights(_bstar(_uniform_bd(a, b, S)))
+    beta, _ = cb.closed_form_bd(a, b, S)
+    assert abs(rate.lambda0 + beta) <= 1e-14 * beta
+
+
+def _spread_bd(rng, S, level):
+    """Births about 1 and deaths about level, each rate spread by up to 5 %."""
+    return cb.birth_death_chain(S, rng.uniform(0.95, 1.05, S),
+                                level * rng.uniform(0.95, 1.05, S))
+
+
+@pytest.mark.parametrize("S", [50, 200])
+def test_perron_birth_death_start_keeps_the_uniform_start_results(S):
+    rng = np.random.default_rng(S)
+    specs = [_uniform_bd(1.0, 2.0, S), _uniform_bd(1.0, 1.0, S),
+             *(_spread_bd(rng, S, level) for level in (1.0, 1.1, 2.0))]
+    for spec in specs:
+        B = _bstar(spec)
+        rate, uniform = cb.perron_weights(B), cb.perron_weights(B, x0=np.ones(S))
+        assert rate.iterations <= uniform.iterations
+        assert np.max(np.abs(rate.weights - uniform.weights) / uniform.weights) <= 1e-12
+        # both brackets hold the exact lambda0
+        widths = np.ptp(rate.bracket) + np.ptp(uniform.bracket)
+        assert abs(rate.lambda0 - uniform.lambda0) <= widths
+
+
+def _births_above_deaths(seed, S):
+    """Births about twice the deaths, each rate spread by up to 5 %."""
+    rng = random.Random(seed)
+    births = [2.0 * rng.uniform(0.95, 1.05) for _ in range(S)]
+    deaths = [rng.uniform(0.95, 1.05) for _ in range(S)]
+    return cb.birth_death_chain(S, births, deaths)
+
+
+UNIFORM_START_CHAINS = {
+    **{f"{kind}-S{S}": (lambda kind=kind, S=S: random_sharp_chain(np.random.default_rng(S),
+                                                                   kind, S))
+       for kind in ("batch_birth", "batch_death", "batch_both") for S in (6, 30)},
+    # tridiagonal, but the symmetrizing weights magnify round-off above the band
+    "births-above-deaths-S100": lambda: _births_above_deaths(7, 100),
+}
+
+
+@pytest.mark.parametrize("chain", sorted(UNIFORM_START_CHAINS))
+def test_perron_start_is_uniform_off_the_band(chain):
+    B = _bstar(UNIFORM_START_CHAINS[chain]())
+    rate, uniform = cb.perron_weights(B), cb.perron_weights(B, x0=np.ones(len(B)))
+    assert np.array_equal(rate.weights, uniform.weights)
+    assert (rate.lambda0, rate.iterations, rate.residual, rate.bracket) == \
+        (uniform.lambda0, uniform.iterations, uniform.residual, uniform.bracket)
+
+
+# Both tests below pin the FOUND lines of CHANGES.md on to_bstar's round-off
+# above the band of a birth-death B*, which weights falling along the
+# states magnify by up to 1e30 in D B* D^-1.
+@pytest.mark.xfail(strict=True, raises=cb.PowerIterationError,
+                   reason="to_bstar leaves round-off where the exact B* is zero")
+def test_perron_birth_death_with_births_above_deaths_converges():
+    B = _bstar(_births_above_deaths(7, 200))
+    assert _relative_weight_error(cb.perron_weights(B), B) <= 1e-9
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="to_bstar leaves round-off where the exact B* is zero")
+def test_perron_birth_death_with_births_above_deaths_finds_the_chains_rate():
+    B = _bstar(_births_above_deaths(7, 100))
+    exact = cb.perron_weights(np.triu(np.tril(B, 1), -1))  # the band alone
+    rate = cb.perron_weights(B)  # converges, 7e-4 relative off
+    assert abs(rate.lambda0 - exact.lambda0) <= 1e-12 * abs(exact.lambda0)
 
 
 def _relative_weight_error(rate, B):
