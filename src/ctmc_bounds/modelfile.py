@@ -13,8 +13,7 @@ A model file carries one chain and the analysis settings:
         "death": [1.0, 1.0, 1.0]
       },
       "analysis": {"horizon": 3.0, "grid": 1001, "steps": 10000,
-                   "weights": "ones", "trials": 100, "pairs": 50,
-                   "seed": 0, "tolerance": 1e-8}
+                   "weights": "ones", "tolerance": 1e-8}
     }
 
 Rate positions accept a plain number (constant rate), the name of an entry
@@ -27,7 +26,9 @@ the general kind takes ``transitions``, a list of {"from": i, "to": j,
 ``weights`` is one of "ones", "perron", "frozen-perron" or an explicit
 list of S positive numbers, which the settings hold as a tuple. All
 analysis fields are optional and default to the values shown above
-(horizon 1.0 if absent).
+(horizon 1.0 if absent). The keys ``trials``, ``pairs`` and ``seed`` of
+the retired random verification are still accepted: each must be an
+integer of at least 1, 1 and 0, and is then ignored.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class ModelFileError(ValueError):
 
 @dataclass(frozen=True)
 class AnalysisSettings:
-    """Horizon, resolutions, weights and randomness of an analysis.
+    """Horizon, resolutions, weights and tolerance of an analysis.
 
     The fields are the keys of the model file's analysis block, in its
     order. weights is a name of WEIGHT_MODES or a tuple of weights, which
@@ -60,9 +61,6 @@ class AnalysisSettings:
     grid: int = 1001
     steps: int = 10_000
     weights: str | tuple = "ones"
-    trials: int = 100
-    pairs: int = 50
-    seed: int = 0
     tolerance: float = 1e-8
 
     def __post_init__(self):
@@ -74,13 +72,15 @@ class AnalysisSettings:
                                  f"got {self.horizon}")
         if self.grid < 2:
             raise ModelFileError(f"analysis grid needs at least 2 points, got {self.grid}")
-        for name, least in (("steps", 1), ("trials", 1), ("pairs", 1), ("seed", 0)):
-            if getattr(self, name) < least:
-                raise ModelFileError(f"analysis {name} must be at least {least}, "
-                                     f"got {getattr(self, name)}")
+        _at_least("steps", self.steps, 1)
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0.0):
             raise ModelFileError(f"analysis tolerance must be finite and >= 0, "
                                  f"got {self.tolerance}")
+
+
+def _at_least(name, value, least):
+    if value < least:
+        raise ModelFileError(f"analysis {name} must be at least {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -190,8 +190,9 @@ def _parse_chain(node) -> ChainSpec:
 
 # numeric analysis fields and their parsers; absent ones take the AnalysisSettings defaults
 _ANALYSIS_NUMBERS = {"horizon": _number, "grid": _integer, "steps": _integer,
-                     "trials": _integer, "pairs": _integer, "seed": _integer,
                      "tolerance": _number}
+# keys of the retired random verification and their least values: checked, then ignored
+_RETIRED = {"trials": 1, "pairs": 1, "seed": 0}
 
 
 def _parse_analysis(node) -> AnalysisSettings:
@@ -199,7 +200,7 @@ def _parse_analysis(node) -> AnalysisSettings:
         return AnalysisSettings()
     if not isinstance(node, dict):
         raise ModelFileError("'analysis' must be an object")
-    extra = set(node) - set(_ANALYSIS_NUMBERS) - {"weights"}
+    extra = set(node) - set(_ANALYSIS_NUMBERS) - set(_RETIRED) - {"weights"}
     if extra:
         raise ModelFileError(f"unknown analysis fields {sorted(extra)}")
     w = node.get("weights", AnalysisSettings.weights)
@@ -209,6 +210,9 @@ def _parse_analysis(node) -> AnalysisSettings:
         raise ModelFileError("'analysis.weights' must be a mode name or a list")
     numbers = {key: kind(node[key], f"analysis.{key}")
                for key, kind in _ANALYSIS_NUMBERS.items() if key in node}
+    for key, least in _RETIRED.items():
+        if key in node:
+            _at_least(key, _integer(node[key], f"analysis.{key}"), least)
     return AnalysisSettings(weights=w, **numbers)
 
 

@@ -31,11 +31,13 @@ to that of B** by two constant products, L K Rt (RK4 commutes with the
 constant change of variables); the step-h/2 scan fuses the increments of
 its two half steps before the map, so each step takes one map. The scans
 carry the blocks the verifiers read: the forward propagators Phi_k, which
-the coupling trials read, and the transformed ones G_k, which the bounds
-trials read. Every trajectory of a random initial vector x0 is a
-propagator applied to x0, its norm is compared with the exponential
-envelopes, and the distance to the step-h/2 propagators certifies the
-integrator error. No whole-time Q, B or B** stack is formed.
+the coupling verifier reads, and the transformed ones G_k, which the
+bounds verifier reads. Every trajectory is a propagator applied to its
+start, so the worst ratio to the envelopes over every start at a grid
+time is a norm or a column sum of that time's propagator: each verdict is
+exact per time, with no random starts. The distance to the step-h/2
+propagators gives each time its own integrator margin. No whole-time Q, B
+or B** stack is formed.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ SYSTEMS = ("forward", "reduced_hom", "transformed")
 BLOCKS = ("forward", "transformed")  # the systems whose propagators the verifier scans carry
 
 MAX_STATE = 1e12          # blow-up guard threshold
-MIN_DRAW_NORM = 1e-6      # random initial vectors below this l1 norm are redrawn
 VIOLATION_CAP = 100       # violations stored per report (the count is exact)
 CHUNK_STEPS = 32          # RK4 steps per chunk of the scan
 SCAN_MATRICES = 26        # (S+1) x (S+1) matrices a step that a pair of scans holds at most
@@ -297,25 +298,36 @@ def solve(system: str, spec: ChainSpec, x0, tmax: float, n_steps: int,
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of an envelope verification run.
+    """Outcome of an envelope verification run, judged at every grid time over every start.
 
-    worst_upper is the largest observed ratio ||w(t)|| / (env_up(t) ||w(0)||)
-    and must stay below 1 + slack_total; worst_lower (bounds kind only) is
-    the smallest lower-envelope ratio and must stay above 1 - slack_total.
-    slack_total widens the requested slack by the measured integrator and
-    quadrature margins. ratio_upper_max / ratio_lower_min hold the per-grid
-    extremes across trials for CSV export. exact_upper / exact_lower
-    (bounds kind only) are the same extremes over every initial vector,
-    read from the transformed propagators G_k: the induced l1 norm of G_k
-    over env_up(t_k), and its smallest column sum over env_lo(t_k), the
-    worst case for non-negative starts. They are reported; the verdict rests on
-    the random trials.
+    ratio_upper_max holds, at each time t_k of the step grid, the largest
+    ratio ||w(t_k)|| / (env_up(t_k) ||w(0)||) over every initial vector:
+    the induced l1 norm of the RK4 propagator, G_k of the transformed
+    system for the bounds kind, and the forward Phi_k mapped to the
+    transformed coordinates, L Phi_k Rt, for the coupling kind, over
+    env_up(t_k). ratio_lower_min (bounds kind only) holds the smallest
+    lower-envelope ratio over every non-negative initial vector: the
+    smallest column sum of G_k over env_lo(t_k). worst_upper and
+    worst_lower are their extremes.
+
+    Each ratio is judged with its own time's integrator margin, twice the
+    step-halving divergence of the propagator, mapped for the coupling
+    kind by ||L||_1 ||Rt||_1 = sum(d) 2 / min(d): a violation is recorded
+    only where the ratio lies beyond 1 +/- (slack + quadrature margin) by
+    more than that margin over the envelope. integrator_margin is the
+    largest such margin relative to its ratio, and slack_total = slack +
+    integrator_margin + quadrature_margin the widest per-time band.
+    violations holds (phase, t, value) triples, the envelope violations
+    ordered by t and then those of the probability checks, at most
+    VIOLATION_CAP in all; n_violations counts them all. The coupling kind
+    also checks every forward propagator: its column sums within 1e-10 of
+    one (prob_sum_error) and its entries >= -1e-12 (prob_min), the worst
+    case over every initial distribution, each recorded once, at its worst
+    time, if broken.
     """
 
     kind: str
     passed: bool
-    n_trials: int
-    seed: int
     tmax: float
     n_steps: int
     slack: float
@@ -331,26 +343,6 @@ class VerificationReport:
     ratio_lower_min: np.ndarray | None = None
     prob_sum_error: float | None = None
     prob_min: float | None = None
-    exact_upper: float | None = None
-    exact_lower: float | None = None
-
-
-def _draw_columns(rng, dim, count, signed):
-    lo = -1.0 if signed else 0.0
-    X = rng.uniform(lo, 1.0, size=(dim, count))
-    while True:
-        small = np.abs(X).sum(axis=0) < MIN_DRAW_NORM
-        if not small.any():
-            break
-        X[:, small] = rng.uniform(lo, 1.0, size=(dim, int(small.sum())))
-    return X
-
-
-def _draw_pairs(rng, dim, n_pairs):
-    """2 n_pairs random probability vectors as columns; pair j is columns j and n_pairs + j."""
-    P = rng.uniform(0.0, 1.0, size=(dim, 2 * n_pairs))
-    P /= P.sum(axis=0)
-    return P
 
 
 class _Forward(_System):
@@ -365,25 +357,22 @@ class _Forward(_System):
     def __init__(self, table: RateTable, d, blocks=BLOCKS):
         super().__init__(table, d)
         self.blocks = blocks
-        self.left = _weighted_tail_sums(d)
-        # column j of K Rt is (K[:, j+1] - K[:, j]) / d_j
-        self.right = (np.eye(len(d) + 1, len(d), -1) - np.eye(len(d) + 1, len(d))) / d
+        self.left, self.right = _tail_sum_maps(d)
 
     def increments(self, K):
         """A (..., len(blocks), S+1, S+1) stack of increments R - I from forward ones K.
 
         The forward block is K. The transformed one is L K Rt in the
         lower-right S x S block, its first row and column zero, so that
-        state keeps a one in its corner: L = D T [0 | I] and
-        Rt = [-1^T; I] T^{-1} D^{-1} (T the tail sums of
-        :func:`ctmc_bounds.transform.to_bstar`, D the weights), so that
-        L K Rt = D T (K[1:, 1:] - K[1:, 0] 1^T) T^{-1} D^{-1}. On the
-        mass-free subspace the forward system is the reduced one, and RK4
-        commutes with the constant changes of variables to B**. Mapping the
-        increment K, rather than R or the propagators, keeps the forward
-        system's round-off in the probability mass, which it never damps,
-        out of the transformed operators; K of two fused steps maps to the
-        fused transformed increment, since 1^T K = 0.
+        state keeps a one in its corner, with L and Rt of
+        :func:`_tail_sum_maps`: L K Rt = D T (K[1:, 1:] - K[1:, 0] 1^T)
+        T^{-1} D^{-1}. On the mass-free subspace the forward system is the
+        reduced one, and RK4 commutes with the constant changes of
+        variables to B**. Mapping the increment K, rather than R or the
+        propagators, keeps the forward system's round-off in the
+        probability mass, which it never damps, out of the transformed
+        operators; K of two fused steps maps to the fused transformed
+        increment, since 1^T K = 0.
         """
         if self.blocks == ("forward",):
             return K[..., None, :, :]
@@ -393,9 +382,13 @@ class _Forward(_System):
         G = out[..., -1, :, :]
         G[..., 0, :] = 0.0
         G[..., 1:, 0] = 0.0
-        KR = np.matmul(K.reshape(-1, K.shape[-1]), self.right).reshape(K.shape[:-1] + (-1,))
-        np.matmul(self.left, KR, out=G[..., 1:, 1:])
+        np.matmul(self.left, _right_product(K, self.right), out=G[..., 1:, 1:])
         return out
+
+
+def _right_product(K, right):
+    """K @ right for a stack of matrices K, as one product."""
+    return np.matmul(K.reshape(-1, K.shape[-1]), right).reshape(K.shape[:-1] + (-1,))
 
 
 def _propagators(table, d, n, h, blocks=BLOCKS):
@@ -427,31 +420,22 @@ def _propagators(table, d, n, h, blocks=BLOCKS):
         yield k, F, G, eF, eG
 
 
-def _weighted_tail_sums(d):
-    """D T [0 | I], the (S, S+1) matrix that maps x to the weighted tail sums of x[1:]."""
-    return np.triu(np.ones((len(d), len(d) + 1)), 1) * d[:, None]
+def _tail_sum_maps(d):
+    """(L, Rt): L = D T [0 | I] maps x to the weighted tail sums of x[1:], and
+    Rt = [-1^T; I] T^{-1} D^{-1} maps them back to the mass-free x, so L Rt = I.
+
+    T is the tail-sum matrix of :func:`ctmc_bounds.transform.to_bstar` and
+    D the weights; ||L||_1 = sum(d) and ||Rt||_1 = 2 / min(d).
+    """
+    L = np.triu(np.ones((len(d), len(d) + 1)), 1) * d[:, None]
+    # column j of K Rt is (K[:, j+1] - K[:, j]) / d_j
+    Rt = (np.eye(len(d) + 1, len(d), -1) - np.eye(len(d) + 1, len(d))) / d
+    return L, Rt
 
 
 def _l1_norms(M):
     """Induced l1 norm, the largest absolute column sum, of each matrix of a stack."""
     return np.abs(M).sum(axis=-2).max(axis=-1)
-
-
-def _beyond(phase, ratios, broken, times, first_trial=0):
-    """Candidate violations (phase, trial, t, ratio) where broken holds; rows are times."""
-    return [(phase, first_trial + int(j), float(times[i]), float(ratios[i, j]))
-            for i, j in zip(*np.nonzero(broken))]
-
-
-def _confirm(candidates, slack_total):
-    """The candidates whose ratio lies beyond 1 +/- slack_total: below for lower ones.
-
-    The integrator margin is known only after the scan, which keeps every
-    ratio beyond 1 +/- (slack + quadrature margin); the margin can only
-    widen that band, so no violation is missed.
-    """
-    return [v for v in candidates
-            if (v[3] < 1.0 - slack_total if v[0] == "lower" else v[3] > 1.0 + slack_total)]
 
 
 @dataclass(frozen=True)
@@ -480,7 +464,7 @@ def _verification_setup(spec, weights, tmax, n_steps) -> _Setup:
     the envelopes writes a slice of times at a time; each is refused with
     MemoryError before it is allocated if it exceeds the machine's physical
     memory. B*(t) must be essentially non-negative at every point of the
-    halved grid, else NonnegativityError is raised before any trial runs.
+    halved grid, else NonnegativityError is raised before any scan runs.
 
     The envelopes integrate the column-sum extremes of B** by Simpson's
     rule on the step grid; the quadrature margin is their largest
@@ -511,201 +495,155 @@ def _verification_setup(spec, weights, tmax, n_steps) -> _Setup:
                   env_up=env_up, env_lo=env_lo, quad_margin=quad_margin)
 
 
-def _scan(st, *judges):
-    """The reports of judgements fed every chunk of one pair of identity scans.
+def _scan(st, *measures):
+    """Per-time measures of the propagators of one pair of identity scans.
 
-    A judgement is a generator that draws its starts when first advanced
-    and yields the doubles a step of its chunk buffer takes and the
-    :data:`BLOCKS` it reads, then receives each chunk of
-    :func:`_propagators`, which carries only the blocks some judgement
-    reads, and, sent None after the last chunk, yields its report. Before
-    the first chunk, MemoryError is raised if the working set of a chunk,
-    SCAN_MATRICES (S+1) x (S+1) matrices and the buffers a step, exceeds
-    the machine's physical memory.
+    A measure is a pair (block, function): the function takes a chunk
+    (k, Phi, G, e_Phi, e_G) of :func:`_propagators`, which carries only
+    the :data:`BLOCKS` some measure reads, and returns a tuple of arrays
+    with one entry per time of the chunk. Returns, for each measure, its
+    tuple of arrays over the whole step grid. Before the first chunk,
+    MemoryError is raised if the working set of a chunk, SCAN_MATRICES
+    (S+1) x (S+1) matrices a step, exceeds the machine's physical memory.
     """
-    needs = [next(judge) for judge in judges]
-    blocks = tuple(b for b in BLOCKS if any(b in reads for _, reads in needs))
-    per_step = SCAN_MATRICES * (len(st.d) + 1) ** 2 + sum(size for size, _ in needs)
-    require_memory(f"a scan chunk of {CHUNK_STEPS} steps", 8 * CHUNK_STEPS * per_step)
+    blocks = tuple(b for b in BLOCKS if any(b == block for block, _ in measures))
+    require_memory(f"a scan chunk of {CHUNK_STEPS} steps",
+                   8 * CHUNK_STEPS * SCAN_MATRICES * (len(st.d) + 1) ** 2)
+    parts = [[] for _ in measures]
     for chunk in _propagators(st.table, st.d, st.n, st.h, blocks):
-        for judge in judges:
-            judge.send(chunk)
-    return tuple(judge.send(None) for judge in judges)
+        for part, (_, measure) in zip(parts, measures):
+            part.append(measure(*chunk))
+    return [tuple(map(np.concatenate, zip(*part))) for part in parts]
 
 
-def _at_least_one(count, what):
-    count = int(count)
-    if count < 1:
-        raise ValueError(f"need at least one {what}, got {count}")
-    return count
+def _relative(margin, values):
+    """margin / values where values > 0, else inf: a margin no ratio of that sign can carry."""
+    return np.divide(margin, values, out=np.full_like(margin, np.inf), where=values > 0.0)
 
 
-def _report(kind, st, violations, **fields) -> VerificationReport:
-    """The report of a finished scan, its violations ordered by (t, trial)."""
-    violations.sort(key=lambda v: (v[2], v[1]))
-    return VerificationReport(
-        kind=kind, passed=not violations, tmax=st.tmax, n_steps=st.n,
-        quadrature_margin=st.quad_margin, n_violations=len(violations),
-        violations=tuple(violations[:VIOLATION_CAP]), grid=st.ts_fine[::4], **fields)
+def _report(kind, st, slack, margin, judged, violations=(), **fields) -> VerificationReport:
+    """The report of a finished scan.
 
-
-def verify_bounds(spec: ChainSpec, weights, tmax: float, n_steps: int = 10_000,
-                  n_trials: int = 100, seed: int = 0,
-                  slack: float = 1e-8) -> VerificationReport:
-    """Check the exponential envelopes on random trajectories of the transformed system.
-
-    Each trial draws one signed initial vector (entries uniform in [-1, 1]),
-    checked against the upper envelope only, and one nonnegative initial
-    vector (entries uniform in [0, 1]), checked against both envelopes; the
-    nonnegative draw of trial j is reported as trial n_trials + j. Draws
-    with l1 norm below 1e-6 are rejected and redrawn. The seed fixes all
-    draws, making runs bit-reproducible.
-
-    The trajectories are the step-h RK4 propagators G_k of the transformed
-    system applied to the draws; one pair of identity scans of the forward
-    system carries G_k beside its own propagators (:func:`_propagators`),
-    so no whole-time B** is formed. The same scan compares each G_k with
-    the step-h/2 one and reads the exact worst ratios over every initial
-    vector off it. A ratio beyond 1 +/- slack_total at any grid
-    time is recorded as a violation and fails the report; slack_total =
-    slack + that step-halving integrator margin + the quadrature refinement
-    margin. Raises NonnegativityError, before any trial runs, if B*(t) is
-    not essentially non-negative on the halved grid.
+    margin holds each time's integrator margin relative to its ratio;
+    judged holds (phase, ratios, broken) triples, and a violation is
+    recorded at each time where broken holds, ordered by time (in the
+    order of judged at one time), followed by the given ones.
     """
-    n_trials = _at_least_one(n_trials, "trial")
+    found = sorted(((phase, float(st.ts_fine[4 * i]), float(ratios[i]))
+                    for phase, ratios, broken in judged
+                    for i in np.flatnonzero(broken)[:VIOLATION_CAP]), key=lambda v: v[1])
+    found += violations
+    count = sum(int(np.count_nonzero(broken)) for _, _, broken in judged) + len(violations)
+    integ_margin = float(margin.max())
+    return VerificationReport(
+        kind=kind, passed=count == 0, tmax=st.tmax, n_steps=st.n, slack=slack,
+        integrator_margin=integ_margin, quadrature_margin=st.quad_margin,
+        slack_total=slack + integ_margin + st.quad_margin, n_violations=count,
+        violations=tuple(found[:VIOLATION_CAP]), grid=st.ts_fine[::4], **fields)
+
+
+def verify_bounds(spec: ChainSpec, weights, tmax: float, n_steps: int = 10_000, *,
+                  slack: float = 1e-8) -> VerificationReport:
+    """Check the exponential envelopes at every grid time, over every initial vector.
+
+    One pair of identity scans of the forward system carries the step-h
+    and step-h/2 RK4 propagators G_k and H_k of the transformed system
+    (:func:`_propagators`), so no whole-time B** is formed. At each grid
+    time t_k the worst upper ratio over every initial vector is
+    ||G_k||_1 / env_up(t_k), and the worst lower ratio over every
+    non-negative one is c_k / env_lo(t_k), c_k the smallest column sum of
+    G_k. With the integrator margin e_k = 2 ||G_k - H_k||_1 and the band
+    slack + the quadrature refinement margin, an upper violation is
+    recorded where (||G_k||_1 - e_k) / env_up(t_k) > 1 + band, and a lower
+    one where (c_k + e_k) / env_lo(t_k) < 1 - band; a violation fails the
+    report. The reported integrator margin is the largest e_k / c_k (at
+    least e_k / ||G_k||_1). Raises NonnegativityError, before the scan, if
+    B*(t) is not essentially non-negative on the halved grid.
+    """
     st = _verification_setup(spec, weights, tmax, n_steps)
-    return _scan(st, _bounds_trials(st, n_trials, seed, slack))[0]
+    return _bounds_report(st, slack, *_scan(st, _BOUNDS)[0])
 
 
-def _bounds_trials(st, n_trials, seed, slack):
-    """The random trials of :func:`verify_bounds`, a judgement of :func:`_scan`."""
-    S = len(st.d)
-    rng = np.random.default_rng(seed)
-    X0 = np.hstack([_draw_columns(rng, S, n_trials, signed=True),
-                    _draw_columns(rng, S, n_trials, signed=False)])
-    norms0 = np.abs(X0).sum(axis=0)
+# the bounds verifier's per-time measures: ||G_k||_1, c_k and ||G_k - H_k||_1
+_BOUNDS = ("transformed",
+           lambda k, F, G, eF, eG: (_l1_norms(G), G.sum(axis=-2).min(axis=-1), eG))
 
-    band, worst, candidates = slack + st.quad_margin, 0.0, []
-    ratio_up_max, ratio_lo_min = np.empty(st.n + 1), np.empty(st.n + 1)
-    exact_up, exact_lo, grid = 0.0, math.inf, st.ts_fine[::4]
-    chunk = yield X0.size, ("transformed",)
-    # one buffer for the chunks' products: fresh ones cost page faults in every chunk
-    Y_chunk = np.empty((CHUNK_STEPS,) + X0.shape)
-    while chunk is not None:
-        k, _, phi, _, divergence = chunk
-        ks = slice(k, k + len(phi))
-        env_up, env_lo = st.env_up[ks], st.env_lo[ks]
-        worst = max(worst, float((divergence / env_lo).max()))
-        exact_up = max(exact_up, float((_l1_norms(phi) / env_up).max()))
-        exact_lo = min(exact_lo, float((phi.sum(axis=-2).min(axis=-1) / env_lo).min()))
-        Y = np.matmul(phi, X0, out=Y_chunk[:len(phi)])
-        norms = np.abs(Y, out=Y).sum(axis=-2)
-        up = norms / (env_up[:, None] * norms0)
-        lo = norms[:, n_trials:] / (env_lo[:, None] * norms0[n_trials:])
-        ratio_up_max[ks], ratio_lo_min[ks] = up.max(axis=1), lo.min(axis=1)
-        if ratio_up_max[ks].max() > 1.0 + band:
-            candidates += _beyond("upper", up, up > 1.0 + band, grid[ks])
-        if ratio_lo_min[ks].min() < 1.0 - band:
-            candidates += _beyond("lower", lo, lo < 1.0 - band, grid[ks], n_trials)
-        chunk = yield
 
-    integ_margin = 2.0 * worst
-    slack_total = slack + integ_margin + st.quad_margin
-    yield _report(
-        "bounds", st, _confirm(candidates, slack_total), n_trials=n_trials, seed=seed,
-        slack=slack, integrator_margin=integ_margin, slack_total=slack_total,
-        worst_upper=float(ratio_up_max.max()), worst_lower=float(ratio_lo_min.min()),
-        ratio_upper_max=ratio_up_max, ratio_lower_min=ratio_lo_min,
-        exact_upper=exact_up, exact_lower=exact_lo)
+def _bounds_report(st, slack, norms, lows, divergence):
+    """The report of :func:`verify_bounds` from its per-time measures."""
+    e = 2.0 * divergence
+    band = slack + st.quad_margin
+    upper, lower = norms / st.env_up, lows / st.env_lo
+    # c_k <= ||G_k||_1, so e_k / c_k is the larger of the two relative margins
+    return _report(
+        "bounds", st, slack, _relative(e, lows),
+        [("upper", upper, (norms - e) / st.env_up > 1.0 + band),
+         ("lower", lower, (lows + e) / st.env_lo < 1.0 - band)],
+        worst_upper=float(upper.max()), worst_lower=float(lower.min()),
+        ratio_upper_max=upper, ratio_lower_min=lower)
 
 
 def verify_convergence_coupling(spec: ChainSpec, weights, tmax: float,
-                                n_steps: int = 10_000, n_pairs: int = 50,
-                                seed: int = 0, slack: float = 1e-8) -> VerificationReport:
-    """Tie the envelope back to the chain: differences of probability trajectories.
+                                n_steps: int = 10_000, *,
+                                slack: float = 1e-8) -> VerificationReport:
+    """Tie the envelope back to the chain: differences of distributions, over every pair.
 
-    Draws pairs of random probability vectors, propagates them and their
-    differences with the step-h RK4 propagators of the forward system, maps
-    the propagated difference of the non-zero-state coordinates through the
-    tail-sum transform and the weights, and checks the upper envelope on
-    the resulting norm; the integrator margin compares the propagators with
-    the step-h/2 ones, each pair relative to its own starting norm.
-    Propagating the difference, not differencing the propagated pair, keeps
-    nearly equal pairs free of cancellation; the difference's state-0 entry
-    is set to minus the sum of the others, so it carries no mass.
-    Probability conservation (column sums within 1e-10 of one) and
-    nonnegativity (entries >= -1e-12) are checked on every forward
-    trajectory as well. Raises NonnegativityError, before any pair runs, if
-    B*(t) is not essentially non-negative on the halved grid.
+    The difference x of two distributions carries no mass, and its
+    weighted tail sums L x are the transformed coordinates w(0); every w
+    in R^S is L x for such an x, up to scale, and x = Rt w
+    (:func:`_tail_sum_maps`). So the worst coupling ratio over every pair
+    at grid time t_k is ||L Phi_k Rt||_1 / env_up(t_k), Phi_k the step-h
+    RK4 propagator of the forward system. Its integrator margin is twice
+    the step-halving divergence ||Phi_k - Psi_k||_1 mapped by ||L||_1
+    ||Rt||_1 = sum(d) 2 / min(d); a violation is recorded where the ratio
+    less that margin over env_up(t_k) exceeds 1 + slack + the quadrature
+    margin. Probability conservation (column sums of Phi_k within 1e-10 of
+    one) and nonnegativity (entries of Phi_k >= -1e-12) are checked at
+    every grid time as well, the worst cases over every initial
+    distribution. Raises NonnegativityError, before the scan, if B*(t) is
+    not essentially non-negative on the halved grid.
     """
-    n_pairs = _at_least_one(n_pairs, "pair")
     st = _verification_setup(spec, weights, tmax, n_steps)
-    return _scan(st, _coupling_trials(st, n_pairs, seed, slack))[0]
+    return _coupling_report(st, slack, *_scan(st, _coupling(st.d))[0])
 
 
-def _coupling_trials(st, n_pairs, seed, slack):
-    """The random pairs of :func:`verify_convergence_coupling`, a judgement of :func:`_scan`."""
-    rng = np.random.default_rng(seed)
-    P = _draw_pairs(rng, len(st.d) + 1, n_pairs)
-    diff = P[:, :n_pairs] - P[:, n_pairs:]
-    # a difference of probability vectors carries no mass; the round-off
-    # of the normalisation would otherwise stay undamped while it decays
-    diff[0] = -diff[1:].sum(axis=0)
-    columns = np.hstack([P, diff])
+def _coupling(d):
+    """The coupling verifier's per-time measures of Phi_k: ||L Phi_k Rt||_1, its
+    divergence, the largest |column sum - 1| and the smallest entry."""
+    L, Rt = _tail_sum_maps(d)
+    return "forward", lambda k, F, G, eF, eG: (
+        _l1_norms(np.matmul(L, _right_product(F, Rt))), eF,
+        np.abs(F.sum(axis=-2) - 1.0).max(axis=-1), F.min(axis=(-2, -1)))
 
-    tail_sums = _weighted_tail_sums(st.d)
-    norms0 = np.abs(tail_sums @ diff).sum(axis=0)
-    safe_norms0 = np.where(norms0 < 1e-300, 1.0, norms0)
 
-    band, worst, candidates = slack + st.quad_margin, 0.0, []
-    ratio_max, prob_sum_err, prob_min = np.empty(st.n + 1), 0.0, math.inf
+def _coupling_report(st, slack, norms, divergence, sum_errors, mins):
+    """The report of :func:`verify_convergence_coupling` from its per-time measures."""
+    e = 2.0 * divergence * float(st.d.sum()) * (2.0 / float(st.d.min()))
+    ratios = norms / st.env_up
     grid = st.ts_fine[::4]
-    chunk = yield columns.size, ("forward",)
-    X_chunk = np.empty((CHUNK_STEPS,) + columns.shape)
-    while chunk is not None:
-        k, phi, _, divergence, _ = chunk
-        ks = slice(k, k + len(phi))
-        env_up = st.env_up[ks]
-        worst = max(worst, float((divergence / env_up).max()))
-        X = np.matmul(phi, columns, out=X_chunk[:len(phi)])
-        probs = X[..., :2 * n_pairs]
-        prob_sum_err = max(prob_sum_err, float(np.abs(probs.sum(axis=-2) - 1.0).max()))
-        prob_min = min(prob_min, float(probs.min()))
-        norms = np.abs(tail_sums @ X[..., 2 * n_pairs:]).sum(axis=-2)
-        up = norms / (env_up[:, None] * safe_norms0)
-        ratio_max[ks] = up.max(axis=1)
-        if ratio_max[ks].max() > 1.0 + band:
-            candidates += _beyond("coupling", up, up > 1.0 + band, grid[ks])
-        chunk = yield
-
-    # forward-propagator error of pair j maps through the tail-sum transform
-    # with a factor sum(d) times its l1 norm over its starting norm
-    growth = float((np.abs(diff).sum(axis=0) / safe_norms0).max())
-    integ_margin = 2.0 * worst * float(st.d.sum()) * growth
-    slack_total = slack + integ_margin + st.quad_margin
-    violations = _confirm(candidates, slack_total)
+    prob_sum_err, prob_min = float(sum_errors.max()), float(mins.min())
+    checks = []
     if prob_sum_err > 1e-10:
-        violations.append(("probability-sum", -1, 0.0, prob_sum_err))
+        checks.append(("probability-sum", float(grid[np.argmax(sum_errors)]), prob_sum_err))
     if prob_min < -1e-12:
-        violations.append(("probability-negative", -1, 0.0, prob_min))
-    yield _report(
-        "coupling", st, violations, n_trials=n_pairs, seed=seed, slack=slack,
-        integrator_margin=integ_margin, slack_total=slack_total,
-        worst_upper=float(ratio_max.max()), worst_lower=None, ratio_upper_max=ratio_max,
-        prob_sum_error=prob_sum_err, prob_min=float(prob_min))
+        checks.append(("probability-negative", float(grid[np.argmin(mins)]), prob_min))
+    return _report(
+        "coupling", st, slack, _relative(e, norms),
+        [("coupling", ratios, (norms - e) / st.env_up > 1.0 + slack + st.quad_margin)],
+        checks, worst_upper=float(ratios.max()), worst_lower=None,
+        ratio_upper_max=ratios, prob_sum_error=prob_sum_err, prob_min=prob_min)
 
 
-def _verify_both(spec, weights, tmax, n_steps, n_trials, n_pairs, seed, slack):
+def _verify_both(spec, weights, tmax, n_steps, *, slack):
     """(verify_bounds(...), verify_convergence_coupling(...)) from one set-up and one scan.
 
     The rates are evaluated once, and one pair of identity scans of the
-    forward system feeds both judgements chunk by chunk. The reports equal
-    those of the two verifiers run one after the other.
+    forward system carries the propagators both verifiers read. The
+    reports equal those of the two verifiers run one after the other.
     """
-    n_trials, n_pairs = _at_least_one(n_trials, "trial"), _at_least_one(n_pairs, "pair")
     st = _verification_setup(spec, weights, tmax, n_steps)
-    return _scan(st, _bounds_trials(st, n_trials, seed, slack),
-                 _coupling_trials(st, n_pairs, seed, slack))
+    bounds, coupling = _scan(st, _BOUNDS, _coupling(st.d))
+    return _bounds_report(st, slack, *bounds), _coupling_report(st, slack, *coupling)
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

@@ -5,8 +5,9 @@ generator entry by entry from the model-file definition of each chain kind,
 regularity entry by entry of the generator stack, essential non-negativity
 of a whole B* stack at once, the triangular similarity as explicit integer
 matrices, column sums of a single matrix, eigenvalues by plain power iteration, RK4 trajectories
-one stage at a time, and the transformed RK4 increment by the structural
-tail-sum transform.
+one stage at a time, the transformed RK4 increment by the structural
+tail-sum transform, and the verifiers' envelope ratios on seeded random
+starts.
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ctmc_bounds import (NonnegReport, PowerIterationError, RegularityReport,
-                         RegularityViolation, build_reduced, to_bstar)
+                         RegularityViolation, build_reduced, solve, to_bstar)
 
 
 def _jump_rate(kind, lists, i, j):
@@ -221,3 +222,32 @@ def transformed_increment(K, d):
     K as to a forward matrix A = Q^T, then the weights d.
     """
     return to_bstar(build_reduced(np.swapaxes(K, -1, -2))) * (d[:, None] / d[None, :])
+
+
+def drawn_ratios(spec, d, tmax, n_steps, env_up, env_lo, count, seed):
+    """Per-time envelope ratios of seeded random starts, each batch integrated by solve.
+
+    Draws count signed starts (entries uniform in [-1, 1]) and count
+    non-negative ones (uniform in [0, 1]) of the transformed system with
+    the weights d, and count pairs of random distributions of the forward
+    system; a pair's difference is propagated, its state-0 entry set so that
+    it carries no mass. Returns (upper, lower, coupling, distributions):
+    the upper-envelope ratios of the 2 count starts, the lower-envelope
+    ratios of the non-negative ones and the coupling ratios of the pairs'
+    weighted tail sums, each (n_steps+1, columns), and the 2 count
+    propagated distributions, (n_steps+1, S+1, 2 count).
+    """
+    S = spec.S
+    rng = np.random.default_rng(seed)
+    X = np.hstack([rng.uniform(-1.0, 1.0, (S, count)), rng.uniform(0.0, 1.0, (S, count))])
+    norms = np.abs(solve("transformed", spec, X, tmax, n_steps, weights=d).states).sum(axis=1)
+    norms /= np.abs(X).sum(axis=0)
+    P = rng.uniform(0.0, 1.0, (S + 1, 2 * count))
+    P /= P.sum(axis=0)
+    diff = P[:, :count] - P[:, count:]
+    diff[0] = -diff[1:].sum(axis=0)
+    y = solve("forward", spec, diff, tmax, n_steps).states[:, 1:]
+    tails = np.abs(d[:, None] * np.cumsum(y[:, ::-1], axis=1)[:, ::-1]).sum(axis=1)
+    return (norms / env_up[:, None], norms[:, count:] / env_lo[:, None],
+            tails / (env_up[:, None] * tails[0]),
+            solve("forward", spec, P, tmax, n_steps).states)

@@ -228,7 +228,7 @@ def test_verify_peaks_below_one_generator_stack(tmp_path, capsys):
     # B** there, so verify holds neither whole; a whole Q would take 30.8 MB
     path = tmp_path / "model.json"
     path.write_text(cb.serialize_model(cb.ModelFile(
-        TV_BATCH_S30, cb.AnalysisSettings(horizon=1.0, steps=1000, trials=2, pairs=2))))
+        TV_BATCH_S30, cb.AnalysisSettings(horizon=1.0, steps=1000))))
     code, peak = _traced_peak(lambda: cli.main(["verify", str(path)]))
     assert code == cli.EXIT_OK
     assert peak < (4 * 1000 + 1) * 31 ** 2 * 8

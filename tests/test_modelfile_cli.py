@@ -327,7 +327,7 @@ def test_perron_solve_failure_exits_with_evaluation_code(tmp_path, capsys, monke
 
 @pytest.mark.parametrize("argv", [["verify", "--steps", "0"],
                                   ["verify", "--horizon", "-1"],
-                                  ["verify", "--trials", "0"],
+                                  ["check", "--grid", "1"],
                                   ["bounds", "--grid", "1"],
                                   ["bounds", "--horizon", "0"],
                                   ["verify", "--tol", "nan"]])
@@ -382,18 +382,25 @@ def test_a_file_that_is_not_utf8_exits_with_the_parse_code(tmp_path, capsys, wei
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("where", ["flag", "model-file"])
-def test_a_negative_seed_exits_with_the_parse_code(tmp_path, capsys, where):
-    # the random generator refuses a negative seed with a traceback; the
-    # settings refuse it first, with one line and the parse code
+@pytest.mark.parametrize("key, least", [("trials", 1), ("pairs", 1), ("seed", 0)])
+def test_retired_analysis_keys_are_checked_then_ignored(tmp_path, capsys, key, least):
+    # model files written for the random verification still load: their
+    # trials, pairs and seed are checked as they were, and change nothing
     doc = json.loads(json.dumps(BD3))
-    flags = ["--seed", "-1"] if where == "flag" else []
-    if where == "model-file":
-        doc["analysis"]["seed"] = -1
-    code = cli.main(["verify", _write(tmp_path, doc)] + flags)
+    doc["analysis"][key] = least - 1
+    code = cli.main(["verify", _write(tmp_path, doc)])
     out, err = capsys.readouterr()
     assert code == cli.EXIT_PARSE and out == ""
-    assert err == "error: analysis seed must be at least 0, got -1\n"
+    assert err == f"error: analysis {key} must be at least {least}, got {least - 1}\n"
+    outputs = []
+    for value in (least, None):
+        doc["analysis"].pop(key)
+        if value is not None:
+            doc["analysis"][key] = value
+        assert cli.main(["verify", _write(tmp_path, doc)]) == cli.EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert cb.parse_model(json.dumps(doc)).analysis == cb.parse_model(json.dumps(BD3)).analysis
 
 
 def test_frozen_perron_warns_on_time_varying(tmp_path, capsys):
@@ -455,8 +462,11 @@ def test_model_integer_fields_accept_integral_floats():
 
 
 @pytest.mark.parametrize("argv", [["rate", "--weights", "ones"], ["check", "--seed", "1"],
-                                  ["bounds", "--tol", "0"], ["verify", "--grid", "5"]],
-                         ids=["rate-weights", "check-seed", "bounds-tol", "verify-grid"])
+                                  ["bounds", "--tol", "0"], ["verify", "--grid", "5"],
+                                  ["verify", "--seed", "1"], ["verify", "--trials", "5"],
+                                  ["verify", "--pairs", "5"]],
+                         ids=["rate-weights", "check-seed", "bounds-tol", "verify-grid",
+                              "verify-seed", "verify-trials", "verify-pairs"])
 def test_commands_refuse_options_they_do_not_read(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main([argv[0], _write(tmp_path, BD3)] + argv[1:])
@@ -679,15 +689,17 @@ def test_finite_integral_with_an_overflowing_envelope(tmp_path, capsys):
 def test_verify_refuses_the_working_set_of_a_chunk_before_the_first(tmp_path, capsys,
                                                                      monkeypatch):
     # S = 40, 64 steps: the table and the column sums are small, while a
-    # chunk of the scans holds about 968 (S+1)^2 doubles, 13 MB. The figure
-    # asked for lies between that peak and twice it, and a refusal comes
-    # before the scans allocate anything
+    # chunk of the scans holds about 787 (S+1)^2 doubles, 10.6 MB, or 24.6
+    # a step: the verdicts read the propagators and keep no buffers of
+    # their own. The figure asked for, SCAN_MATRICES = 26 a step, lies
+    # between that peak and twice it, and a refusal comes before the scans
+    # allocate anything
     doc = {"schema": 1, "chain": {**SINUSOID_BD3["chain"], "states": 40,
                                   "birth": ["lam"] * 40, "death": [1.0] * 40},
-           "analysis": {"horizon": 1.0, "steps": 64, "trials": 2, "pairs": 2}}
+           "analysis": {"horizon": 1.0, "steps": 64}}
     path = _write(tmp_path, doc)
     model = cb.load_model(path)
-    run = lambda: cb.odesolve._verify_both(model.chain, None, 1.0, 64, 2, 2, 0, 1e-8)
+    run = lambda: cb.odesolve._verify_both(model.chain, None, 1.0, 64, slack=1e-8)
     run()
     tracemalloc.start()
     try:

@@ -10,7 +10,7 @@ import pytest
 import ctmc_bounds as cb
 from ctmc_bounds import odesolve
 from conftest import random_class_chain, random_sharp_chain
-from linalg_oracles import rk4_reference, transformed_increment
+from linalg_oracles import drawn_ratios, rk4_reference, transformed_increment
 
 
 def _two_state_exact(t):
@@ -254,33 +254,43 @@ def test_blow_up_inside_a_chunk_reports_the_first_offending_time(monkeypatch, bi
 def test_verify_bounds_sharp_chain_ratios_are_one():
     spec = cb.birth_death_chain(3, [1.0] * 3, [1.0] * 3)
     rate = cb.perron_weights(cb.to_bstar(cb.build_reduced(cb.eval_generator(spec, 0.0))))
-    rep = cb.verify_bounds(spec, rate.weights, tmax=5.0, n_steps=2000,
-                           n_trials=25, seed=6)
+    rep = cb.verify_bounds(spec, rate.weights, tmax=5.0, n_steps=2000)
     assert rep.passed and rep.n_violations == 0
     assert abs(rep.worst_upper - 1.0) <= 1e-6
     assert abs(rep.worst_lower - 1.0) <= 1e-6
     assert rep.integrator_margin < 1e-8 and rep.quadrature_margin < 1e-8
 
 
-def test_exact_ratios_bound_the_random_ones_on_a_sharp_chain():
-    spec = cb.batch_birth_chain(6, [1.2, 1.0, 0.8, 0.5, 0.3, 0.1], [1.0] * 6)
-    rate = cb.perron_weights(cb.to_bstar(cb.build_reduced(cb.eval_generator(spec, 0.0))))
-    tmax, n = 3.0, 2000
-    rep = cb.verify_bounds(spec, rate.weights, tmax, n_steps=n, n_trials=50, seed=5)
-    assert rep.passed and rep.worst_upper > 1.0
-    # round-off of two S-term sums may put a random ratio a little above the norm
-    tol = 2 * spec.S * np.finfo(float).eps
-    assert rep.exact_upper >= rep.worst_upper - tol
-    assert rep.exact_lower <= rep.worst_lower + tol
-    assert abs(rep.exact_upper - 1.0) <= rep.slack_total
-    assert abs(rep.exact_lower - 1.0) <= rep.slack_total
-    # the worst start of the induced l1 norm is a unit vector: integrate them all
-    st = odesolve._verification_setup(spec, rate.weights, tmax, n)
-    phi = cb.solve("transformed", spec, np.eye(spec.S), tmax, n, weights=rate.weights).states
-    assert abs(rep.exact_upper - float((np.abs(phi).sum(axis=1).max(axis=1)
-                                        / st.env_up).max())) <= 1e-13
-    assert abs(rep.exact_lower - float((phi.sum(axis=1).min(axis=1)
-                                        / st.env_lo).min())) <= 1e-13
+SHARP_BATCH = cb.batch_birth_chain(6, [1.2, 1.0, 0.8, 0.5, 0.3, 0.1], [1.0] * 6)
+
+
+@pytest.mark.parametrize("spec, weights", [
+    (SHARP_BATCH, cb.perron_weights(cb.to_bstar(cb.build_reduced(
+        cb.eval_generator(SHARP_BATCH, 0.0)))).weights),
+    (cb.batch_both_chain(5, [LAM, 0.8, 0.5, 0.3, 0.1], [LAM, 0.6, 0.4, 0.2, 0.1]),
+     np.array([1.0, 0.7, 1.3, 0.9, 1.6]))], ids=["sharp", "time-varying"])
+def test_no_drawn_start_beats_the_exact_ratios(spec, weights):
+    # the exact ratios are the worst over every start; starts drawn at random
+    # and integrated by solve, batch by batch, may reach them but never beat
+    # them beyond the round-off of their different products
+    tmax, n = 3.0, 600
+    st = odesolve._verification_setup(spec, weights, tmax, n)
+    rep_b, rep_c = odesolve._verify_both(spec, weights, tmax, n, slack=1e-8)
+    assert rep_b.passed and rep_c.passed
+    upper, lower, coupling, probs = drawn_ratios(spec, st.d, tmax, n, st.env_up, st.env_lo,
+                                                 count=50, seed=5)
+    tol = 1e-12
+    assert np.all(upper <= rep_b.ratio_upper_max[:, None] * (1.0 + tol))
+    assert np.all(lower >= rep_b.ratio_lower_min[:, None] * (1.0 - tol))
+    assert np.all(coupling <= rep_c.ratio_upper_max[:, None] * (1.0 + tol))
+    assert probs.min() >= rep_c.prob_min - tol
+    assert np.abs(probs.sum(axis=1) - 1.0).max() <= rep_c.prob_sum_error + tol
+    if spec is SHARP_BATCH:
+        # equal column sums: every non-negative start attains the exact ratios
+        assert np.all(np.abs(upper[:, 50:] - rep_b.ratio_upper_max[:, None])
+                      <= tol * rep_b.ratio_upper_max[:, None])
+        assert abs(rep_b.worst_upper - 1.0) <= rep_b.slack_total
+        assert abs(rep_b.worst_lower - 1.0) <= rep_b.slack_total
 
 
 def test_verify_refuses_a_lower_envelope_that_underflows():
@@ -290,24 +300,23 @@ def test_verify_refuses_a_lower_envelope_that_underflows():
     report = cb.compute_bounds(spec, np.ones(3), 1000.0, 11)
     assert report.I_lower[-1] == -2000.0 and report.env_lower[-1] == 0.0
     with pytest.raises(cb.NonFiniteBoundError, match=re.escape("exp(-760.0) at t=380.0 ")):
-        cb.verify_bounds(spec, np.ones(3), 1000.0, n_steps=100, n_trials=2)
+        cb.verify_bounds(spec, np.ones(3), 1000.0, n_steps=100)
 
 
 def test_verify_bounds_time_varying_chain():
     lam = cb.RateFunction.sinusoid(1.0, 1.0, 1.0)
     spec = cb.birth_death_chain(5, [lam] * 5, [1.0] * 5)
-    rep = cb.verify_bounds(spec, np.ones(5), tmax=3.0, n_steps=1500,
-                           n_trials=60, seed=2)
+    rep = cb.verify_bounds(spec, np.ones(5), tmax=3.0, n_steps=1500)
     assert rep.passed
     assert rep.worst_upper <= 1.0 + rep.slack_total
     assert rep.worst_lower >= 1.0 - rep.slack_total
     assert rep.grid.shape == rep.ratio_upper_max.shape
 
 
-def test_verify_bounds_deterministic_given_seed():
+def test_verify_bounds_is_deterministic():
     spec = cb.birth_death_chain(3, [1.0, 2.0, 1.0], [2.0, 1.0, 2.0])
-    a = cb.verify_bounds(spec, np.ones(3), 1.0, n_steps=500, n_trials=10, seed=3)
-    b = cb.verify_bounds(spec, np.ones(3), 1.0, n_steps=500, n_trials=10, seed=3)
+    a = cb.verify_bounds(spec, np.ones(3), 1.0, n_steps=500)
+    b = cb.verify_bounds(spec, np.ones(3), 1.0, n_steps=500)
     assert np.array_equal(a.ratio_upper_max, b.ratio_upper_max)
     assert np.array_equal(a.ratio_lower_min, b.ratio_lower_min)
     assert a.worst_upper == b.worst_upper and a.worst_lower == b.worst_lower
@@ -319,7 +328,7 @@ def test_verify_bounds_deterministic_given_seed():
                          ids=["homogeneous", "time-varying"])
 @pytest.mark.parametrize("verify", [cb.verify_bounds, cb.verify_convergence_coupling])
 def test_each_verifier_scans_once_per_step_size(monkeypatch, verify, spec):
-    # the trials ride on the step-h identity scan of the integrator margin
+    # the verdicts read the step-h identity scan of the integrator margin
     steps = []
     scan = odesolve._rk4_scan
 
@@ -329,7 +338,7 @@ def test_each_verifier_scans_once_per_step_size(monkeypatch, verify, spec):
         return scan(mats, n, h, x0, halved)
 
     monkeypatch.setattr(odesolve, "_rk4_scan", counted)
-    assert verify(spec, None, 1.0, 8, 3).passed
+    assert verify(spec, None, 1.0, 8).passed
     stack = 1 if spec.is_homogeneous else 33
     assert sorted(steps) == [(8, 0.125, (stack + 1) // 2), (16, 0.0625, stack)]
 
@@ -350,7 +359,7 @@ MIDPOINT_BREAK = cb.batch_birth_chain(
 def test_verifiers_refuse_a_transform_that_is_not_essentially_nonnegative(
         verify, spec, where):
     with pytest.raises(cb.NonnegativityError, match=re.escape(where)):
-        verify(spec, None, 1.0, 4, 3)
+        verify(spec, None, 1.0, 4)
 
 
 def test_verifiers_validate_horizon_and_steps():
@@ -366,8 +375,7 @@ def test_verify_coupling_passes_and_checks_probabilities():
     rng = np.random.default_rng(77)
     spec = random_sharp_chain(rng, "batch_both", 4)
     rate = cb.perron_weights(cb.to_bstar(cb.build_reduced(cb.eval_generator(spec, 0.0))))
-    rep = cb.verify_convergence_coupling(spec, rate.weights, tmax=2.0,
-                                         n_steps=1500, n_pairs=200, seed=8)
+    rep = cb.verify_convergence_coupling(spec, rate.weights, tmax=2.0, n_steps=1500)
     assert rep.passed and rep.n_violations == 0 and rep.kind == "coupling"
     assert rep.prob_sum_error <= 1e-10
     assert rep.prob_min >= -1e-12
@@ -377,61 +385,21 @@ def test_verify_coupling_passes_and_checks_probabilities():
 DEMO04_CHAIN = cb.batch_both_chain(4, [1.2, 0.6, 0.3, 0.15], [1.0, 0.5, 0.25, 0.1])
 
 
-def _dyadic_pairs(rng, dim, n_pairs):
-    """Pairs moving 2^-30 of mass from the top state to state 0 of a dyadic vector."""
-    P1 = (rng.multinomial(2**20 - dim, np.full(dim, 1.0 / dim), size=n_pairs).T
-          + 1) / 2.0**20
-    P2 = P1.copy()
-    P2[0] += 2.0**-30
-    P2[-1] -= 2.0**-30
-    assert np.all(P1.sum(axis=0) == 1.0) and np.all(P2.sum(axis=0) == 1.0)
-    return np.hstack([P1, P2])
-
-
-def _shifted_pairs(rng, dim, n_pairs):
-    """Pairs moving 1e-9 of mass from the top state to state 1 of a normalised vector.
-
-    Neither vector sums to exactly one, nor their difference to zero.
-    """
-    P1 = rng.uniform(0.0, 1.0, size=(dim, n_pairs))
-    P1 /= P1.sum(axis=0)
-    P2 = P1.copy()
-    P2[1] += 1e-9
-    P2[-1] -= 1e-9
-    return np.hstack([P1, P2])
-
-
-def test_coupling_propagates_nearly_equal_pairs_without_cancellation(monkeypatch):
-    # the dyadic difference is exact, sums to zero and maps to w0 = 2^-30 d
-    # >= 0, whose ratio on a sharp chain is 1 up to RK4 and round-off of the
-    # propagators. Differencing the propagated pair instead loses about
-    # eps / 2^-30 relative, amplified by the decay (1e-4 here). The
-    # integrator margin of each pair is taken relative to its own starting
-    # norm: dividing by the smallest one made slack_total 0.76 here, which
-    # no ratio could exceed.
+@pytest.mark.parametrize("n", [2000, 8000])
+def test_coupling_ratios_over_every_pair_are_one_on_a_sharp_chain(n):
+    # on a sharp chain every difference of distributions decays at the
+    # envelope's rate: L Phi_k Rt has equal column sums, and the worst
+    # ratio over every pair stays within RK4 and round-off of one, also
+    # where the propagators have decayed to exp(4 lambda0) = 7.7e-4 of L Rt
     rate = cb.perron_weights(cb.to_bstar(cb.build_reduced(cb.eval_generator(DEMO04_CHAIN, 0.0))))
-    monkeypatch.setattr(odesolve, "_draw_pairs", _dyadic_pairs)
-    rep = cb.verify_convergence_coupling(DEMO04_CHAIN, rate.weights, tmax=4.0,
-                                         n_steps=2000, n_pairs=10, seed=3)
-    assert np.abs(rep.ratio_upper_max - 1.0).max() <= 1e-9
-    assert rep.passed and rep.slack_total <= 1e-7
-
-
-def test_coupling_pair_differences_carry_no_mass(monkeypatch):
-    # a difference whose entries do not sum to zero keeps an undamped
-    # stationary part while the rest decays: these pairs drifted to a ratio
-    # of 1 + 2.7e-5 at t=4, far beyond a slack_total of 1e-8
-    rate = cb.perron_weights(cb.to_bstar(cb.build_reduced(cb.eval_generator(DEMO04_CHAIN, 0.0))))
-    monkeypatch.setattr(odesolve, "_draw_pairs", _shifted_pairs)
-    rep = cb.verify_convergence_coupling(DEMO04_CHAIN, rate.weights, tmax=4.0,
-                                         n_steps=8000, n_pairs=10, seed=3)
+    rep = cb.verify_convergence_coupling(DEMO04_CHAIN, rate.weights, tmax=4.0, n_steps=n)
     assert np.abs(rep.ratio_upper_max - 1.0).max() <= 1e-9
     assert rep.passed and rep.slack_total <= 1e-7
 
 
 def test_verification_csv_export(tmp_path):
     spec = cb.birth_death_chain(2, [1.0, 1.0], [1.0, 1.0])
-    rep = cb.verify_bounds(spec, np.ones(2), 1.0, n_steps=100, n_trials=5, seed=1)
+    rep = cb.verify_bounds(spec, np.ones(2), 1.0, n_steps=100)
     path = tmp_path / "verify.csv"
     cb.verification_to_csv(rep, path)
     lines = path.read_text().strip().split("\n")
@@ -544,9 +512,9 @@ def _fields(report):
 def test_both_verifiers_in_one_scan_report_what_each_reports_alone(spec, weights):
     # 97 steps cross four chunks of the scan, the last one short
     args = (spec, weights, 1.5, 97)
-    both = odesolve._verify_both(*args, n_trials=4, n_pairs=3, seed=7, slack=1e-8)
-    alone = (cb.verify_bounds(*args, n_trials=4, seed=7, slack=1e-8),
-             cb.verify_convergence_coupling(*args, n_pairs=3, seed=7, slack=1e-8))
+    both = odesolve._verify_both(*args, slack=1e-8)
+    alone = (cb.verify_bounds(*args, slack=1e-8),
+             cb.verify_convergence_coupling(*args, slack=1e-8))
     for got, want in zip(both, alone, strict=True):
         got, want = _fields(got), _fields(want)
         assert got.keys() == want.keys()

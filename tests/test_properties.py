@@ -57,13 +57,11 @@ def analyses(draw, S, small=False):
         return cb.AnalysisSettings(
             horizon=draw(st.floats(0.1, 2.0)), grid=draw(st.integers(2, 9)),
             steps=draw(st.integers(1, 12)), weights=weights,
-            trials=draw(st.integers(1, 3)), pairs=draw(st.integers(1, 3)),
-            seed=draw(st.integers(0, 2**32)), tolerance=draw(st.floats(0.0, 1e-3)))
+            tolerance=draw(st.floats(0.0, 1e-3)))
     return cb.AnalysisSettings(
         horizon=draw(st.floats(1e-3, 1e6)), grid=draw(st.integers(2, 10**6)),
         steps=draw(st.integers(1, 10**6)), weights=weights,
-        trials=draw(st.integers(1, 10**4)), pairs=draw(st.integers(1, 10**4)),
-        seed=draw(st.integers(0, 2**63)), tolerance=draw(st.floats(0.0, 1.0)))
+        tolerance=draw(st.floats(0.0, 1.0)))
 
 
 @st.composite

@@ -371,7 +371,7 @@ CHUNKED_CASES = {
         cb.RateFunction.table([0.0, 0.3, 0.6, 1.0], [1e-7, 1e-7, 0.25, 0.25])], [1e-6] * 3),
 }
 # the check grid has 11 times; bounds (2*11-1) and verify (4*5+1) share 21
-CHUNKED_ANALYSIS = {"horizon": 1.0, "grid": 11, "steps": 5, "trials": 3, "pairs": 3}
+CHUNKED_ANALYSIS = {"horizon": 1.0, "grid": 11, "steps": 5}
 
 
 def _whole_stack(spec, times):
