@@ -219,9 +219,11 @@ def cmd_verify(args) -> int:
         if rep.worst_lower is not None:
             print(f"  worst lower ratio: {format(rep.worst_lower, '.17g')}")
         if not rep.passed:
-            phase, t, ratio = rep.violations[0]
+            # a probability check records the worst column-sum error or entry
+            phase, t, value = rep.violations[0]
+            label = "value" if phase.startswith("probability") else "ratio"
             print(f"  first violation: {phase}, t={_fmt(t)}, "
-                  f"ratio {format(ratio, '.17g')} ({rep.n_violations} total)")
+                  f"{label} {format(value, '.17g')} ({rep.n_violations} total)")
     if args.csv:
         write_csv(args.csv, ("t", "bounds_ratio_upper_max", "bounds_ratio_lower_min",
                              "coupling_ratio_max"),

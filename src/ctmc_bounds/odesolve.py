@@ -29,15 +29,14 @@ carries the verifiers a chunk at a time. Each scan runs on the forward
 writer, :class:`_Forward`, which maps each forward RK4 increment K = R - I
 to that of B** by two constant products, L K Rt (RK4 commutes with the
 constant change of variables); the step-h/2 scan fuses the increments of
-its two half steps before the map, so each step takes one map. The scans
-carry the blocks the verifiers read: the forward propagators Phi_k, which
-the coupling verifier reads, and the transformed ones G_k, which the
-bounds verifier reads. Every trajectory is a propagator applied to its
-start, so the worst ratio to the envelopes over every start at a grid
-time is a norm or a column sum of that time's propagator: each verdict is
-exact per time, with no random starts. The distance to the step-h/2
-propagators gives each time its own integrator margin. No whole-time Q, B
-or B** stack is formed.
+its two half steps before the map, so each step takes one map. Each scan
+carries both propagators: the forward Phi_k, which the coupling verifier
+reads, and the transformed G_k, which the bounds verifier reads. Every
+trajectory is a propagator applied to its start, so the worst ratio to the
+envelopes over every start at a grid time is a norm or a column sum of
+that time's propagator: each verdict is exact per time, with no random
+starts. The distance to the step-h/2 propagators gives each time its own
+integrator margin. No whole-time Q, B or B** stack is formed.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from .chain import ChainSpec, RateTable, evaluation_times, rate_table, require_m
 from .transform import build_reduced, to_bstar, validate_weights
 
 SYSTEMS = ("forward", "reduced_hom", "transformed")
-BLOCKS = ("forward", "transformed")  # the systems whose propagators the verifier scans carry
 
 MAX_STATE = 1e12          # blow-up guard threshold
 VIOLATION_CAP = 100       # violations stored per report (the count is exact)
@@ -349,18 +347,17 @@ class _Forward(_System):
     """The forward :class:`_System`, whose one-step operators carry w' = B**(t) w along.
 
     Its slices are the forward matrices A; its :meth:`increments` give the
-    scan the operators of the blocks it carries: 'forward', the forward
-    system's own, and 'transformed', those of the weighted transformed
-    system, mapped from the forward ones by two constant factors.
+    scan the operators of both systems: the forward system's own, and those
+    of the weighted transformed system, mapped from the forward ones by two
+    constant factors.
     """
 
-    def __init__(self, table: RateTable, d, blocks=BLOCKS):
+    def __init__(self, table: RateTable, d):
         super().__init__(table, d)
-        self.blocks = blocks
         self.left, self.right = _tail_sum_maps(d)
 
     def increments(self, K):
-        """A (..., len(blocks), S+1, S+1) stack of increments R - I from forward ones K.
+        """A (..., 2, S+1, S+1) stack of increments R - I from forward ones K.
 
         The forward block is K. The transformed one is L K Rt in the
         lower-right S x S block, its first row and column zero, so that
@@ -374,12 +371,9 @@ class _Forward(_System):
         operators; K of two fused steps maps to the fused transformed
         increment, since 1^T K = 0.
         """
-        if self.blocks == ("forward",):
-            return K[..., None, :, :]
-        out = np.empty(K.shape[:-2] + (len(self.blocks),) + K.shape[-2:])
-        if self.blocks[0] == "forward":
-            out[..., 0, :, :] = K
-        G = out[..., -1, :, :]
+        out = np.empty(K.shape[:-2] + (2,) + K.shape[-2:])
+        out[..., 0, :, :] = K
+        G = out[..., 1, :, :]
         G[..., 0, :] = 0.0
         G[..., 1:, 0] = 0.0
         np.matmul(self.left, _right_product(K, self.right), out=G[..., 1:, 1:])
@@ -391,33 +385,38 @@ def _right_product(K, right):
     return np.matmul(K.reshape(-1, K.shape[-1]), right).reshape(K.shape[:-1] + (-1,))
 
 
-def _propagators(table, d, n, h, blocks=BLOCKS):
+def _propagators(table, d, n, h):
     """Yield (k, Phi, G, e_Phi, e_G): RK4 propagators from 0 to t_k, t_{k+1}, ... in chunks.
 
     Phi[i] and Psi[i] propagate the forward system p' = A(t) p from 0 to
     t_{k+i} = (k+i) h with steps h and h/2, and G[i] and H[i] the
     transformed system w' = B**(t) w with the weights d, carried along by
-    the operators of :class:`_Forward`; e_Phi[i] = ||Phi[i] - Psi[i]||_1->1
-    and e_G[i] = ||G[i] - H[i]||_1->1 are their divergences. Only the
-    blocks named are carried; an absent one's propagators and divergences
-    are yielded as None. table holds the rates at spacing h/4 (or at one
-    time); each scan writes A from it a chunk of steps at a time, so no
-    whole-time stack is formed. Both identity scans take n sequential
-    steps. Twice the divergence estimates the integrator error of Phi x0
-    (or G x0) relative to ||x0||_1, the conservative Richardson-style margin.
+    the operators of :class:`_Forward` as the second of the (2, S+1, S+1)
+    blocks of each scan state; e_Phi[i] = ||Phi[i] - Psi[i]||_1->1 and
+    e_G[i] = ||G[i] - H[i]||_1->1 are their divergences. table holds the
+    rates at spacing h/4 (or at one time); each scan writes A from it a
+    chunk of steps at a time, so no whole-time stack is formed. Both
+    identity scans take n sequential steps. Twice the divergence estimates
+    the integrator error of Phi x0 (or G x0) relative to ||x0||_1, the
+    conservative Richardson-style margin.
     """
-    eye = np.stack([np.eye(table.S + 1)] * len(blocks))
+    eye = np.stack([np.eye(table.S + 1)] * 2)
     for (k, phi), (_, psi) in zip(
-            _rk4_scan(_Forward(table.at(np.s_[::2]), d, blocks), n, h, eye),
-            _rk4_scan(_Forward(table, d, blocks), n, h, eye, halved=True)):
-        found = {}
-        for i, block in enumerate(blocks):
-            inner = np.s_[:, i] if block == "forward" else np.s_[:, i, 1:, 1:]
-            diff = np.subtract(phi[inner], psi[inner])
-            found[block] = phi[inner], np.abs(diff, out=diff).sum(axis=-2).max(axis=-1)
-            del diff  # one block's difference at a time
-        (F, eF), (G, eG) = (found.get(block, (None, None)) for block in BLOCKS)
-        yield k, F, G, eF, eG
+            _rk4_scan(_Forward(table.at(np.s_[::2]), d), n, h, eye),
+            _rk4_scan(_Forward(table, d), n, h, eye, halved=True)):
+        F, G = phi[:, 0], phi[:, 1, 1:, 1:]
+        yield k, F, G, _divergence(F, psi[:, 0]), _divergence(G, psi[:, 1, 1:, 1:])
+
+
+def _divergence(A, B):
+    """||A - B||_1->1 of each pair of matrices of two stacks.
+
+    The difference goes to a fresh buffer, freed on return, so one block's
+    difference is held at a time; A and B are chunks of the scans, whose
+    last states start their next chunks, and must not be written.
+    """
+    diff = np.subtract(A, B)
+    return np.abs(diff, out=diff).sum(axis=-2).max(axis=-1)
 
 
 def _tail_sum_maps(d):
@@ -495,27 +494,6 @@ def _verification_setup(spec, weights, tmax, n_steps) -> _Setup:
                   env_up=env_up, env_lo=env_lo, quad_margin=quad_margin)
 
 
-def _scan(st, *measures):
-    """Per-time measures of the propagators of one pair of identity scans.
-
-    A measure is a pair (block, function): the function takes a chunk
-    (k, Phi, G, e_Phi, e_G) of :func:`_propagators`, which carries only
-    the :data:`BLOCKS` some measure reads, and returns a tuple of arrays
-    with one entry per time of the chunk. Returns, for each measure, its
-    tuple of arrays over the whole step grid. Before the first chunk,
-    MemoryError is raised if the working set of a chunk, SCAN_MATRICES
-    (S+1) x (S+1) matrices a step, exceeds the machine's physical memory.
-    """
-    blocks = tuple(b for b in BLOCKS if any(b == block for block, _ in measures))
-    require_memory(f"a scan chunk of {CHUNK_STEPS} steps",
-                   8 * CHUNK_STEPS * SCAN_MATRICES * (len(st.d) + 1) ** 2)
-    parts = [[] for _ in measures]
-    for chunk in _propagators(st.table, st.d, st.n, st.h, blocks):
-        for part, (_, measure) in zip(parts, measures):
-            part.append(measure(*chunk))
-    return [tuple(map(np.concatenate, zip(*part))) for part in parts]
-
-
 def _relative(margin, values):
     """margin / values where values > 0, else inf: a margin no ratio of that sign can carry."""
     return np.divide(margin, values, out=np.full_like(margin, np.inf), where=values > 0.0)
@@ -559,14 +537,12 @@ def verify_bounds(spec: ChainSpec, weights, tmax: float, n_steps: int = 10_000, 
     report. The reported integrator margin is the largest e_k / c_k (at
     least e_k / ||G_k||_1). Raises NonnegativityError, before the scan, if
     B*(t) is not essentially non-negative on the halved grid.
+
+    The scan is the one that ``verify`` runs, which carries the forward
+    propagators of :func:`verify_convergence_coupling` too, so this call
+    costs what ``verify`` costs; it returns the first of its two reports.
     """
-    st = _verification_setup(spec, weights, tmax, n_steps)
-    return _bounds_report(st, slack, *_scan(st, _BOUNDS)[0])
-
-
-# the bounds verifier's per-time measures: ||G_k||_1, c_k and ||G_k - H_k||_1
-_BOUNDS = ("transformed",
-           lambda k, F, G, eF, eG: (_l1_norms(G), G.sum(axis=-2).min(axis=-1), eG))
+    return _verify_both(spec, weights, tmax, n_steps, slack=slack)[0]
 
 
 def _bounds_report(st, slack, norms, lows, divergence):
@@ -602,18 +578,12 @@ def verify_convergence_coupling(spec: ChainSpec, weights, tmax: float,
     every grid time as well, the worst cases over every initial
     distribution. Raises NonnegativityError, before the scan, if B*(t) is
     not essentially non-negative on the halved grid.
+
+    The scan is the one that ``verify`` runs, which carries the transformed
+    propagators of :func:`verify_bounds` too, so this call costs what
+    ``verify`` costs; it returns the second of its two reports.
     """
-    st = _verification_setup(spec, weights, tmax, n_steps)
-    return _coupling_report(st, slack, *_scan(st, _coupling(st.d))[0])
-
-
-def _coupling(d):
-    """The coupling verifier's per-time measures of Phi_k: ||L Phi_k Rt||_1, its
-    divergence, the largest |column sum - 1| and the smallest entry."""
-    L, Rt = _tail_sum_maps(d)
-    return "forward", lambda k, F, G, eF, eG: (
-        _l1_norms(np.matmul(L, _right_product(F, Rt))), eF,
-        np.abs(F.sum(axis=-2) - 1.0).max(axis=-1), F.min(axis=(-2, -1)))
+    return _verify_both(spec, weights, tmax, n_steps, slack=slack)[1]
 
 
 def _coupling_report(st, slack, norms, divergence, sum_errors, mins):
@@ -638,12 +608,25 @@ def _verify_both(spec, weights, tmax, n_steps, *, slack):
     """(verify_bounds(...), verify_convergence_coupling(...)) from one set-up and one scan.
 
     The rates are evaluated once, and one pair of identity scans of the
-    forward system carries the propagators both verifiers read. The
-    reports equal those of the two verifiers run one after the other.
+    forward system (:func:`_propagators`) carries the propagators both
+    verifiers read. Each chunk gives seven measures per time: of the
+    transformed G_k, ||G_k||_1, its smallest column sum c_k and its
+    divergence; of the forward Phi_k, ||L Phi_k Rt||_1, its divergence,
+    the largest |column sum - 1| and the smallest entry. Before the first
+    chunk, MemoryError is raised if the working set of a chunk,
+    SCAN_MATRICES (S+1) x (S+1) matrices a step, exceeds the machine's
+    physical memory.
     """
     st = _verification_setup(spec, weights, tmax, n_steps)
-    bounds, coupling = _scan(st, _BOUNDS, _coupling(st.d))
-    return _bounds_report(st, slack, *bounds), _coupling_report(st, slack, *coupling)
+    require_memory(f"a scan chunk of {CHUNK_STEPS} steps",
+                   8 * CHUNK_STEPS * SCAN_MATRICES * (len(st.d) + 1) ** 2)
+    L, Rt = _tail_sum_maps(st.d)
+    chunks = [(_l1_norms(G), G.sum(axis=-2).min(axis=-1), eG,
+               _l1_norms(np.matmul(L, _right_product(F, Rt))), eF,
+               np.abs(F.sum(axis=-2) - 1.0).max(axis=-1), F.min(axis=(-2, -1)))
+              for _, F, G, eF, eG in _propagators(st.table, st.d, st.n, st.h)]
+    measures = [np.concatenate(m) for m in zip(*chunks)]
+    return _bounds_report(st, slack, *measures[:3]), _coupling_report(st, slack, *measures[3:])
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

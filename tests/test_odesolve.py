@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 import tracemalloc
@@ -362,6 +361,23 @@ def test_verifiers_refuse_a_transform_that_is_not_essentially_nonnegative(
         verify(spec, None, 1.0, 4)
 
 
+@pytest.mark.parametrize("verify", [cb.verify_bounds, cb.verify_convergence_coupling])
+def test_each_verifier_refuses_the_working_set_of_a_chunk_before_the_scans(monkeypatch,
+                                                                           verify):
+    # S = 40: a chunk of the scans asks for 32 x SCAN_MATRICES x 41^2 doubles,
+    # 11.2 MB, while the rate table and the column sums of 64 steps take far
+    # less; a machine of 8 MB refuses the chunk before either scan starts
+    spec = cb.birth_death_chain(40, [LAM] * 40, [1.0] * 40)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a scan started")
+
+    monkeypatch.setattr(odesolve, "_rk4_scan", refused)
+    monkeypatch.setattr(cb.chain, "physical_memory", lambda: 8 * 2**20)
+    with pytest.raises(MemoryError, match=re.escape("a scan chunk of 32 steps needs ")):
+        verify(spec, None, 1.0, 64)
+
+
 def test_verifiers_validate_horizon_and_steps():
     spec = cb.birth_death_chain(2, [1.0, 1.0], [1.0, 1.0])
     for verify in (cb.verify_bounds, cb.verify_convergence_coupling):
@@ -475,10 +491,6 @@ def test_transformed_increments_by_two_products_match_the_tail_sum_transform(S, 
     terms = np.abs(writer.left) @ (np.abs(K) @ np.abs(writer.right)
                                    + 2.0 * np.abs(K[..., :1]) / d)
     assert np.all(np.abs(G[:, 1:, 1:] - transformed_increment(K, d)) <= 1e-15 * terms)
-    # each block alone is the same block
-    for i, block in enumerate(odesolve.BLOCKS):
-        alone = odesolve._Forward(writer.table, d, (block,)).increments(K)
-        assert np.array_equal(alone[:, 0], got[:, i])
 
 
 @pytest.mark.parametrize("h", [1e-3, 0.1])
@@ -497,29 +509,3 @@ def test_fused_half_steps_are_the_increment_of_their_product(S, h):
     K0 = K[:1].copy()
     want = (eye + K0.astype(np.longdouble)) @ (eye + K0.astype(np.longdouble)) - eye
     assert np.abs(odesolve._fused(K0, K0) - want).max() <= 1e-15 * scale
-
-
-def _fields(report):
-    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
-
-
-@pytest.mark.parametrize("spec, weights", [
-    (cb.batch_both_chain(5, [LAM, 0.8, 0.5, 0.3, 0.1], [LAM, 0.6, 0.4, 0.2, 0.1]),
-     [1.0, 0.7, 1.3, 0.9, 1.6]),
-    (cb.birth_death_chain(4, [1.5, 1.0, 0.5, 2.0], [1.0, 2.0, 1.0, 1.0]), None),
-    (cb.birth_death_chain(30, [LAM] * 30, [1.0] * 30), None)],
-    ids=["time-varying-batch", "homogeneous", "time-varying-S30"])
-def test_both_verifiers_in_one_scan_report_what_each_reports_alone(spec, weights):
-    # 97 steps cross four chunks of the scan, the last one short
-    args = (spec, weights, 1.5, 97)
-    both = odesolve._verify_both(*args, slack=1e-8)
-    alone = (cb.verify_bounds(*args, slack=1e-8),
-             cb.verify_convergence_coupling(*args, slack=1e-8))
-    for got, want in zip(both, alone, strict=True):
-        got, want = _fields(got), _fields(want)
-        assert got.keys() == want.keys()
-        for name, value in want.items():
-            if isinstance(value, np.ndarray):
-                assert np.array_equal(got[name], value), name
-            else:
-                assert got[name] == value, name

@@ -1,5 +1,7 @@
 """Smoke test of the repository tools: they run on this checkout and print what they promise."""
 
+import hashlib
+import json
 import re
 import subprocess
 import sys
@@ -22,3 +24,17 @@ def test_src_lines_pins_the_settable_values():
                       "optional parameters": 9}
     total = re.search(r"^\s*(\d+) total$", proc.stdout, re.M)
     assert total and int(total.group(1)) > 0
+
+
+def test_output_digests_runs_every_benchmark_case_at_one_seed():
+    # every output-preserving change is compared byte for byte by this tool:
+    # each case of the three workloads prints one line, exits 0 and writes a
+    # CSV, whose digest is then not that of empty input
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "output_digests.py"),
+                           str(ROOT), "101"], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(lines) == 18
+    empty = hashlib.sha256(b"").hexdigest()
+    for line in lines:
+        assert line["seed"] == 101 and line["rc"] == 0 and line["csv"] != empty, line

@@ -155,6 +155,23 @@ def test_cli_verify_reports_a_broken_envelope(narrow_envelopes, tmp_path, capsys
     assert "first violation: upper, t=0, ratio 1.1111111111111112" in out
 
 
+def test_cli_verify_labels_a_probability_violation_as_a_value(tmp_path, capsys):
+    # one RK4 step of 1 leaves a negative entry in the forward propagator:
+    # the check records that smallest entry, -0.75, which is no ratio
+    lam = {"sinusoid": {"offset": 1.0, "amplitude": 0.5, "frequency": 1.0}}
+    model = {"schema": 1,
+             "chain": {"kind": "birth_death", "states": 3, "define": {"lam": lam},
+                       "birth": ["lam"] * 3, "death": [1.0] * 3},
+             "analysis": {"horizon": 1.0, "steps": 1}}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    capsys.readouterr()
+    assert cli.main(["verify", str(path)]) == cli.EXIT_VIOLATION
+    out = capsys.readouterr().out
+    assert "bounds: pass" in out and "coupling: FAIL" in out
+    assert "first violation: probability-negative, t=1, value -0.75 (1 total)" in out
+
+
 # births and deaths of one size with sinusoidal rates, as the bench's bd-sin-S5: with
 # ones weights the lower envelope falls like exp(-2.3 t), so a margin taken over it
 # for the whole run once grew to 3.3e7 at t=20, a band no ratio could leave
