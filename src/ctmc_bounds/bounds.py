@@ -10,6 +10,13 @@ norm from above for any initial vector and from below for nonnegative ones:
 For a homogeneous chain with the Perron weights both column-sum extremes
 collapse to the constant lambda0 and the envelopes coincide: the rate is
 sharp.
+
+A chain whose B* is tridiagonal, as a birth-death chain's is, takes its
+column sums and its Perron solve from the three diagonals of
+:func:`ctmc_bounds.transform.bstar_band`, in O(S) per time and per solve,
+with no S x S matrix; every other chain reads B**(t) from the slice-wise
+scan of :func:`ctmc_bounds.transform.scan_transform` and takes dense
+Perron solves.
 """
 
 from __future__ import annotations
@@ -23,9 +30,10 @@ import numpy as np
 from .chain import (ChainSpec, check_regularity, evaluation_times, rate_table,
                     require_homogeneous, require_memory)
 from .spectral import (SharpnessConditionError, SharpRate, check_sharpness_conditions,
-                       equalization_tol, perron_weights)
-from .transform import (NonFiniteBoundError, build_reduced, require_essential_nonnegativity,
-                        scan_transform, to_bstar, validate_weights)
+                       equalization_tol, perron_band, perron_weights)
+from .transform import (CHUNK_BYTES, NonFiniteBoundError, band_column_sums, bstar_band,
+                        build_reduced, is_tridiagonal, require_essential_nonnegativity,
+                        scan_transform, to_bstar, validate_weights, weight_band)
 
 CSV_COLUMNS = ("t", "h_upper", "h_lower", "I_upper", "I_lower", "env_upper", "env_lower")
 
@@ -137,8 +145,10 @@ def compute_bounds(spec: ChainSpec, weights, tmax: float, n_grid: int) -> BoundR
     generator from the table a slice of times at a time and hands over the
     weighted transform of each slice: the peak is the table, the column
     sums and one slice; no whole-time generator stack is formed. A
-    homogeneous chain's transformed matrix is built and checked once; its
-    column-sum extremes are constant along the grid.
+    tridiagonal B*, as a birth-death chain's, is read from its diagonals
+    instead (:func:`column_sum_extremes`). A homogeneous chain's
+    transformed matrix is built and checked once; its column-sum extremes
+    are constant along the grid.
     """
     tmax, n = check_horizon(tmax, int(n_grid) - 1)
     d = validate_weights(weights, spec.S)
@@ -149,8 +159,13 @@ def compute_bounds(spec: ChainSpec, weights, tmax: float, n_grid: int) -> BoundR
 def column_sum_extremes(table, d, size):
     """(h_up, h_lo): the extreme column sums of B**(t) at the rate table's times.
 
+    A tridiagonal B*(t) is read from its diagonals
+    (:func:`ctmc_bounds.transform.bstar_band`), whose off-diagonals are
+    rates, a slice of times at a time, at most CHUNK_BYTES of column sums
+    per slice: column j sums to diag_j + (d_{j-1} / d_j) B*_{j-1,j} +
+    (d_{j+1} / d_j) B*_{j+1,j}, O(S) per time. Otherwise
     :func:`ctmc_bounds.transform.scan_transform` writes B**(t) from the
-    table a slice of times at a time. B*(t) must be essentially
+    table a slice of times at a time, and B*(t) must be essentially
     non-negative at every time of the table, else NonnegativityError is
     raised. h_up and h_lo extend to a grid of size times: a homogeneous
     chain's table holds one time, and its extremes are broadcast along the
@@ -161,11 +176,17 @@ def column_sum_extremes(table, d, size):
     shape = (len(table), table.S)
     require_memory(f"column sums of shape {shape}", 8 * math.prod(shape))
     sums = np.empty(shape)
+    if is_tridiagonal(table):
+        step = max(1, CHUNK_BYTES // (8 * table.S))
+        for start in range(0, len(table), step):
+            s = np.s_[start:start + step]
+            diag, upper, lower = bstar_band(table.at(s))
+            sums[s] = band_column_sums(diag, *weight_band(upper, lower, d))
+    else:
+        def consume(s, M):
+            sums[s] = M.sum(axis=-2)
 
-    def consume(s, M):
-        sums[s] = M.sum(axis=-2)
-
-    require_essential_nonnegativity(scan_transform(table, d, consume), table.times)
+        require_essential_nonnegativity(scan_transform(table, d, consume), table.times)
     return (np.broadcast_to(sums.max(axis=-1), (size,)),
             np.broadcast_to(sums.min(axis=-1), (size,)))
 
@@ -191,6 +212,24 @@ def _envelopes(table, d, tmax, n) -> BoundReport:
                        weights=d, warnings=tuple(warnings))
 
 
+def perron_at_start(table):
+    """The Perron solve of B* at the rate table's first time, and the entries of B* it read.
+
+    A tridiagonal B* is solved from its three diagonals by
+    :func:`ctmc_bounds.spectral.perron_band`, with no S x S matrix, and
+    the entries are those diagonals; any other B* is formed by
+    :func:`ctmc_bounds.transform.to_bstar` and solved by
+    :func:`ctmc_bounds.spectral.perron_weights`, and the entries are
+    (B*,). Either way they are what :func:`equalization_tol` reads.
+    """
+    first = table.at(np.s_[:1])
+    if not is_tridiagonal(first):
+        bstar = to_bstar(build_reduced(first[0]))
+        return perron_weights(bstar), (bstar,)
+    band = tuple(v[0] for v in bstar_band(first))
+    return perron_band(*band), band
+
+
 def sharp_report(spec: ChainSpec, tmax: float = 1.0, n_grid: int = 201) -> BoundReport:
     """Envelope report with the equalizing Perron weights of a homogeneous chain.
 
@@ -198,7 +237,8 @@ def sharp_report(spec: ChainSpec, tmax: float = 1.0, n_grid: int = 201) -> Bound
     an irreducible transformed matrix. Both column-sum extremes are checked
     to agree with lambda0 within :func:`equalization_tol` before the report
     is marked sharp. The Perron input and the envelopes come from one
-    evaluation of the rates at t=0.
+    evaluation of the rates at t=0 (:func:`perron_at_start`); a
+    tridiagonal B* is never formed as an S x S matrix.
     """
     require_homogeneous(spec, "sharp-rate report")
     cond = check_sharpness_conditions(spec)
@@ -207,11 +247,10 @@ def sharp_report(spec: ChainSpec, tmax: float = 1.0, n_grid: int = 201) -> Bound
     tmax, n = check_horizon(tmax, int(n_grid) - 1)
     half = np.linspace(0.0, tmax, 2 * n + 1)
     table = rate_table(spec, evaluation_times(spec, half))
-    bstar = to_bstar(build_reduced(table[0]))
-    rate = perron_weights(bstar)
+    rate, entries = perron_at_start(table)
     report = _envelopes(table, rate.weights, tmax, n)
     lam0 = rate.lambda0
-    tol = equalization_tol(lam0, bstar)
+    tol = equalization_tol(lam0, *entries)
     worst = max(float(np.max(np.abs(report.h_upper - lam0))),
                 float(np.max(np.abs(report.h_lower - lam0))))
     if worst > tol:

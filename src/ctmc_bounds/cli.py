@@ -34,22 +34,22 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
 import numpy as np
 
 from .bounds import (NonFiniteBoundError, bound_report_to_csv, compute_bounds,
-                     sharp_report, write_csv)
-from .chain import InhomogeneousChainError, check_regularity, eval_generator, rate_table
+                     perron_at_start, sharp_report, write_csv)
+from .chain import InhomogeneousChainError, check_regularity, rate_table
 from .modelfile import (WEIGHT_MODES, AnalysisSettings, ModelFileError, _number, load_model,
                         read_text)
 from .odesolve import OdeBlowUpError, _verify_both
 from .rates import RateEvaluationError
 from .spectral import (PowerIterationError, ReducibleMatrixError, SharpnessConditionError,
-                       check_sharpness_conditions, closed_form_bd, perron_weights)
-from .transform import (NonnegativityError, build_reduced, scan_transform, to_bstar,
-                        validate_weights)
+                       check_sharpness_conditions, closed_form_bd)
+from .transform import NonnegativityError, scan_transform, validate_weights
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -104,7 +104,9 @@ def resolve_weights(spec, settings: AnalysisSettings):
     'ones' is the default; 'perron' demands a homogeneous chain and yields
     the sharp equalizing weights; 'frozen-perron' computes them from the
     transform at t=0 of a possibly time-varying chain, flagged as a
-    heuristic; a tuple gives the weights themselves.
+    heuristic; a tuple gives the weights themselves. Both Perron modes
+    solve B*(0) as the rate command does (:func:`ctmc_bounds.bounds.perron_at_start`),
+    from its diagonals when it is tridiagonal.
     """
     w = settings.weights
     warnings = []
@@ -122,8 +124,8 @@ def resolve_weights(spec, settings: AnalysisSettings):
     if not spec.is_homogeneous:
         warnings.append("frozen-perron weights computed at t=0 of a "
                         "time-varying chain: a heuristic, not sharp")
-    bstar = to_bstar(build_reduced(eval_generator(spec, 0.0)))
-    return perron_weights(bstar).weights, warnings
+    rate, _ = perron_at_start(rate_table(spec, np.zeros(1)))
+    return rate.weights, warnings
 
 
 def cmd_check(args) -> int:
@@ -245,6 +247,7 @@ _OPTIONS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ctmc-bounds",
@@ -252,18 +255,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "Markov chains with structured generators.")
     sub = parser.add_subparsers(dest="command", required=True)
     # each subcommand takes only the options it reads
-    for name, func, help_text, options in (
-            ("check", cmd_check, "regularity and essential non-negativity", "horizon grid"),
-            ("rate", cmd_rate, "sharp rate of a homogeneous chain",
-             "horizon grid csv closed-form"),
-            ("bounds", cmd_bounds, "two-sided envelope report", "horizon grid weights csv"),
-            ("verify", cmd_verify, "envelope verification over every start",
+    for name, help_text, options in (
+            ("check", "regularity and essential non-negativity", "horizon grid"),
+            ("rate", "sharp rate of a homogeneous chain", "horizon grid csv closed-form"),
+            ("bounds", "two-sided envelope report", "horizon grid weights csv"),
+            ("verify", "envelope verification over every start",
              "horizon tol weights csv steps")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("model", help="path to the JSON model file")
         for option in options.split():
             p.add_argument(f"--{option}", **_OPTIONS[option])
-        p.set_defaults(func=func)
     return parser
 
 
@@ -273,7 +274,9 @@ def main(argv=None) -> int:
         # every non-finite result has its own check and error, so numpy's
         # warnings would only add lines before the one error line
         with np.errstate(all="ignore"):
-            return args.func(args)
+            # cmd_<command> is looked up at each call, not held by the
+            # parser that is built once per process
+            return globals()[f"cmd_{args.command}"](args)
     except tuple(kind for kind, _ in _ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _ERROR_EXITS if isinstance(exc, kind))

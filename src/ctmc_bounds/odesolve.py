@@ -24,7 +24,9 @@ Q, B or B**: its only whole-time arrays are the table and the states.
 Both verifiers start from one set-up on the halved grid: the rate table,
 evaluated once, and the envelopes, whose column sums
 :func:`ctmc_bounds.transform.scan_transform` takes from B**(t) a slice of
-times at a time. One pair of identity scans, with steps h and h/2, then
+times at a time, or :func:`ctmc_bounds.bounds.column_sum_extremes` from
+the three diagonals of a tridiagonal B*(t), as a birth-death chain's is;
+the scans stay dense. One pair of identity scans, with steps h and h/2, then
 carries the verifiers a chunk at a time. Each scan runs on the forward
 writer, :class:`_Forward`, which maps each forward RK4 increment K = R - I
 to that of B** by two constant products, L K Rt (RK4 commutes with the

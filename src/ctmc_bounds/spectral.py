@@ -10,8 +10,11 @@ shifted to the Collatz-Wielandt upper bound (Noda's method). For any
 positive weights the smallest and largest column sum of the conjugated
 matrix enclose the maximal eigenvalue, so every iterate carries a
 certified bracket, and the iteration stops when the bracket reaches
-round-off. A tridiagonal matrix, as a birth-death chain gives, starts from
-the diagonal scaling that symmetrizes it, a few solves from the weights.
+round-off. A tridiagonal matrix, as a birth-death chain gives, is solved
+from its three diagonals (:func:`perron_band`): each step is an O(S)
+elimination without pivoting, started from the diagonal scaling that
+symmetrizes the matrix, a few solves from the weights. Every other matrix
+takes dense solves from uniform weights.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec, require_homogeneous
-from .transform import apply_weights, require_essential_nonnegativity
+from .transform import band_column_sums, require_essential_nonnegativity, weight_band
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
@@ -109,18 +112,12 @@ def perron_weights(Bstar, x0=None) -> SharpRate:
     is the same step in exact arithmetic and keeps every weight to full
     relative precision when they span many orders of magnitude.
 
-    Without x0 the iteration starts from uniform weights, except on a
-    tridiagonal matrix: every entry beyond the first off-diagonals within
-    the non-negativity tolerance (1e-12 of the largest absolute entry) and
-    both off-diagonals positive, as for a birth-death chain. There it
-    starts from the diagonal scaling x that makes diag(x) Bstar diag(x)^{-1}
-    symmetric, x_{i+1} / x_i = sqrt(Bstar_{i,i+1} / Bstar_{i+1,i}), unless
-    an entry of x would underflow or the scaling lifts an entry beyond the
-    first off-diagonals above that tolerance. The Perron weights are x
-    times the positive eigenvector of that symmetric matrix, which varies
-    slowly, so the quadratic phase begins at once even when the weights
-    span hundreds of orders of magnitude, where the uniform start gains
-    about one order per solve.
+    A matrix that passes the band test is solved as its band by
+    :func:`perron_band`: both first off-diagonals positive and every entry
+    beyond them within the non-negativity tolerance (1e-12 of the largest
+    absolute entry), as for a birth-death chain. The entries beyond the
+    band, round-off where the exact matrix is zero, are not read. Every
+    other matrix starts from uniform weights and takes dense solves.
 
     The iteration stops once the bracket is no wider than PERRON_TOL times
     its largest absolute end, at the round-off floor of 4 ulps of the
@@ -165,22 +162,98 @@ def perron_weights(Bstar, x0=None) -> SharpRate:
     if not check_irreducible(B):
         raise ReducibleMatrixError("matrix is reducible; the equalizing weights "
                                    "are not unique or not positive")
+    if _on_a_path(B) and max(_largest(np.triu(B, 2)), _largest(np.tril(B, -2))) \
+            <= nonneg.tolerance:
+        return perron_band(np.diagonal(B), np.diagonal(B, 1), np.diagonal(B, -1), x0)
 
-    if x0 is None:
-        x = _symmetrizing_weights(B, nonneg.tolerance)
-        x = np.full(S, 1.0 / S) if x is None else x / x.sum()
-    else:
-        x = np.abs(np.asarray(x0, dtype=float))
-        if x.shape != (S,) or not np.all(np.isfinite(x)) or not np.all(x > 0.0):
-            raise ValueError("x0 must be a finite vector of length S without zero entries")
-        x = x / x.sum()
-
-    floor = _round_off_floor(B)
-    W = apply_weights(B, x)
-    r = W.sum(axis=0)
     # buffers reused by every solve: fresh S x S temporaries freed at the heap top
     # are handed back to the system and their pages faulted in again each step
-    eye, shifted, spare = np.eye(S), np.empty_like(W), np.empty_like(W)
+    W, shifted, eye, ones = np.empty_like(B), np.empty_like(B), np.eye(S), np.ones(S)
+
+    def sums(x):  # apply_weights(B, x), written into W
+        return np.multiply(B, np.divide(x[:, None], x[None, :], out=W), out=W).sum(axis=0)
+
+    def solve(sigma):
+        try:
+            return np.linalg.solve(np.subtract(np.multiply(sigma, eye, out=shifted), W.T,
+                                               out=shifted), ones)
+        except np.linalg.LinAlgError:
+            return None  # sigma within round-off of lambda0
+
+    x = np.full(S, 1.0 / S) if x0 is None else _start(x0, S)
+    return _noda(x, sums, solve, (B,), np.matmul)
+
+
+def perron_band(diag, upper, lower, x0=None) -> SharpRate:
+    """:func:`perron_weights` of the tridiagonal matrix with these diagonals, in O(S) per solve.
+
+    diag holds the S diagonal entries, upper and lower the S-1 entries
+    just above and just below it; the off-diagonals, the rates of a
+    birth-death B* (:func:`ctmc_bounds.transform.bstar_band`), must be
+    positive, else ReducibleMatrixError is raised. The iteration, its
+    stopping rule, errors and postcondition are those of
+    :func:`perron_weights`; each step solves the scaled system, itself
+    tridiagonal, by Gaussian elimination without pivoting (the Thomas
+    algorithm). The shift makes that system's rows strictly diagonally
+    dominant, so every pivot is positive and the elimination is backward
+    stable (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    sec. 9.5); a pivot that is not positive ends the iteration as a
+    singular dense solve does.
+
+    Without x0 the iteration starts from the diagonal scaling x that makes
+    diag(x) B diag(x)^{-1} symmetric, x_{i+1} / x_i = sqrt(upper_i /
+    lower_i), or from uniform weights if an entry of x would underflow.
+    The Perron weights are x times the positive eigenvector of that
+    symmetric matrix, which varies slowly, so the quadratic phase begins
+    at once even when the weights span hundreds of orders of magnitude,
+    where the uniform start gains about one order per solve.
+    """
+    diag, upper, lower = (np.asarray(v, dtype=float) for v in (diag, upper, lower))
+    if not (np.all(upper > 0.0) and np.all(lower > 0.0)):
+        raise ReducibleMatrixError("matrix is reducible; the equalizing weights "
+                                   "are not unique or not positive")
+    S = len(diag)
+    x = _symmetrizing_weights(upper, lower) if x0 is None else _start(x0, S)
+    weighted = []  # the off-diagonals of diag(x) B diag(x)^{-1} at the last weights summed
+
+    def sums(x):
+        weighted[:] = weight_band(upper, lower, x)
+        return band_column_sums(diag, *weighted)
+
+    def solve(sigma):
+        return _thomas(sigma - diag, *weighted)
+
+    # lambda0 summed by numpy, not by a BLAS dot product, whose threads
+    # (above 10 000 entries in OpenBLAS) would change its last bits
+    return _noda(np.full(S, 1.0 / S) if x is None else x, sums, solve, (diag, upper, lower),
+                 lambda x, r: np.sum(x * r))
+
+
+def _start(x0, S):
+    """The starting weights x0, taken absolute and scaled to sum one; ValueError if unusable."""
+    x = np.abs(np.asarray(x0, dtype=float))
+    if x.shape != (S,) or not np.all(np.isfinite(x)) or not np.all(x > 0.0):
+        raise ValueError("x0 must be a finite vector of length S without zero entries")
+    return x / x.sum()
+
+
+def _largest(M) -> float:
+    """The largest absolute entry of M, 0 if it has none."""
+    return float(np.max(np.abs(M), initial=0.0))
+
+
+def _noda(x, sums, solve, entries, dot) -> SharpRate:
+    """Noda's iteration from the weights x (summing to one); see :func:`perron_weights`.
+
+    sums(x) returns the column sums of diag(x) B diag(x)^{-1}; solve(sigma)
+    the solution z of the scaled system (sigma I - W^T) z = 1 for the
+    weighted matrix W of the last weights given to sums, or None if the
+    solve breaks down. entries are B, or its diagonals, as
+    :func:`equalization_tol` takes them, and dot(x, r) the weighted mean
+    of the final column sums r, lambda0.
+    """
+    floor = _round_off_floor(*entries)
+    r = sums(x)
     iterations = 0
     while True:
         lo, hi = float(r.min()), float(r.max())
@@ -190,31 +263,23 @@ def perron_weights(Bstar, x0=None) -> SharpRate:
             raise PowerIterationError(f"no convergence within {MAX_SOLVES} solves "
                                       f"(bracket width {hi - lo:.3e})")
         iterations += 1
-        try:
-            np.multiply(hi + floor, eye, out=shifted)
-            shifted -= W.T
-            z = np.linalg.solve(shifted, np.ones(S))
-        except np.linalg.LinAlgError:
-            break  # sigma within round-off of lambda0
-        if not np.all(z > 0.0) or not np.all(np.isfinite(z)):
-            break  # likewise: the shift no longer exceeds lambda0 in floating point
+        z = solve(hi + floor)
+        if z is None or not np.all(z > 0.0) or not np.all(np.isfinite(z)):
+            break  # the shift no longer exceeds lambda0 in floating point
         x_new = x * z
         x_new /= x_new.sum()
         if float(x_new.min()) < _TINY:
             raise PowerIterationError(
                 f"weights span more than the double-precision range (smallest "
                 f"weight {float(x_new.min()):.3e} after {iterations} solves)")
-        # apply_weights(B, x_new), written into the spare buffer
-        W_new = np.multiply(B, np.divide(x_new[:, None], x_new[None, :], out=spare), out=spare)
-        r_new = W_new.sum(axis=0)
+        r_new = sums(x_new)
         if not float(r_new.max() - r_new.min()) < hi - lo:
             break  # the bracket stopped shrinking: round-off dominates
-        x, W, spare, r = x_new, W_new, W, r_new
+        x, r = x_new, r_new
 
-    lambda0 = float(x @ r)
+    lambda0 = float(dot(x, r))
     residual = float(np.abs(x * (r - lambda0)).sum())
-
-    spread, spread_tol = hi - lo, equalization_tol(lambda0, B)
+    spread, spread_tol = hi - lo, equalization_tol(lambda0, *entries)
     if spread > spread_tol:
         raise PowerIterationError(f"column sums not equalized: spread {spread:.3e} "
                                   f"exceeds tolerance {spread_tol:.3e}")
@@ -222,43 +287,58 @@ def perron_weights(Bstar, x0=None) -> SharpRate:
                      residual=residual, bracket=(lo, hi))
 
 
-def _symmetrizing_weights(B, tol):
-    """Weights x with diag(x) B diag(x)^{-1} symmetric if B is tridiagonal, else None.
+def _thomas(m, p, q):
+    """z with M z = 1 for the tridiagonal M of diagonal m, subdiagonal -p and superdiagonal -q.
 
-    Tridiagonal means both first off-diagonals positive and every entry
-    beyond them at most tol in absolute value, in B and in the weighted
-    matrix: x_i / x_j magnifies the round-off that B may hold where its
-    exact value is zero, and from a start at which that exceeds tol the
-    first solve breaks down. The ratios x_{i+1} / x_i =
-    sqrt(B_{i,i+1} / B_{i+1,i}) are accumulated as sums of half log-ratios
-    and scaled to a largest weight of 1; None also if a weight would
-    underflow.
+    Gaussian elimination without pivoting, in Python floats: p and q are
+    non-negative, so each step subtracts once, in the pivot, and the rest
+    adds positive terms. None if a pivot is not positive.
     """
-    beyond = B - np.triu(np.tril(B, 1), -1)
-    if not _on_a_path(B) or np.abs(beyond).max() > tol:
-        return None
-    half_logs = 0.5 * (np.log(np.diagonal(B, 1)) - np.log(np.diagonal(B, -1)))
+    m, p, q = m.tolist(), p.tolist(), q.tolist()
+    e, f = [], []  # z_j = f_j + e_j z_{j+1} after elimination
+    e_j = f_j = 0.0
+    for m_j, p_j, q_j in zip(m, [0.0] + p, q + [0.0]):
+        pivot = m_j - p_j * e_j
+        if not pivot > 0.0:
+            return None
+        e_j, f_j = q_j / pivot, (1.0 + p_j * f_j) / pivot
+        e.append(e_j)
+        f.append(f_j)
+    z, z_j = [], 0.0
+    for e_j, f_j in zip(reversed(e), reversed(f)):
+        z_j = f_j + e_j * z_j
+        z.append(z_j)
+    return np.array(z[::-1])
+
+
+def _symmetrizing_weights(upper, lower):
+    """Weights x with diag(x) B diag(x)^{-1} symmetric for a tridiagonal B, None on underflow.
+
+    The ratios x_{i+1} / x_i = sqrt(upper_i / lower_i) are accumulated as
+    sums of half log-ratios and the weights scaled to sum one; None if a
+    weight would underflow.
+    """
+    half_logs = 0.5 * (np.log(upper) - np.log(lower))
     log_x = np.concatenate(([0.0], np.cumsum(half_logs)))
     x = np.exp(log_x - log_x.max())
-    if float(x.min()) < _TINY or np.abs(beyond * (x[:, None] / x[None, :])).max() > tol:
-        return None
-    return x
+    return None if float(x.min()) < _TINY else x / x.sum()
 
 
-def _round_off_floor(B) -> float:
-    """4 ulps of the largest absolute entry: the narrowest bracket round-off allows."""
-    return 4.0 * _EPS * float(np.max(np.abs(B)))
+def _round_off_floor(*entries) -> float:
+    """4 ulps of the largest absolute entry of the arrays: the narrowest bracket round-off allows."""
+    return 4.0 * _EPS * max(_largest(a) for a in entries)
 
 
-def equalization_tol(lambda0, Bstar) -> float:
+def equalization_tol(lambda0, *entries) -> float:
     """How far equalized column sums of the weighted Bstar may spread around lambda0.
 
-    1e-9 relative to lambda0, but never below the round-off floor at which
-    the Perron iteration stops, 4 ulps of the largest absolute entry of
+    entries is Bstar, or the three diagonals of a tridiagonal one. 1e-9
+    relative to lambda0, but never below the round-off floor at which the
+    Perron iteration stops, 4 ulps of the largest absolute entry of
     Bstar; the floor decides only when |lambda0| is below about 1e-6 of
     that entry.
     """
-    return max(1e-9 * abs(lambda0), _round_off_floor(Bstar))
+    return max(1e-9 * abs(lambda0), _round_off_floor(*entries))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,14 @@ Essential non-negativity is judged in one place, :func:`_judge`, which reads
 B* a slice of :func:`slices` at a time: the scan hands it the slices it
 forms, :func:`check_essential_nonnegativity` copies of its input's. An entry
 of B* that is not finite is refused there with :class:`NonFiniteBoundError`.
+
+A birth-death generator, or any whose rate table's index names the zero
+column beyond the first off-diagonals, has an exactly tridiagonal B*.
+:func:`bstar_band` writes its three diagonals straight from the table's
+columns (:func:`is_tridiagonal` tells), with no Q, B or to_bstar: its
+off-diagonals are rates, so it is essentially non-negative by
+construction, and :func:`weight_band` and :func:`band_column_sums` give
+the weighted matrix's column sums in O(S) per time.
 """
 
 from __future__ import annotations
@@ -86,6 +94,68 @@ def apply_weights(Bstar, d):
     M = np.asarray(Bstar, dtype=float)
     d = validate_weights(d, M.shape[-1])
     return M * (d[:, None] / d[None, :])
+
+
+def is_tridiagonal(table) -> bool:
+    """True iff every entry of the rate table's index beyond the first off-diagonals reads the zero column.
+
+    Then Q(t), and with it B*(t), is tridiagonal at every time of the
+    table, as for a birth-death chain.
+    """
+    index, zero = table.index, table.values.shape[-1] - 1
+    band = np.count_nonzero(np.diagonal(index, 1) != zero) \
+        + np.count_nonzero(np.diagonal(index, -1) != zero)
+    return int(np.count_nonzero(index != zero)) == band
+
+
+def bstar_band(table):
+    """The three diagonals of B*(t) at the times of a rate table that :func:`is_tridiagonal`.
+
+    For r = 0..S-1 (states r+1 of Q) they are
+
+        diag_r  = -(q_{r,r+1} + q_{r+1,r}),
+        upper_r = B*_{r,r+1} = q_{r+1,r},    lower_r = B*_{r+1,r} = q_{r+1,r+2},
+
+    returned as (diag, upper, lower) of shapes (T, S), (T, S-1), (T, S-1)
+    for a table of T times, read from the table's columns with no Q, B or
+    :func:`to_bstar`. The off-diagonals are rates, never negative, so B*
+    is essentially non-negative by construction. An entry of diag that is
+    not finite raises NonFiniteBoundError, naming its time, as the scan of
+    :func:`scan_transform` does.
+    """
+    times = np.atleast_1d(table.times)
+    values = table.values.reshape(len(times), -1)
+    birth = values[:, np.diagonal(table.index, 1)]
+    death = values[:, np.diagonal(table.index, -1)]
+    with np.errstate(over="ignore"):  # an overflow is the error below
+        diag = -(birth + death)
+    finite = np.isfinite(diag).all(axis=1)
+    if not finite.all():
+        raise NonFiniteBoundError(f"B* has an entry that is not finite at "
+                                  f"t={times[int(np.argmin(finite))]}: the rates exceed "
+                                  f"the double-precision range")
+    return diag, death[:, :-1], birth[:, 1:]
+
+
+def weight_band(upper, lower, d):
+    """The off-diagonals of D B* D^{-1} for a tridiagonal B*: d_k upper_k / d_{k+1}, d_{k+1} lower_k / d_k.
+
+    upper and lower are B*'s super- and subdiagonal, or stacks of them
+    along leading axes; d holds the S positive weights.
+    """
+    return (d[:-1] / d[1:]) * upper, (d[1:] / d[:-1]) * lower
+
+
+def band_column_sums(diag, upper, lower):
+    """Column sums of the tridiagonal matrices with these diagonals: diag_j + upper_{j-1} + lower_j.
+
+    Works on one matrix's diagonals or on stacks of them along leading
+    axes; the terms are added in that order.
+    """
+    sums = np.array(diag, dtype=float)
+    sums[..., 1:] += upper
+    sums[..., :-1] += lower
+    return sums
 
 
 def analytic_bstar(spec: ChainSpec, t: float):

@@ -181,6 +181,22 @@ def test_homogeneous_bounds_allocate_a_few_matrices(run):
     assert peak < 5e6
 
 
+def test_sharp_report_of_a_birth_death_chain_holds_no_square_matrix():
+    # a dense B* and its solves took 1.13 s and a 214 MB peak; the band
+    # leaves the (S+1)^2 index of the rate table, 32 MB, as the one O(S^2) array
+    S = 2000
+    spec = cb.birth_death_chain(S, [1.0] * S, [2.0] * S)
+    tracemalloc.start()
+    try:
+        rep = cb.sharp_report(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    beta, _ = cb.closed_form_bd(1.0, 2.0, S)
+    assert rep.sharp and rep.perron.iterations <= 8 and peak < 64e6
+    assert abs(rep.lambda0 + beta) <= 1e-14 * beta
+
+
 # batch_both with S=30: 60 distinct time-varying rates, regular at every time
 TV_BATCH_S30 = cb.batch_both_chain(
     30, [cb.RateFunction.sinusoid(2.0 / k, 1.0 / k, 1.0) for k in range(1, 31)],

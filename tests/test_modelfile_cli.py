@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -154,6 +157,49 @@ def test_cmd_rate_reports_the_perron_solve(tmp_path, capsys):
     assert lo <= float(lines["lambda0"]) <= hi
 
 
+def test_successive_main_calls_leak_no_options(tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, BD3)
+    assert cli.build_parser() is cli.build_parser()  # built once per process
+    assert cli.main(["rate", path, "--closed-form"]) == 0
+    assert "closed form:" in capsys.readouterr().out
+    assert cli.main(["rate", path]) == 0
+    assert "closed form:" not in capsys.readouterr().out
+    assert cli.main(["bounds", path, "--grid", "11"]) == 0
+    assert "11 grid points" in capsys.readouterr().out
+    assert cli.main(["bounds", path]) == 0
+    assert f"{BD3['analysis']['grid']} grid points" in capsys.readouterr().out
+    # the built parser holds no command function: one replaced later is called
+    calls = []
+    monkeypatch.setattr(cli, "cmd_rate", lambda args: calls.append(args.model) or 0)
+    assert cli.main(["rate", path]) == 0 and calls == [path]
+
+
+@pytest.mark.parametrize("mode", ["perron", "frozen-perron"])
+def test_perron_weight_modes_solve_what_rate_solves(mode):
+    rng = np.random.default_rng(12)
+    spec = cb.birth_death_chain(60, rng.uniform(1.4, 1.6, 60), rng.uniform(1.4, 1.6, 60))
+    weights, warnings = cli.resolve_weights(spec, cb.AnalysisSettings(weights=mode))
+    assert warnings == []
+    assert np.array_equal(weights, cb.sharp_report(spec).weights)
+
+
+def test_rate_on_a_birth_death_chain_does_not_depend_on_the_blas_thread_count(tmp_path):
+    S = 200
+    path = _write(tmp_path, {"schema": 1, "chain": {"kind": "birth_death", "states": S,
+                                                   "birth": [1.0] * S, "death": [2.0] * S}})
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-m", "ctmc_bounds.cli", "rate", path,
+                               "--csv", str(tmp_path / "rate.csv")],
+                              env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == b"", proc.stderr.decode()
+        outputs.append((proc.stdout, (tmp_path / "rate.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def _rate_is_sharp(tmp_path, capsys, chain, name="model.json"):
     doc = {"schema": 1, "chain": chain, "analysis": {"grid": 11}}
     code = cli.main(["rate", _write(tmp_path, doc, name)])
@@ -268,8 +314,6 @@ OVERFLOW_MODELS = {
         "birth": ["big", 1.0, 1.0], "death": [1.0, 1.0, 1.0]}},
 }
 OVERFLOW_ERRORS = {
-    ("all-rates-1e308", "rate"): "B* has an entry that is not finite: the rates exceed "
-                                 "the double-precision range",
     ("all-rates-1e308", None): "B* has an entry that is not finite at t=0.0: the rates "
                                "exceed the double-precision range",
     ("sinusoid-1e308", "rate"): "sharpness-condition check requires constant rates, "
@@ -316,7 +360,7 @@ def test_perron_solve_failure_exits_with_evaluation_code(tmp_path, capsys, monke
     def failing(*args, **kwargs):
         raise cb.PowerIterationError("no convergence within 3 solves")
 
-    monkeypatch.setattr(cli, "perron_weights", failing)
+    monkeypatch.setattr(bounds_module, "perron_band", failing)
     monkeypatch.setattr(bounds_module, "perron_weights", failing)
     code = cli.main([argv[0], _write(tmp_path, BD3)] + argv[1:])
     out, err = capsys.readouterr()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ctmc_bounds as cb
+from ctmc_bounds import bounds, spectral, transform
 from conftest import CLASS_KINDS, random_sharp_chain
 from linalg_oracles import (column_sum_bounds, dominant_eigenvalue,
                             extreme_real_eigenvalues)
@@ -166,12 +167,9 @@ def _births_above_deaths(seed, S):
 
 
 UNIFORM_START_CHAINS = {
-    **{f"{kind}-S{S}": (lambda kind=kind, S=S: random_sharp_chain(np.random.default_rng(S),
-                                                                   kind, S))
-       for kind in ("batch_birth", "batch_death", "batch_both") for S in (6, 30)},
-    # tridiagonal, but the symmetrizing weights magnify round-off above the band
-    "births-above-deaths-S100": lambda: _births_above_deaths(7, 100),
-}
+    f"{kind}-S{S}": (lambda kind=kind, S=S: random_sharp_chain(np.random.default_rng(S),
+                                                                kind, S))
+    for kind in ("batch_birth", "batch_death", "batch_both") for S in (6, 30)}
 
 
 @pytest.mark.parametrize("chain", sorted(UNIFORM_START_CHAINS))
@@ -183,18 +181,16 @@ def test_perron_start_is_uniform_off_the_band(chain):
         (uniform.lambda0, uniform.iterations, uniform.residual, uniform.bracket)
 
 
-# Both tests below pin the FOUND lines of CHANGES.md on to_bstar's round-off
-# above the band of a birth-death B*, which weights falling along the
-# states magnify by up to 1e30 in D B* D^-1.
-@pytest.mark.xfail(strict=True, raises=cb.PowerIterationError,
-                   reason="to_bstar leaves round-off where the exact B* is zero")
+# to_bstar leaves round-off of up to 4.4e-16 above the band of a birth-death
+# B*, which weights falling along the states magnify by up to 1e30 in
+# D B* D^-1: solved as a dense matrix, the first chain failed to equalize
+# its column sums and the second converged 7e-4 relative off the band's
+# lambda0. A matrix that passes the band test is solved as its band.
 def test_perron_birth_death_with_births_above_deaths_converges():
     B = _bstar(_births_above_deaths(7, 200))
     assert _relative_weight_error(cb.perron_weights(B), B) <= 1e-9
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="to_bstar leaves round-off where the exact B* is zero")
 def test_perron_birth_death_with_births_above_deaths_finds_the_chains_rate():
     B = _bstar(_births_above_deaths(7, 100))
     exact = cb.perron_weights(np.triu(np.tril(B, 1), -1))  # the band alone
@@ -252,6 +248,63 @@ def test_perron_weights_beyond_double_range_fail_fast():
     with pytest.raises(cb.PowerIterationError, match="double-precision range") as exc:
         cb.perron_weights(B)
     assert int(re.search(r"after (\d+) solves", str(exc.value)).group(1)) <= 200
+
+
+def _band(spec):
+    return tuple(v[0] for v in transform.bstar_band(cb.rate_table(spec, np.zeros(1))))
+
+
+@pytest.mark.parametrize("S", [200, 1000, 2000])
+@pytest.mark.parametrize("a, b", [(1.0, 2.0), (2.0, 1.0), (1.0, 1.0)])
+def test_band_perron_matches_closed_form(a, b, S):
+    rate = spectral.perron_band(*_band(_uniform_bd(a, b, S)))
+    beta, _ = cb.closed_form_bd(a, b, S)
+    lo, hi = rate.bracket
+    slack = 4.0 * EPS * (a + b)  # the round-off floor: 4 ulps of the largest entry
+    assert lo - slack <= -beta <= hi + slack and lo <= rate.lambda0 <= hi
+    assert hi - lo <= 2.0 * slack
+    assert rate.iterations <= 8
+    if a != b:  # beta is not below round-off of the entries
+        assert abs(rate.lambda0 + beta) <= 1e-14 * beta
+
+
+def test_perron_weights_solves_a_matrix_that_passes_the_band_test_as_its_band():
+    B = _bstar(_births_above_deaths(7, 100))
+    assert np.abs(np.triu(B, 2)).max() > 0.0  # round-off above the band
+    rate = cb.perron_weights(B)
+    band = spectral.perron_band(np.diag(B), np.diag(B, 1), np.diag(B, -1))
+    assert (rate.lambda0, rate.iterations, rate.residual, rate.bracket) == \
+        (band.lambda0, band.iterations, band.residual, band.bracket)
+    assert np.array_equal(rate.weights, band.weights)
+
+
+def test_thomas_solve_matches_a_dense_solve():
+    rng = np.random.default_rng(8)
+    S = 40
+    p, q = rng.uniform(0.1, 2.0, S - 1), rng.uniform(0.1, 2.0, S - 1)
+    m = np.concatenate(([0.0], p)) + np.concatenate((q, [0.0])) + rng.uniform(1e-3, 1.0, S)
+    M = np.diag(m) - np.diag(p, -1) - np.diag(q, 1)
+    z = spectral._thomas(m, p, q)
+    exact = np.linalg.solve(M, np.ones(S))
+    assert np.all(z > 0.0) and np.max(np.abs(z - exact) / exact) <= 1e-13
+    m[S // 2] = -1.0  # a pivot that is not positive: the solve breaks down
+    assert spectral._thomas(m, p, q) is None
+
+
+def test_band_perron_errors_are_the_dense_paths():
+    dead = cb.birth_death_chain(5, [1.0] * 5, [1.0, 1.0, 0.0, 1.0, 1.0])
+    for solve in (lambda: spectral.perron_band(*_band(dead)),
+                  lambda: cb.perron_weights(_bstar(dead)),
+                  lambda: bounds.perron_at_start(cb.rate_table(dead, np.zeros(1)))):
+        with pytest.raises(cb.ReducibleMatrixError):
+            solve()
+    # the weights of this chain would span about 1e400
+    with pytest.raises(cb.PowerIterationError, match="double-precision range") as exc:
+        spectral.perron_band(*_band(_uniform_bd(1.0, 1e4, 200)))
+    assert int(re.search(r"after (\d+) solves", str(exc.value)).group(1)) <= 200
+    overflow = cb.rate_table(_uniform_bd(1e308, 1e308, 4), np.zeros(1))
+    with pytest.raises(cb.NonFiniteBoundError, match=re.escape("not finite at t=0.0")):
+        bounds.perron_at_start(overflow)
 
 
 def test_perron_single_state():

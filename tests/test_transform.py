@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -431,3 +432,113 @@ def test_commands_judge_chunks_as_the_whole_stack(tmp_path, capsys, monkeypatch,
             with pytest.raises(cb.NonnegativityError) as expected:
                 cb.require_essential_nonnegativity(whole, times)
             assert code == cli.EXIT_VIOLATION and err == f"error: {expected.value}\n"
+
+
+EPS = np.finfo(float).eps
+BAND_TIMES = np.array([0.0, 0.35, 1.2, 2.0])
+
+
+def _band_chain(S, time_varying, seed=0):
+    """A birth-death chain with rates in [0.5, 2], sinusoidal if time_varying."""
+    rng = np.random.default_rng(seed)
+
+    def rates():
+        levels = rng.uniform(0.5, 2.0, S)
+        if not time_varying:
+            return levels
+        return [cb.RateFunction.sinusoid(v, 0.4 * v, f, p)
+                for v, f, p in zip(levels, rng.uniform(0.5, 1.5, S), rng.uniform(0.0, 6.0, S))]
+
+    return cb.birth_death_chain(S, rates(), rates())
+
+
+def _dense_band(diag, upper, lower):
+    return np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1)
+
+
+@pytest.mark.parametrize("time_varying", [False, True], ids=["constant", "time-varying"])
+@pytest.mark.parametrize("S", [1, 2, 3, 50])
+def test_bstar_band_is_the_tridiagonal_transform(S, time_varying):
+    spec = _band_chain(S, time_varying)
+    table = cb.rate_table(spec, BAND_TIMES)
+    assert transform.is_tridiagonal(table)
+    diag, upper, lower = transform.bstar_band(table)
+    assert diag.shape == (len(BAND_TIMES), S)
+    assert upper.shape == lower.shape == (len(BAND_TIMES), S - 1)
+    dense = cb.to_bstar(cb.build_reduced(table[...]))
+    for k, t in enumerate(BAND_TIMES):
+        band = _dense_band(diag[k], upper[k], lower[k])
+        assert np.array_equal(band, cb.analytic_bstar(spec, t))
+        # to_bstar's tail sums and differences round dense entries by about an ulp
+        assert np.abs(band - dense[k]).max() <= 2.0 * EPS * np.abs(dense[k]).max()
+
+
+def test_tridiagonal_is_read_off_the_index():
+    rng = np.random.default_rng(3)
+    nearest = cb.general_chain(3, {(0, 1): 1.0, (1, 0): 2.0, (1, 2): 0.5, (3, 2): 1.5})
+    reach2 = cb.general_chain(3, {(0, 1): 1.0, (1, 0): 2.0, (2, 0): 0.5})
+    cases = {nearest: True, reach2: False, _band_chain(4, True): True,
+             cb.batch_birth_chain(1, [1.0], [2.0]): True,
+             **{random_class_chain(rng, kind, 3): False for kind in CLASS_KINDS[1:]}}
+    for spec, expected in cases.items():
+        table = cb.rate_table(spec, BAND_TIMES[:1])
+        assert transform.is_tridiagonal(table) == expected, spec
+        if expected:
+            band = _dense_band(*(v[0] for v in transform.bstar_band(table)))
+            dense = cb.to_bstar(cb.build_reduced(table[0]))
+            assert np.abs(band - dense).max() <= 2.0 * EPS * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("time_varying", [False, True], ids=["constant", "time-varying"])
+@pytest.mark.parametrize("S", [2, 3, 50])
+def test_band_column_sums_match_the_dense_scan(S, time_varying):
+    spec = _band_chain(S, time_varying, seed=S)
+    d = np.random.default_rng(S).uniform(0.5, 2.0, S)
+    table = cb.rate_table(spec, BAND_TIMES)
+    diag, upper, lower = transform.bstar_band(table)
+    band = transform.band_column_sums(diag, *transform.weight_band(upper, lower, d))
+    dense = np.empty_like(band)
+
+    def consume(s, M):
+        dense[s] = M.sum(axis=-2)
+
+    transform.scan_transform(table, d, consume)
+    weighted = [cb.apply_weights(cb.analytic_bstar(spec, t), d) for t in BAND_TIMES]
+    terms = np.abs(weighted).sum(axis=-2)  # the sum of absolute terms of each column
+    exact = np.sum(weighted, axis=-2)
+    # the dense scan sums S terms of tail sums of up to S entries each
+    assert np.all(np.abs(band - dense) <= 2 * S * EPS * terms)
+    assert np.all(np.abs(band - exact) <= 2 * EPS * terms)
+    h_up, h_lo = bounds.column_sum_extremes(table, d, len(BAND_TIMES))
+    assert np.array_equal(h_up, band.max(axis=-1)) and np.array_equal(h_lo, band.min(axis=-1))
+
+
+def test_band_column_sums_read_the_table_a_slice_of_times_at_a_time(monkeypatch):
+    spec = _band_chain(6, True)
+    table = cb.rate_table(spec, np.linspace(0.0, 2.0, 41))
+    d = np.linspace(1.0, 2.0, 6)
+    whole = bounds.column_sum_extremes(table, d, 41)
+    seen = []
+
+    def recorded(table):
+        seen.append(len(table))
+        return band(table)
+
+    band = transform.bstar_band
+    monkeypatch.setattr(bounds, "CHUNK_BYTES", 8 * 6 * 8)  # 8 times of 6 column sums
+    monkeypatch.setattr(bounds, "bstar_band", recorded)
+    sliced = bounds.column_sum_extremes(table, d, 41)
+    assert seen == [8, 8, 8, 8, 8, 1]
+    assert all(np.array_equal(a, b) for a, b in zip(whole, sliced))
+
+
+def test_bstar_band_names_the_time_of_an_entry_that_is_not_finite():
+    # 9e307 + 1e308 t overflows at t=1 only
+    deaths = [cb.RateFunction.table([0.0, 1.0], [0.0, 1e308])] + [1.0, 1.0]
+    spec = cb.birth_death_chain(3, [9e307, 1.0, 1.0], deaths)
+    table = cb.rate_table(spec, [0.0, 0.5, 1.0])
+    message = re.escape("B* has an entry that is not finite at t=1.0: the rates exceed")
+    with pytest.raises(cb.NonFiniteBoundError, match=message):
+        transform.bstar_band(table)
+    with pytest.raises(cb.NonFiniteBoundError, match=message):
+        bounds.column_sum_extremes(table, np.ones(3), 3)
