@@ -186,8 +186,9 @@ class RateTable:
     shape and len give it: table[s] writes Q at times[s], so
     :func:`ctmc_bounds.transform.scan_transform` reads the table a slice of
     times at a time, as the RK4 scans of :func:`ctmc_bounds.odesolve.solve`
-    and the verifiers read it a chunk of steps at a time, and table[...]
-    writes the whole stack, as :func:`eval_generator` does.
+    read it a chunk of steps at a time, and table[...] writes the whole
+    stack, as :func:`eval_generator` does. The verifiers' scans read the
+    transpose, written by :meth:`forward`.
     """
 
     S: int
@@ -212,13 +213,31 @@ class RateTable:
         A result larger than the machine's physical memory raises
         MemoryError before anything is allocated (:func:`require_memory`).
         """
-        values = self.values[s]
-        shape = values.shape[:-1] + self.index.shape
-        require_memory(f"a generator stack of shape {shape}", 8 * math.prod(shape))
-        Q = np.take(values, self.index, axis=-1)
+        Q = self._gather(s, self.index)
         idx = np.arange(self.S + 1)
         Q[..., idx, idx] = -Q.sum(axis=-1)
         return Q
+
+    def forward(self, s, out=None):
+        """A = Q^T at times[s] in C order, the forward system's matrices, into out if given.
+
+        The one gather writes the transposed entries, so no strided view of
+        Q reaches the products; out is a C-ordered stack of that shape. The
+        diagonal, minus the column sums, is one product with a row of ones:
+        numpy's sum over the second-last axis takes several times as long.
+        """
+        A = self._gather(s, self.index.T, out)
+        idx = np.arange(self.S + 1)
+        A[..., idx, idx] = -np.matmul(np.ones(self.S + 1), A)
+        return A
+
+    def _gather(self, s, index, out=None):
+        values = self.values[s]
+        if out is None:
+            shape = values.shape[:-1] + self.index.shape
+            require_memory(f"a generator stack of shape {shape}", 8 * math.prod(shape))
+        # every index names a column of values; "clip" spares take a buffered copy into out
+        return np.take(values, index, axis=-1, out=out, mode="clip")
 
 
 def rate_table(spec: ChainSpec, t) -> RateTable:

@@ -13,7 +13,11 @@ formed once, so each chunk is one batched product. On a time-varying
 system, a square state such as the identity crosses a chunk on its c
 one-step operators R_k, formed at once by batched matrix products, with
 one product per step; narrower states, vectors or a few columns, take the
-RK4 stages directly.
+RK4 stages directly. Each increment R_k - I is formed from the stages
+K2 = Mm (I + h/2 M0), K3 = Mm (I + h/2 K2) and K4 = M1 (I + h K3), the
+identity added to the diagonal of each right factor, and summed in place.
+The operators and the states are written into buffers kept from chunk to
+chunk, the states into two in turn, so no chunk allocates either anew.
 
 Every system is written from one :func:`ctmc_bounds.chain.rate_table` by
 one chunked writer, :class:`_System`, which writes A(t) = Q(t)^T, B(t) or
@@ -27,13 +31,16 @@ evaluated once, and the envelopes, whose column sums
 times at a time, or :func:`ctmc_bounds.bounds.column_sum_extremes` from
 the three diagonals of a tridiagonal B*(t), as a birth-death chain's is;
 the scans stay dense. One pair of identity scans, with steps h and h/2, then
-carries the verifiers a chunk at a time. Each scan runs on the forward
-writer, :class:`_Forward`, which maps each forward RK4 increment K = R - I
-to that of B** by two constant products, L K Rt (RK4 commutes with the
-constant change of variables); the step-h/2 scan fuses the increments of
-its two half steps before the map, so each step takes one map. Each scan
-carries both propagators: the forward Phi_k, which the coupling verifier
-reads, and the transformed G_k, which the bounds verifier reads. Every
+carries the verifiers a chunk at a time. Both scans run on one forward
+writer, :class:`_Forward`: each chunk writes its 4m+1 generators A = Q^T
+of the halved grid once, in C order, for the step-h/2 scan, and the
+step-h scan reads every other one of them (:class:`_EveryOther`). The
+writer maps each forward RK4 increment K = R - I to that of B** by two
+constant products, L K Rt (RK4 commutes with the constant change of
+variables); the step-h/2 scan fuses the increments of its two half steps
+before the map, so each step takes one map. Each scan carries both
+propagators: the forward Phi_k, which the coupling verifier reads, and the
+transformed G_k, which the bounds verifier reads. Every
 trajectory is a propagator applied to its start, so the worst ratio to the
 envelopes over every start at a grid time is a norm or a column sum of
 that time's propagator: each verdict is exact per time, with no random
@@ -58,7 +65,7 @@ SYSTEMS = ("forward", "reduced_hom", "transformed")
 MAX_STATE = 1e12          # blow-up guard threshold
 VIOLATION_CAP = 100       # violations stored per report (the count is exact)
 CHUNK_STEPS = 32          # RK4 steps per chunk of the scan
-SCAN_MATRICES = 26        # (S+1) x (S+1) matrices a step that a pair of scans holds at most
+SCAN_MATRICES = 24        # (S+1) x (S+1) matrices a step that a pair of scans holds at most
 
 
 class OdeBlowUpError(RuntimeError):
@@ -109,29 +116,37 @@ class _System:
         return M
 
 
-def _increments(M0, Mm, M1, h):
+def _increments(M0, Mm, M1, h, out=None):
     """R - I of the one-step RK4 operators R = I + h/6 (M0 + 2 (K2 + K3) + K4) of matrix stacks.
 
     M0, Mm and M1 hold the coefficient matrix at the start, the midpoint and
-    the end of each step. K2 = Mm + h/2 Mm M0, K3 = Mm + h/2 Mm K2 and
-    K4 = M1 + h M1 K3 map x to the RK4 stages, so R x is one RK4 step of x.
+    the end of each step. K2 = Mm (I + h/2 M0), K3 = Mm (I + h/2 K2) and
+    K4 = M1 (I + h K3) map x to the RK4 stages, so R x is one RK4 step of x,
+    with the stages' own roundings: I plus the result is one stage-by-stage
+    step of the identity. Each right factor is a scaled stack with one
+    added to its diagonal, in one buffer, and the sum is taken in place, in
+    out if given, with one more buffer for K3 and then K4.
     """
-    K = Mm + (0.5 * h) * (Mm @ M0)
-    R = M0 + 2.0 * K
-    K = Mm + (0.5 * h) * (Mm @ K)
-    R += 2.0 * K
-    R += M1 + h * (M1 @ K)
+    P = np.multiply(M0, 0.5 * h)
+    R = np.matmul(Mm, _add_identity(P), out=out)
+    K = np.matmul(Mm, _add_identity(np.multiply(R, 0.5 * h, out=P)))
+    R += K
+    np.matmul(M1, _add_identity(np.multiply(K, h, out=P)), out=K)
+    R *= 2.0
+    R += M0
+    R += K
     R *= h / 6.0
     return R
 
 
-def _fused(K1, K2):
+def _fused(K1, K2, out=None):
     """K1 + K2 + K2 K1, the increment of (I + K2)(I + K1), for stacks of increments.
 
     Two steps taken as one operator this way need one product, not the two
-    of forming both operators and their product. K1 is overwritten.
+    of forming both operators and their product. K1 is overwritten; the
+    result goes to out if given.
     """
-    K = np.matmul(K2, K1)
+    K = np.matmul(K2, K1, out=out)
     K1 += K2
     K += K1
     return K
@@ -139,8 +154,8 @@ def _fused(K1, K2):
 
 def _add_identity(R):
     """R + I for each square matrix of a stack, in place; returns R."""
-    diagonal = np.arange(R.shape[-1])
-    R[..., diagonal, diagonal] += 1.0
+    diagonal = np.einsum("...ii->...i", R)  # a writeable view
+    diagonal += 1.0
     return R
 
 
@@ -164,12 +179,18 @@ def _rk4_scan(mats, n, h, x0, halved=False):
     object with a length whose slices are stacks, as :class:`_System` is;
     each chunk reads its slice once. The constant and the operator paths
     below form the increment K = R - I of each step by :func:`_increments`,
-    the two of a halved step fused into one by :func:`_fused`; with an
-    increments method, as :class:`_Forward` has, K is passed through it
-    before the identity is added. States may be vectors, column batches or
-    a stack of square matrices, each member taking the products it would
-    take alone; started from the identity, the scan yields the
-    propagators. Yielded arrays are fresh; callers may keep them.
+    the two of a halved step fused into one by :func:`_fused`, in one
+    buffer of operators kept from chunk to chunk. With an increments
+    method, as :class:`_Forward` has, the state is a pair of members: the
+    first follows mats, and the second the system whose increments the
+    method writes from the first's. Otherwise states may be vectors, column
+    batches or a stack of square matrices, each member taking the products
+    it would take alone; started from the identity, the scan yields the
+    propagators.
+
+    The chunks are written into two buffers in turn, so a yielded chunk
+    holds while the next one is formed and is overwritten by the one
+    after: callers copy what they keep.
 
     A constant system has one operator R; each chunk is one product with
     its powers R^1..R^c, or one product with R a step if a power
@@ -188,20 +209,33 @@ def _rk4_scan(mats, n, h, x0, halved=False):
     hs = 0.5 * h if halved else h
     wide = x.ndim >= 2 and x.shape[-1] >= x.shape[-2]
     lift = getattr(mats, "increments", None)
+    ops = None
 
-    def operators(M0, Mm, M1):
-        # I + the increment of each step; those of the two RK4 steps of a
-        # halved step are fused into one, a constant system's one serving both
-        K = _increments(M0, Mm, M1, hs)
+    def operators(M0, Mm, M1, m):
+        # I + the increment of each of m steps, (2, m, .) with lift, in one
+        # buffer kept from chunk to chunk, the first being the longest; those
+        # of the two RK4 steps of a halved step are fused into one, a
+        # constant system's one serving both
+        nonlocal ops
+        if ops is None:
+            ops = np.empty(((2,) if lift else ()) + (m,) + M0.shape[-2:])
+        R = ops[..., :m, :, :]
+        K = R[0] if lift else R
         if halved:
-            K = _fused(K[0::2], K[1::2]) if len(K) > 1 else _fused(K, K)
-        return _add_identity(K if lift is None else lift(K))
+            K2 = _increments(M0, Mm, M1, hs)
+            _fused(K2[0::2], K2[1::2], K) if len(K2) > 1 else _fused(K2, K2, K)
+        else:
+            _increments(M0, Mm, M1, hs, out=K)
+        if lift:
+            lift(K, R[1])
+        return _add_identity(R)
 
     powers = None
     # overflow is left to the guard, which names the first state it reaches
     with np.errstate(over="ignore", invalid="ignore"):
         if len(mats) == 1:
-            R = operators(mats[:1], mats[:1], mats[:1])[0]
+            A = mats[:1]
+            R = operators(A, A, A, 1)[..., 0, :, :]
             powers = np.empty((min(c, n),) + R.shape)
             powers[0] = R
             for i in range(1, len(powers)):
@@ -211,9 +245,10 @@ def _rk4_scan(mats, n, h, x0, halved=False):
                 # be NaN; stepping meets only the states themselves
                 powers = None
     per_step = 4 if halved else 2
+    buffers = np.empty((2 if n > c else 1, min(c, n)) + x.shape)
     for k in range(0, n, c):
         m = min(c, n - k)
-        states = np.empty((m,) + x.shape)
+        states = buffers[(k // c) % len(buffers), :m]
         with np.errstate(over="ignore", invalid="ignore"):
             if powers is not None:
                 np.matmul(powers[:m], x, out=states)
@@ -223,9 +258,9 @@ def _rk4_scan(mats, n, h, x0, halved=False):
             else:
                 sub = mats[per_step * k: per_step * (k + m) + 1]
                 if wide:
-                    R = operators(sub[0:-1:2], sub[1::2], sub[2::2])
+                    R = operators(sub[0:-1:2], sub[1::2], sub[2::2], m)
                     for i in range(m):
-                        x = np.matmul(R[i], x, out=states[i])
+                        x = np.matmul(R[..., i, :, :], x, out=states[i])
                 else:
                     for i in range(m):
                         for j in range(per_step * i, per_step * (i + 1), 2):
@@ -346,40 +381,73 @@ class VerificationReport:
 
 
 class _Forward(_System):
-    """The forward :class:`_System`, whose one-step operators carry w' = B**(t) w along.
+    """The forward :class:`_System` of the verification scans, whose operators carry w' = B**(t) w.
 
-    Its slices are the forward matrices A; its :meth:`increments` give the
-    scan the operators of both systems: the forward system's own, and those
-    of the weighted transformed system, mapped from the forward ones by two
-    constant factors.
+    Its slices write the forward matrices A = Q^T in C order into one
+    buffer kept from slice to slice, and an :class:`_EveryOther` of it
+    serves the step-h scan every other matrix of the last slice, so a chunk
+    of the pair of scans writes its 4m+1 matrices once. Its
+    :meth:`increments` give the scan the operators of the weighted
+    transformed system, mapped from the forward ones by two constant
+    factors.
     """
 
     def __init__(self, table: RateTable, d):
         super().__init__(table, d)
         self.left, self.right = _tail_sum_maps(d)
+        self.buffer = np.empty((0,) + table.index.shape)
+        self.last, self.stop = self.buffer, 0
 
-    def increments(self, K):
-        """A (..., 2, S+1, S+1) stack of increments R - I from forward ones K.
+    def __getitem__(self, s):
+        start, stop, _ = s.indices(len(self))
+        if len(self.buffer) < stop - start:
+            self.buffer = np.empty((stop - start,) + self.buffer.shape[1:])
+        A = self.buffer[:stop - start]
+        # a chunk starts where the last one ended: that matrix is moved, not written again
+        kept = int(start == self.stop - 1)
+        if kept:
+            A[0] = self.last[-1]
+        self.table.forward(np.s_[start + kept:stop], out=A[kept:])
+        self.last, self.stop = A, stop
+        return A
 
-        The forward block is K. The transformed one is L K Rt in the
-        lower-right S x S block, its first row and column zero, so that
-        state keeps a one in its corner, with L and Rt of
-        :func:`_tail_sum_maps`: L K Rt = D T (K[1:, 1:] - K[1:, 0] 1^T)
-        T^{-1} D^{-1}. On the mass-free subspace the forward system is the
-        reduced one, and RK4 commutes with the constant changes of
-        variables to B**. Mapping the increment K, rather than R or the
-        propagators, keeps the forward system's round-off in the
-        probability mass, which it never damps, out of the transformed
-        operators; K of two fused steps maps to the fused transformed
-        increment, since 1^T K = 0.
+    def increments(self, K, out):
+        """The increments R - I of the transformed system from forward ones K, written into out.
+
+        The transformed increment is L K Rt in the lower-right S x S block,
+        its first row and column zero, so that state keeps a one in its
+        corner, with L and Rt of :func:`_tail_sum_maps`: L K Rt = D T
+        (K[1:, 1:] - K[1:, 0] 1^T) T^{-1} D^{-1}. On the mass-free subspace
+        the forward system is the reduced one, and RK4 commutes with the
+        constant changes of variables to B**. Mapping the increment K,
+        rather than R or the propagators, keeps the forward system's
+        round-off in the probability mass, which it never damps, out of the
+        transformed operators; K of two fused steps maps to the fused
+        transformed increment, since 1^T K = 0.
         """
-        out = np.empty(K.shape[:-2] + (2,) + K.shape[-2:])
-        out[..., 0, :, :] = K
-        G = out[..., 1, :, :]
-        G[..., 0, :] = 0.0
-        G[..., 1:, 0] = 0.0
-        np.matmul(self.left, _right_product(K, self.right), out=G[..., 1:, 1:])
+        out[..., 0, :] = 0.0
+        out[..., 1:, 0] = 0.0
+        np.matmul(self.left, _right_product(K, self.right), out=out[..., 1:, 1:])
         return out
+
+
+class _EveryOther:
+    """Every other matrix of a :class:`_Forward` writer, those of the step-h scan.
+
+    A slice reads every other matrix of the writer's last slice, which must
+    hold the same steps: the step-h/2 scan asks for them first in each
+    chunk, as :func:`_propagators` runs the two.
+    """
+
+    def __init__(self, fine: _Forward):
+        self.fine, self.increments = fine, fine.increments
+
+    def __len__(self) -> int:
+        return (len(self.fine) + 1) // 2
+
+    def __getitem__(self, s):
+        start, stop, _ = s.indices(len(self))
+        return self.fine.last[:2 * (stop - start) - 1:2]
 
 
 def _right_product(K, right):
@@ -393,32 +461,36 @@ def _propagators(table, d, n, h):
     Phi[i] and Psi[i] propagate the forward system p' = A(t) p from 0 to
     t_{k+i} = (k+i) h with steps h and h/2, and G[i] and H[i] the
     transformed system w' = B**(t) w with the weights d, carried along by
-    the operators of :class:`_Forward` as the second of the (2, S+1, S+1)
-    blocks of each scan state; e_Phi[i] = ||Phi[i] - Psi[i]||_1->1 and
+    the operators of :class:`_Forward` as the second of the two (S+1, S+1)
+    members of each scan state; e_Phi[i] = ||Phi[i] - Psi[i]||_1->1 and
     e_G[i] = ||G[i] - H[i]||_1->1 are their divergences. table holds the
-    rates at spacing h/4 (or at one time); each scan writes A from it a
-    chunk of steps at a time, so no whole-time stack is formed. Both
+    rates at spacing h/4 (or at one time); the step-h/2 scan writes A from
+    it a chunk of steps at a time, and the step-h scan reads every other
+    matrix of the same chunk, so no whole-time stack is formed. Both
     identity scans take n sequential steps. Twice the divergence estimates
     the integrator error of Phi x0 (or G x0) relative to ||x0||_1, the
-    conservative Richardson-style margin.
+    conservative Richardson-style margin. The chunks are the scans' own,
+    valid until the next one is asked for.
     """
     eye = np.stack([np.eye(table.S + 1)] * 2)
-    for (k, phi), (_, psi) in zip(
-            _rk4_scan(_Forward(table.at(np.s_[::2]), d), n, h, eye),
-            _rk4_scan(_Forward(table, d), n, h, eye, halved=True)):
-        F, G = phi[:, 0], phi[:, 1, 1:, 1:]
-        yield k, F, G, _divergence(F, psi[:, 0]), _divergence(G, psi[:, 1, 1:, 1:])
+    fine = _Forward(table, d)
+    # the step-h/2 scan goes first in each chunk, so the step-h one finds its matrices written
+    for (k, psi), (_, phi) in zip(_rk4_scan(fine, n, h, eye, halved=True),
+                                  _rk4_scan(_EveryOther(fine), n, h, eye)):
+        e = _divergence(phi, psi)
+        yield k, phi[:, 0], phi[:, 1, 1:, 1:], e[:, 0], e[:, 1]
 
 
 def _divergence(A, B):
     """||A - B||_1->1 of each pair of matrices of two stacks.
 
-    The difference goes to a fresh buffer, freed on return, so one block's
-    difference is held at a time; A and B are chunks of the scans, whose
-    last states start their next chunks, and must not be written.
+    The difference goes to a fresh buffer, freed on return; A and B are
+    chunks of the scans, whose last states start their next chunks, and
+    must not be written. The transformed members are compared whole: their
+    first rows and columns agree exactly.
     """
     diff = np.subtract(A, B)
-    return np.abs(diff, out=diff).sum(axis=-2).max(axis=-1)
+    return _column_sums(np.abs(diff, out=diff)).max(axis=-1)
 
 
 def _tail_sum_maps(d):
@@ -436,7 +508,15 @@ def _tail_sum_maps(d):
 
 def _l1_norms(M):
     """Induced l1 norm, the largest absolute column sum, of each matrix of a stack."""
-    return np.abs(M).sum(axis=-2).max(axis=-1)
+    return _column_sums(np.abs(M)).max(axis=-1)
+
+
+def _column_sums(M):
+    """The column sums of each matrix of a stack, as one product with a row of ones.
+
+    numpy's sum over the second-last axis takes several times as long.
+    """
+    return np.matmul(np.ones(M.shape[-2]), M)
 
 
 @dataclass(frozen=True)
@@ -623,11 +703,14 @@ def _verify_both(spec, weights, tmax, n_steps, *, slack):
     require_memory(f"a scan chunk of {CHUNK_STEPS} steps",
                    8 * CHUNK_STEPS * SCAN_MATRICES * (len(st.d) + 1) ** 2)
     L, Rt = _tail_sum_maps(st.d)
-    chunks = [(_l1_norms(G), G.sum(axis=-2).min(axis=-1), eG,
-               _l1_norms(np.matmul(L, _right_product(F, Rt))), eF,
-               np.abs(F.sum(axis=-2) - 1.0).max(axis=-1), F.min(axis=(-2, -1)))
-              for _, F, G, eF, eG in _propagators(st.table, st.d, st.n, st.h)]
-    measures = [np.concatenate(m) for m in zip(*chunks)]
+    measures = np.empty((7, st.n + 1))
+    for k, F, G, eF, eG in _propagators(st.table, st.d, st.n, st.h):
+        M = measures[:, k:k + len(F)]
+        M[0], M[2], M[4] = _l1_norms(G), eG, eF
+        M[1] = _column_sums(G).min(axis=-1)
+        M[3] = _l1_norms(np.matmul(L, _right_product(F, Rt)))
+        M[5] = np.abs(_column_sums(F) - 1.0).max(axis=-1)
+        M[6] = F.min(axis=(-2, -1))
     return _bounds_report(st, slack, *measures[:3]), _coupling_report(st, slack, *measures[3:])
 
 

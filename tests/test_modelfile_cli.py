@@ -733,9 +733,9 @@ def test_finite_integral_with_an_overflowing_envelope(tmp_path, capsys):
 def test_verify_refuses_the_working_set_of_a_chunk_before_the_first(tmp_path, capsys,
                                                                      monkeypatch):
     # S = 40, 64 steps: the table and the column sums are small, while a
-    # chunk of the scans holds about 787 (S+1)^2 doubles, 10.6 MB, or 24.6
+    # chunk of the scans holds about 719 (S+1)^2 doubles, 9.7 MB, or 22.5
     # a step: the verdicts read the propagators and keep no buffers of
-    # their own. The figure asked for, SCAN_MATRICES = 26 a step, lies
+    # their own. The figure asked for, SCAN_MATRICES = 24 a step, lies
     # between that peak and twice it, and a refusal comes before the scans
     # allocate anything
     doc = {"schema": 1, "chain": {**SINUSOID_BD3["chain"], "states": 40,

@@ -163,7 +163,8 @@ def _transformed(spec, ts):
 
 
 def _scan_states(mats, n, h, x0, halved=False):
-    return np.concatenate([chunk for _, chunk in
+    # the scan reuses its chunk buffers, so each chunk is copied as it comes
+    return np.concatenate([chunk.copy() for _, chunk in
                            odesolve._rk4_scan(mats, n, h, x0, halved)])
 
 
@@ -342,6 +343,47 @@ def test_each_verifier_scans_once_per_step_size(monkeypatch, verify, spec):
     assert sorted(steps) == [(8, 0.125, (stack + 1) // 2), (16, 0.0625, stack)]
 
 
+@pytest.mark.parametrize("chain, written", [("time-varying", lambda n: 4 * n + 1),
+                                            ("one-matrix", lambda n: 1)])
+def test_verify_writes_each_generator_once(monkeypatch, chain, written):
+    # the step-h scan reads every other matrix of the chunk that the step-h/2
+    # scan has just written, and a chunk takes its first matrix over from
+    # the last, so a run writes the 4n+1 generators of the halved grid once
+    # each, or a constant chain's one: a gather per scan and chunk wrote
+    # 6n+2, two more a chunk boundary, and 6 of a constant chain's one; the
+    # set-up of a birth-death chain writes none
+    rows = []
+    for name in ("__getitem__", "forward"):
+        def counted(table, s, *args, _write=getattr(cb.chain.RateTable, name), **kwargs):
+            stack = _write(table, s, *args, **kwargs)
+            rows.append(len(stack))
+            return stack
+        monkeypatch.setattr(cb.chain.RateTable, name, counted)
+    n = 2 * odesolve.CHUNK_STEPS + 5
+    assert cb.verify_bounds(ENGINE_CHAINS[chain], None, 1.0, n).passed
+    assert sum(rows) == written(n)
+
+
+@pytest.mark.parametrize("S", [40, 80, 120])
+def test_verify_peak_stays_below_the_preflight_figure(S):
+    # the scans write their chunks into buffers kept from chunk to chunk, so
+    # four chunks peak as one: below the working set refused before the
+    # scans start, SCAN_MATRICES (S+1)^2 doubles for each step of a chunk,
+    # and above half of it, so that the refusal does not come far too early
+    spec = cb.birth_death_chain(S, [LAM] * S, [1.0] * S)
+    n = 3 * odesolve.CHUNK_STEPS + 4
+    run = lambda: odesolve._verify_both(spec, None, 1.0, n, slack=1e-8)
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    figure = 8 * odesolve.CHUNK_STEPS * odesolve.SCAN_MATRICES * (S + 1) ** 2
+    assert figure / 2 < peak < figure
+
+
 # B*(3,2) = a_1 - a_2 = -1.9: the batch rates increase with the batch size
 BROKEN_BATCH = cb.batch_birth_chain(3, [0.1, 2.0, 0.1], [1.0, 1.0, 1.0])
 # a_1 dips below a_2 only around t = 1/16, a quarter step of a 4-step run on
@@ -365,7 +407,7 @@ def test_verifiers_refuse_a_transform_that_is_not_essentially_nonnegative(
 def test_each_verifier_refuses_the_working_set_of_a_chunk_before_the_scans(monkeypatch,
                                                                            verify):
     # S = 40: a chunk of the scans asks for 32 x SCAN_MATRICES x 41^2 doubles,
-    # 11.2 MB, while the rate table and the column sums of 64 steps take far
+    # 10.3 MB, while the rate table and the column sums of 64 steps take far
     # less; a machine of 8 MB refuses the chunk before either scan starts
     spec = cb.birth_death_chain(40, [LAM] * 40, [1.0] * 40)
 
@@ -452,8 +494,10 @@ def test_forward_propagators_map_to_the_transformed_ones(spec, weights):
     d, tmax, n = np.array(weights), 2.0, 2 * odesolve.CHUNK_STEPS + 7
     table = cb.chain.rate_table(spec, cb.chain.evaluation_times(
         spec, np.linspace(0.0, tmax, 4 * n + 1)))
-    chunks = list(odesolve._propagators(table, d, n, tmax / n))
-    phi, G = (np.concatenate([chunk[i] for chunk in chunks]) for i in (1, 2))
+    # the chunks are the scans' buffers, valid until the next one: copy them
+    chunks = [(F.copy(), G.copy()) for _, F, G, _, _ in
+              odesolve._propagators(table, d, n, tmax / n)]
+    phi, G = (np.concatenate([chunk[i] for chunk in chunks]) for i in (0, 1))
     want = cb.solve("transformed", spec, np.eye(spec.S), tmax, n, weights=d).states
     tol = 1e-12 * np.abs(want).max()
     T = np.triu(np.ones((spec.S, spec.S)))
@@ -483,14 +527,32 @@ def test_transformed_increments_by_two_products_match_the_tail_sum_transform(S, 
     # add: L K Rt those of its products, the structural oracle also the
     # state-0 column it subtracts from every other
     writer, d, K = _increments_of(S, h)
-    got = writer.increments(K)
-    assert got.shape == (8, 2, S + 1, S + 1)
-    assert np.array_equal(got[:, 0], K)
-    G = got[:, 1]
+    out = np.full_like(K, np.nan)
+    G = writer.increments(K, out)
+    assert G is out
     assert np.all(G[:, 0, :] == 0.0) and np.all(G[:, :, 0] == 0.0)
     terms = np.abs(writer.left) @ (np.abs(K) @ np.abs(writer.right)
                                    + 2.0 * np.abs(K[..., :1]) / d)
     assert np.all(np.abs(G[:, 1:, 1:] - transformed_increment(K, d)) <= 1e-15 * terms)
+
+
+@pytest.mark.parametrize("h", [1e-3, 0.1, 1.0])
+@pytest.mark.parametrize("S", [1, 2, 5, 30])
+def test_increments_are_one_stage_by_stage_step_of_the_identity(S, h):
+    # K2 = Mm (I + h/2 M0), K3 = Mm (I + h/2 K2) and K4 = M1 (I + h K3), the
+    # identity added to each right factor's diagonal and the sum taken in
+    # place, are the stages of one RK4 step of the identity: within 1e-15
+    # of the scale of the step, written into out or not
+    rng = np.random.default_rng(S)
+    M0, Mm, M1 = rng.uniform(-1.0, 1.0, (3, 8, S + 1, S + 1))
+    eye = np.eye(S + 1)
+    want = odesolve._rk4_step(M0, Mm, M1, h, eye)
+    scale = np.abs(want).max()
+    got = odesolve._increments(M0, Mm, M1, h)
+    assert np.abs(eye + got - want).max() <= 1e-15 * scale
+    out = np.full_like(M0, np.nan)
+    assert odesolve._increments(M0, Mm, M1, h, out=out) is out
+    assert np.array_equal(out, got)
 
 
 @pytest.mark.parametrize("h", [1e-3, 0.1])
