@@ -11,13 +11,14 @@ and checks each chunk for blow-up at once. A constant system has a single
 one-step RK4 operator R (x_{k+1} = R x_k), whose powers R^1..R^c are
 formed once, so each chunk is one batched product. On a time-varying
 system, a square state such as the identity crosses a chunk on its c
-one-step operators R_k, formed at once by batched matrix products, with
-one product per step; narrower states, vectors or a few columns, take the
-RK4 stages directly. Each increment R_k - I is formed from the stages
-K2 = Mm (I + h/2 M0), K3 = Mm (I + h/2 K2) and K4 = M1 (I + h K3), the
-identity added to the diagonal of each right factor, and summed in place.
-The operators and the states are written into buffers kept from chunk to
-chunk, the states into two in turn, so no chunk allocates either anew.
+one-step operators R_k, which the system forms at once by batched matrix
+products (:meth:`_System.operators`), with one product per step; narrower
+states, vectors or a few columns, take the RK4 stages directly. Each
+increment R_k - I is formed from the stages K2 = Mm (I + h/2 M0),
+K3 = Mm (I + h/2 K2) and K4 = M1 (I + h K3), the identity added to the
+diagonal of each right factor, and summed in place. The operators and the
+states are written into one buffer each, kept from chunk to chunk, so no
+chunk allocates either anew.
 
 Every system is written from one :func:`ctmc_bounds.chain.rate_table` by
 one chunked writer, :class:`_System`, which writes A(t) = Q(t)^T, B(t) or
@@ -30,20 +31,19 @@ evaluated once, and the envelopes, whose column sums
 :func:`ctmc_bounds.transform.scan_transform` takes from B**(t) a slice of
 times at a time, or :func:`ctmc_bounds.bounds.column_sum_extremes` from
 the three diagonals of a tridiagonal B*(t), as a birth-death chain's is;
-the scans stay dense. One pair of identity scans, with steps h and h/2, then
-carries the verifiers a chunk at a time. Both scans run on one forward
-writer, :class:`_Forward`: each chunk writes its 4m+1 generators A = Q^T
-of the halved grid once, in C order, for the step-h/2 scan, and the
-step-h scan reads every other one of them (:class:`_EveryOther`). The
-writer maps each forward RK4 increment K = R - I to that of B** by two
-constant products, L K Rt (RK4 commutes with the constant change of
-variables); the step-h/2 scan fuses the increments of its two half steps
-before the map, so each step takes one map. Each scan carries both
-propagators: the forward Phi_k, which the coupling verifier reads, and the
-transformed G_k, which the bounds verifier reads. Every
-trajectory is a propagator applied to its start, so the worst ratio to the
-envelopes over every start at a grid time is a norm or a column sum of
-that time's propagator: each verdict is exact per time, with no random
+the scan stays dense. One identity scan of steps h then carries the
+verifiers a chunk at a time, on the forward writer :class:`_Forward`: each
+chunk writes its 4m+1 generators A = Q^T of the halved grid once, in C
+order, and forms from them the increments of each step taken as two fused
+RK4 steps of h/2 and as one of h. The writer maps each forward increment
+K = R - I to that of B** by two constant products, L K Rt (RK4 commutes
+with the constant change of variables). So the scan state is a stack of
+four members, each started from the identity: the forward propagators
+Psi_k (steps of h/2) and Phi_k (steps of h), which the coupling verifier
+reads, and the transformed H_k and G_k, which the bounds verifier reads.
+Every trajectory is a propagator applied to its start, so the worst ratio
+to the envelopes over every start at a grid time is a norm or a column sum
+of that time's propagator: each verdict is exact per time, with no random
 starts. The distance to the step-h/2 propagators gives each time its own
 integrator margin. No whole-time Q, B or B** stack is formed.
 """
@@ -65,7 +65,7 @@ SYSTEMS = ("forward", "reduced_hom", "transformed")
 MAX_STATE = 1e12          # blow-up guard threshold
 VIOLATION_CAP = 100       # violations stored per report (the count is exact)
 CHUNK_STEPS = 32          # RK4 steps per chunk of the scan
-SCAN_MATRICES = 24        # (S+1) x (S+1) matrices a step that a pair of scans holds at most
+SCAN_MATRICES = 17        # (S+1) x (S+1) matrices a step that the verification scan holds at most
 
 
 class OdeBlowUpError(RuntimeError):
@@ -97,11 +97,13 @@ class _System:
 
     Indexed by a slice of times, writes A = Q^T, B or B** = D B* D^{-1}
     (d the weights) at those times from the table alone, so a scan over it
-    holds no whole-time stack.
+    holds no whole-time stack. :meth:`operators` gives the scan the one-step
+    RK4 operators of a chunk.
     """
 
     def __init__(self, table: RateTable, d, system="forward"):
         self.table, self.ratio, self.system = table, d[:, None] / d[None, :], system
+        self.ops = None
 
     def __len__(self) -> int:
         return len(self.table)
@@ -114,6 +116,31 @@ class _System:
             M = to_bstar(M)
             M *= self.ratio
         return M
+
+    def operators(self, k, m, h):
+        """I + the RK4 increments of steps k..k+m-1 of h, a stack of m matrices.
+
+        The matrices are at spacing h/2, so the chunk reads 2m+1 of them, or
+        a constant system's one.
+        """
+        A = self[2 * k: 2 * (k + m) + 1]
+        R = self._buffer((m,) + A.shape[1:])
+        return _add_identity(_increments(*_stages(A, 1, 2), h, out=R))
+
+    def _buffer(self, shape):
+        """An empty (..., m, rows, columns) view of one buffer kept from chunk to chunk."""
+        if self.ops is None or self.ops.shape[-3] < shape[-3]:
+            self.ops = np.empty(shape)
+        return self.ops[..., :shape[-3], :, :]
+
+
+def _stages(A, s, stride):
+    """(M0, Mm, M1) of the steps that span 2s spacings of A and start every stride spacings.
+
+    They are the matrices at the start, the midpoint and the end of each
+    step; a constant system's one matrix serves all three.
+    """
+    return (A, A, A) if len(A) == 1 else (A[0:-1:stride], A[s::stride], A[2 * s::stride])
 
 
 def _increments(M0, Mm, M1, h, out=None):
@@ -168,29 +195,23 @@ def _rk4_step(M0, Mm, M1, h, x):
     return x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _rk4_scan(mats, n, h, x0, halved=False):
+def _rk4_scan(system, n, h, x0):
     """Yield (k, states): the RK4 states x_k, x_{k+1}, ... of n steps of h from x0.
 
     The first chunk is (0, x0[None]); the others hold up to CHUNK_STEPS
-    consecutive states each. mats holds the coefficient matrix at spacing
-    h/2 (2n+1 matrices), so every stage time is on the grid, or one matrix
-    for a constant system. With halved, each step is two RK4 steps of h/2
-    and mats holds 4n+1 matrices at spacing h/4. mats is a stack or an
-    object with a length whose slices are stacks, as :class:`_System` is;
-    each chunk reads its slice once. The constant and the operator paths
-    below form the increment K = R - I of each step by :func:`_increments`,
-    the two of a halved step fused into one by :func:`_fused`, in one
-    buffer of operators kept from chunk to chunk. With an increments
-    method, as :class:`_Forward` has, the state is a pair of members: the
-    first follows mats, and the second the system whose increments the
-    method writes from the first's. Otherwise states may be vectors, column
-    batches or a stack of square matrices, each member taking the products
-    it would take alone; started from the identity, the scan yields the
-    propagators.
+    consecutive states each. system is a :class:`_System`, whose
+    :meth:`_System.operators` give I plus the increment K = R - I of each
+    step of a chunk; the narrow path below reads its slices, the
+    coefficient matrix at spacing h/2 (2n+1 matrices), so every stage time
+    is on the grid, or one matrix for a constant system. States may be
+    vectors, column batches or a stack of square matrices, each member
+    taking the products it would take alone; started from the identity,
+    the scan yields the propagators. The operators of :class:`_Forward`
+    carry a stack of four members, each its own system.
 
-    The chunks are written into two buffers in turn, so a yielded chunk
-    holds while the next one is formed and is overwritten by the one
-    after: callers copy what they keep.
+    The chunks are written into one buffer kept from chunk to chunk, so a
+    yielded chunk holds until the next one is asked for: callers copy what
+    they keep. The next chunk's first product reads the last state in place.
 
     A constant system has one operator R; each chunk is one product with
     its powers R^1..R^c, or one product with R a step if a power
@@ -201,41 +222,17 @@ def _rk4_scan(mats, n, h, x0, halved=False):
     O(S^3) of forming R_k.
 
     Raises OdeBlowUpError at the first state beyond MAX_STATE in magnitude
-    or not finite; the check runs once per chunk.
+    or not finite, over every member; the check runs once per chunk.
     """
-    x = np.array(x0, dtype=float)
+    x = np.asarray(x0, dtype=float)
     yield 0, x[None]
     c = CHUNK_STEPS
-    hs = 0.5 * h if halved else h
     wide = x.ndim >= 2 and x.shape[-1] >= x.shape[-2]
-    lift = getattr(mats, "increments", None)
-    ops = None
-
-    def operators(M0, Mm, M1, m):
-        # I + the increment of each of m steps, (2, m, .) with lift, in one
-        # buffer kept from chunk to chunk, the first being the longest; those
-        # of the two RK4 steps of a halved step are fused into one, a
-        # constant system's one serving both
-        nonlocal ops
-        if ops is None:
-            ops = np.empty(((2,) if lift else ()) + (m,) + M0.shape[-2:])
-        R = ops[..., :m, :, :]
-        K = R[0] if lift else R
-        if halved:
-            K2 = _increments(M0, Mm, M1, hs)
-            _fused(K2[0::2], K2[1::2], K) if len(K2) > 1 else _fused(K2, K2, K)
-        else:
-            _increments(M0, Mm, M1, hs, out=K)
-        if lift:
-            lift(K, R[1])
-        return _add_identity(R)
-
     powers = None
     # overflow is left to the guard, which names the first state it reaches
     with np.errstate(over="ignore", invalid="ignore"):
-        if len(mats) == 1:
-            A = mats[:1]
-            R = operators(A, A, A, 1)[..., 0, :, :]
+        if len(system) == 1:
+            R = system.operators(0, 1, h)[..., 0, :, :]
             powers = np.empty((min(c, n),) + R.shape)
             powers[0] = R
             for i in range(1, len(powers)):
@@ -244,28 +241,24 @@ def _rk4_scan(mats, n, h, x0, halved=False):
                 # an overflowing power times a zero entry of the state would
                 # be NaN; stepping meets only the states themselves
                 powers = None
-    per_step = 4 if halved else 2
-    buffers = np.empty((2 if n > c else 1, min(c, n)) + x.shape)
+    buffer = np.empty((min(c, n),) + x.shape)
     for k in range(0, n, c):
         m = min(c, n - k)
-        states = buffers[(k // c) % len(buffers), :m]
+        states = buffer[:m]
         with np.errstate(over="ignore", invalid="ignore"):
             if powers is not None:
                 np.matmul(powers[:m], x, out=states)
-            elif len(mats) == 1:
+            elif len(system) == 1:
                 for i in range(m):
                     x = np.matmul(R, x, out=states[i])
+            elif wide:
+                R = system.operators(k, m, h)
+                for i in range(m):
+                    x = np.matmul(R[..., i, :, :], x, out=states[i])
             else:
-                sub = mats[per_step * k: per_step * (k + m) + 1]
-                if wide:
-                    R = operators(sub[0:-1:2], sub[1::2], sub[2::2], m)
-                    for i in range(m):
-                        x = np.matmul(R[..., i, :, :], x, out=states[i])
-                else:
-                    for i in range(m):
-                        for j in range(per_step * i, per_step * (i + 1), 2):
-                            x = _rk4_step(sub[j], sub[j + 1], sub[j + 2], hs, x)
-                        states[i] = x
+                A = system[2 * k: 2 * (k + m) + 1]
+                for i in range(m):
+                    x = states[i] = _rk4_step(A[2 * i], A[2 * i + 1], A[2 * i + 2], h, x)
             _guard(states, k + 1, h)
         x = states[-1]
         yield k + 1, states
@@ -381,15 +374,14 @@ class VerificationReport:
 
 
 class _Forward(_System):
-    """The forward :class:`_System` of the verification scans, whose operators carry w' = B**(t) w.
+    """The forward :class:`_System` of the verification scan, whose operators carry four members.
 
     Its slices write the forward matrices A = Q^T in C order into one
-    buffer kept from slice to slice, and an :class:`_EveryOther` of it
-    serves the step-h scan every other matrix of the last slice, so a chunk
-    of the pair of scans writes its 4m+1 matrices once. Its
-    :meth:`increments` give the scan the operators of the weighted
-    transformed system, mapped from the forward ones by two constant
-    factors.
+    buffer kept from slice to slice, at spacing h/4 for steps of h. Its
+    :meth:`operators` form, from the 4m+1 matrices of a chunk written
+    once, those of the forward system over two fused RK4 steps of h/2 and
+    over one step of h, and their maps to the weighted transformed system
+    (:meth:`increments`).
     """
 
     def __init__(self, table: RateTable, d):
@@ -411,6 +403,24 @@ class _Forward(_System):
         self.last, self.stop = A, stop
         return A
 
+    def operators(self, k, m, h):
+        """I + the increments of steps k..k+m-1 of h for the four members, a (4, m) stack.
+
+        The members are the forward system over two fused RK4 steps of h/2
+        (:func:`_fused`), the forward system over one step of h, and the
+        transformed system over each of them; all four read the chunk's
+        4m+1 matrices, or a constant system's one.
+        """
+        A = self[4 * k: 4 * (k + m) + 1]
+        R = self._buffer((4, m) + A.shape[1:])
+        # the first and the second half steps, one set at a time, which halves their temporaries
+        first = _increments(*_stages(A, 1, 4), 0.5 * h)
+        second = _increments(*_stages(A[2:], 1, 4), 0.5 * h) if len(A) > 1 else first
+        _fused(first, second, R[0])
+        _increments(*_stages(A, 2, 4), h, out=R[1])
+        self.increments(R[:2], R[2:])
+        return _add_identity(R)
+
     def increments(self, K, out):
         """The increments R - I of the transformed system from forward ones K, written into out.
 
@@ -431,25 +441,6 @@ class _Forward(_System):
         return out
 
 
-class _EveryOther:
-    """Every other matrix of a :class:`_Forward` writer, those of the step-h scan.
-
-    A slice reads every other matrix of the writer's last slice, which must
-    hold the same steps: the step-h/2 scan asks for them first in each
-    chunk, as :func:`_propagators` runs the two.
-    """
-
-    def __init__(self, fine: _Forward):
-        self.fine, self.increments = fine, fine.increments
-
-    def __len__(self) -> int:
-        return (len(self.fine) + 1) // 2
-
-    def __getitem__(self, s):
-        start, stop, _ = s.indices(len(self))
-        return self.fine.last[:2 * (stop - start) - 1:2]
-
-
 def _right_product(K, right):
     """K @ right for a stack of matrices K, as one product."""
     return np.matmul(K.reshape(-1, K.shape[-1]), right).reshape(K.shape[:-1] + (-1,))
@@ -458,36 +449,32 @@ def _right_product(K, right):
 def _propagators(table, d, n, h):
     """Yield (k, Phi, G, e_Phi, e_G): RK4 propagators from 0 to t_k, t_{k+1}, ... in chunks.
 
-    Phi[i] and Psi[i] propagate the forward system p' = A(t) p from 0 to
-    t_{k+i} = (k+i) h with steps h and h/2, and G[i] and H[i] the
-    transformed system w' = B**(t) w with the weights d, carried along by
-    the operators of :class:`_Forward` as the second of the two (S+1, S+1)
-    members of each scan state; e_Phi[i] = ||Phi[i] - Psi[i]||_1->1 and
-    e_G[i] = ||G[i] - H[i]||_1->1 are their divergences. table holds the
-    rates at spacing h/4 (or at one time); the step-h/2 scan writes A from
-    it a chunk of steps at a time, and the step-h scan reads every other
-    matrix of the same chunk, so no whole-time stack is formed. Both
-    identity scans take n sequential steps. Twice the divergence estimates
-    the integrator error of Phi x0 (or G x0) relative to ||x0||_1, the
-    conservative Richardson-style margin. The chunks are the scans' own,
-    valid until the next one is asked for.
+    One scan of n steps of h over :class:`_Forward`, from a stack of four
+    identities, carries four (S+1, S+1) members: Psi[i] and Phi[i]
+    propagate the forward system p' = A(t) p from 0 to t_{k+i} = (k+i) h
+    with steps h/2 and h, and H[i] and G[i] the transformed system
+    w' = B**(t) w with the weights d, in the lower-right block of the
+    last two. e_Phi[i] = ||Phi[i] - Psi[i]||_1->1 and e_G[i] =
+    ||G[i] - H[i]||_1->1 are their divergences. table holds the rates at
+    spacing h/4 (or at one time), which the writer turns into A a chunk of
+    steps at a time, so no whole-time stack is formed. Twice the
+    divergence estimates the integrator error of Phi x0 (or G x0) relative
+    to ||x0||_1, the conservative Richardson-style margin. The chunks are
+    the scan's own, valid until the next one is asked for.
     """
-    eye = np.stack([np.eye(table.S + 1)] * 2)
-    fine = _Forward(table, d)
-    # the step-h/2 scan goes first in each chunk, so the step-h one finds its matrices written
-    for (k, psi), (_, phi) in zip(_rk4_scan(fine, n, h, eye, halved=True),
-                                  _rk4_scan(_EveryOther(fine), n, h, eye)):
-        e = _divergence(phi, psi)
-        yield k, phi[:, 0], phi[:, 1, 1:, 1:], e[:, 0], e[:, 1]
+    eye = np.broadcast_to(np.eye(table.S + 1), (4, table.S + 1, table.S + 1))
+    for k, X in _rk4_scan(_Forward(table, d), n, h, eye):
+        e = _divergence(X[:, 1::2], X[:, 0::2])
+        yield k, X[:, 1], X[:, 3, 1:, 1:], e[:, 0], e[:, 1]
 
 
 def _divergence(A, B):
     """||A - B||_1->1 of each pair of matrices of two stacks.
 
     The difference goes to a fresh buffer, freed on return; A and B are
-    chunks of the scans, whose last states start their next chunks, and
-    must not be written. The transformed members are compared whole: their
-    first rows and columns agree exactly.
+    members of the scan's chunk, whose last state starts its next chunk,
+    and must not be written. The transformed members are compared whole:
+    their first rows and columns agree exactly.
     """
     diff = np.subtract(A, B)
     return _column_sums(np.abs(diff, out=diff)).max(axis=-1)
@@ -606,9 +593,9 @@ def verify_bounds(spec: ChainSpec, weights, tmax: float, n_steps: int = 10_000, 
                   slack: float = 1e-8) -> VerificationReport:
     """Check the exponential envelopes at every grid time, over every initial vector.
 
-    One pair of identity scans of the forward system carries the step-h
-    and step-h/2 RK4 propagators G_k and H_k of the transformed system
-    (:func:`_propagators`), so no whole-time B** is formed. At each grid
+    One identity scan of the forward system carries the step-h and
+    step-h/2 RK4 propagators G_k and H_k of the transformed system as two
+    of its members (:func:`_propagators`), so no whole-time B** is formed. At each grid
     time t_k the worst upper ratio over every initial vector is
     ||G_k||_1 / env_up(t_k), and the worst lower ratio over every
     non-negative one is c_k / env_lo(t_k), c_k the smallest column sum of
@@ -655,11 +642,12 @@ def verify_convergence_coupling(spec: ChainSpec, weights, tmax: float,
     the step-halving divergence ||Phi_k - Psi_k||_1 mapped by ||L||_1
     ||Rt||_1 = sum(d) 2 / min(d); a violation is recorded where the ratio
     less that margin over env_up(t_k) exceeds 1 + slack + the quadrature
-    margin. Probability conservation (column sums of Phi_k within 1e-10 of
-    one) and nonnegativity (entries of Phi_k >= -1e-12) are checked at
-    every grid time as well, the worst cases over every initial
-    distribution. Raises NonnegativityError, before the scan, if B*(t) is
-    not essentially non-negative on the halved grid.
+    margin. Phi_k and Psi_k are two members of the one scan of
+    :func:`_propagators`. Probability conservation (column sums of Phi_k
+    within 1e-10 of one) and nonnegativity (entries of Phi_k >= -1e-12)
+    are checked at every grid time as well, the worst cases over every
+    initial distribution. Raises NonnegativityError, before the scan, if
+    B*(t) is not essentially non-negative on the halved grid.
 
     The scan is the one that ``verify`` runs, which carries the transformed
     propagators of :func:`verify_bounds` too, so this call costs what
@@ -689,19 +677,22 @@ def _coupling_report(st, slack, norms, divergence, sum_errors, mins):
 def _verify_both(spec, weights, tmax, n_steps, *, slack):
     """(verify_bounds(...), verify_convergence_coupling(...)) from one set-up and one scan.
 
-    The rates are evaluated once, and one pair of identity scans of the
-    forward system (:func:`_propagators`) carries the propagators both
+    The rates are evaluated once, and one identity scan of the forward
+    system (:func:`_propagators`) carries the four propagators both
     verifiers read. Each chunk gives seven measures per time: of the
     transformed G_k, ||G_k||_1, its smallest column sum c_k and its
     divergence; of the forward Phi_k, ||L Phi_k Rt||_1, its divergence,
     the largest |column sum - 1| and the smallest entry. Before the first
-    chunk, MemoryError is raised if the working set of a chunk,
-    SCAN_MATRICES (S+1) x (S+1) matrices a step, exceeds the machine's
-    physical memory.
+    chunk, MemoryError is raised if the working set of a chunk of
+    min(CHUNK_STEPS, n_steps) steps, SCAN_MATRICES (S+1) x (S+1) matrices
+    a step, exceeds the machine's physical memory. OdeBlowUpError names
+    the first state beyond 1e12 in magnitude, or not finite, over all four
+    members: where the step-h RK4 is unstable and the step-h/2 one stable,
+    a step-h member.
     """
     st = _verification_setup(spec, weights, tmax, n_steps)
-    require_memory(f"a scan chunk of {CHUNK_STEPS} steps",
-                   8 * CHUNK_STEPS * SCAN_MATRICES * (len(st.d) + 1) ** 2)
+    c = min(CHUNK_STEPS, st.n)
+    require_memory(f"a scan chunk of {c} steps", 8 * c * SCAN_MATRICES * (len(st.d) + 1) ** 2)
     L, Rt = _tail_sum_maps(st.d)
     measures = np.empty((7, st.n + 1))
     for k, F, G, eF, eG in _propagators(st.table, st.d, st.n, st.h):

@@ -733,11 +733,11 @@ def test_finite_integral_with_an_overflowing_envelope(tmp_path, capsys):
 def test_verify_refuses_the_working_set_of_a_chunk_before_the_first(tmp_path, capsys,
                                                                      monkeypatch):
     # S = 40, 64 steps: the table and the column sums are small, while a
-    # chunk of the scans holds about 719 (S+1)^2 doubles, 9.7 MB, or 22.5
+    # chunk of the scan holds about 526 (S+1)^2 doubles, 7.1 MB, or 16.4
     # a step: the verdicts read the propagators and keep no buffers of
-    # their own. The figure asked for, SCAN_MATRICES = 24 a step, lies
-    # between that peak and twice it, and a refusal comes before the scans
-    # allocate anything
+    # their own. The figure asked for, SCAN_MATRICES = 17 a step, lies
+    # between that peak and twice it, and a refusal comes before the scan
+    # allocates anything
     doc = {"schema": 1, "chain": {**SINUSOID_BD3["chain"], "states": 40,
                                   "birth": ["lam"] * 40, "death": [1.0] * 40},
            "analysis": {"horizon": 1.0, "steps": 64}}

@@ -162,10 +162,9 @@ def _transformed(spec, ts):
     return odesolve._System(table, np.ones(spec.S), "transformed")
 
 
-def _scan_states(mats, n, h, x0, halved=False):
-    # the scan reuses its chunk buffers, so each chunk is copied as it comes
-    return np.concatenate([chunk.copy() for _, chunk in
-                           odesolve._rk4_scan(mats, n, h, x0, halved)])
+def _scan_states(system, n, h, x0):
+    # the scan reuses its chunk buffer, so each chunk is copied as it comes
+    return np.concatenate([chunk.copy() for _, chunk in odesolve._rk4_scan(system, n, h, x0)])
 
 
 def _assert_close_per_step(got, ref):
@@ -175,26 +174,55 @@ def _assert_close_per_step(got, ref):
     assert np.all(err <= 1e-13 * scale)
 
 
+STEPS = ["1", "c-1", "c", "2c", "2c+5"]
+
+
+def _steps(steps):
+    c = odesolve.CHUNK_STEPS
+    return {"1": 1, "c-1": c - 1, "c": c, "2c": 2 * c, "2c+5": 2 * c + 5}[steps]
+
+
 @pytest.mark.parametrize("chain", sorted(ENGINE_CHAINS))
-@pytest.mark.parametrize("steps", ["1", "c-1", "c", "2c", "2c+5"])
+@pytest.mark.parametrize("steps", STEPS)
 @pytest.mark.parametrize("columns", [None, 3, 5], ids=["vector", "narrow", "wide"])
 def test_rk4_scan_matches_per_step_reference(chain, steps, columns):
     # S = 4: a vector or 3 columns take the RK4 stages, 5 columns the step operators
     spec = ENGINE_CHAINS[chain]
-    c = odesolve.CHUNK_STEPS
-    n = {"1": 1, "c-1": c - 1, "c": c, "2c": 2 * c, "2c+5": 2 * c + 5}[steps]
+    n = _steps(steps)
     h = 2.0 / n
-    fine = _transformed(spec, np.linspace(0.0, 2.0, 4 * n + 1))
-    coarse = odesolve._System(fine.table.at(np.s_[::2]), np.ones(spec.S), "transformed")
-    mats = fine[:]  # the whole stack, for the reference
-    assert len(mats) == (1 if chain == "one-matrix" else 4 * n + 1)
+    system = _transformed(spec, np.linspace(0.0, 2.0, 2 * n + 1))
+    mats = system[:]  # the whole stack, for the reference
+    assert len(mats) == (1 if chain == "one-matrix" else 2 * n + 1)
     shape = (spec.S,) if columns is None else (spec.S, columns)
     X0 = np.random.default_rng(3).uniform(-1.0, 1.0, shape)
-    _assert_close_per_step(_scan_states(coarse, n, h, X0),
-                           rk4_reference(mats[::2], n, h, X0))
-    # the halved scan: n steps, each two RK4 steps of h/2
-    _assert_close_per_step(_scan_states(fine, n, h, X0, halved=True),
-                           rk4_reference(mats, 2 * n, 0.5 * h, X0)[::2])
+    _assert_close_per_step(_scan_states(system, n, h, X0), rk4_reference(mats, n, h, X0))
+
+
+@pytest.mark.parametrize("chain", sorted(ENGINE_CHAINS))
+@pytest.mark.parametrize("steps", STEPS)
+def test_verification_scan_members_match_per_step_reference(chain, steps):
+    # verify's one scan from four identities: the forward system over two
+    # RK4 steps of h/2 and over one of h, and the B** system over each,
+    # carried by the mapped increments in the lower-right block of a state
+    # whose first row and column stay those of the identity
+    spec = ENGINE_CHAINS[chain]
+    n = _steps(steps)
+    h = 2.0 / n
+    d = np.array([1.0, 0.7, 1.3, 0.9])
+    table = cb.chain.rate_table(spec, cb.chain.evaluation_times(
+        spec, np.linspace(0.0, 2.0, 4 * n + 1)))
+    forward = odesolve._System(table, d)[:]
+    transformed = odesolve._System(table, d, "transformed")[:]
+    assert len(forward) == (1 if chain == "one-matrix" else 4 * n + 1)
+    eye = np.eye(spec.S + 1)
+    X = _scan_states(odesolve._Forward(table, d), n, h, np.stack([eye] * 4))
+    assert X.shape == (n + 1, 4, spec.S + 1, spec.S + 1)
+    halves = lambda mats, x0: rk4_reference(mats, 2 * n, 0.5 * h, x0)[::2]
+    _assert_close_per_step(X[:, 0], halves(forward, eye))
+    _assert_close_per_step(X[:, 1], rk4_reference(forward[::2], n, h, eye))
+    _assert_close_per_step(X[:, 2, 1:, 1:], halves(transformed, eye[1:, 1:]))
+    _assert_close_per_step(X[:, 3, 1:, 1:], rk4_reference(transformed[::2], n, h, eye[1:, 1:]))
+    assert np.all(X[:, 2:, 0, :] == eye[0]) and np.all(X[:, 2:, 1:, 0] == 0.0)
 
 
 @pytest.mark.parametrize("x0", [[1.0, 0.0], [[1.0, 2.0], [0.0, 0.0]]],
@@ -204,10 +232,23 @@ def test_zero_supported_start_on_a_stiff_constant_system_does_not_raise(x0):
     # start with no weight on the second coordinate never grows, and an
     # overflowing power times a zero entry must not surface as a NaN state
     mats = np.diag([-1.0, 1000.0])[None]
+
+    class Stack(odesolve._System):
+        """A system whose matrices are a given stack."""
+
+        def __init__(self, stack):
+            self.stack, self.ops = stack, None
+
+        def __len__(self):
+            return len(self.stack)
+
+        def __getitem__(self, s):
+            return self.stack[s]
+
     n = 2 * odesolve.CHUNK_STEPS
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        states = _scan_states(mats, n, 1.0, x0)
+        states = _scan_states(Stack(mats), n, 1.0, x0)
     ref = rk4_reference(mats, n, 1.0, x0)
     assert np.all(ref[:, 1] == 0.0) and np.isfinite(ref).all()
     _assert_close_per_step(states, ref)
@@ -328,26 +369,26 @@ def test_verify_bounds_is_deterministic():
                          ids=["homogeneous", "time-varying"])
 @pytest.mark.parametrize("verify", [cb.verify_bounds, cb.verify_convergence_coupling])
 def test_each_verifier_scans_once_per_step_size(monkeypatch, verify, spec):
-    # the verdicts read the step-h identity scan of the integrator margin
+    # one scan of n steps of h carries both step sizes: its members take
+    # one RK4 step of h or two of h/2 from the generators at spacing h/4
     steps = []
     scan = odesolve._rk4_scan
 
-    def counted(mats, n, h, x0, halved=False):
-        # a halved scan takes n steps of h, each two RK4 steps of h/2
-        steps.append((2 * n, 0.5 * h, len(mats)) if halved else (n, h, len(mats)))
-        return scan(mats, n, h, x0, halved)
+    def counted(system, n, h, x0):
+        steps.append((n, h, len(system), np.shape(x0)))
+        return scan(system, n, h, x0)
 
     monkeypatch.setattr(odesolve, "_rk4_scan", counted)
     assert verify(spec, None, 1.0, 8).passed
     stack = 1 if spec.is_homogeneous else 33
-    assert sorted(steps) == [(8, 0.125, (stack + 1) // 2), (16, 0.0625, stack)]
+    assert steps == [(8, 0.125, stack, (4, 3, 3))]
 
 
 @pytest.mark.parametrize("chain, written", [("time-varying", lambda n: 4 * n + 1),
                                             ("one-matrix", lambda n: 1)])
 def test_verify_writes_each_generator_once(monkeypatch, chain, written):
-    # the step-h scan reads every other matrix of the chunk that the step-h/2
-    # scan has just written, and a chunk takes its first matrix over from
+    # the step-h members read every other matrix of the chunk that the
+    # step-h/2 members read, and a chunk takes its first matrix over from
     # the last, so a run writes the 4n+1 generators of the halved grid once
     # each, or a constant chain's one: a gather per scan and chunk wrote
     # 6n+2, two more a chunk boundary, and 6 of a constant chain's one; the
@@ -366,9 +407,9 @@ def test_verify_writes_each_generator_once(monkeypatch, chain, written):
 
 @pytest.mark.parametrize("S", [40, 80, 120])
 def test_verify_peak_stays_below_the_preflight_figure(S):
-    # the scans write their chunks into buffers kept from chunk to chunk, so
+    # the scan writes its chunks into buffers kept from chunk to chunk, so
     # four chunks peak as one: below the working set refused before the
-    # scans start, SCAN_MATRICES (S+1)^2 doubles for each step of a chunk,
+    # scan starts, SCAN_MATRICES (S+1)^2 doubles for each step of a chunk,
     # and above half of it, so that the refusal does not come far too early
     spec = cb.birth_death_chain(S, [LAM] * S, [1.0] * S)
     n = 3 * odesolve.CHUNK_STEPS + 4
@@ -406,18 +447,48 @@ def test_verifiers_refuse_a_transform_that_is_not_essentially_nonnegative(
 @pytest.mark.parametrize("verify", [cb.verify_bounds, cb.verify_convergence_coupling])
 def test_each_verifier_refuses_the_working_set_of_a_chunk_before_the_scans(monkeypatch,
                                                                            verify):
-    # S = 40: a chunk of the scans asks for 32 x SCAN_MATRICES x 41^2 doubles,
-    # 10.3 MB, while the rate table and the column sums of 64 steps take far
-    # less; a machine of 8 MB refuses the chunk before either scan starts
+    # S = 40: a chunk of the scan asks for 32 x SCAN_MATRICES x 41^2 doubles,
+    # 7.3 MB, while the rate table and the column sums of 64 steps take far
+    # less; a machine of 6 MB refuses the chunk before the scan starts
     spec = cb.birth_death_chain(40, [LAM] * 40, [1.0] * 40)
 
     def refused(*args, **kwargs):
         raise AssertionError("a scan started")
 
     monkeypatch.setattr(odesolve, "_rk4_scan", refused)
-    monkeypatch.setattr(cb.chain, "physical_memory", lambda: 8 * 2**20)
+    monkeypatch.setattr(cb.chain, "physical_memory", lambda: 6 * 2**20)
     with pytest.raises(MemoryError, match=re.escape("a scan chunk of 32 steps needs ")):
         verify(spec, None, 1.0, 64)
+
+
+def test_a_short_verify_asks_for_the_working_set_of_its_own_steps(monkeypatch):
+    # S = 200, 4 steps: the run peaks near 23 MB, and its one chunk of 4
+    # steps asks for 4 x SCAN_MATRICES x 201^2 doubles, 22 MB, where a
+    # chunk of 32 steps would ask for 0.17 GiB; a machine of 42 MB runs it,
+    # one of 20 MB refuses it before the scan starts
+    spec = cb.birth_death_chain(200, [LAM] * 200, [1.0] * 200)
+    monkeypatch.setattr(cb.chain, "physical_memory", lambda: 42 * 10**6)
+    rep_b, rep_c = odesolve._verify_both(spec, None, 1.0, 4, slack=1e-8)
+    assert len(rep_b.ratio_upper_max) == len(rep_c.ratio_upper_max) == 5
+    monkeypatch.setattr(cb.chain, "physical_memory", lambda: 20 * 10**6)
+    with pytest.raises(MemoryError, match=re.escape("a scan chunk of 4 steps needs 0.02047 GiB")):
+        odesolve._verify_both(spec, None, 1.0, 4, slack=1e-8)
+
+
+@pytest.mark.parametrize("birth, peak", [
+    (100.0, "1077295238846.493"),
+    (cb.RateFunction.sinusoid(100.0, 0.0, 1.0), "1077295238846.4934")],
+    ids=["homogeneous", "time-varying"])
+@pytest.mark.parametrize("verify", [cb.verify_bounds, cb.verify_convergence_coupling])
+def test_verify_names_the_first_state_that_blows_up(verify, birth, peak):
+    # h = 0.01 and eigenvalue -300: h |lambda| = 3 lies beyond RK4's
+    # stability interval (2.785) while the half steps' 1.5 lies inside, so
+    # the step-h members grow and the step-h/2 ones decay; the one guard
+    # over the four members names the first state beyond 1e12
+    spec = cb.birth_death_chain(1, [birth], [200.0])
+    with pytest.raises(cb.OdeBlowUpError, match=re.escape(
+            f"state magnitude {peak} at t=0.87 exceeds 1000000000000.0")):
+        verify(spec, None, 1.0, 100)
 
 
 def test_verifiers_validate_horizon_and_steps():

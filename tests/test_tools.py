@@ -12,8 +12,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def test_src_lines_pins_the_settable_values():
     # every value a user can set is a flag, a settings field or an optional
-    # parameter of an exported function; a new one is a deliberate change
-    # of this pin
+    # parameter of an exported function, and src/ should shrink; a new
+    # value, or code lines beyond the ceiling, is a deliberate change of
+    # this pin
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "src_lines.py"), str(ROOT)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
@@ -23,7 +24,7 @@ def test_src_lines_pins_the_settable_values():
     assert counts == {"flags in total": 15, "AnalysisSettings fields": 5,
                       "optional parameters": 9}
     total = re.search(r"^\s*(\d+) total$", proc.stdout, re.M)
-    assert total and int(total.group(1)) > 0
+    assert total and 0 < int(total.group(1)) <= 1445
 
 
 def test_output_digests_runs_every_benchmark_case_at_one_seed():
