@@ -33,7 +33,6 @@ coup = cb.verify_convergence_coupling(spec, rate.weights, tmax=4.0, n_steps=8000
 print("\ncoupling verification (every pair of distributions):")
 print(f"  passed                  : {coup.passed}")
 print(f"  worst ratio             : {coup.worst_upper:.12f}")
-print(f"  probability sum error   : {coup.prob_sum_error:.2e}")
 print(f"  most negative component : {coup.prob_min:.2e}")
 
 cb.verification_to_csv(rep, "verify_bounds.csv")

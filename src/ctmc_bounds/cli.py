@@ -221,7 +221,7 @@ def cmd_verify(args) -> int:
         if rep.worst_lower is not None:
             print(f"  worst lower ratio: {format(rep.worst_lower, '.17g')}")
         if not rep.passed:
-            # a probability check records the worst column-sum error or entry
+            # the probability check records the forward propagators' smallest entry
             phase, t, value = rep.violations[0]
             label = "value" if phase.startswith("probability") else "ratio"
             print(f"  first violation: {phase}, t={_fmt(t)}, "

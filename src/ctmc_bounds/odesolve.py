@@ -35,17 +35,20 @@ the scan stays dense. One identity scan of steps h then carries the
 verifiers a chunk at a time, on the forward writer :class:`_Forward`: each
 chunk writes its 4m+1 generators A = Q^T of the halved grid once, in C
 order, and forms from them the increments of each step taken as two fused
-RK4 steps of h/2 and as one of h. The writer maps each forward increment
-K = R - I to that of B** by two constant products, L K Rt (RK4 commutes
-with the constant change of variables). So the scan state is a stack of
-four members, each started from the identity: the forward propagators
-Psi_k (steps of h/2) and Phi_k (steps of h), which the coupling verifier
-reads, and the transformed H_k and G_k, which the bounds verifier reads.
-Every trajectory is a propagator applied to its start, so the worst ratio
-to the envelopes over every start at a grid time is a norm or a column sum
-of that time's propagator: each verdict is exact per time, with no random
-starts. The distance to the step-h/2 propagators gives each time its own
-integrator margin. No whole-time Q, B or B** stack is formed.
+RK4 steps of h/2 and as one of h. The scan runs in the coordinates
+(1^T p, L p), P = [1^T; L] with the weighted tail sums L: the writer maps
+each forward increment K = R - I to P K P^-1 (RK4 commutes with the
+constant change of variables), whose lower-right block L K Rt is the
+increment of B**. So the scan state is a stack of two members, each
+started from the identity, over steps of h/2 and of h, whose lower-right
+blocks are the transformed propagators H_k and G_k that both verifiers
+read; P^-1 X_k P, X_k the step-h member, is the forward propagator
+Phi_k, whose entries the coupling verifier checks. Every trajectory is a
+propagator applied to its start, so the worst ratio to the envelopes over
+every start at a grid time is a norm or a column sum of that time's
+propagator: each verdict is exact per time, with no random starts. The
+distance to the step-h/2 propagator gives each time its own integrator
+margin. No whole-time Q, B or B** stack is formed.
 """
 
 from __future__ import annotations
@@ -65,7 +68,8 @@ SYSTEMS = ("forward", "reduced_hom", "transformed")
 MAX_STATE = 1e12          # blow-up guard threshold
 VIOLATION_CAP = 100       # violations stored per report (the count is exact)
 CHUNK_STEPS = 32          # RK4 steps per chunk of the scan
-SCAN_MATRICES = 17        # (S+1) x (S+1) matrices a step that the verification scan holds at most
+SCAN_MATRICES = 12        # (S+1) x (S+1) matrices a step that the verification scan holds at most
+FIXED_MATRICES = 5        # and once a run: the table's index, P, P^-1, I, a chunk's last generator
 
 
 class OdeBlowUpError(RuntimeError):
@@ -102,8 +106,9 @@ class _System:
     """
 
     def __init__(self, table: RateTable, d, system="forward"):
-        self.table, self.ratio, self.system = table, d[:, None] / d[None, :], system
-        self.ops = None
+        self.table, self.system, self.ops = table, system, None
+        if system == "transformed":
+            self.ratio = d[:, None] / d[None, :]
 
     def __len__(self) -> int:
         return len(self.table)
@@ -207,7 +212,7 @@ def _rk4_scan(system, n, h, x0):
     vectors, column batches or a stack of square matrices, each member
     taking the products it would take alone; started from the identity,
     the scan yields the propagators. The operators of :class:`_Forward`
-    carry a stack of four members, each its own system.
+    carry a stack of two members, each its own system.
 
     The chunks are written into one buffer kept from chunk to chunk, so a
     yielded chunk holds until the next one is asked for: callers copy what
@@ -330,28 +335,26 @@ class VerificationReport:
 
     ratio_upper_max holds, at each time t_k of the step grid, the largest
     ratio ||w(t_k)|| / (env_up(t_k) ||w(0)||) over every initial vector:
-    the induced l1 norm of the RK4 propagator, G_k of the transformed
-    system for the bounds kind, and the forward Phi_k mapped to the
-    transformed coordinates, L Phi_k Rt, for the coupling kind, over
-    env_up(t_k). ratio_lower_min (bounds kind only) holds the smallest
-    lower-envelope ratio over every non-negative initial vector: the
-    smallest column sum of G_k over env_lo(t_k). worst_upper and
-    worst_lower are their extremes.
+    the induced l1 norm of the transformed RK4 propagator G_k over
+    env_up(t_k), for the coupling kind too, since the forward propagator
+    maps every difference of distributions to the transformed coordinates
+    by G_k (:func:`verify_convergence_coupling`). ratio_lower_min (bounds
+    kind only) holds the smallest lower-envelope ratio over every
+    non-negative initial vector: the smallest column sum of G_k over
+    env_lo(t_k). worst_upper and worst_lower are their extremes.
 
     Each ratio is judged with its own time's integrator margin, twice the
-    step-halving divergence of the propagator, mapped for the coupling
-    kind by ||L||_1 ||Rt||_1 = sum(d) 2 / min(d): a violation is recorded
-    only where the ratio lies beyond 1 +/- (slack + quadrature margin) by
-    more than that margin over the envelope. integrator_margin is the
-    largest such margin relative to its ratio, and slack_total = slack +
-    integrator_margin + quadrature_margin the widest per-time band.
-    violations holds (phase, t, value) triples, the envelope violations
-    ordered by t and then those of the probability checks, at most
-    VIOLATION_CAP in all; n_violations counts them all. The coupling kind
-    also checks every forward propagator: its column sums within 1e-10 of
-    one (prob_sum_error) and its entries >= -1e-12 (prob_min), the worst
-    case over every initial distribution, each recorded once, at its worst
-    time, if broken.
+    step-halving divergence of G_k: a violation is recorded only where the
+    ratio lies beyond 1 +/- (slack + quadrature margin) by more than that
+    margin over the envelope. integrator_margin is the largest such margin
+    relative to its ratio, and slack_total = slack + integrator_margin +
+    quadrature_margin the widest per-time band. violations holds (phase,
+    t, value) triples, the envelope violations ordered by t and then that
+    of the probability check, at most VIOLATION_CAP in all; n_violations
+    counts them all. The coupling kind also checks every forward
+    propagator: its smallest entry (prob_min), the worst case over every
+    initial distribution, is recorded once, at its worst time, if below
+    -1e-12.
     """
 
     kind: str
@@ -369,24 +372,23 @@ class VerificationReport:
     grid: np.ndarray
     ratio_upper_max: np.ndarray
     ratio_lower_min: np.ndarray | None = None
-    prob_sum_error: float | None = None
     prob_min: float | None = None
 
 
 class _Forward(_System):
-    """The forward :class:`_System` of the verification scan, whose operators carry four members.
+    """The forward :class:`_System` of the verification scan, whose operators carry two members.
 
     Its slices write the forward matrices A = Q^T in C order into one
     buffer kept from slice to slice, at spacing h/4 for steps of h. Its
     :meth:`operators` form, from the 4m+1 matrices of a chunk written
-    once, those of the forward system over two fused RK4 steps of h/2 and
-    over one step of h, and their maps to the weighted transformed system
-    (:meth:`increments`).
+    once, the forward increments of two fused RK4 steps of h/2 and of one
+    step of h, and map each to the coordinates (1^T p, L p)
+    (:meth:`increments`), with P and P^-1 of :func:`_tail_sum_maps`.
     """
 
     def __init__(self, table: RateTable, d):
         super().__init__(table, d)
-        self.left, self.right = _tail_sum_maps(d)
+        self.maps = _tail_sum_maps(d)
         self.buffer = np.empty((0,) + table.index.shape)
         self.last, self.stop = self.buffer, 0
 
@@ -404,40 +406,43 @@ class _Forward(_System):
         return A
 
     def operators(self, k, m, h):
-        """I + the increments of steps k..k+m-1 of h for the four members, a (4, m) stack.
+        """I + the increments of steps k..k+m-1 of h for the two members, a (2, m) stack.
 
-        The members are the forward system over two fused RK4 steps of h/2
-        (:func:`_fused`), the forward system over one step of h, and the
-        transformed system over each of them; all four read the chunk's
-        4m+1 matrices, or a constant system's one.
+        The members are the system in the coordinates (1^T p, L p) over two
+        fused RK4 steps of h/2 (:func:`_fused`) and over one step of h; both
+        read the chunk's 4m+1 matrices, or a constant system's one. The
+        forward increments are written into the operators' buffer and
+        mapped there.
         """
         A = self[4 * k: 4 * (k + m) + 1]
-        R = self._buffer((4, m) + A.shape[1:])
+        R = self._buffer((2, m) + A.shape[1:])
         # the first and the second half steps, one set at a time, which halves their temporaries
-        first = _increments(*_stages(A, 1, 4), 0.5 * h)
-        second = _increments(*_stages(A[2:], 1, 4), 0.5 * h) if len(A) > 1 else first
-        _fused(first, second, R[0])
+        first = _increments(*_stages(A, 1, 4), 0.5 * h, out=R[1])
+        _fused(first, _increments(*_stages(A[2:], 1, 4), 0.5 * h) if len(A) > 1 else first, R[0])
         _increments(*_stages(A, 2, 4), h, out=R[1])
-        self.increments(R[:2], R[2:])
-        return _add_identity(R)
+        return _add_identity(self.increments(R, R))
 
     def increments(self, K, out):
-        """The increments R - I of the transformed system from forward ones K, written into out.
+        """P K P^-1 of forward increments K, written into out, which may be K itself.
 
-        The transformed increment is L K Rt in the lower-right S x S block,
-        its first row and column zero, so that state keeps a one in its
-        corner, with L and Rt of :func:`_tail_sum_maps`: L K Rt = D T
-        (K[1:, 1:] - K[1:, 0] 1^T) T^{-1} D^{-1}. On the mass-free subspace
-        the forward system is the reduced one, and RK4 commutes with the
-        constant changes of variables to B**. Mapping the increment K,
-        rather than R or the propagators, keeps the forward system's
-        round-off in the probability mass, which it never damps, out of the
-        transformed operators; K of two fused steps maps to the fused
-        transformed increment, since 1^T K = 0.
+        With P = [1^T; L] and P^-1 = [e0 | Rt] of :func:`_tail_sum_maps`,
+        the first row, 1^T K, is zero, so every state keeps the first row of
+        the identity; the first column is L K e0, and the lower-right
+        S x S block L K Rt = D T (K[1:, 1:] - K[1:, 0] 1^T) T^{-1} D^{-1} is
+        the increment of B**. On the mass-free subspace the forward system
+        is the reduced one, and RK4 commutes with the constant changes of
+        variables to B**. Mapping the increment K, rather than R or the
+        propagators, keeps the forward system's round-off in the
+        probability mass, which it never damps, out of the transformed
+        block; K of two fused steps maps to the fused increment, since
+        1^T K = 0.
         """
+        P, P_inv = self.maps
+        left = P[1:]
+        right = _right_product(K, P_inv[:, 1:])
+        out[..., 1:, :1] = np.matmul(left, K[..., :1])
         out[..., 0, :] = 0.0
-        out[..., 1:, 0] = 0.0
-        np.matmul(self.left, _right_product(K, self.right), out=out[..., 1:, 1:])
+        np.matmul(left, right, out=out[..., 1:, 1:])
         return out
 
 
@@ -446,51 +451,37 @@ def _right_product(K, right):
     return np.matmul(K.reshape(-1, K.shape[-1]), right).reshape(K.shape[:-1] + (-1,))
 
 
-def _propagators(table, d, n, h):
-    """Yield (k, Phi, G, e_Phi, e_G): RK4 propagators from 0 to t_k, t_{k+1}, ... in chunks.
+def _propagators(scan, n, h):
+    """Yield (k, X): RK4 propagators from 0 to t_k, t_{k+1}, ... in chunks, two members a time.
 
-    One scan of n steps of h over :class:`_Forward`, from a stack of four
-    identities, carries four (S+1, S+1) members: Psi[i] and Phi[i]
-    propagate the forward system p' = A(t) p from 0 to t_{k+i} = (k+i) h
-    with steps h/2 and h, and H[i] and G[i] the transformed system
-    w' = B**(t) w with the weights d, in the lower-right block of the
-    last two. e_Phi[i] = ||Phi[i] - Psi[i]||_1->1 and e_G[i] =
-    ||G[i] - H[i]||_1->1 are their divergences. table holds the rates at
-    spacing h/4 (or at one time), which the writer turns into A a chunk of
-    steps at a time, so no whole-time stack is formed. Twice the
-    divergence estimates the integrator error of Phi x0 (or G x0) relative
-    to ||x0||_1, the conservative Richardson-style margin. The chunks are
-    the scan's own, valid until the next one is asked for.
+    One scan of n steps of h over the forward writer scan, a
+    :class:`_Forward`, from two identities, carries two (S+1, S+1) members
+    in the coordinates (1^T p, L p): X[i, 0] and X[i, 1] propagate to
+    t_{k+i} = (k+i) h with steps h/2 and h. Each is P M P^-1 of a
+    forward propagator M, so its first row is e0^T, its first column below
+    the corner c = L M e0, and its lower-right block the propagator of the
+    transformed system w' = B**(t) w with the scan's weights; the forward
+    propagator is P^-1 X[i, j] P. The writer turns its rates at spacing
+    h/4 (or at one time) into A a chunk of steps at a time, so no
+    whole-time stack is formed. The chunks are the scan's own, valid
+    until the next one is asked for.
     """
-    eye = np.broadcast_to(np.eye(table.S + 1), (4, table.S + 1, table.S + 1))
-    for k, X in _rk4_scan(_Forward(table, d), n, h, eye):
-        e = _divergence(X[:, 1::2], X[:, 0::2])
-        yield k, X[:, 1], X[:, 3, 1:, 1:], e[:, 0], e[:, 1]
-
-
-def _divergence(A, B):
-    """||A - B||_1->1 of each pair of matrices of two stacks.
-
-    The difference goes to a fresh buffer, freed on return; A and B are
-    members of the scan's chunk, whose last state starts its next chunk,
-    and must not be written. The transformed members are compared whole:
-    their first rows and columns agree exactly.
-    """
-    diff = np.subtract(A, B)
-    return _column_sums(np.abs(diff, out=diff)).max(axis=-1)
+    S1 = scan.table.S + 1
+    return _rk4_scan(scan, n, h, np.broadcast_to(np.eye(S1), (2, S1, S1)))
 
 
 def _tail_sum_maps(d):
-    """(L, Rt): L = D T [0 | I] maps x to the weighted tail sums of x[1:], and
-    Rt = [-1^T; I] T^{-1} D^{-1} maps them back to the mass-free x, so L Rt = I.
+    """(P, P^-1) of the coordinates (1^T p, L p): P = [1^T; L] and P^-1 = [e0 | Rt].
 
-    T is the tail-sum matrix of :func:`ctmc_bounds.transform.to_bstar` and
-    D the weights; ||L||_1 = sum(d) and ||Rt||_1 = 2 / min(d).
+    L = D T [0 | I] maps p to the weighted tail sums of p[1:], and
+    Rt = [-1^T; I] T^{-1} D^{-1} maps them back to the mass-free p, so
+    L Rt = I, L e0 = 0 and 1^T Rt = 0. T is the tail-sum matrix of
+    :func:`ctmc_bounds.transform.to_bstar` and D the weights.
     """
-    L = np.triu(np.ones((len(d), len(d) + 1)), 1) * d[:, None]
-    # column j of K Rt is (K[:, j+1] - K[:, j]) / d_j
-    Rt = (np.eye(len(d) + 1, len(d), -1) - np.eye(len(d) + 1, len(d))) / d
-    return L, Rt
+    scale = np.concatenate([[1.0], d])
+    # column j+1 of K P^-1 is (K[:, j+1] - K[:, j]) / d_j
+    return (np.triu(np.ones((len(scale), len(scale)))) * scale[:, None],
+            (np.eye(len(scale)) - np.eye(len(scale), k=1)) / scale)
 
 
 def _l1_norms(M):
@@ -594,8 +585,9 @@ def verify_bounds(spec: ChainSpec, weights, tmax: float, n_steps: int = 10_000, 
     """Check the exponential envelopes at every grid time, over every initial vector.
 
     One identity scan of the forward system carries the step-h and
-    step-h/2 RK4 propagators G_k and H_k of the transformed system as two
-    of its members (:func:`_propagators`), so no whole-time B** is formed. At each grid
+    step-h/2 RK4 propagators G_k and H_k of the transformed system as the
+    lower-right blocks of its two members (:func:`_propagators`), so no
+    whole-time B** is formed. At each grid
     time t_k the worst upper ratio over every initial vector is
     ||G_k||_1 / env_up(t_k), and the worst lower ratio over every
     non-negative one is c_k / env_lo(t_k), c_k the smallest column sum of
@@ -607,25 +599,11 @@ def verify_bounds(spec: ChainSpec, weights, tmax: float, n_steps: int = 10_000, 
     least e_k / ||G_k||_1). Raises NonnegativityError, before the scan, if
     B*(t) is not essentially non-negative on the halved grid.
 
-    The scan is the one that ``verify`` runs, which carries the forward
+    The scan is the one that ``verify`` runs, which checks the forward
     propagators of :func:`verify_convergence_coupling` too, so this call
     costs what ``verify`` costs; it returns the first of its two reports.
     """
     return _verify_both(spec, weights, tmax, n_steps, slack=slack)[0]
-
-
-def _bounds_report(st, slack, norms, lows, divergence):
-    """The report of :func:`verify_bounds` from its per-time measures."""
-    e = 2.0 * divergence
-    band = slack + st.quad_margin
-    upper, lower = norms / st.env_up, lows / st.env_lo
-    # c_k <= ||G_k||_1, so e_k / c_k is the larger of the two relative margins
-    return _report(
-        "bounds", st, slack, _relative(e, lows),
-        [("upper", upper, (norms - e) / st.env_up > 1.0 + band),
-         ("lower", lower, (lows + e) / st.env_lo < 1.0 - band)],
-        worst_upper=float(upper.max()), worst_lower=float(lower.min()),
-        ratio_upper_max=upper, ratio_lower_min=lower)
 
 
 def verify_convergence_coupling(spec: ChainSpec, weights, tmax: float,
@@ -636,73 +614,83 @@ def verify_convergence_coupling(spec: ChainSpec, weights, tmax: float,
     The difference x of two distributions carries no mass, and its
     weighted tail sums L x are the transformed coordinates w(0); every w
     in R^S is L x for such an x, up to scale, and x = Rt w
-    (:func:`_tail_sum_maps`). So the worst coupling ratio over every pair
-    at grid time t_k is ||L Phi_k Rt||_1 / env_up(t_k), Phi_k the step-h
-    RK4 propagator of the forward system. Its integrator margin is twice
-    the step-halving divergence ||Phi_k - Psi_k||_1 mapped by ||L||_1
-    ||Rt||_1 = sum(d) 2 / min(d); a violation is recorded where the ratio
-    less that margin over env_up(t_k) exceeds 1 + slack + the quadrature
-    margin. Phi_k and Psi_k are two members of the one scan of
-    :func:`_propagators`. Probability conservation (column sums of Phi_k
-    within 1e-10 of one) and nonnegativity (entries of Phi_k >= -1e-12)
-    are checked at every grid time as well, the worst cases over every
-    initial distribution. Raises NonnegativityError, before the scan, if
-    B*(t) is not essentially non-negative on the halved grid.
+    (:func:`_tail_sum_maps`). The scan's step-h member is P Phi_k P^-1,
+    Phi_k the step-h RK4 propagator of the forward system, so it carries
+    (0, L x) to (0, G_k L x): the worst coupling ratio over every pair at
+    grid time t_k is ||G_k||_1 / env_up(t_k), the bounds upper ratio, and
+    it is judged with the same margin e_k and band as that ratio
+    (:func:`verify_bounds`). Nonnegativity of the forward propagator
+    Phi_k = P^-1 X P, X the scan's step-h member, is checked at every
+    grid time as well: its smallest entry (prob_min), the worst case over
+    every initial distribution, is recorded once, at its worst time, if
+    below -1e-12. Its column sums need no check: X keeps the first row of
+    the identity and 1^T Rt = 0, so they are one by construction. Raises
+    NonnegativityError, before the scan, if B*(t) is not essentially
+    non-negative on the halved grid.
 
-    The scan is the one that ``verify`` runs, which carries the transformed
-    propagators of :func:`verify_bounds` too, so this call costs what
+    The scan is the one that ``verify`` runs, so this call costs what
     ``verify`` costs; it returns the second of its two reports.
     """
     return _verify_both(spec, weights, tmax, n_steps, slack=slack)[1]
 
 
-def _coupling_report(st, slack, norms, divergence, sum_errors, mins):
-    """The report of :func:`verify_convergence_coupling` from its per-time measures."""
-    e = 2.0 * divergence * float(st.d.sum()) * (2.0 / float(st.d.min()))
-    ratios = norms / st.env_up
-    grid = st.ts_fine[::4]
-    prob_sum_err, prob_min = float(sum_errors.max()), float(mins.min())
-    checks = []
-    if prob_sum_err > 1e-10:
-        checks.append(("probability-sum", float(grid[np.argmax(sum_errors)]), prob_sum_err))
-    if prob_min < -1e-12:
-        checks.append(("probability-negative", float(grid[np.argmin(mins)]), prob_min))
-    return _report(
-        "coupling", st, slack, _relative(e, norms),
-        [("coupling", ratios, (norms - e) / st.env_up > 1.0 + slack + st.quad_margin)],
-        checks, worst_upper=float(ratios.max()), worst_lower=None,
-        ratio_upper_max=ratios, prob_sum_error=prob_sum_err, prob_min=prob_min)
+def _reports(st, slack, norms, lows, divergence, mins):
+    """The bounds and the coupling reports from their per-time measures."""
+    e = 2.0 * divergence
+    band = slack + st.quad_margin
+    upper, lower = norms / st.env_up, lows / st.env_lo
+    above, worst = (norms - e) / st.env_up > 1.0 + band, float(upper.max())
+    # c_k <= ||G_k||_1, so e_k / c_k is the larger of the two relative margins
+    bounds = _report(
+        "bounds", st, slack, _relative(e, lows),
+        [("upper", upper, above), ("lower", lower, (lows + e) / st.env_lo < 1.0 - band)],
+        worst_upper=worst, worst_lower=float(lower.min()),
+        ratio_upper_max=upper, ratio_lower_min=lower)
+    prob_min = float(mins.min())
+    negative = [("probability-negative", float(st.ts_fine[4 * np.argmin(mins)]), prob_min)]
+    coupling = _report(
+        "coupling", st, slack, _relative(e, norms), [("coupling", upper, above)],
+        negative if prob_min < -1e-12 else [], worst_upper=worst, worst_lower=None,
+        ratio_upper_max=upper, prob_min=prob_min)
+    return bounds, coupling
 
 
 def _verify_both(spec, weights, tmax, n_steps, *, slack):
     """(verify_bounds(...), verify_convergence_coupling(...)) from one set-up and one scan.
 
     The rates are evaluated once, and one identity scan of the forward
-    system (:func:`_propagators`) carries the four propagators both
-    verifiers read. Each chunk gives seven measures per time: of the
-    transformed G_k, ||G_k||_1, its smallest column sum c_k and its
-    divergence; of the forward Phi_k, ||L Phi_k Rt||_1, its divergence,
-    the largest |column sum - 1| and the smallest entry. Before the first
-    chunk, MemoryError is raised if the working set of a chunk of
+    system (:func:`_propagators`) carries the two members both verifiers
+    read. Each chunk gives four measures per time: of the step-h member's
+    lower-right block G_k, ||G_k||_1 and its smallest column sum c_k; the
+    divergence ||G_k - H_k||_1 of the two members' lower-right blocks; and
+    the smallest entry of the forward propagator P^-1 X_k P, X_k the
+    step-h member, two products a time. Before the first chunk,
+    MemoryError is raised if the working set of a chunk of
     min(CHUNK_STEPS, n_steps) steps, SCAN_MATRICES (S+1) x (S+1) matrices
-    a step, exceeds the machine's physical memory. OdeBlowUpError names
-    the first state beyond 1e12 in magnitude, or not finite, over all four
-    members: where the step-h RK4 is unstable and the step-h/2 one stable,
-    a step-h member.
+    a step and FIXED_MATRICES more, exceeds the machine's physical memory:
+    a chunk holds 11 a step, four generators, two operators, two states
+    and the three temporaries of a set of half-step increments, and a last,
+    shorter chunk copies its increments for the map, up to 12.
+    OdeBlowUpError names the first state beyond 1e12 in magnitude, or not
+    finite, over both members: where the step-h RK4 is unstable and the
+    step-h/2 one stable, the step-h member.
     """
     st = _verification_setup(spec, weights, tmax, n_steps)
     c = min(CHUNK_STEPS, st.n)
-    require_memory(f"a scan chunk of {c} steps", 8 * c * SCAN_MATRICES * (len(st.d) + 1) ** 2)
-    L, Rt = _tail_sum_maps(st.d)
-    measures = np.empty((7, st.n + 1))
-    for k, F, G, eF, eG in _propagators(st.table, st.d, st.n, st.h):
-        M = measures[:, k:k + len(F)]
-        M[0], M[2], M[4] = _l1_norms(G), eG, eF
+    require_memory(f"a scan chunk of {c} steps",
+                   8 * (c * SCAN_MATRICES + FIXED_MATRICES) * (len(st.d) + 1) ** 2)
+    scan = _Forward(st.table, st.d)
+    P, P_inv = scan.maps
+    measures = np.empty((4, st.n + 1))
+    for k, X in _propagators(scan, st.n, st.h):
+        M = measures[:, k:k + len(X)]
+        G = X[:, 1, 1:, 1:]
+        M[0] = _l1_norms(G)
         M[1] = _column_sums(G).min(axis=-1)
-        M[3] = _l1_norms(np.matmul(L, _right_product(F, Rt)))
-        M[5] = np.abs(_column_sums(F) - 1.0).max(axis=-1)
-        M[6] = F.min(axis=(-2, -1))
-    return _bounds_report(st, slack, *measures[:3]), _coupling_report(st, slack, *measures[3:])
+        # the first rows agree exactly, and the first columns lie outside the blocks
+        M[2] = _column_sums(np.abs(X[:, 1] - X[:, 0]))[:, 1:].max(axis=-1)
+        M[3] = np.matmul(P_inv, np.matmul(X[:, 1], P)).min(axis=(-2, -1))
+    return _reports(st, slack, *measures)
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

@@ -230,8 +230,10 @@ def drawn_ratios(spec, d, tmax, n_steps, env_up, env_lo, count, seed):
     Draws count signed starts (entries uniform in [-1, 1]) and count
     non-negative ones (uniform in [0, 1]) of the transformed system with
     the weights d, and count pairs of random distributions of the forward
-    system; a pair's difference is propagated, its state-0 entry set so that
-    it carries no mass. Returns (upper, lower, coupling, distributions):
+    system; a pair's difference carries no mass, so its entries past state
+    0 are propagated by the reduced system y' = B(t) y, the forward system
+    on mass-free vectors, which holds no mass whose round-off it would never
+    damp. Returns (upper, lower, coupling, distributions):
     the upper-envelope ratios of the 2 count starts, the lower-envelope
     ratios of the non-negative ones and the coupling ratios of the pairs'
     weighted tail sums, each (n_steps+1, columns), and the 2 count
@@ -244,9 +246,7 @@ def drawn_ratios(spec, d, tmax, n_steps, env_up, env_lo, count, seed):
     norms /= np.abs(X).sum(axis=0)
     P = rng.uniform(0.0, 1.0, (S + 1, 2 * count))
     P /= P.sum(axis=0)
-    diff = P[:, :count] - P[:, count:]
-    diff[0] = -diff[1:].sum(axis=0)
-    y = solve("forward", spec, diff, tmax, n_steps).states[:, 1:]
+    y = solve("reduced_hom", spec, P[1:, :count] - P[1:, count:], tmax, n_steps).states
     tails = np.abs(d[:, None] * np.cumsum(y[:, ::-1], axis=1)[:, ::-1]).sum(axis=1)
     return (norms / env_up[:, None], norms[:, count:] / env_lo[:, None],
             tails / (env_up[:, None] * tails[0]),

@@ -201,10 +201,10 @@ def test_rk4_scan_matches_per_step_reference(chain, steps, columns):
 @pytest.mark.parametrize("chain", sorted(ENGINE_CHAINS))
 @pytest.mark.parametrize("steps", STEPS)
 def test_verification_scan_members_match_per_step_reference(chain, steps):
-    # verify's one scan from four identities: the forward system over two
-    # RK4 steps of h/2 and over one of h, and the B** system over each,
-    # carried by the mapped increments in the lower-right block of a state
-    # whose first row and column stay those of the identity
+    # verify's one scan from two identities, in the coordinates (1^T p, L p):
+    # the system over two RK4 steps of h/2 and over one of h, each carrying
+    # the B** system in its lower-right block, under the first row of the
+    # identity, and mapping back to the forward system by P^-1 X P
     spec = ENGINE_CHAINS[chain]
     n = _steps(steps)
     h = 2.0 / n
@@ -215,14 +215,15 @@ def test_verification_scan_members_match_per_step_reference(chain, steps):
     transformed = odesolve._System(table, d, "transformed")[:]
     assert len(forward) == (1 if chain == "one-matrix" else 4 * n + 1)
     eye = np.eye(spec.S + 1)
-    X = _scan_states(odesolve._Forward(table, d), n, h, np.stack([eye] * 4))
-    assert X.shape == (n + 1, 4, spec.S + 1, spec.S + 1)
+    X = _scan_states(odesolve._Forward(table, d), n, h, np.stack([eye] * 2))
+    assert X.shape == (n + 1, 2, spec.S + 1, spec.S + 1)
+    P, P_inv = odesolve._tail_sum_maps(d)
     halves = lambda mats, x0: rk4_reference(mats, 2 * n, 0.5 * h, x0)[::2]
-    _assert_close_per_step(X[:, 0], halves(forward, eye))
-    _assert_close_per_step(X[:, 1], rk4_reference(forward[::2], n, h, eye))
-    _assert_close_per_step(X[:, 2, 1:, 1:], halves(transformed, eye[1:, 1:]))
-    _assert_close_per_step(X[:, 3, 1:, 1:], rk4_reference(transformed[::2], n, h, eye[1:, 1:]))
-    assert np.all(X[:, 2:, 0, :] == eye[0]) and np.all(X[:, 2:, 1:, 0] == 0.0)
+    _assert_close_per_step(P_inv @ X[:, 0] @ P, halves(forward, eye))
+    _assert_close_per_step(P_inv @ X[:, 1] @ P, rk4_reference(forward[::2], n, h, eye))
+    _assert_close_per_step(X[:, 0, 1:, 1:], halves(transformed, eye[1:, 1:]))
+    _assert_close_per_step(X[:, 1, 1:, 1:], rk4_reference(transformed[::2], n, h, eye[1:, 1:]))
+    assert np.all(X[:, :, 0, :] == eye[0])
 
 
 @pytest.mark.parametrize("x0", [[1.0, 0.0], [[1.0, 2.0], [0.0, 0.0]]],
@@ -325,7 +326,6 @@ def test_no_drawn_start_beats_the_exact_ratios(spec, weights):
     assert np.all(lower >= rep_b.ratio_lower_min[:, None] * (1.0 - tol))
     assert np.all(coupling <= rep_c.ratio_upper_max[:, None] * (1.0 + tol))
     assert probs.min() >= rep_c.prob_min - tol
-    assert np.abs(probs.sum(axis=1) - 1.0).max() <= rep_c.prob_sum_error + tol
     if spec is SHARP_BATCH:
         # equal column sums: every non-negative start attains the exact ratios
         assert np.all(np.abs(upper[:, 50:] - rep_b.ratio_upper_max[:, None])
@@ -381,7 +381,7 @@ def test_each_verifier_scans_once_per_step_size(monkeypatch, verify, spec):
     monkeypatch.setattr(odesolve, "_rk4_scan", counted)
     assert verify(spec, None, 1.0, 8).passed
     stack = 1 if spec.is_homogeneous else 33
-    assert steps == [(8, 0.125, stack, (4, 3, 3))]
+    assert steps == [(8, 0.125, stack, (2, 3, 3))]
 
 
 @pytest.mark.parametrize("chain, written", [("time-varying", lambda n: 4 * n + 1),
@@ -405,14 +405,24 @@ def test_verify_writes_each_generator_once(monkeypatch, chain, written):
     assert sum(rows) == written(n)
 
 
-@pytest.mark.parametrize("S", [40, 80, 120])
-def test_verify_peak_stays_below_the_preflight_figure(S):
+@pytest.mark.parametrize("S, n", [(40, 3 * odesolve.CHUNK_STEPS + 4),
+                                  (80, 3 * odesolve.CHUNK_STEPS + 4),
+                                  (120, 3 * odesolve.CHUNK_STEPS + 4),
+                                  (200, 2), (200, 4), (80, 2 * odesolve.CHUNK_STEPS - 1)],
+                         ids=["40", "80", "120", "200-2-steps", "200-4-steps",
+                              "80-short-last-chunk"])
+def test_verify_peak_stays_below_the_preflight_figure(S, n):
     # the scan writes its chunks into buffers kept from chunk to chunk, so
     # four chunks peak as one: below the working set refused before the
-    # scan starts, SCAN_MATRICES (S+1)^2 doubles for each step of a chunk,
-    # and above half of it, so that the refusal does not come far too early
+    # scan starts, SCAN_MATRICES (S+1)^2 doubles for each step of a chunk
+    # and FIXED_MATRICES more, and above half of it, so that the refusal
+    # does not come far too early. A short run's one chunk holds the
+    # (S+1) x (S+1) arrays that every run holds, the rate table's index,
+    # P, P^-1, the identity and the chunk's first generator, besides its
+    # own steps' matrices; a last chunk of c - 1 steps also copies its
+    # increments for the map to the coordinates (1^T p, L p), a twelfth
+    # matrix a step
     spec = cb.birth_death_chain(S, [LAM] * S, [1.0] * S)
-    n = 3 * odesolve.CHUNK_STEPS + 4
     run = lambda: odesolve._verify_both(spec, None, 1.0, n, slack=1e-8)
     run()
     tracemalloc.start()
@@ -421,7 +431,8 @@ def test_verify_peak_stays_below_the_preflight_figure(S):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    figure = 8 * odesolve.CHUNK_STEPS * odesolve.SCAN_MATRICES * (S + 1) ** 2
+    c = min(odesolve.CHUNK_STEPS, n)
+    figure = 8 * (c * odesolve.SCAN_MATRICES + odesolve.FIXED_MATRICES) * (S + 1) ** 2
     assert figure / 2 < peak < figure
 
 
@@ -447,31 +458,32 @@ def test_verifiers_refuse_a_transform_that_is_not_essentially_nonnegative(
 @pytest.mark.parametrize("verify", [cb.verify_bounds, cb.verify_convergence_coupling])
 def test_each_verifier_refuses_the_working_set_of_a_chunk_before_the_scans(monkeypatch,
                                                                            verify):
-    # S = 40: a chunk of the scan asks for 32 x SCAN_MATRICES x 41^2 doubles,
-    # 7.3 MB, while the rate table and the column sums of 64 steps take far
-    # less; a machine of 6 MB refuses the chunk before the scan starts
+    # S = 40: a chunk of the scan asks for (32 x SCAN_MATRICES +
+    # FIXED_MATRICES) x 41^2 doubles, 5.2 MB, while the rate table and the
+    # column sums of 64 steps take far less; a machine of 4 MB refuses the
+    # chunk before the scan starts
     spec = cb.birth_death_chain(40, [LAM] * 40, [1.0] * 40)
 
     def refused(*args, **kwargs):
         raise AssertionError("a scan started")
 
     monkeypatch.setattr(odesolve, "_rk4_scan", refused)
-    monkeypatch.setattr(cb.chain, "physical_memory", lambda: 6 * 2**20)
+    monkeypatch.setattr(cb.chain, "physical_memory", lambda: 4 * 2**20)
     with pytest.raises(MemoryError, match=re.escape("a scan chunk of 32 steps needs ")):
         verify(spec, None, 1.0, 64)
 
 
 def test_a_short_verify_asks_for_the_working_set_of_its_own_steps(monkeypatch):
-    # S = 200, 4 steps: the run peaks near 23 MB, and its one chunk of 4
-    # steps asks for 4 x SCAN_MATRICES x 201^2 doubles, 22 MB, where a
-    # chunk of 32 steps would ask for 0.17 GiB; a machine of 42 MB runs it,
-    # one of 20 MB refuses it before the scan starts
+    # S = 200, 4 steps: the run peaks near 16 MB, and its one chunk of 4
+    # steps asks for (4 x SCAN_MATRICES + FIXED_MATRICES) x 201^2 doubles,
+    # 17 MB, where a chunk of 32 steps would ask for 0.12 GiB; a machine of
+    # 42 MB runs it, one of 16 MB refuses it before the scan starts
     spec = cb.birth_death_chain(200, [LAM] * 200, [1.0] * 200)
     monkeypatch.setattr(cb.chain, "physical_memory", lambda: 42 * 10**6)
     rep_b, rep_c = odesolve._verify_both(spec, None, 1.0, 4, slack=1e-8)
     assert len(rep_b.ratio_upper_max) == len(rep_c.ratio_upper_max) == 5
-    monkeypatch.setattr(cb.chain, "physical_memory", lambda: 20 * 10**6)
-    with pytest.raises(MemoryError, match=re.escape("a scan chunk of 4 steps needs 0.02047 GiB")):
+    monkeypatch.setattr(cb.chain, "physical_memory", lambda: 16 * 10**6)
+    with pytest.raises(MemoryError, match=re.escape("a scan chunk of 4 steps needs 0.01595 GiB")):
         odesolve._verify_both(spec, None, 1.0, 4, slack=1e-8)
 
 
@@ -483,8 +495,8 @@ def test_a_short_verify_asks_for_the_working_set_of_its_own_steps(monkeypatch):
 def test_verify_names_the_first_state_that_blows_up(verify, birth, peak):
     # h = 0.01 and eigenvalue -300: h |lambda| = 3 lies beyond RK4's
     # stability interval (2.785) while the half steps' 1.5 lies inside, so
-    # the step-h members grow and the step-h/2 ones decay; the one guard
-    # over the four members names the first state beyond 1e12
+    # the step-h member grows and the step-h/2 one decays; the one guard
+    # over both members names the first state beyond 1e12
     spec = cb.birth_death_chain(1, [birth], [200.0])
     with pytest.raises(cb.OdeBlowUpError, match=re.escape(
             f"state magnitude {peak} at t=0.87 exceeds 1000000000000.0")):
@@ -506,7 +518,6 @@ def test_verify_coupling_passes_and_checks_probabilities():
     rate = cb.perron_weights(cb.to_bstar(cb.build_reduced(cb.eval_generator(spec, 0.0))))
     rep = cb.verify_convergence_coupling(spec, rate.weights, tmax=2.0, n_steps=1500)
     assert rep.passed and rep.n_violations == 0 and rep.kind == "coupling"
-    assert rep.prob_sum_error <= 1e-10
     assert rep.prob_min >= -1e-12
     assert rep.worst_upper <= 1.0 + rep.slack_total
 
@@ -558,21 +569,27 @@ def _mapped(phi, d, T):
     (cb.birth_death_chain(5, [1.5, 1.0, 0.5, 2.0, 1.0], [1.0, 2.0, 1.0, 1.0, 0.5]),
      [0.6, 1.0, 1.4, 1.1, 0.8])], ids=["time-varying", "homogeneous"])
 def test_forward_propagators_map_to_the_transformed_ones(spec, weights):
-    # on probability differences the forward system is the reduced one, and
-    # the tail sums T and the weights D carry it to B**: RK4 commutes with
-    # both, so the mapped forward propagators are the transformed ones; the
-    # lower all-ones matrix in T's place breaks the map
+    # the scan's members are P Phi P^-1 of forward propagators Phi: P^-1 X P
+    # is the forward RK4 propagator from the identity, and the lower-right
+    # block of X the transformed one, since on probability differences the
+    # forward system is the reduced one, and the tail sums T and the
+    # weights D carry it to B**: RK4 commutes with both, so the mapped
+    # forward propagators are the transformed ones; the lower all-ones
+    # matrix in T's place breaks the map
     d, tmax, n = np.array(weights), 2.0, 2 * odesolve.CHUNK_STEPS + 7
     table = cb.chain.rate_table(spec, cb.chain.evaluation_times(
         spec, np.linspace(0.0, tmax, 4 * n + 1)))
-    # the chunks are the scans' buffers, valid until the next one: copy them
-    chunks = [(F.copy(), G.copy()) for _, F, G, _, _ in
-              odesolve._propagators(table, d, n, tmax / n)]
-    phi, G = (np.concatenate([chunk[i] for chunk in chunks]) for i in (0, 1))
+    # the chunks are the scan's buffer, valid until the next one: copy them
+    X = np.concatenate([chunk[:, 1].copy() for _, chunk in
+                        odesolve._propagators(odesolve._Forward(table, d), n, tmax / n)])
+    P, P_inv = odesolve._tail_sum_maps(d)
+    phi = P_inv @ X @ P
+    want_phi = cb.solve("forward", spec, np.eye(spec.S + 1), tmax, n).states
+    assert np.abs(phi - want_phi).max() <= 1e-12 * np.abs(want_phi).max()
     want = cb.solve("transformed", spec, np.eye(spec.S), tmax, n, weights=d).states
     tol = 1e-12 * np.abs(want).max()
     T = np.triu(np.ones((spec.S, spec.S)))
-    assert np.abs(G - want).max() <= tol
+    assert np.abs(X[:, 1:, 1:] - want).max() <= tol
     assert np.abs(_mapped(phi, d, T) - want).max() <= tol
     assert np.abs(_mapped(phi, d, T.T) - want).max() > 1e3 * tol
 
@@ -596,15 +613,23 @@ def _increments_of(S, h):
 def test_transformed_increments_by_two_products_match_the_tail_sum_transform(S, h):
     # both round within a few ulps of the sum of the absolute terms they
     # add: L K Rt those of its products, the structural oracle also the
-    # state-0 column it subtracts from every other
+    # state-0 column it subtracts from every other; the first column L K e0,
+    # the weighted tail sums of K's first column, within a few ulps of those
+    # of its absolute values, and the first row zero, written into out or
+    # into K itself
     writer, d, K = _increments_of(S, h)
     out = np.full_like(K, np.nan)
     G = writer.increments(K, out)
     assert G is out
-    assert np.all(G[:, 0, :] == 0.0) and np.all(G[:, :, 0] == 0.0)
-    terms = np.abs(writer.left) @ (np.abs(K) @ np.abs(writer.right)
-                                   + 2.0 * np.abs(K[..., :1]) / d)
+    assert np.all(G[:, 0, :] == 0.0)
+    P, P_inv = writer.maps
+    L, Rt = P[1:], P_inv[:, 1:]
+    terms = np.abs(L) @ (np.abs(K) @ np.abs(Rt) + 2.0 * np.abs(K[..., :1]) / d)
     assert np.all(np.abs(G[:, 1:, 1:] - transformed_increment(K, d)) <= 1e-15 * terms)
+    tails = d[:, None] * np.cumsum(K[:, :0:-1, 0], axis=1)[:, ::-1, None]
+    sums = d[:, None] * np.cumsum(np.abs(K[:, :0:-1, 0]), axis=1)[:, ::-1, None]
+    assert np.all(np.abs(G[:, 1:, :1] - tails) <= 1e-15 * sums)
+    assert np.array_equal(writer.increments(K, K), G)
 
 
 @pytest.mark.parametrize("h", [1e-3, 0.1, 1.0])

@@ -24,7 +24,7 @@ def test_src_lines_pins_the_settable_values():
     assert counts == {"flags in total": 15, "AnalysisSettings fields": 5,
                       "optional parameters": 9}
     total = re.search(r"^\s*(\d+) total$", proc.stdout, re.M)
-    assert total and 0 < int(total.group(1)) <= 1445
+    assert total and 0 < int(total.group(1)) <= 1436
 
 
 def test_output_digests_runs_every_benchmark_case_at_one_seed():

@@ -5,8 +5,9 @@ envelopes (the upper one by 0.9, the lower one by 1.1) until the
 propagators break them, and rebuild the expected ratios and violations by
 brute force: :func:`solve` integrates the identity with steps h and h/2,
 and each time's ratio is judged with that time's own step-halving margin.
-Envelopes 1000 times too tight must fail at every horizon, and a long
-horizon must pass with a band that still checks something.
+Envelopes 1000 times too tight must fail at every horizon, envelopes 1.5
+times too tight at every time of a long run, and a long horizon must pass
+with a band that still checks something.
 """
 
 import dataclasses
@@ -71,11 +72,17 @@ def _bounds_expected(spec):
 
 
 def _coupling_expected(spec):
-    """Per-time ratios and the verdict of verify_convergence_coupling, from solve runs."""
+    """Per-time ratios and the verdict of verify_convergence_coupling, from solve runs.
+
+    The ratios are the norms of the forward propagators mapped to the
+    transformed coordinates, judged with the transformed propagators'
+    step-halving margin, as the bounds upper ratios are.
+    """
     st = odesolve._verification_setup(spec, WEIGHTS, TMAX, N_STEPS)
-    Phi, Psi = _identity_runs("forward", spec)
+    Phi, _ = _identity_runs("forward", spec)
+    G, H = _identity_runs("transformed", spec, WEIGHTS)
     norms = _l1(transformed_increment(Phi, WEIGHTS))
-    e = 2.0 * _l1(Phi - Psi) * WEIGHTS.sum() * 2.0 / WEIGHTS.min()
+    e = 2.0 * _l1(G - H)
     ratios = norms / st.env_up
     return ratios, [("coupling", ratios, (norms - e) / st.env_up > 1.0 + SLACK + st.quad_margin)]
 
@@ -196,3 +203,53 @@ def test_envelopes_far_too_tight_fail_at_every_horizon(far_too_tight_envelopes, 
     assert not rep_b.passed and not rep_c.passed
     assert {v[0] for v in rep_b.violations} == {"upper", "lower"}
     assert rep_b.violations[0][1] == rep_c.violations[0][1] == 0.0
+
+
+@pytest.mark.parametrize("chain", sorted(CHAINS))
+def test_the_coupling_ratios_are_the_bounds_upper_ratios(chain):
+    # every difference of distributions reaches the transformed coordinates
+    # through the step-h member, whose lower-right block G_k both read
+    rep_b, rep_c = odesolve._verify_both(CHAINS[chain], WEIGHTS, TMAX, N_STEPS, slack=SLACK)
+    assert np.array_equal(rep_c.ratio_upper_max, rep_b.ratio_upper_max)
+    assert rep_c.worst_upper == rep_b.worst_upper
+
+
+@pytest.fixture(scope="module")
+def bd_sin_s5_to_100():
+    """The reports of BD_SIN_S5 verified to t=100 in 20 000 steps."""
+    return odesolve._verify_both(BD_SIN_S5, None, 100.0, 20_000, slack=SLACK)
+
+
+def test_the_coupling_band_stays_flat_to_a_long_horizon(bd_sin_s5_to_100):
+    # the coupling margin is the bounds one, relative to the coupling
+    # ratio: a margin mapped by ||L||_1 ||Rt||_1 that did not decay with
+    # the propagators once grew to a band of 6.5e6 at t=100
+    rep_b, rep_c = bd_sin_s5_to_100
+    assert rep_b.passed and rep_c.passed
+    assert rep_c.slack_total <= rep_b.slack_total <= 2e-4
+
+
+def test_envelopes_too_tight_by_half_fail_at_every_time_of_a_long_run(bd_sin_s5_to_100,
+                                                                      monkeypatch):
+    # each envelope 1.5 times too tight at every grid time, against the
+    # run's own ratios: every time breaks both verdicts, where the margin
+    # that did not decay let the coupling break at 7 748 of the 20 001
+    rep_b, _ = bd_sin_s5_to_100
+    _narrowed(monkeypatch, rep_b.ratio_upper_max / 1.5, 1.5 * rep_b.ratio_lower_min)
+    narrow_b, narrow_c = odesolve._verify_both(BD_SIN_S5, None, 100.0, 20_000, slack=SLACK)
+    assert narrow_b.n_violations == 2 * 20_001
+    assert narrow_c.n_violations == 20_001 and narrow_c.prob_min >= -1e-12
+    assert np.allclose(narrow_c.ratio_upper_max, 1.5, rtol=1e-12)
+
+
+def test_the_coupling_band_ignores_the_span_of_the_weights():
+    # births 1, deaths 2, S = 60: the Perron weights span 1.1e9, which a
+    # margin mapped by sum(d) 2 / min(d) turned into a band of 85.8 at t=1;
+    # the forward propagators mapped back from the scan stay non-negative
+    spec = cb.birth_death_chain(60, [1.0] * 60, [2.0] * 60)
+    bstar = cb.to_bstar(cb.build_reduced(cb.eval_generator(spec, 0.0)))
+    weights = cb.perron_weights(bstar).weights
+    assert weights.max() / weights.min() > 1e9
+    rep = cb.verify_convergence_coupling(spec, weights, 1.0, n_steps=200, slack=SLACK)
+    assert rep.passed and rep.slack_total <= 1e-6
+    assert rep.prob_min >= -1e-12
